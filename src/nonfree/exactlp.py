@@ -1,88 +1,47 @@
-"""Exact rational linear feasibility for convex hull membership.
+"""Convex hull membership whose refutations are exact.
 
-Phase-one simplex over Fraction arithmetic with Bland's rule, so refutations
-of hull membership are sound: "infeasible" is an exact statement about the
-rational data, never a rounding artifact.
+HiGHS searches in floating point for a linear functional y that separates the
+point from the vertices; the functional is then checked in exact rational
+arithmetic, following Applegate, Cook, Dash and Espinoza, "Exact solutions to
+linear programming problems" (Oper. Res. Lett. 2007). "Not in the hull" is
+therefore an exact statement about the rational data, never a rounding
+artifact; a solver failure only leaves membership unrefuted.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Rational
 from typing import Sequence
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+import numpy as np
 
 
-def solve_feasibility(columns: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> bool:
-    """Whether A x = b admits x >= 0, for A given column-wise, exactly.
+def _pairing(y: Sequence[Fraction], v: Sequence[Rational]) -> Fraction:
+    return sum((yi * x for yi, x in zip(y, v) if x), Fraction(0))
 
-    Runs phase one of the simplex method: minimize the sum of artificial
-    variables with Bland's anti-cycling rule; feasible iff the optimum is 0.
+
+def in_convex_hull(vertices: Sequence[Sequence[Rational]], point: Sequence[Rational]) -> bool:
+    """Whether point may be a convex combination of the rational vertices.
+
+    Returns False only with an exact Farkas certificate, a rational y with
+    y.p < y.v for every vertex v. A point in the hull, a point too close to
+    its boundary for the float solve, or a solver failure returns True.
     """
-    m = len(rhs)
-    n = len(columns)
-    if any(len(col) != m for col in columns):
-        raise ValueError("column length does not match rhs length")
-
-    # Tableau rows: [A | I | b], with rows flipped so b >= 0.
-    rows: list[list[Fraction]] = []
-    for i in range(m):
-        sign = ONE if rhs[i] >= 0 else -ONE
-        row = [sign * col[i] for col in columns]
-        row.extend(ONE if j == i else ZERO for j in range(m))
-        row.append(sign * rhs[i])
-        rows.append(row)
-    basis = [n + i for i in range(m)]
-    total = n + m
-
-    # Phase-one objective: sum of artificials, expressed over the tableau.
-    cost = [ZERO] * (total + 1)
-    for row in rows:
-        for j in range(total + 1):
-            cost[j] -= row[j]
-    for i in range(m):
-        cost[n + i] += ONE
-
-    while True:
-        entering = next((j for j in range(total) if cost[j] < 0), None)
-        if entering is None:
-            break
-        leaving = None
-        best = None
-        for i, row in enumerate(rows):
-            coef = row[entering]
-            if coef > 0:
-                ratio = row[total] / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
-        if leaving is None:
-            raise ArithmeticError("phase-one problem unbounded; input is inconsistent")
-        pivot_row = rows[leaving]
-        pivot = pivot_row[entering]
-        rows[leaving] = [x / pivot for x in pivot_row]
-        pivot_row = rows[leaving]
-        for i, row in enumerate(rows):
-            if i != leaving and row[entering] != 0:
-                factor = row[entering]
-                rows[i] = [x - factor * y for x, y in zip(row, pivot_row)]
-        if cost[entering] != 0:
-            factor = cost[entering]
-            cost = [x - factor * y for x, y in zip(cost, pivot_row)]
-        basis[leaving] = entering
-
-    objective = -cost[total]
-    return objective == 0
-
-
-def in_convex_hull(vertices: Sequence[Sequence[Fraction]], point: Sequence[Fraction]) -> bool:
-    """Whether point is a convex combination of the given rational vertices."""
     if not vertices:
         return False
     dim = len(point)
     if any(len(v) != dim for v in vertices):
         raise ValueError("vertex dimension does not match point dimension")
-    columns = [list(v) + [ONE] for v in vertices]
-    rhs = list(point) + [ONE]
-    return solve_feasibility(columns, rhs)
+    # Imported here so that commands which never test membership skip scipy's import.
+    from scipy.optimize import linprog
+
+    # Boxed separation LP over (y, s): minimize y.p + s subject to y.v + s >= 0.
+    a_ub = -np.hstack([np.array(vertices, dtype=float), np.ones((len(vertices), 1))])
+    cost = [float(x) for x in point] + [1.0]
+    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(len(vertices)), bounds=(-1, 1), method="highs")
+    if res.status != 0 or res.fun >= 0:
+        return True
+    # Floats convert to rationals exactly; the best offset s is -min_v y.v.
+    y = [Fraction(x) for x in res.x[:dim]]
+    return _pairing(y, point) >= min(_pairing(y, v) for v in vertices)

@@ -168,26 +168,18 @@ def halfspace_check(n: int) -> HalfspaceReport:
     )
 
 
-# --- JSON serialization (rationals as decimal strings) ----------------------
-
-
-def _rat_doc(x: Fraction) -> dict:
-    return {"num": str(x.numerator), "den": str(x.denominator)}
-
-
-def _vec_doc(v: RationalVec) -> list[dict]:
-    return [_rat_doc(x) for x in v]
+# --- JSON serialization (jsonio writes each Fraction as decimal strings) -----
 
 
 def family_to_doc(data: FamilyData) -> dict:
     return {
         "n": data.n,
-        "h": [_vec_doc(hi) for hi in data.h],
-        "c": _rat_doc(data.c),
-        "norm_h_sq": _rat_doc(data.norm_h_sq),
-        "q": [_vec_doc(qi) for qi in data.q],
-        "b": _vec_doc(data.b),
-        "w_sq": _vec_doc(data.w_sq),
-        "lambda_W": _rat_doc(data.lambda_W),
-        "ness_lambda": _rat_doc(data.ness_lambda),
+        "h": data.h,
+        "c": data.c,
+        "norm_h_sq": data.norm_h_sq,
+        "q": data.q,
+        "b": data.b,
+        "w_sq": data.w_sq,
+        "lambda_W": data.lambda_W,
+        "ness_lambda": data.ness_lambda,
     }

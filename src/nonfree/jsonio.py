@@ -28,9 +28,7 @@ def _emit(obj, out: list[str]) -> None:
         out.append(json.dumps(obj))
     elif isinstance(obj, str):
         out.append(json.dumps(obj, ensure_ascii=False))
-    elif isinstance(obj, bool):  # unreachable, bool handled above
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+    elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         out.append(_format_float(float(obj)))

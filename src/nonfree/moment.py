@@ -12,15 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DimensionMismatchError, Tensor3, flattening, norm
+from .tensor import DimensionMismatchError, Tensor3, _freeze, flattening, norm
 
 HERMITICITY_TOL = 1e-12
 WEYL_TOL = 1e-12
-
-
-def _freeze(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,9 +3,11 @@
 Outer bounds: a halfspace containing the downward closure of the support
 contains the whole polytope. Inner bounds: sorted support vertices of free
 supports. Refutation: sampled supports of triangular basis changes whose
-convex hulls must contain every polytope point; membership is decided in
-exact rational arithmetic so a "refuted" verdict is sound (up to the
-genericity of the sampled upper-triangular change, which is reported).
+convex hulls must contain every polytope point. The point is read as exact
+rationals whose components each sum to 1, and a hull excludes it only
+through an exact Farkas certificate (see exactlp), so a "refuted" verdict is
+sound up to the genericity of the sampled upper-triangular change, which is
+reported.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from .moment import WeylPoint
 from .supports import downward_closure, is_free_support, sjamaar_inner_points
 from .tensor import SUPPORT_TOL, GroupTriple, Tensor3, apply, support
 
-EXACT_VERTEX_LIMIT = 600
-FLOAT_FEASIBILITY_SLACK = 1e-9
 RATIONALIZE_DENOMINATOR = 10**12
 
 
@@ -99,34 +99,26 @@ def _rationalize(x: float) -> Fraction:
     return Fraction(x).limit_denominator(RATIONALIZE_DENOMINATOR)
 
 
-def _hull_contains(supp, dims, point: WeylPoint) -> bool:
-    n1, n2, n3 = dims
+def _rational_target(point: WeylPoint) -> list[Fraction]:
+    """The point as rationals whose components, like every hull vertex, sum to exactly 1.
+
+    The first (largest) coordinate of each component absorbs the rounding of the rest.
+    """
+    target = []
+    for comp in point.components:
+        rest = [_rationalize(x) for x in comp[1:]]
+        target += [1 - sum(rest, Fraction(0))] + rest
+    return target
+
+
+def _hull_contains(supp, dims, target: list[Fraction]) -> bool:
+    n1, n2, _ = dims
     vertices = []
     for (i, j, k) in supp:
-        vec = [Fraction(0)] * (n1 + n2 + n3)
-        vec[i - 1] = Fraction(1)
-        vec[n1 + j - 1] = Fraction(1)
-        vec[n1 + n2 + k - 1] = Fraction(1)
+        vec = [0] * len(target)
+        vec[i - 1] = vec[n1 + j - 1] = vec[n1 + n2 + k - 1] = 1
         vertices.append(vec)
-    if len(vertices) <= EXACT_VERTEX_LIMIT:
-        target = [_rationalize(x) for comp in point.components for x in comp]
-        return in_convex_hull(vertices, target)
-    return _hull_contains_float(vertices, point)
-
-
-def _hull_contains_float(vertices, point: WeylPoint) -> bool:
-    # scipy fallback for large vertex sets: minimize the l1 equation defect of
-    # a convex combination; feasible iff the defect is negligible.
-    from scipy.optimize import linprog
-
-    a_eq = np.array([[float(x) for x in v] for v in vertices]).T
-    a_eq = np.vstack([a_eq, np.ones((1, a_eq.shape[1]))])
-    b_eq = np.concatenate([point.concatenated(), [1.0]])
-    m = a_eq.shape[0]
-    a_full = np.hstack([a_eq, np.eye(m), -np.eye(m)])
-    cost = np.concatenate([np.zeros(a_eq.shape[1]), np.ones(2 * m)])
-    res = linprog(cost, A_eq=a_full, b_eq=b_eq, bounds=(0, None), method="highs")
-    return bool(res.success and res.fun <= FLOAT_FEASIBILITY_SLACK)
+    return in_convex_hull(vertices, target)
 
 
 def hull_refute(
@@ -155,11 +147,12 @@ def hull_refute(
         for _ in range(samples)
     )
 
+    target = _rational_target(p)
     sizes = []
     for index, lower in enumerate(lowers):
         moved = apply(lower, ut)
         supp = support(moved, tol)
         sizes.append(len(supp))
-        if not _hull_contains(supp, dims, p):
+        if not _hull_contains(supp, dims, target):
             return HullRefutation("refuted", index, index + 1, seed, u, sizes)
     return HullRefutation("inconclusive", None, len(lowers), seed, u, sizes)

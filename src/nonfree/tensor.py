@@ -241,12 +241,6 @@ def scale(t: Tensor3, factor: complex) -> Tensor3:
     return Tensor3(t.entries * factor)
 
 
-def add(s: Tensor3, t: Tensor3) -> Tensor3:
-    if s.dims != t.dims:
-        raise DimensionMismatchError(f"dims {s.dims} vs {t.dims}")
-    return Tensor3(s.entries + t.entries)
-
-
 def normalized(t: Tensor3) -> Tensor3:
     nrm = norm(t)
     if nrm == 0.0:
@@ -290,11 +284,6 @@ def tensor_from_doc(doc: dict) -> Tensor3:
         seen.add((i, j, k))
         arr[i - 1, j - 1, k - 1] = value
     return Tensor3(arr)
-
-
-def load_tensor(path) -> Tensor3:
-    with open(path, "r", encoding="utf-8") as handle:
-        return tensor_from_doc(json.load(handle))
 
 
 def save_tensor(t: Tensor3, path) -> None:

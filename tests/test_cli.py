@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import nonfree
 
 from nonfree.cli import main
 from nonfree.construct import build_family_tensor, s0_tensor
@@ -177,3 +182,14 @@ def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
     # Version and resolved configuration are embedded for provenance.
     doc = json.loads(first)
     assert doc["tool"] == "nonfree" and doc["config"]["seed"] == 7
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    # scipy.optimize takes about 0.35 s to import; only hull refutation needs it.
+    src = os.path.dirname(os.path.dirname(nonfree.__file__))
+    code = "import sys, nonfree.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert done.stdout.strip() == "False"

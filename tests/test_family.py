@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction as F
 
 import pytest
 
 from nonfree.family import family_data, family_to_doc, gamma_support, halfspace_check
+from nonfree.jsonio import dumps
 from nonfree.supports import is_free_support
 
 
@@ -86,7 +88,7 @@ def test_gamma_freeness_transition():
 
 
 def test_family_doc_serializes_rationals_as_strings():
-    doc = family_to_doc(family_data(3))
+    doc = json.loads(dumps(family_to_doc(family_data(3))))
     assert doc["c"] == {"num": "1", "den": "3"}
     assert doc["q"][2][0] == {"num": "5", "den": "14"}
     assert doc["lambda_W"] == {"num": "5", "den": "14"}

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import random_free_support, rng, tensor_on_support
+from conftest import random_complex, random_free_support, random_tensor, rng, tensor_on_support
 from nonfree.construct import build_family_tensor
 from nonfree.exactlp import in_convex_hull
 from nonfree.family import family_data, gamma_support
@@ -118,6 +118,37 @@ def test_hull_refute_rank_one_vertex_is_inconclusive():
     t = basis_tensor((3, 3, 3), 1, 1, 1)
     p = WeylPoint((1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0))
     assert hull_refute(t, p, samples=10, seed=1).outcome == "inconclusive"
+
+
+def test_float_points_inside_a_full_support_are_never_refuted():
+    # Every hull of a full 3x3x3 support is the whole product of simplices.
+    # Rounding each coordinate on its own left components summing to 1 +- eps,
+    # which the exact check then refuted.
+    gen = rng(73)
+    t = random_tensor(gen, (3, 3, 3))
+    for seed in range(50):
+        p = WeylPoint(*(sorted(gen.dirichlet(np.ones(3)), reverse=True) for _ in range(3)))
+        result = hull_refute(t, p, samples=0, seed=seed)
+        assert result.outcome == "inconclusive"
+        assert result.support_sizes == [27]
+
+
+def test_refutation_above_600_vertices_is_exact(monkeypatch):
+    import nonfree.polytope as polytope
+
+    answers = []
+
+    def recording(vertices, point):
+        answers.append((len(vertices), in_convex_hull(vertices, point)))
+        return answers[-1][1]
+
+    monkeypatch.setattr(polytope, "in_convex_hull", recording)
+    arr = random_complex(rng(74), (9, 9, 9))
+    arr[:, :, 8] = 0  # 648 vertices, none with weight on the last third-factor index
+    u9 = (1 / 9,) * 9
+    result = hull_refute(Tensor3(arr), WeylPoint(u9, u9, u9), samples=10, seed=0)
+    assert result.refuted and result.refuting_sample == 0
+    assert answers == [(648, False)]
 
 
 def test_inner_points_never_refuted():
