@@ -15,10 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .construct import build_W, build_family_tensor
-from .family import family_data
+from .construct import FamilyTensor, build_family_tensor
 from .flow import NessCertificate, flow, ness_minimality
-from .moment import HermTriple, WeylPoint, moment_map, off_diagonal_mass
+from .moment import HermTriple, _frobenius_norm, moment_map, off_diagonal_mass
 from .named import (
     MU_S2_DIAGONALS,
     MU_S5_DIAGONALS,
@@ -65,17 +64,14 @@ def _runs(values: Sequence, equal) -> Blocks:
 def stabilizer_blocks(m, tol: float = BLOCK_TOL) -> StabilizerBlocks:
     """Eigenvalue-equality partition of a diagonal triple.
 
-    Accepts a HermTriple that is diagonal within tol, a WeylPoint, or a triple
-    of rational vectors; rational inputs are compared exactly.
+    Accepts a HermTriple that is diagonal within tol, or a triple of vectors;
+    rational vectors are compared exactly.
     """
     if isinstance(m, HermTriple):
         mass = off_diagonal_mass(m)
         if mass > tol:
             raise ValueError(f"input is not diagonal (off-diagonal mass {mass:.3e})")
         vectors = [tuple(np.diag(c).real) for c in m.components]
-        equal = lambda a, b: abs(a - b) <= tol
-    elif isinstance(m, WeylPoint):
-        vectors = list(m.components)
         equal = lambda a, b: abs(a - b) <= tol
     else:
         vectors = [tuple(component) for component in m]
@@ -200,6 +196,12 @@ class NonFreenessReport:
     details: dict = field(default_factory=dict)
 
 
+def family_mu_defect(ft: FamilyTensor) -> float:
+    """Frobenius distance of mu(T) from the diagonal triple diag(q) of the family."""
+    q = [np.diag([float(x) for x in qi]) for qi in ft.data.q]
+    return _frobenius_norm([c - qd for c, qd in zip(moment_map(ft.tensor).components, q)])
+
+
 def certify_family(n: int, tol: float = 1e-10) -> NonFreenessReport:
     """Full certificate for the staircase family member of size n >= 3."""
     if n < 3:
@@ -208,11 +210,7 @@ def certify_family(n: int, tol: float = 1e-10) -> NonFreenessReport:
     ft = build_family_tensor(n)
     data = ft.data
 
-    mu = moment_map(ft.tensor)
-    q_float = [np.diag([float(x) for x in qi]) for qi in data.q]
-    mu_defect = float(
-        np.sqrt(sum(np.linalg.norm(c - qd) ** 2 for c, qd in zip(mu.components, q_float)))
-    )
+    mu_defect = family_mu_defect(ft)
     details["mu_defect"] = mu_defect
     if mu_defect > tol:
         return NonFreenessReport(f"family-{n}", False, "moment_map", None, None, None, details)

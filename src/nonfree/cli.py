@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
-from .certify import NonFreenessReport, certify_family, certify_named
+from .certify import NonFreenessReport, certify_family, certify_named, family_mu_defect
 from .construct import build_family_tensor, s0_tensor
 from .family import family_data, family_to_doc, halfspace_check
 from .flow import flow, ness_minimality
@@ -97,19 +96,12 @@ def cmd_family(args) -> tuple[dict, int]:
         doc["family_tensor"] = tensor_to_doc(ft.tensor)
         if args.verify:
             left, right = ft.W.gram_defects()
-            mu = moment_map(ft.tensor)
-            q_float = [np.diag([float(x) for x in qi]) for qi in data.q]
-            mu_defect = float(
-                np.sqrt(
-                    sum(np.linalg.norm(c - qd) ** 2 for c, qd in zip(mu.components, q_float))
-                )
-            )
             ness = ness_minimality(ft.tensor)
             half = halfspace_check(args.n)
             doc["verification"] = {
                 "gram_defect_wsw": left,
                 "gram_defect_wws": right,
-                "mu_defect": mu_defect,
+                "mu_defect": family_mu_defect(ft),
                 "ness_lambda": ness.lam,
                 "ness_residual": ness.residual,
                 "halfspace_valid": half.valid,
@@ -190,17 +182,14 @@ def cmd_certify(args) -> tuple[dict, int]:
     if (args.family is None) == (args.named is None):
         raise InputError("choose exactly one of --family N or --named T2|T5")
     if args.family is not None:
-        try:
-            report = certify_family(args.family, tol=args.tol)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        config = {"family": args.family, "tol": args.tol}
+        key, certify = "family", certify_family
     else:
-        try:
-            report = certify_named(args.named, tol=args.tol)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        config = {"named": args.named, "tol": args.tol}
+        key, certify = "named", certify_named
+    config = {key: getattr(args, key), "tol": args.tol}
+    try:
+        report = certify(config[key], tol=args.tol)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     doc = _header("certify-nonfree", config)
     doc["report"] = _report_doc(report)
     return doc, 0 if report.verdict else 1
@@ -325,6 +314,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InputError(f"--{name.replace('_', '-')} must be finite, got {value}")
         doc, code = args.func(args)
     except InputError as exc:
         print(dumps({"error": {"kind": "input", "message": str(exc)}}))

@@ -81,10 +81,8 @@ def wmatrix_membership(m: np.ndarray, tol: float = WN_TOL) -> bool:
         raise ValueError(f"expected an n x (n-1) matrix, got shape {m.shape}")
     n = m.shape[0]
     data = family_data(n)
-    lam = float(data.lambda_W)
     w = np.array([sqrt(float(x)) for x in data.w_sq])
-    left = np.linalg.norm(m.conj().T @ m - lam * np.eye(n - 1))
-    right = np.linalg.norm(m @ m.conj().T - (lam * np.eye(n) - np.outer(w, w)))
+    left, right = WMatrix(n=n, entries=m, lambda_W=data.lambda_W, w=w).gram_defects()
     return bool(left <= tol and right <= tol)
 
 

@@ -4,6 +4,10 @@ The flow is integrated projectively: the tensor is renormalized to unit norm
 after every accepted step, and convergence is declared on the projective
 gradient residual |mu(T) * T - lambda T|, since only the projective limit is
 guaranteed to exist.
+
+The integrator steps a plain entries array and builds a `Tensor3` only for the
+limit and requested snapshots. One evaluation per accepted point serves the
+monotonicity check, the convergence test and the next step's first RK4 stage.
 """
 
 from __future__ import annotations
@@ -12,8 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .moment import HermTriple, infinitesimal_action, moment_map
-from .tensor import Tensor3, inner, norm, normalized, support
+from .moment import (
+    HermTriple, _action_array, _frobenius_norm, _moment_arrays, infinitesimal_action, moment_map
+)
+from .tensor import Tensor3, norm, support
 
 DEFAULT_STEP = 0.05
 DEFAULT_RESIDUAL_TOL = 1e-8
@@ -36,9 +42,6 @@ class NessCertificate:
     residual: float
     mu: HermTriple
 
-    def holds(self, tol: float) -> bool:
-        return self.residual <= tol
-
 
 @dataclass(frozen=True)
 class FlowResult:
@@ -50,31 +53,35 @@ class FlowResult:
     snapshots: list[Tensor3] = field(default_factory=list)
 
 
-def _gradient(t: Tensor3) -> tuple[Tensor3, float, HermTriple]:
-    """Projective gradient mu(T)*T - lambda T at a unit-norm tensor."""
-    mu = moment_map(t)
-    action = infinitesimal_action(mu, t)
-    lam = inner(t, action).real / norm(t) ** 2
-    grad = Tensor3(action.entries - lam * t.entries)
-    return grad, lam, mu
+def _lam_residual(arr: np.ndarray, action: np.ndarray) -> tuple[float, float]:
+    """lambda = <T, mu(T)T> / |T|^2 and the scaled residual |mu(T)T - lambda T| / |T|."""
+    nrm = float(np.linalg.norm(arr))
+    lam = complex(np.vdot(arr, action)).real / nrm**2
+    return lam, float(np.linalg.norm(action - lam * arr)) / nrm
 
 
-def ness_minimality(t: Tensor3, tol: float = 1e-10) -> NessCertificate:
+def ness_minimality(t: Tensor3) -> NessCertificate:
     if norm(t) == 0.0:
         raise ValueError("ness_minimality requires a nonzero tensor")
-    grad, lam, mu = _gradient(t)
-    return NessCertificate(lam=lam, residual=norm(grad) / norm(t), mu=mu)
+    mu = moment_map(t)
+    return NessCertificate(*_lam_residual(t.entries, infinitesimal_action(mu, t).entries), mu=mu)
 
 
-def _rk4_step(t: Tensor3, dt: float) -> Tensor3:
-    def f(x: Tensor3) -> np.ndarray:
-        return -infinitesimal_action(moment_map(x), x).entries
+def _evaluate(x: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """|mu(x)|, the velocity -mu(x) * x and the projective residual at x."""
+    mu = _moment_arrays(x)
+    action = _action_array(mu, x)
+    return _frobenius_norm(mu), -action, _lam_residual(x, action)[1]
 
-    k1 = f(t)
-    k2 = f(Tensor3(t.entries + 0.5 * dt * k1))
-    k3 = f(Tensor3(t.entries + 0.5 * dt * k2))
-    k4 = f(Tensor3(t.entries + dt * (k3)))
-    return Tensor3(t.entries + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+
+def _rk4_step(x: np.ndarray, k1: np.ndarray, dt: float) -> np.ndarray:
+    def f(y: np.ndarray) -> np.ndarray:
+        return -_action_array(_moment_arrays(y), y)
+
+    k2 = f(x + 0.5 * dt * k1)
+    k3 = f(x + 0.5 * dt * k2)
+    k4 = f(x + dt * (k3))
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def flow(
@@ -92,39 +99,39 @@ def flow(
     """
     if norm(t) == 0.0:
         raise ValueError("flow requires a nonzero tensor")
-    current = normalized(t)
-    mu_norm = moment_map(current).frobenius_norm()
+    # Scale by the reciprocal of the norm: dividing by it would round differently.
+    x = t.entries * (1.0 / norm(t))
+    mu_norm, velocity, residual = _evaluate(x)
     trajectory = [mu_norm]
-    snapshots = [current] if snapshot_every else []
+    snapshots = [Tensor3(x)] if snapshot_every else []
     dt = step_size
     streak = 0
 
-    residual = ness_minimality(current).residual
     steps = 0
     while residual > residual_tol and steps < max_steps:
         halvings = 0
         while True:
-            candidate = normalized(_rk4_step(current, dt))
-            candidate_mu_norm = moment_map(candidate).frobenius_norm()
-            if candidate_mu_norm <= mu_norm + MONOTONICITY_SLACK or halvings >= MAX_HALVINGS:
+            y = _rk4_step(x, velocity, dt)
+            candidate = y * (1.0 / np.linalg.norm(y))
+            evaluation = _evaluate(candidate)
+            if evaluation[0] <= mu_norm + MONOTONICITY_SLACK or halvings >= MAX_HALVINGS:
                 break
             dt *= 0.5
             halvings += 1
             streak = 0
-        current = candidate
-        mu_norm = candidate_mu_norm
+        x = candidate
+        mu_norm, velocity, residual = evaluation
         steps += 1
         trajectory.append(mu_norm)
         if snapshot_every and steps % snapshot_every == 0:
-            snapshots.append(current)
+            snapshots.append(Tensor3(x))
         streak = 0 if halvings else streak + 1
         if streak >= 10 and dt < step_size:
             dt = min(2.0 * dt, step_size)
             streak = 0
-        residual = ness_minimality(current).residual
 
     return FlowResult(
-        limit=current,
+        limit=Tensor3(x),
         steps=steps,
         final_residual=residual,
         mu_norm_trajectory=trajectory,

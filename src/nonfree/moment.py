@@ -4,6 +4,9 @@ The component of the moment map on factor L is the normalized Gram matrix of
 the factor-L flattening, mu_L(T) = F_L F_L^* / |T|^2, which is Hermitian, PSD
 and trace one by construction, and transforms as A mu_L(T) A^{-1} under a
 unitary basis change A on factor L.
+
+The public functions wrap the result of a private ndarray kernel once; the
+gradient flow calls the kernels directly.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DimensionMismatchError, Tensor3, _freeze, flattening, norm
+from .tensor import DimensionMismatchError, Tensor3, _freeze
 
 HERMITICITY_TOL = 1e-12
 WEYL_TOL = 1e-12
@@ -45,11 +48,11 @@ class HermTriple:
         return tuple(m.shape[0] for m in self.components)  # type: ignore[return-value]
 
     def frobenius_norm(self) -> float:
-        return float(np.sqrt(sum(np.linalg.norm(m) ** 2 for m in self.components)))
+        return _frobenius_norm(self.components)
 
 
-def herm_triple(h1, h2, h3) -> HermTriple:
-    return HermTriple(np.asarray(h1), np.asarray(h2), np.asarray(h3))
+def _frobenius_norm(components) -> float:
+    return float(np.sqrt(sum(np.linalg.norm(m) ** 2 for m in components)))
 
 
 def diagonal_herm_triple(d1, d2, d3) -> HermTriple:
@@ -87,17 +90,22 @@ class WeylPoint:
         return np.concatenate([np.asarray(p) for p in self.components])
 
 
-def moment_map(t: Tensor3) -> HermTriple:
-    """Normalized flattening Gram matrices; each component is PSD with unit trace."""
-    sq = norm(t) ** 2
+def _moment_arrays(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three components of mu(T) for the entries array of T."""
+    sq = float(np.linalg.norm(arr)) ** 2
     if sq == 0.0:
         raise ValueError("moment map is undefined for the zero tensor")
     parts = []
-    for factor in (1, 2, 3):
-        f = flattening(t, factor)
+    for axis in range(3):
+        f = np.moveaxis(arr, axis, 0).reshape(arr.shape[axis], -1)
         gram = (f @ f.conj().T) / sq
         parts.append((gram + gram.conj().T) / 2.0)
-    return HermTriple(*parts)
+    return tuple(parts)  # type: ignore[return-value]
+
+
+def moment_map(t: Tensor3) -> HermTriple:
+    """Normalized flattening Gram matrices; each component is PSD with unit trace."""
+    return HermTriple(*_moment_arrays(t.entries))
 
 
 def diagonal_part(m: HermTriple) -> HermTriple:
@@ -114,15 +122,19 @@ def off_diagonal_mass(m: HermTriple) -> float:
     return worst
 
 
+def _action_array(h, arr: np.ndarray) -> np.ndarray:
+    """(A,B,C) * T on plain arrays: h holds (A, B, C), arr the entries of T."""
+    out = np.einsum("ia,ajk->ijk", h[0], arr)
+    out += np.einsum("jb,ibk->ijk", h[1], arr)
+    out += np.einsum("kc,ijc->ijk", h[2], arr)
+    return out
+
+
 def infinitesimal_action(x: HermTriple, t: Tensor3) -> Tensor3:
     """Lie-algebra action (A,B,C) * T, the sum of the three one-factor actions."""
     if x.dims != t.dims:
         raise DimensionMismatchError(f"component dims {x.dims} vs tensor dims {t.dims}")
-    arr = t.entries
-    out = np.einsum("ia,ajk->ijk", x.h1, arr)
-    out += np.einsum("jb,ibk->ijk", x.h2, arr)
-    out += np.einsum("kc,ijc->ijk", x.h3, arr)
-    return Tensor3(out)
+    return Tensor3(_action_array(x.components, t.entries))
 
 
 def spec_point(m: HermTriple) -> WeylPoint:

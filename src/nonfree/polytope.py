@@ -15,13 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Sequence
 
 import numpy as np
 
 from .exactlp import in_convex_hull
 from .moment import WeylPoint
-from .supports import downward_closure, is_free_support, sjamaar_inner_points
+from .supports import downward_closure, sjamaar_inner_points
 from .tensor import SUPPORT_TOL, GroupTriple, Tensor3, apply, support
 
 RATIONALIZE_DENOMINATOR = 10**12
@@ -66,11 +65,7 @@ def outer_halfspace(t: Tensor3, h, c, tol: float = SUPPORT_TOL) -> HalfspaceCert
 
 def inner_points(t: Tensor3, tol: float = SUPPORT_TOL) -> list[WeylPoint]:
     """Sorted support vertices of a free-support tensor; all lie in the polytope."""
-    supp = support(t, tol)
-    witness = is_free_support(supp)
-    if not witness.verdict:
-        raise ValueError(f"support is not free: {witness.offending_pair}")
-    return sjamaar_inner_points(supp)
+    return sjamaar_inner_points(support(t, tol))
 
 
 @dataclass(frozen=True)

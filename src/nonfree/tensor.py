@@ -18,6 +18,7 @@ Triple = tuple[int, int, int]
 SUPPORT_TOL = 1e-9  # relative cutoff for support extraction of float tensors
 INVERTIBILITY_TOL = 1e-12  # smallest/largest singular value ratio
 UNITARITY_TOL = 1e-12
+MAX_ENTRIES = 2**20  # largest tensor a JSON document may declare
 
 
 class DimensionMismatchError(ValueError):
@@ -55,10 +56,6 @@ class Tensor3:
         """Entry at a 1-based index triple."""
         i, j, k = ijk
         return complex(self.entries[i - 1, j - 1, k - 1])
-
-
-def tensor(entries) -> Tensor3:
-    return Tensor3(np.asarray(entries))
 
 
 def zero_tensor(dims: Triple) -> Tensor3:
@@ -241,13 +238,6 @@ def scale(t: Tensor3, factor: complex) -> Tensor3:
     return Tensor3(t.entries * factor)
 
 
-def normalized(t: Tensor3) -> Tensor3:
-    nrm = norm(t)
-    if nrm == 0.0:
-        raise ValueError("cannot normalize the zero tensor")
-    return scale(t, 1.0 / nrm)
-
-
 # --- JSON interchange -------------------------------------------------------
 #
 # {"dims": [n1, n2, n3], "entries": [{"i": 1, "j": 2, "k": 3, "re": 0.5, "im": 0.0}, ...]}
@@ -269,6 +259,8 @@ def tensor_from_doc(doc: dict) -> Tensor3:
         raise TensorFormatError(f"bad or missing dims: {exc}") from exc
     if len(dims) != 3 or any(n < 1 for n in dims):
         raise TensorFormatError(f"dims must be three positive integers, got {dims}")
+    if dims[0] * dims[1] * dims[2] > MAX_ENTRIES:
+        raise TensorFormatError(f"dims {dims} exceed the limit of {MAX_ENTRIES} entries")
     arr = np.zeros(dims, dtype=np.complex128)
     seen = set()
     for entry in doc.get("entries", []):

@@ -167,6 +167,31 @@ def test_duplicate_entry_is_input_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("flow", "--input", "{input}", "--residual-tol", "nan"),
+        ("certify-nonfree", "--named", "T2", "--tol", "nan"),
+        ("certify-nonfree", "--family", "3", "--tol", "inf"),
+        ("free-support", "--input", "{input}", "--tol", "nan"),
+    ],
+)
+def test_non_finite_float_flag_is_input_error(tmp_path, capsys, argv):
+    path = write_w_state(tmp_path / "w_state.json")
+    code, out = run(capsys, *(arg.format(input=path) for arg in argv))
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "input"
+
+
+def test_oversized_tensor_is_input_error(tmp_path, capsys):
+    # Rejected from the declared dims, before any array is allocated.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dims": [100000, 100000, 100000], "entries": []}))
+    code, out = run(capsys, "moment-map", "--input", str(path))
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "input"
+
+
 def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
     t_path = tmp_path / "t.json"
     save_tensor(s0_tensor(3), t_path)

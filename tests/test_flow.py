@@ -1,14 +1,22 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import random_free_support, random_unitary_triple, rng, tensor_on_support
-from nonfree.construct import build_family_tensor
+from conftest import (
+    random_free_support,
+    random_tensor,
+    random_unitary_triple,
+    rng,
+    tensor_on_support,
+)
+from nonfree.construct import build_family_tensor, s0_tensor
 from nonfree.family import family_data
 from nonfree.flow import flow, ness_minimality, support_never_grew
+from nonfree.moment import moment_map
 from nonfree.named import (
     NESS_LAMBDA_T2,
     NESS_LAMBDA_T5,
@@ -105,6 +113,28 @@ def test_fixed_point_iff_no_projective_progress():
     assert moving.steps == 5
     assert not moving.converged  # flagged, not raised
     assert moving.final_residual > 1e-8
+
+
+@pytest.mark.parametrize(
+    "make, kwargs, halves",
+    [
+        (tensor_t2, {"max_steps": 50}, False),
+        (lambda: s0_tensor(4), {}, False),
+        (lambda: random_tensor(rng(0), (4, 4, 4)), {"step_size": 2.0}, True),
+    ],
+    ids=["t2-unconverged", "s0-4", "dense-4-halving"],
+)
+def test_flow_kernel_agrees_exactly_with_the_public_boundary(monkeypatch, make, kwargs, halves):
+    # The flow steps raw arrays; its reported numbers must be the ones the
+    # validated moment_map and ness_minimality give at the limit, bit for bit.
+    module = sys.modules["nonfree.flow"]  # the package re-exports flow() under that name
+    evaluate, evaluations = module._evaluate, []
+    monkeypatch.setattr(module, "_evaluate", lambda x: evaluations.append(None) or evaluate(x))
+    result = flow(make(), **kwargs)
+    # One evaluation per accepted step after the start; each halving adds one.
+    assert (len(evaluations) > result.steps + 1) == halves
+    assert result.final_residual == ness_minimality(result.limit).residual
+    assert result.mu_norm_trajectory[-1] == moment_map(result.limit).frobenius_norm()
 
 
 def test_flow_norm_stays_one():

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_group_triple, random_tensor, random_unitary_triple, rng
 from nonfree.tensor import (
+    MAX_ENTRIES,
     DimensionMismatchError,
     Tensor3,
     TensorFormatError,
@@ -167,6 +168,11 @@ def test_json_out_of_range_index_rejected():
     doc = {"dims": [2, 2, 2], "entries": [{"i": 3, "j": 1, "k": 1, "re": 1.0, "im": 0.0}]}
     with pytest.raises(TensorFormatError):
         tensor_from_doc(doc)
+
+
+def test_json_tensor_above_the_entry_limit_rejected():
+    with pytest.raises(TensorFormatError):
+        tensor_from_doc({"dims": [MAX_ENTRIES + 1, 1, 1], "entries": []})
 
 
 def test_support_set_range_validation():
