@@ -37,6 +37,9 @@ VALUE_TOL = 1e-12
 
 Blocks = tuple[tuple[int, ...], ...]
 
+# Eigenvalue blocks of mu(S) for both named tensors: singletons, then a (2, 1) split.
+NAMED_BLOCKS = (((1,), (2,), (3,)), ((1,), (2,), (3,)), ((1, 2), (3,)))
+
 
 @dataclass(frozen=True)
 class StabilizerBlocks:
@@ -61,24 +64,24 @@ def _runs(values: Sequence, equal) -> Blocks:
     return tuple(blocks)
 
 
-def stabilizer_blocks(m, tol: float = BLOCK_TOL) -> StabilizerBlocks:
+def stabilizer_blocks(m) -> StabilizerBlocks:
     """Eigenvalue-equality partition of a diagonal triple.
 
-    Accepts a HermTriple that is diagonal within tol, or a triple of vectors;
-    rational vectors are compared exactly.
+    Accepts a HermTriple that is diagonal within BLOCK_TOL, whose eigenvalues
+    are compared at BLOCK_TOL, or a triple of rational vectors, which are
+    compared exactly.
     """
     if isinstance(m, HermTriple):
         mass = off_diagonal_mass(m)
-        if mass > tol:
+        if mass > BLOCK_TOL:
             raise ValueError(f"input is not diagonal (off-diagonal mass {mass:.3e})")
         vectors = [tuple(np.diag(c).real) for c in m.components]
-        equal = lambda a, b: abs(a - b) <= tol
+        equal = lambda a, b: abs(a - b) <= BLOCK_TOL
     else:
         vectors = [tuple(component) for component in m]
-        if all(isinstance(x, (Fraction, int)) for vec in vectors for x in vec):
-            equal = lambda a, b: a == b
-        else:
-            equal = lambda a, b: abs(a - b) <= tol
+        if not all(isinstance(x, (Fraction, int)) for vec in vectors for x in vec):
+            raise ValueError("stabilizer_blocks needs a HermTriple or rational vectors")
+        equal = lambda a, b: a == b
     return StabilizerBlocks(tuple(_runs(vec, equal) for vec in vectors))  # type: ignore[arg-type]
 
 
@@ -249,14 +252,9 @@ def _diag_defect(mu: HermTriple, expected) -> float:
     return worst
 
 
-def _expected_named_blocks() -> tuple[Blocks, Blocks, Blocks]:
-    return (((1,), (2,), (3,)), ((1,), (2,), (3,)), ((1, 2), (3,)))
-
-
 def certify_named(
     which: str,
     tol: float = 1e-10,
-    value_tol: float = VALUE_TOL,
     group_element: GroupTriple | None = None,
 ) -> NonFreenessReport:
     """Certificates for the two named 3x3x3 tensors, T2 and T5.
@@ -268,7 +266,7 @@ def certify_named(
     which = which.upper()
     if which not in ("T2", "T5"):
         raise ValueError(f"unknown named tensor {which!r}")
-    details: dict = {"tol": tol, "value_tol": value_tol}
+    details: dict = {"tol": tol, "value_tol": VALUE_TOL}
 
     if which == "T2":
         g = group_element if group_element is not None else t2_scaling_triple()
@@ -277,7 +275,7 @@ def certify_named(
         expected_lambda = NESS_LAMBDA_T2
         coeff_defect = norm(Tensor3(s.entries - ness_form_t2().entries))
         details["s2_coefficient_defect"] = coeff_defect
-        if coeff_defect > value_tol:
+        if coeff_defect > VALUE_TOL:
             return NonFreenessReport("T2", False, "s2_coefficients", None, None, None, details)
     else:
         s = ness_form_t5()
@@ -287,14 +285,14 @@ def certify_named(
     mu = moment_map(s)
     mu_defect = _diag_defect(mu, expected_mu)
     details["mu_defect"] = mu_defect
-    if mu_defect > value_tol:
+    if mu_defect > VALUE_TOL:
         return NonFreenessReport(which, False, "moment_map", None, None, None, details)
 
     ness = ness_minimality(s)
     details["lambda"] = ness.lam
     details["lambda_expected"] = expected_lambda
     details["ness_residual"] = ness.residual
-    if ness.residual > tol or abs(ness.lam - expected_lambda) > value_tol:
+    if ness.residual > tol or abs(ness.lam - expected_lambda) > VALUE_TOL:
         return NonFreenessReport(which, False, "ness", ness, None, None, details)
 
     if which == "T5":
@@ -307,7 +305,7 @@ def certify_named(
 
     blocks = stabilizer_blocks(mu)
     details["blocks"] = blocks.factors
-    if blocks.factors != _expected_named_blocks():
+    if blocks.factors != NAMED_BLOCKS:
         return NonFreenessReport(which, False, "stabilizer_blocks", ness, blocks, None, details)
 
     decision = two_column_obstruction(s, 3, (1, 2))

@@ -1,8 +1,9 @@
 """Command-line front end: JSON reports on stdout, logs on stderr.
 
 Exit codes: 0 for a true verdict or successful computation, 1 for a false
-verdict or failed reduction/flow, 2 for input errors. Identical arguments
-(and seed) produce byte-identical reports.
+verdict or failed reduction/flow, 2 for input errors, usage errors included,
+which print a JSON error on stdout. Identical arguments (and seed) produce
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ from .construct import build_family_tensor, s0_tensor
 from .family import family_data, family_to_doc, halfspace_check
 from .flow import flow, ness_minimality
 from .jsonio import dumps
-from .moment import WeylPoint, herm_triple_to_doc, moment_map, spec_point
+from .moment import WeylPoint, moment_map, spec_point
 from .polytope import hull_refute, outer_halfspace
 from .reduction import ReductionError, reduce_to_s0
 from .supports import is_free_support
 from .tensor import (
+    MAX_ENTRIES,
     TensorFormatError,
     support,
     tensor_from_doc,
@@ -35,13 +37,21 @@ class InputError(ValueError):
     """Anything wrong with the files or flags the user handed us."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Turns usage errors into input errors, so they also answer with a JSON error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -56,7 +66,7 @@ def _parse_number(value) -> Fraction | float:
     if isinstance(value, str):
         try:
             return Fraction(value)
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse rational {value!r}") from exc
     if isinstance(value, int):
         return Fraction(value)
@@ -65,15 +75,28 @@ def _parse_number(value) -> Fraction | float:
     raise InputError(f"expected a number or 'p/q' string, got {value!r}")
 
 
+def _vectors(doc, keys: tuple[str, str, str], dims) -> list[list]:
+    """The fields `keys` of a JSON object: lists with one entry per index of each factor."""
+    if not isinstance(doc, dict) or not all(isinstance(doc.get(key), list) for key in keys):
+        raise InputError(f"expected a JSON object with lists {', '.join(keys)}")
+    vectors = [doc[key] for key in keys]
+    if tuple(map(len, vectors)) != dims:
+        raise InputError(f"lengths of {', '.join(keys)} do not match the tensor dims {dims}")
+    return vectors
+
+
+def _family_size(n: int) -> int:
+    if n**3 > MAX_ENTRIES:
+        raise InputError(f"n = {n} needs {n**3} tensor entries, above the limit of {MAX_ENTRIES}")
+    return n
+
+
 def _header(command: str, config: dict) -> dict:
     return {"tool": "nonfree", "version": __version__, "command": command, "config": config}
 
 
-def _group_triple_doc(g) -> dict:
-    doc = {}
-    for name, m in zip(("a", "b", "c"), g.factors):
-        doc[name] = {"re": m.real.tolist(), "im": m.imag.tolist()}
-    return doc
+def _matrix_triple_doc(names: tuple[str, str, str], matrices) -> dict:
+    return {name: {"re": m.real.tolist(), "im": m.imag.tolist()} for name, m in zip(names, matrices)}
 
 
 def _decimate(values: list[float], limit: int = 1000) -> list[float]:
@@ -87,7 +110,7 @@ def _decimate(values: list[float], limit: int = 1000) -> list[float]:
 
 
 def cmd_family(args) -> tuple[dict, int]:
-    data = family_data(args.n)
+    data = family_data(_family_size(args.n))
     doc = _header("family", {"n": args.n, "verify": bool(args.verify)})
     doc["family_data"] = family_to_doc(data)
     doc["s0"] = tensor_to_doc(s0_tensor(args.n))
@@ -117,7 +140,7 @@ def cmd_moment_map(args) -> tuple[dict, int]:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     doc = _header("moment-map", {"input": args.input})
-    doc["mu"] = herm_triple_to_doc(mu)
+    doc["mu"] = _matrix_triple_doc(("h1", "h2", "h3"), mu.components)
     doc["spec_point"] = [list(c) for c in spec_point(mu).components]
     return doc, 0
 
@@ -182,6 +205,7 @@ def cmd_certify(args) -> tuple[dict, int]:
     if (args.family is None) == (args.named is None):
         raise InputError("choose exactly one of --family N or --named T2|T5")
     if args.family is not None:
+        _family_size(args.family)
         key, certify = "family", certify_family
     else:
         key, certify = "named", certify_named
@@ -207,7 +231,7 @@ def cmd_reduce_s0(args) -> tuple[dict, int]:
     doc["success"] = result.success
     doc["residual"] = result.residual
     doc["steps"] = result.log
-    doc["g"] = _group_triple_doc(result.g)
+    doc["g"] = _matrix_triple_doc(("a", "b", "c"), result.g.factors)
     return doc, 0 if result.success else 1
 
 
@@ -217,14 +241,13 @@ def cmd_polytope(args) -> tuple[dict, int]:
         raise InputError("choose exactly one of --halfspace or --refute")
     if args.halfspace is not None:
         halfspace_doc = _load_json(args.halfspace)
+        vectors = _vectors(halfspace_doc, ("h1", "h2", "h3"), t.dims)
+        h = tuple(tuple(_parse_number(x) for x in vec) for vec in vectors)
+        c = _parse_number(halfspace_doc.get("c"))
         try:
-            h = tuple(
-                tuple(_parse_number(x) for x in halfspace_doc[key]) for key in ("h1", "h2", "h3")
-            )
-            c = _parse_number(halfspace_doc["c"])
-        except KeyError as exc:
-            raise InputError(f"halfspace document missing {exc}") from exc
-        cert = outer_halfspace(t, h, c)
+            cert = outer_halfspace(t, h, c)
+        except OverflowError as exc:  # a rational beyond float range, compared with floats
+            raise InputError(f"halfspace values out of float range: {exc}") from exc
         doc = _header("polytope", {"input": args.input, "halfspace": args.halfspace})
         doc["halfspace"] = {
             "valid": cert.valid,
@@ -233,16 +256,10 @@ def cmd_polytope(args) -> tuple[dict, int]:
             "vertices_checked": cert.vertex_count,
         }
         return doc, 0 if cert.valid else 1
-    point_doc = _load_json(args.refute)
+    vectors = _vectors(_load_json(args.refute), ("p1", "p2", "p3"), t.dims)
     try:
-        point = WeylPoint(
-            tuple(float(x) for x in point_doc["p1"]),
-            tuple(float(x) for x in point_doc["p2"]),
-            tuple(float(x) for x in point_doc["p3"]),
-        )
-    except KeyError as exc:
-        raise InputError(f"point document missing {exc}") from exc
-    except ValueError as exc:
+        point = WeylPoint(*(tuple(float(x) for x in vec) for vec in vectors))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"invalid Weyl point: {exc}") from exc
     result = hull_refute(t, point, samples=args.samples, seed=args.seed)
     doc = _header(
@@ -254,13 +271,13 @@ def cmd_polytope(args) -> tuple[dict, int]:
         "refuting_sample": result.refuting_sample,
         "samples_checked": result.samples_checked,
         "support_sizes": result.support_sizes,
-        "upper_triple": _group_triple_doc(result.upper_triple),
+        "upper_triple": _matrix_triple_doc(("a", "b", "c"), result.upper_triple.factors),
     }
     return doc, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nonfree",
         description="Constructions and certificates around explicit non-free tensors.",
     )
@@ -311,20 +328,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise InputError(f"--{name.replace('_', '-')} must be finite, got {value}")
         doc, code = args.func(args)
+        text = dumps(doc)
     except InputError as exc:
         print(dumps({"error": {"kind": "input", "message": str(exc)}}))
         return 2
     except ValueError as exc:
         print(dumps({"error": {"kind": type(exc).__name__, "message": str(exc)}}))
         return 2
-    print(dumps(doc))
+    print(text)
     return code
 
 

@@ -74,8 +74,8 @@ def build_W(n: int) -> WMatrix:
     return WMatrix(n=n, entries=entries, lambda_W=data.lambda_W, w=w)
 
 
-def wmatrix_membership(m: np.ndarray, tol: float = WN_TOL) -> bool:
-    """Whether m satisfies both Gram equations of the family within tol."""
+def wmatrix_membership(m: np.ndarray) -> bool:
+    """Whether m satisfies both Gram equations of the family within WN_TOL."""
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1] + 1:
         raise ValueError(f"expected an n x (n-1) matrix, got shape {m.shape}")
@@ -83,7 +83,7 @@ def wmatrix_membership(m: np.ndarray, tol: float = WN_TOL) -> bool:
     data = family_data(n)
     w = np.array([sqrt(float(x)) for x in data.w_sq])
     left, right = WMatrix(n=n, entries=m, lambda_W=data.lambda_W, w=w).gram_defects()
-    return bool(left <= tol and right <= tol)
+    return bool(left <= WN_TOL and right <= WN_TOL)
 
 
 def build_family_tensor(n: int) -> FamilyTensor:

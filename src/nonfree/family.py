@@ -14,7 +14,6 @@ from fractions import Fraction
 from .supports import downward_closure
 from .tensor import SupportSet, Triple, support_set
 
-Rational = Fraction
 RationalVec = tuple[Fraction, ...]
 
 
@@ -147,7 +146,6 @@ class HalfspaceReport:
     valid: bool
     equality_set: SupportSet
     equals_gamma: bool
-    checked: int
 
 
 def halfspace_check(n: int) -> HalfspaceReport:
@@ -164,7 +162,6 @@ def halfspace_check(n: int) -> HalfspaceReport:
         valid=min_value >= data.c,
         equality_set=equality,
         equals_gamma=equality.triples == gamma.triples,
-        checked=len(values),
     )
 
 

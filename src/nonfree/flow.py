@@ -16,9 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .moment import (
-    HermTriple, _action_array, _frobenius_norm, _moment_arrays, infinitesimal_action, moment_map
-)
+from .moment import _action_array, _frobenius_norm, _moment_arrays, infinitesimal_action, moment_map
 from .tensor import Tensor3, norm, support
 
 DEFAULT_STEP = 0.05
@@ -32,7 +30,7 @@ MAX_HALVINGS = 60
 
 @dataclass(frozen=True)
 class NessCertificate:
-    """Fixed-point data: lambda, the scaled gradient residual, and mu itself.
+    """Fixed-point data: lambda and the scaled gradient residual.
 
     A residual below tolerance certifies exp(t mu(T)) . T = e^{lambda t} T,
     hence that |mu(T)| is minimal over the moment polytope of T.
@@ -40,7 +38,6 @@ class NessCertificate:
 
     lam: float
     residual: float
-    mu: HermTriple
 
 
 @dataclass(frozen=True)
@@ -63,8 +60,7 @@ def _lam_residual(arr: np.ndarray, action: np.ndarray) -> tuple[float, float]:
 def ness_minimality(t: Tensor3) -> NessCertificate:
     if norm(t) == 0.0:
         raise ValueError("ness_minimality requires a nonzero tensor")
-    mu = moment_map(t)
-    return NessCertificate(*_lam_residual(t.entries, infinitesimal_action(mu, t).entries), mu=mu)
+    return NessCertificate(*_lam_residual(t.entries, infinitesimal_action(moment_map(t), t).entries))
 
 
 def _evaluate(x: np.ndarray) -> tuple[float, np.ndarray, float]:
@@ -95,8 +91,11 @@ def flow(
     residual_tol; non-convergence is reported in the result, not raised.
 
     The step is halved whenever |mu| would increase beyond integrator noise
-    and is allowed to recover after a run of accepted steps.
+    and is allowed to recover after a run of accepted steps. A step_size that
+    is not positive, or a negative residual_tol or max_steps, is a ValueError.
     """
+    if not step_size > 0 or residual_tol < 0 or max_steps < 0:
+        raise ValueError("flow needs step_size > 0, residual_tol >= 0 and max_steps >= 0")
     if norm(t) == 0.0:
         raise ValueError("flow requires a nonzero tensor")
     # Scale by the reciprocal of the norm: dividing by it would round differently.
@@ -140,7 +139,7 @@ def flow(
     )
 
 
-def support_never_grew(result: FlowResult, initial: Tensor3, tol: float = 1e-9) -> bool:
+def support_never_grew(result: FlowResult, initial: Tensor3) -> bool:
     """Whether every recorded snapshot stays inside the initial exact support."""
     start = support(initial, 0.0)
-    return all(support(snap, tol).issubset(start) for snap in result.snapshots)
+    return all(support(snap).issubset(start) for snap in result.snapshots)

@@ -76,7 +76,8 @@ class WeylPoint:
             vec = tuple(float(x) for x in getattr(self, name))
             if any(vec[i] < vec[i + 1] - WEYL_TOL for i in range(len(vec) - 1)):
                 raise ValueError(f"component {name} is not non-increasing: {vec}")
-            if abs(sum(vec) - 1.0) > WEYL_TOL:
+            # Negated so that a NaN or infinite entry, which spoils the sum, fails too.
+            if not abs(sum(vec) - 1.0) <= WEYL_TOL:
                 raise ValueError(f"component {name} sums to {sum(vec)}, expected 1")
             if any(x < -WEYL_TOL for x in vec):
                 raise ValueError(f"component {name} has a negative entry: {vec}")
@@ -144,13 +145,3 @@ def spec_point(m: HermTriple) -> WeylPoint:
         eigs = np.linalg.eigvalsh(c)
         sorted_specs.append(tuple(float(x) for x in eigs[::-1]))
     return WeylPoint(*sorted_specs)
-
-
-def herm_triple_to_doc(m: HermTriple) -> dict:
-    doc = {}
-    for name, c in zip(("h1", "h2", "h3"), m.components):
-        doc[name] = {
-            "re": [[float(v.real) for v in row] for row in c],
-            "im": [[float(v.imag) for v in row] for row in c],
-        }
-    return doc

@@ -21,7 +21,7 @@ import numpy as np
 from .exactlp import in_convex_hull
 from .moment import WeylPoint
 from .supports import downward_closure, sjamaar_inner_points
-from .tensor import SUPPORT_TOL, GroupTriple, Tensor3, apply, support
+from .tensor import GroupTriple, Tensor3, apply, support
 
 RATIONALIZE_DENOMINATOR = 10**12
 
@@ -41,13 +41,13 @@ def _is_exact(values) -> bool:
     return all(isinstance(x, Rational) for x in values)
 
 
-def outer_halfspace(t: Tensor3, h, c, tol: float = SUPPORT_TOL) -> HalfspaceCert:
+def outer_halfspace(t: Tensor3, h, c) -> HalfspaceCert:
     """Check <(e_i|e_j|e_k), h> >= c on the downward closure of supp(t).
 
     Exact when h and c are rationals; otherwise plain float comparisons.
     """
     h1, h2, h3 = (tuple(component) for component in h)
-    closure = downward_closure(support(t, tol))
+    closure = downward_closure(support(t))
     exact = _is_exact(h1 + h2 + h3 + (c,))
     cast = (lambda x: x) if exact else float
     values = [
@@ -63,9 +63,9 @@ def outer_halfspace(t: Tensor3, h, c, tol: float = SUPPORT_TOL) -> HalfspaceCert
     )
 
 
-def inner_points(t: Tensor3, tol: float = SUPPORT_TOL) -> list[WeylPoint]:
+def inner_points(t: Tensor3) -> list[WeylPoint]:
     """Sorted support vertices of a free-support tensor; all lie in the polytope."""
-    return sjamaar_inner_points(support(t, tol))
+    return sjamaar_inner_points(support(t))
 
 
 @dataclass(frozen=True)
@@ -116,13 +116,7 @@ def _hull_contains(supp, dims, target: list[Fraction]) -> bool:
     return in_convex_hull(vertices, target)
 
 
-def hull_refute(
-    t: Tensor3,
-    p: WeylPoint,
-    samples: int = 100,
-    seed: int = 0,
-    tol: float = SUPPORT_TOL,
-) -> HullRefutation:
+def hull_refute(t: Tensor3, p: WeylPoint, samples: int = 100, seed: int = 0) -> HullRefutation:
     """Try to certify p outside the moment polytope of t.
 
     Draws one random unit-diagonal upper-triangular triple U and tests p for
@@ -131,6 +125,8 @@ def hull_refute(
     triples rarely shrink the hull) followed by `samples` random unit-diagonal
     lower-triangular triples. Any failed membership certifies refutation.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     gen = np.random.Generator(np.random.PCG64(seed))
     dims = t.dims
     u = GroupTriple(*(_unit_triangular(gen, n, upper=True) for n in dims))
@@ -146,7 +142,7 @@ def hull_refute(
     sizes = []
     for index, lower in enumerate(lowers):
         moved = apply(lower, ut)
-        supp = support(moved, tol)
+        supp = support(moved)
         sizes.append(len(supp))
         if not _hull_contains(supp, dims, target):
             return HullRefutation("refuted", index, index + 1, seed, u, sizes)

@@ -19,6 +19,7 @@ from .family import gamma_support
 from .tensor import GroupTriple, Tensor3, apply, compose, norm, support
 
 RANK_TOL = 1e-10
+STAIRCASE_TOL = 1e-12  # relative cutoff for entries that count as escaping the staircase
 
 
 class ReductionError(ValueError):
@@ -33,13 +34,13 @@ class ReductionResult:
     success: bool
 
 
-def extract_Wa(s: Tensor3, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def extract_Wa(s: Tensor3) -> tuple[np.ndarray, np.ndarray]:
     """The W-map (n x (n-1)) and a-map (length n-1) values of a staircase tensor."""
     n = s.dims[0]
     if s.dims != (n, n, n):
         raise ValueError(f"expected a cubic tensor, got dims {s.dims}")
     gamma = gamma_support(n)
-    escaped = [t for t in support(s, tol) if t not in gamma]
+    escaped = [t for t in support(s, STAIRCASE_TOL) if t not in gamma]
     if escaped:
         raise ReductionError(f"support escapes the staircase at {escaped[:3]}")
     w = np.empty((n, n - 1), dtype=np.complex128)

@@ -19,6 +19,7 @@ SUPPORT_TOL = 1e-9  # relative cutoff for support extraction of float tensors
 INVERTIBILITY_TOL = 1e-12  # smallest/largest singular value ratio
 UNITARITY_TOL = 1e-12
 MAX_ENTRIES = 2**20  # largest tensor a JSON document may declare
+RANK_CUTOFF = 1e-8  # relative singular-value cutoff for numerical ranks
 
 
 class DimensionMismatchError(ValueError):
@@ -102,9 +103,6 @@ class GroupTriple:
     def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (self.a, self.b, self.c)
 
-    def inverse(self) -> "GroupTriple":
-        return GroupTriple(*(np.linalg.inv(m) for m in self.factors))
-
 
 class UnitaryTriple(GroupTriple):
     """GroupTriple whose factors are unitary within UNITARITY_TOL."""
@@ -165,18 +163,18 @@ def flattening(t: Tensor3, factor: int) -> np.ndarray:
     return moved.reshape(moved.shape[0], -1)
 
 
-def flattening_ranks(t: Tensor3, cutoff: float = 1e-8) -> tuple[int, int, int]:
-    """Numerical ranks of the three flattenings at a relative singular-value cutoff."""
+def flattening_ranks(t: Tensor3) -> tuple[int, int, int]:
+    """Numerical ranks of the three flattenings at the relative cutoff RANK_CUTOFF."""
     ranks = []
     for factor in (1, 2, 3):
         s = np.linalg.svd(flattening(t, factor), compute_uv=False)
-        ranks.append(int(np.sum(s > cutoff * s[0])) if s.size and s[0] > 0 else 0)
+        ranks.append(int(np.sum(s > RANK_CUTOFF * s[0])) if s.size and s[0] > 0 else 0)
     return tuple(ranks)  # type: ignore[return-value]
 
 
-def is_concise(t: Tensor3, cutoff: float = 1e-8) -> bool:
+def is_concise(t: Tensor3) -> bool:
     """All three flattenings have full numerical rank."""
-    return flattening_ranks(t, cutoff) == t.dims
+    return flattening_ranks(t) == t.dims
 
 
 @dataclass(frozen=True)
@@ -234,10 +232,6 @@ def inner(s: Tensor3, t: Tensor3) -> complex:
     return complex(np.vdot(s.entries, t.entries))
 
 
-def scale(t: Tensor3, factor: complex) -> Tensor3:
-    return Tensor3(t.entries * factor)
-
-
 # --- JSON interchange -------------------------------------------------------
 #
 # {"dims": [n1, n2, n3], "entries": [{"i": 1, "j": 2, "k": 3, "re": 0.5, "im": 0.0}, ...]}
@@ -253,10 +247,13 @@ def tensor_to_doc(t: Tensor3) -> dict:
 
 
 def tensor_from_doc(doc: dict) -> Tensor3:
+    if not (isinstance(doc, dict) and isinstance(doc.get("dims"), list)
+            and isinstance(doc.get("entries", []), list)):
+        raise TensorFormatError("a tensor document is a JSON object with 'dims' and 'entries' lists")
     try:
         dims = tuple(int(n) for n in doc["dims"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TensorFormatError(f"bad or missing dims: {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise TensorFormatError(f"bad dims: {exc}") from exc
     if len(dims) != 3 or any(n < 1 for n in dims):
         raise TensorFormatError(f"dims must be three positive integers, got {dims}")
     if dims[0] * dims[1] * dims[2] > MAX_ENTRIES:
@@ -267,7 +264,7 @@ def tensor_from_doc(doc: dict) -> Tensor3:
         try:
             i, j, k = int(entry["i"]), int(entry["j"]), int(entry["k"])
             value = float(entry.get("re", 0.0)) + 1j * float(entry.get("im", 0.0))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise TensorFormatError(f"bad entry {entry!r}: {exc}") from exc
         if not (1 <= i <= dims[0] and 1 <= j <= dims[1] and 1 <= k <= dims[2]):
             raise TensorFormatError(f"index ({i},{j},{k}) outside dims {dims}")

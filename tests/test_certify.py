@@ -51,6 +51,12 @@ def test_blocks_reject_non_diagonal_input():
         stabilizer_blocks(m)
 
 
+def test_blocks_reject_float_vectors():
+    # Plain vectors are compared exactly, so they must be rational.
+    with pytest.raises(ValueError):
+        stabilizer_blocks(([0.5, 0.5], [0.5, 0.5], [0.5, 0.5]))
+
+
 def test_obstruction_on_s2_lists_the_three_vectors():
     decision = two_column_obstruction(ness_form_t2(), 3, (1, 2))
     assert not decision.free_possible

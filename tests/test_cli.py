@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nonfree
 
@@ -218,3 +221,229 @@ def test_importing_the_cli_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
     )
     assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("flow", "--input", "{tensor}", "--step", "0", "--max-steps", "5"),
+        ("flow", "--input", "{tensor}", "--step", "-1.0", "--max-steps", "5"),
+        ("flow", "--input", "{tensor}", "--residual-tol", "-1", "--max-steps", "5"),
+        ("flow", "--input", "{tensor}", "--max-steps", "-1"),
+        ("polytope", "--input", "{tensor}", "--refute", "{point}", "--samples", "-1"),
+    ],
+)
+def test_out_of_range_flow_and_refute_flags_are_input_errors(tmp_path, capsys, argv):
+    tensor = write_w_state(tmp_path / "w_state.json")
+    point = tmp_path / "p.json"
+    point.write_text(json.dumps({"p1": [0.5, 0.5], "p2": [0.5, 0.5], "p3": [0.5, 0.5]}))
+    code, out = run(capsys, *(arg.format(tensor=tensor, point=point) for arg in argv))
+    assert code == 2
+    assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("family", "--n", "102"),
+        ("family", "--n", "5000", "--verify"),
+        ("certify-nonfree", "--family", "102"),
+        ("certify-nonfree", "--family", "5000"),
+    ],
+)
+def test_family_size_above_the_entry_limit_is_input_error(capsys, argv):
+    # 102^3 is the first cube above MAX_ENTRIES; the answer comes before any work starts.
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "input"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("bogus-command",),
+        ("family",),
+        ("family", "--n", "abc"),
+        ("family", "--n", "3", "--unknown-flag"),
+        ("certify-nonfree", "--named", "T7"),
+    ],
+)
+def test_usage_errors_print_a_json_error(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "input"
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("--version",), ("family", "--help")])
+def test_help_and_version_still_exit_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(("usage:", "nonfree"))
+
+
+def _polytope_argv(tmp_path, flag, doc):
+    t_path = tmp_path / "t.json"
+    save_tensor(build_family_tensor(3).tensor, t_path)
+    d_path = tmp_path / "doc.json"
+    d_path.write_text(json.dumps(doc))
+    return ("polytope", "--input", str(t_path), flag, str(d_path), "--samples", "0")
+
+
+HALFSPACE_3 = {"h1": [1, 0, -1], "h2": [1, 0, -1], "h3": ["1/3", "1/3", "-2/3"], "c": 0}
+POINT_3 = {"p1": [0.5, 0.3, 0.2], "p2": [0.5, 0.3, 0.2], "p3": [0.5, 0.3, 0.2]}
+
+
+@pytest.mark.parametrize(
+    "flag, doc",
+    [
+        ("--halfspace", [HALFSPACE_3]),
+        ("--halfspace", dict(HALFSPACE_3, h2=[1, 0])),
+        ("--halfspace", dict(HALFSPACE_3, h3=7)),
+        ("--refute", dict(POINT_3, p2=None)),
+        ("--refute", dict(POINT_3, p1=[0.5, 0.5])),
+    ],
+    ids=["halfspace-list", "halfspace-short", "halfspace-scalar", "point-null", "point-short"],
+)
+def test_malformed_polytope_document_is_input_error(tmp_path, capsys, flag, doc):
+    code, out = run(capsys, *_polytope_argv(tmp_path, flag, doc))
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "input"
+
+
+def test_tensor_entries_that_are_not_a_list_is_input_error(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"dims": [2, 2, 2], "entries": 5}))
+    code, out = run(capsys, "moment-map", "--input", str(path))
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "input"
+
+
+def test_too_deeply_nested_json_is_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out = run(capsys, "moment-map", "--input", str(path))
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "input"
+
+
+def test_input_naming_a_directory_is_input_error(tmp_path, capsys):
+    code, out = run(capsys, "moment-map", "--input", str(tmp_path))
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "input"
+
+
+# --- any JSON document in, one JSON document out -----------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=10,
+)
+ODD_VALUES = JSON_VALUES | st.sampled_from([10**400, "1/0", "1e400", "x", float("nan"), 1e308, [1]])
+SMALL_FLOATS = st.floats(-2, 2)
+NUMBERS = st.integers(-3, 3) | SMALL_FLOATS | st.fractions(max_denominator=6).map(str)
+
+
+@st.composite
+def corrupted(draw, doc):
+    """doc, or doc with one value anywhere in it removed or replaced by an odd one."""
+    if draw(st.booleans()):
+        return doc
+    slots = [(None, None)]
+    stack = [doc]
+    while stack:
+        node = stack.pop()
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            slots.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                stack.append(node[key])
+    node, key = draw(st.sampled_from(slots))
+    if node is None:
+        return draw(ODD_VALUES)
+    if isinstance(node, dict) and draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = draw(ODD_VALUES)
+    return doc
+
+
+@st.composite
+def tensor_docs(draw):
+    dims = draw(st.lists(st.integers(1, 3), min_size=3, max_size=3))
+    cells = draw(st.sets(st.tuples(*(st.integers(1, n) for n in dims)), max_size=6))
+    entries = [
+        {"i": i, "j": j, "k": k, "re": draw(SMALL_FLOATS), "im": draw(SMALL_FLOATS)}
+        for i, j, k in sorted(cells)
+    ]
+    return draw(corrupted({"dims": dims, "entries": entries}))
+
+
+@st.composite
+def halfspace_docs(draw):
+    doc = {key: draw(st.lists(NUMBERS, min_size=3, max_size=3)) for key in ("h1", "h2", "h3")}
+    doc["c"] = draw(NUMBERS)
+    return draw(corrupted(doc))
+
+
+@st.composite
+def point_docs(draw):
+    doc = {}
+    for key in ("p1", "p2", "p3"):
+        weights = sorted(draw(st.lists(st.floats(0, 1), min_size=3, max_size=3)), reverse=True)
+        total = sum(weights)
+        doc[key] = [w / total for w in weights] if total > 0 else [1.0, 0.0, 0.0]
+    return draw(corrupted(doc))
+
+
+TENSOR_COMMANDS = st.sampled_from(
+    [("moment-map",), ("free-support",), ("reduce-s0",), ("flow", "--max-steps", "3")]
+)
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def _assert_one_json_answer(argv):
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = main(list(argv))
+    out = buffer.getvalue()
+    assert out.count("\n") == 1 and out.endswith("\n")
+    doc = json.loads(out)
+    assert code in (0, 1, 2)
+    assert (code == 2) == ("error" in doc)
+
+
+@pytest.fixture(scope="module")
+def doc_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("docs")
+    save_tensor(build_family_tensor(3).tensor, directory / "family3.json")
+    return directory
+
+
+def _write(directory, doc):
+    path = directory / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@PROPERTY_SETTINGS
+@given(doc=tensor_docs(), command=TENSOR_COMMANDS)
+def test_any_tensor_document_gets_one_json_answer(doc_dir, doc, command):
+    _assert_one_json_answer((command[0], "--input", _write(doc_dir, doc)) + command[1:])
+
+
+@PROPERTY_SETTINGS
+@given(doc=halfspace_docs())
+def test_any_halfspace_document_gets_one_json_answer(doc_dir, doc):
+    tensor = str(doc_dir / "family3.json")
+    _assert_one_json_answer(("polytope", "--input", tensor, "--halfspace", _write(doc_dir, doc)))
+
+
+@PROPERTY_SETTINGS
+@given(doc=point_docs())
+def test_any_point_document_gets_one_json_answer(doc_dir, doc):
+    tensor = str(doc_dir / "family3.json")
+    argv = ("polytope", "--input", tensor, "--refute", _write(doc_dir, doc), "--samples", "0")
+    _assert_one_json_answer(argv)
