@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .construct import FamilyTensor, build_family_tensor
+from .family import family_data
 from .flow import NessCertificate, flow, ness_minimality
 from .moment import HermTriple, _frobenius_norm, moment_map, off_diagonal_mass
 from .named import (
@@ -85,17 +86,10 @@ def stabilizer_blocks(m) -> StabilizerBlocks:
     return StabilizerBlocks(tuple(_runs(vec, equal) for vec in vectors))  # type: ignore[arg-type]
 
 
-def singleton_blocks(n: int) -> Blocks:
-    return tuple((i,) for i in range(1, n + 1))
-
-
 def family_block_pattern(n: int) -> tuple[Blocks, Blocks, Blocks]:
     """Singletons on the first two factors, (n-1, 1) split on the third."""
-    return (
-        singleton_blocks(n),
-        singleton_blocks(n),
-        (tuple(range(1, n)), (n,)),
-    )
+    singletons = tuple((i,) for i in range(1, n + 1))
+    return (singletons, singletons, (tuple(range(1, n)), (n,)))
 
 
 @dataclass(frozen=True)
@@ -209,8 +203,10 @@ def certify_family(n: int, tol: float = 1e-10) -> NonFreenessReport:
     """Full certificate for the staircase family member of size n >= 3."""
     if n < 3:
         raise ValueError("certify_family requires n >= 3 (the n = 2 support is free)")
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
     details: dict = {"n": n, "tol": tol}
-    ft = build_family_tensor(n)
+    ft = build_family_tensor(family_data(n))
     data = ft.data
 
     mu_defect = family_mu_defect(ft)
@@ -266,6 +262,8 @@ def certify_named(
     which = which.upper()
     if which not in ("T2", "T5"):
         raise ValueError(f"unknown named tensor {which!r}")
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
     details: dict = {"tol": tol, "value_tol": VALUE_TOL}
 
     if which == "T2":

@@ -115,12 +115,12 @@ def cmd_family(args) -> tuple[dict, int]:
     doc["family_data"] = family_to_doc(data)
     doc["s0"] = tensor_to_doc(s0_tensor(args.n))
     if args.n >= 3:
-        ft = build_family_tensor(args.n)
+        ft = build_family_tensor(data)
         doc["family_tensor"] = tensor_to_doc(ft.tensor)
         if args.verify:
             left, right = ft.W.gram_defects()
             ness = ness_minimality(ft.tensor)
-            half = halfspace_check(args.n)
+            half = halfspace_check(data)
             doc["verification"] = {
                 "gram_defect_wsw": left,
                 "gram_defect_wws": right,
@@ -327,9 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parsing leaves no state behind in the parser.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise InputError(f"--{name.replace('_', '-')} must be finite, got {value}")

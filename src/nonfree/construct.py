@@ -27,7 +27,6 @@ WN_TOL = 1e-10
 class WMatrix:
     """n x (n-1) complex matrix satisfying the two Gram equations of the family."""
 
-    n: int
     entries: np.ndarray
     lambda_W: Fraction
     w: np.ndarray
@@ -36,8 +35,9 @@ class WMatrix:
         """Frobenius defects of W*W = lambda I and WW* = lambda I - w w*."""
         lam = float(self.lambda_W)
         m = self.entries
-        left = np.linalg.norm(m.conj().T @ m - lam * np.eye(self.n - 1))
-        right = np.linalg.norm(m @ m.conj().T - (lam * np.eye(self.n) - np.outer(self.w, self.w)))
+        rows, cols = m.shape
+        left = np.linalg.norm(m.conj().T @ m - lam * np.eye(cols))
+        right = np.linalg.norm(m @ m.conj().T - (lam * np.eye(rows) - np.outer(self.w, self.w)))
         return (float(left), float(right))
 
 
@@ -45,7 +45,6 @@ class WMatrix:
 class FamilyTensor:
     """The unit-norm tensor carrying W on the anti-diagonal slices and a on the last."""
 
-    n: int
     W: WMatrix
     a: np.ndarray
     tensor: Tensor3
@@ -63,15 +62,14 @@ def _householder_basis_of_orthogonal_complement(unit: np.ndarray) -> np.ndarray:
     return reflector[:, : n - 1]
 
 
-def build_W(n: int) -> WMatrix:
-    if n < 3:
+def build_W(data: FamilyData) -> WMatrix:
+    if data.n < 3:
         raise ValueError("build_W requires n >= 3")
-    data = family_data(n)
     lam = float(data.lambda_W)
     w = np.array([sqrt(float(x)) for x in data.w_sq])
     basis = _householder_basis_of_orthogonal_complement(w / np.linalg.norm(w))
     entries = (sqrt(lam) * basis).astype(np.complex128)
-    return WMatrix(n=n, entries=entries, lambda_W=data.lambda_W, w=w)
+    return WMatrix(entries=entries, lambda_W=data.lambda_W, w=w)
 
 
 def wmatrix_membership(m: np.ndarray) -> bool:
@@ -82,14 +80,14 @@ def wmatrix_membership(m: np.ndarray) -> bool:
     n = m.shape[0]
     data = family_data(n)
     w = np.array([sqrt(float(x)) for x in data.w_sq])
-    left, right = WMatrix(n=n, entries=m, lambda_W=data.lambda_W, w=w).gram_defects()
+    left, right = WMatrix(entries=m, lambda_W=data.lambda_W, w=w).gram_defects()
     return bool(left <= WN_TOL and right <= WN_TOL)
 
 
-def build_family_tensor(n: int) -> FamilyTensor:
+def build_family_tensor(data: FamilyData) -> FamilyTensor:
     """Tensor with T[n+1-i, i, k] = W[i, k] for k < n and T[n-i, i, n] = a_i."""
-    wm = build_W(n)
-    data = family_data(n)
+    n = data.n
+    wm = build_W(data)
     a = np.array([sqrt(float(bj)) for bj in data.b[: n - 1]])
     arr = np.zeros((n, n, n), dtype=np.complex128)
     for i in range(1, n + 1):
@@ -97,7 +95,7 @@ def build_family_tensor(n: int) -> FamilyTensor:
             arr[n - i, i - 1, k - 1] = wm.entries[i - 1, k - 1]
     for i in range(1, n):
         arr[n - i - 1, i - 1, n - 1] = a[i - 1]
-    return FamilyTensor(n=n, W=wm, a=a, tensor=Tensor3(arr), data=data)
+    return FamilyTensor(W=wm, a=a, tensor=Tensor3(arr), data=data)
 
 
 def s0_tensor(n: int) -> Tensor3:

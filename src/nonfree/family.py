@@ -8,7 +8,7 @@ actually built (see construct).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .supports import downward_closure
@@ -32,7 +32,7 @@ def gamma_support(n: int) -> SupportSet:
 
 @dataclass(frozen=True)
 class FamilyData:
-    """All rational constants attached to one member of the family."""
+    """All rational constants of one family member; construction checks every identity."""
 
     n: int
     h: tuple[RationalVec, RationalVec, RationalVec]
@@ -42,6 +42,9 @@ class FamilyData:
     b: RationalVec
     w_sq: RationalVec
     lambda_W: Fraction
+
+    def __post_init__(self):
+        _validate(self)
 
     @property
     def d(self) -> RationalVec:
@@ -87,15 +90,14 @@ def family_data(n: int) -> FamilyData:
     lambda_w = (1 - q3[n - 1]) / (n - 1)
     w_sq = tuple(lambda_w - q2j + bj for q2j, bj in zip(q2, b))
 
-    data = FamilyData(n, h, c, norm_h_sq, q, b, w_sq, lambda_w)
-    _validate(data)
-    return data
+    return FamilyData(n, h, c, norm_h_sq, q, b, w_sq, lambda_w)
 
 
 def _validate(data: FamilyData) -> None:
     n = data.n
     q1, q2, q3 = data.q
     b, w_sq = data.b, data.w_sq
+    q_norm_sq = data.q_norm_sq
     checks: list[tuple[str, bool]] = []
 
     checks.append(("norm_h_sq closed form",
@@ -125,10 +127,8 @@ def _validate(data: FamilyData) -> None:
     checks.append(("<q, h> = c", sum(
         (hx * qx for hi, qi in zip(data.h, data.q) for hx, qx in zip(hi, qi)),
         Fraction(0)) == data.c))
-    checks.append(("|q|^2 = 3/n + c^2/|h|^2", data.q_norm_sq == data.ness_lambda))
-    pairing_ok = all(
-        _pairing(data.q, triple) == data.q_norm_sq for triple in gamma_support(n)
-    )
+    checks.append(("|q|^2 = 3/n + c^2/|h|^2", q_norm_sq == data.ness_lambda))
+    pairing_ok = all(_pairing(data.q, triple) == q_norm_sq for triple in gamma_support(n))
     checks.append(("<(e_i|e_j|e_k), q> constant on Gamma_n", pairing_ok))
 
     failed = [name for name, ok in checks if not ok]
@@ -140,7 +140,6 @@ def _validate(data: FamilyData) -> None:
 class HalfspaceReport:
     """Exact verification of <p, h> >= c over the downward closure of Gamma_n."""
 
-    n: int
     c: Fraction
     min_value: Fraction
     valid: bool
@@ -148,15 +147,14 @@ class HalfspaceReport:
     equals_gamma: bool
 
 
-def halfspace_check(n: int) -> HalfspaceReport:
-    data = family_data(n)
+def halfspace_check(data: FamilyData) -> HalfspaceReport:
+    n = data.n
     gamma = gamma_support(n)
     closure = downward_closure(gamma)
     values = {triple: _pairing(data.h, triple) for triple in closure}
     min_value = min(values.values())
     equality = support_set((n, n, n), (t for t, v in values.items() if v == data.c))
     return HalfspaceReport(
-        n=n,
         c=data.c,
         min_value=min_value,
         valid=min_value >= data.c,
@@ -169,14 +167,4 @@ def halfspace_check(n: int) -> HalfspaceReport:
 
 
 def family_to_doc(data: FamilyData) -> dict:
-    return {
-        "n": data.n,
-        "h": data.h,
-        "c": data.c,
-        "norm_h_sq": data.norm_h_sq,
-        "q": data.q,
-        "b": data.b,
-        "w_sq": data.w_sq,
-        "lambda_W": data.lambda_W,
-        "ness_lambda": data.ness_lambda,
-    }
+    return {**asdict(data), "ness_lambda": data.ness_lambda}

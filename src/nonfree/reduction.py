@@ -66,6 +66,8 @@ def reduce_to_s0(s: Tensor3, tol: float = 1e-8) -> ReductionResult:
     Requires all a-entries nonzero and every n-1 rows of the W-part linearly
     independent; both are generic within the staircase support.
     """
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
     n = s.dims[0]
     w, a = extract_Wa(s)
     if np.any(np.abs(a) <= 1e-14 * max(np.abs(s.entries).max(), 1e-300)):

@@ -40,15 +40,17 @@ def is_free_support(s: SupportSet) -> FreeSupportWitness:
 
 
 def downward_closure(s: SupportSet) -> SupportSet:
-    """All triples pointwise dominated by some element of s."""
-    closed: set[Triple] = set()
-    for (a, b, c) in s.triples:
-        closed.update(
-            (i, j, k)
-            for i in range(1, a + 1)
-            for j in range(1, b + 1)
-            for k in range(1, c + 1)
-        )
+    """All triples pointwise dominated by some element of s, each generated once."""
+    closed: set[Triple] = set(s.triples)
+    pending = list(closed)
+    while pending:
+        triple = pending.pop()
+        for axis in range(3):
+            if triple[axis] > 1:
+                lower = triple[:axis] + (triple[axis] - 1,) + triple[axis + 1 :]
+                if lower not in closed:
+                    closed.add(lower)
+                    pending.append(lower)
     return support_set(s.dims, closed)
 
 

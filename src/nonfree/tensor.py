@@ -45,7 +45,10 @@ class Tensor3:
         arr = np.ascontiguousarray(self.entries, dtype=np.complex128)
         if arr.ndim != 3:
             raise ValueError(f"expected 3 axes, got {arr.ndim}")
-        if not np.all(np.isfinite(arr.view(np.float64))):
+        # |T|^2 is finite exactly when no entry is infinite or NaN and the sum does not overflow.
+        if not np.isfinite(np.vdot(arr, arr)):
+            if np.all(np.isfinite(arr.view(np.float64))):
+                raise ValueError("the squared norm of the tensor overflows the float range")
             raise ValueError("tensor entries must be finite")
         object.__setattr__(self, "entries", _freeze(arr))
 

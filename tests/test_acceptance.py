@@ -130,10 +130,10 @@ def test_criterion_4_w_construction():
     worst_mu = 0.0
     ranks_ok = True
     for n in range(3, 13):
-        wm = build_W(n)
+        wm = build_W(family_data(n))
         left, right = wm.gram_defects()
         worst_gram = max(worst_gram, left, right)
-        ft = build_family_tensor(n)
+        ft = build_family_tensor(family_data(n))
         mu = moment_map(ft.tensor)
         q_float = [np.diag([float(x) for x in qi]) for qi in ft.data.q]
         worst_mu = max(
@@ -166,7 +166,7 @@ def test_criterion_5_certificates():
 def test_criterion_6_reduction():
     worst = 0.0
     for n in range(3, 9):
-        result = reduce_to_s0(build_family_tensor(n).tensor, tol=1e-8)
+        result = reduce_to_s0(build_family_tensor(family_data(n)).tensor, tol=1e-8)
         worst = max(worst, result.residual)
         assert result.success
     gen = rng(600)
@@ -244,7 +244,7 @@ def test_criterion_8_property_suites():
             perm_cases += 1
 
     halfspace_ok = all(
-        halfspace_check(n).valid and halfspace_check(n).equals_gamma for n in range(2, 11)
+        halfspace_check(family_data(n)).valid and halfspace_check(family_data(n)).equals_gamma for n in range(2, 11)
     )
 
     refutations = 0

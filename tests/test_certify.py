@@ -137,7 +137,7 @@ def test_obstruction_verdict_stable_under_local_permutations_and_phases():
 def test_right_unitary_closure_keeps_a_doubly_occupied_row():
     gen = rng(61)
     for n in (3, 5):
-        wm = build_W(n)
+        wm = build_W(family_data(n))
         for _ in range(20):
             u = random_unitary(gen, n - 1)
             rotated = wm.entries @ u.T
@@ -194,7 +194,7 @@ def test_nonfreeness_transfers_to_s0_through_reduction():
 
     for n in (3, 4):
         assert certify_family(n).verdict
-        assert reduce_to_s0(build_family_tensor(n).tensor).success
+        assert reduce_to_s0(build_family_tensor(family_data(n)).tensor).success
 
 
 def test_certificate_report_is_rechecable_from_details():

@@ -6,11 +6,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import nonfree
+import nonfree.family
 
 from nonfree.cli import main
 from nonfree.construct import build_family_tensor, s0_tensor
@@ -69,7 +71,7 @@ def test_free_support_w_state(tmp_path, capsys):
 
 def test_free_support_staircase_is_exit_one(tmp_path, capsys):
     path = tmp_path / "tw.json"
-    save_tensor(build_family_tensor(3).tensor, path)
+    save_tensor(build_family_tensor(family_data(3)).tensor, path)
     code, out = run(capsys, "free-support", "--input", str(path))
     doc = json.loads(out)
     assert code == 1
@@ -87,7 +89,7 @@ def test_moment_map_command(tmp_path, capsys):
 
 def test_flow_command(tmp_path, capsys):
     path = tmp_path / "t.json"
-    save_tensor(build_family_tensor(3).tensor, path)
+    save_tensor(build_family_tensor(family_data(3)).tensor, path)
     code, out = run(capsys, "flow", "--input", str(path), "--max-steps", "10")
     doc = json.loads(out)
     assert code == 0
@@ -97,7 +99,7 @@ def test_flow_command(tmp_path, capsys):
 
 def test_reduce_s0_command(tmp_path, capsys):
     path = tmp_path / "t.json"
-    save_tensor(build_family_tensor(4).tensor, path)
+    save_tensor(build_family_tensor(family_data(4)).tensor, path)
     code, out = run(capsys, "reduce-s0", "--input", str(path))
     doc = json.loads(out)
     assert code == 0
@@ -118,7 +120,7 @@ def test_reduce_s0_rejects_bad_support(tmp_path, capsys):
 
 def test_polytope_halfspace_command(tmp_path, capsys):
     t_path = tmp_path / "t.json"
-    save_tensor(build_family_tensor(3).tensor, t_path)
+    save_tensor(build_family_tensor(family_data(3)).tensor, t_path)
     data = family_data(3)
     h_path = tmp_path / "h.json"
     h_path.write_text(json.dumps({
@@ -136,7 +138,7 @@ def test_polytope_halfspace_command(tmp_path, capsys):
 
 def test_polytope_refute_command(tmp_path, capsys):
     t_path = tmp_path / "t.json"
-    save_tensor(build_family_tensor(3).tensor, t_path)
+    save_tensor(build_family_tensor(family_data(3)).tensor, t_path)
     p_path = tmp_path / "p.json"
     third = 1 / 3
     p_path.write_text(json.dumps({"p1": [third] * 3, "p2": [third] * 3, "p3": [third] * 3}))
@@ -283,9 +285,59 @@ def test_help_and_version_still_exit_zero(capsys, argv):
     assert capsys.readouterr().out.startswith(("usage:", "nonfree"))
 
 
+def test_a_usage_error_leaves_no_state_behind(capsys):
+    argv = ("certify-nonfree", "--family", "3")
+    _, alone = run(capsys, *argv)
+    for error in (("family", "--n", "abc"), ("certify-nonfree", "--named", "T7")):
+        assert run(capsys, *error)[0] == 2
+        assert run(capsys, *argv) == (0, alone)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("certify-nonfree", "--named", "T2", "--tol", "-1"),
+        ("certify-nonfree", "--family", "3", "--tol", "-1"),
+        ("reduce-s0", "--input", "{tensor}", "--tol", "-1"),
+    ],
+)
+def test_negative_tol_is_input_error(tmp_path, capsys, argv):
+    tensor = tmp_path / "t.json"
+    save_tensor(build_family_tensor(family_data(4)).tensor, tensor)
+    code, out = run(capsys, *(arg.format(tensor=tensor) for arg in argv))
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == "tol must be nonnegative"
+
+
+@pytest.mark.parametrize("command", ["moment-map", "flow"])
+def test_overflowing_squared_norm_is_named(tmp_path, capsys, command):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dims": [2, 2, 2], "entries": [
+        {"i": 1, "j": 1, "k": 1, "re": 1e200, "im": 0.0},
+        {"i": 2, "j": 2, "k": 2, "re": 1.0, "im": 0.0},
+    ]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run(capsys, command, "--input", str(path))
+    assert code == 2
+    assert "overflows" in json.loads(out)["error"]["message"]
+    assert not caught
+
+
+@pytest.mark.parametrize(
+    "argv", [("family", "--n", "8", "--verify"), ("certify-nonfree", "--family", "8")]
+)
+def test_a_family_command_validates_its_data_once(monkeypatch, capsys, argv):
+    validate, sizes = nonfree.family._validate, []
+    monkeypatch.setattr(nonfree.family, "_validate", lambda data: sizes.append(data.n) or validate(data))
+    code, _ = run(capsys, *argv)
+    assert code == 0
+    assert sizes == [8]
+
+
 def _polytope_argv(tmp_path, flag, doc):
     t_path = tmp_path / "t.json"
-    save_tensor(build_family_tensor(3).tensor, t_path)
+    save_tensor(build_family_tensor(family_data(3)).tensor, t_path)
     d_path = tmp_path / "doc.json"
     d_path.write_text(json.dumps(doc))
     return ("polytope", "--input", str(t_path), flag, str(d_path), "--samples", "0")
@@ -418,7 +470,7 @@ def _assert_one_json_answer(argv):
 @pytest.fixture(scope="module")
 def doc_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("docs")
-    save_tensor(build_family_tensor(3).tensor, directory / "family3.json")
+    save_tensor(build_family_tensor(family_data(3)).tensor, directory / "family3.json")
     return directory
 
 

@@ -17,13 +17,13 @@ NS = range(3, 13)
 
 def test_gram_equations_hold():
     for n in NS:
-        left, right = build_W(n).gram_defects()
+        left, right = build_W(family_data(n)).gram_defects()
         assert left <= 1e-10 and right <= 1e-10
 
 
 def test_wwstar_spectrum_is_flat_with_one_zero():
     for n in NS:
-        wm = build_W(n)
+        wm = build_W(family_data(n))
         lam = float(wm.lambda_W)
         eigs = np.linalg.eigvalsh(wm.entries @ wm.entries.conj().T)
         assert abs(eigs[0]) <= 1e-12
@@ -32,20 +32,20 @@ def test_wwstar_spectrum_is_flat_with_one_zero():
 
 def test_wwstar_kernel_is_spanned_by_w():
     for n in (3, 5, 9):
-        wm = build_W(n)
+        wm = build_W(family_data(n))
         gram = wm.entries @ wm.entries.conj().T
         assert np.linalg.norm(gram @ wm.w) <= 1e-12
 
 
 def test_wwstar_diagonal_matches_family_d_for_n3():
-    wm = build_W(3)
+    wm = build_W(family_data(3))
     gram = (wm.entries @ wm.entries.conj().T).real
     np.testing.assert_allclose(np.diag(gram), [11 / 42, 4 / 21, 11 / 42], atol=1e-14)
 
 
 def test_every_offdiagonal_of_wwstar_is_bounded_below():
     for n in NS:
-        wm = build_W(n)
+        wm = build_W(family_data(n))
         gram = wm.entries @ wm.entries.conj().T
         floor = float(min(wm.w)) ** 2 - 1e-10
         off = np.abs(gram[~np.eye(n, dtype=bool)])
@@ -54,7 +54,7 @@ def test_every_offdiagonal_of_wwstar_is_bounded_below():
 
 def test_every_column_of_w_is_nonzero():
     for n in NS:
-        wm = build_W(n)
+        wm = build_W(family_data(n))
         assert np.linalg.norm(wm.entries, axis=0).min() > 1e-8
 
 
@@ -67,7 +67,7 @@ def test_row_deletion_independence_exact():
             assert data.d[i] != data.lambda_W
     # And numerically: dropping any row keeps full rank.
     for n in (3, 6, 10):
-        wm = build_W(n)
+        wm = build_W(family_data(n))
         for drop in range(n):
             sub = np.delete(wm.entries, drop, axis=0)
             sv = np.linalg.svd(sub, compute_uv=False)
@@ -77,7 +77,7 @@ def test_row_deletion_independence_exact():
 def test_membership_accepts_construction_and_right_unitary_closure():
     gen = rng(30)
     for n in (3, 5, 8):
-        wm = build_W(n)
+        wm = build_W(family_data(n))
         assert wmatrix_membership(wm.entries)
         for _ in range(5):
             u = random_unitary(gen, n - 1)
@@ -90,18 +90,18 @@ def test_membership_rejects_zero_matrix():
 
 def test_build_w_rejects_small_n():
     with pytest.raises(ValueError):
-        build_W(2)
+        build_W(family_data(2))
 
 
 def test_family_tensor_has_unit_norm_and_staircase_support():
     for n in NS:
-        ft = build_family_tensor(n)
+        ft = build_family_tensor(family_data(n))
         assert abs(norm(ft.tensor) - 1.0) <= 1e-12
         assert support(ft.tensor, 0.0).issubset(gamma_support(n))
 
 
 def test_family_tensor_entry_placement():
-    ft = build_family_tensor(4)
+    ft = build_family_tensor(family_data(4))
     n = 4
     for i in range(1, n + 1):
         for k in range(1, n):
@@ -112,7 +112,7 @@ def test_family_tensor_entry_placement():
 
 def test_family_tensor_moment_map_equals_q():
     for n in NS:
-        ft = build_family_tensor(n)
+        ft = build_family_tensor(family_data(n))
         mu = moment_map(ft.tensor)
         assert off_diagonal_mass(mu) <= 1e-10
         for comp, qi in zip(mu.components, ft.data.q):
@@ -122,14 +122,14 @@ def test_family_tensor_moment_map_equals_q():
 
 
 def test_family_tensor_n3_cross_checks_named_values():
-    mu = moment_map(build_family_tensor(3).tensor)
+    mu = moment_map(build_family_tensor(family_data(3)).tensor)
     for comp, expected in zip(mu.components, MU_S2_DIAGONALS):
         np.testing.assert_allclose(np.diag(comp).real, expected, atol=1e-12)
 
 
 def test_family_tensor_is_concise():
     for n in NS:
-        t = build_family_tensor(n).tensor
+        t = build_family_tensor(family_data(n)).tensor
         assert flattening_ranks(t) == (n, n, n)
         assert is_concise(t)
 

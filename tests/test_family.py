@@ -74,7 +74,7 @@ def test_halfspace_vertex_examples_n3():
 
 def test_halfspace_equality_set_is_gamma():
     for n in range(2, 11):
-        report = halfspace_check(n)
+        report = halfspace_check(family_data(n))
         assert report.valid
         assert report.min_value == report.c
         assert report.equals_gamma

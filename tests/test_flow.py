@@ -41,7 +41,7 @@ def test_ness_certificate_of_s5():
 
 def test_ness_lambda_of_family_tensors():
     for n in range(3, 11):
-        ft = build_family_tensor(n)
+        ft = build_family_tensor(family_data(n))
         cert = ness_minimality(ft.tensor)
         assert cert.lam == pytest.approx(float(ft.data.ness_lambda), abs=1e-12)
         assert cert.residual <= 1e-9

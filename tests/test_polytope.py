@@ -41,7 +41,7 @@ def test_exact_hull_membership_boundary_point():
 def test_outer_halfspace_family_is_tight():
     for n in (3, 4, 6):
         data = family_data(n)
-        cert = outer_halfspace(build_family_tensor(n).tensor, data.h, data.c)
+        cert = outer_halfspace(build_family_tensor(family_data(n)).tensor, data.h, data.c)
         assert cert.valid
         assert cert.min_support_value == data.c  # exact rationals throughout
 
@@ -53,7 +53,7 @@ def test_outer_halfspace_agrees_with_ness_certificate():
 
     for n in (3, 5):
         data = family_data(n)
-        ft = build_family_tensor(n)
+        ft = build_family_tensor(family_data(n))
         cert = outer_halfspace(ft.tensor, data.h, data.c)
         ness = ness_minimality(ft.tensor)
         assert cert.valid and cert.min_support_value == data.c
@@ -62,7 +62,7 @@ def test_outer_halfspace_agrees_with_ness_certificate():
 
 def test_outer_halfspace_strengthened_fails():
     data = family_data(3)
-    cert = outer_halfspace(build_family_tensor(3).tensor, data.h, data.c + 1)
+    cert = outer_halfspace(build_family_tensor(family_data(3)).tensor, data.h, data.c + 1)
     assert not cert.valid
 
 
@@ -98,18 +98,18 @@ def test_inner_points_of_free_twin_and_its_moment_image():
 
 def test_inner_points_reject_non_free_tensor():
     with pytest.raises(ValueError):
-        inner_points(build_family_tensor(3).tensor)
+        inner_points(build_family_tensor(family_data(3)).tensor)
 
 
 def test_hull_refute_uniform_point_on_family_tensor():
     u3 = (1 / 3, 1 / 3, 1 / 3)
-    result = hull_refute(build_family_tensor(3).tensor, WeylPoint(u3, u3, u3), samples=10, seed=0)
+    result = hull_refute(build_family_tensor(family_data(3)).tensor, WeylPoint(u3, u3, u3), samples=10, seed=0)
     assert result.refuted
     assert result.refuting_sample == 0  # the identity sample realizes the outer bound
 
 
 def test_hull_refute_moment_point_is_inconclusive():
-    t = build_family_tensor(3).tensor
+    t = build_family_tensor(family_data(3)).tensor
     result = hull_refute(t, spec_point(moment_map(t)), samples=10, seed=0)
     assert result.outcome == "inconclusive"
 
@@ -197,7 +197,7 @@ def test_triangular_actions_move_supports_along_the_order():
 
 def test_upper_triangular_keeps_staircase_inside_its_closure():
     gen = rng(72)
-    t = build_family_tensor(3).tensor
+    t = build_family_tensor(family_data(3)).tensor
     closure = downward_closure(gamma_support(3))
     for _ in range(10):
         u = GroupTriple(*(_unit_triangular(gen, 3, True) for _ in range(3)))

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import rng
 from nonfree.construct import build_family_tensor, s0_tensor
-from nonfree.family import gamma_support
+from nonfree.family import family_data, gamma_support
 from nonfree.reduction import ReductionError, extract_Wa, reduce_to_s0
 from nonfree.tensor import Tensor3, apply, diagonal_triple, norm, support
 
@@ -26,7 +26,7 @@ def test_extract_on_s0():
 
 
 def test_extract_inverts_family_construction():
-    ft = build_family_tensor(4)
+    ft = build_family_tensor(family_data(4))
     w, a = extract_Wa(ft.tensor)
     np.testing.assert_allclose(w, ft.W.entries, atol=1e-15)
     np.testing.assert_allclose(a, ft.a, atol=1e-15)
@@ -69,7 +69,7 @@ def test_reduce_s0_is_identity():
 
 def test_reduce_family_tensors():
     for n in range(3, 9):
-        result = reduce_to_s0(build_family_tensor(n).tensor)
+        result = reduce_to_s0(build_family_tensor(family_data(n)).tensor)
         assert result.success
         assert result.residual <= 1e-8
 
@@ -100,7 +100,7 @@ def test_reduce_random_staircase_tensors():
 
 def test_reduce_rejects_vanishing_a_entry():
     n = 3
-    ft = build_family_tensor(n)
+    ft = build_family_tensor(family_data(n))
     arr = np.array(ft.tensor.entries)
     arr[n - 2, 0, n - 1] = 0.0  # kill a_1
     with pytest.raises(ReductionError):

@@ -86,6 +86,38 @@ def test_downward_closure_contains_input_idempotent_monotone():
         assert downward_closure(smaller).issubset(closed)
 
 
+def _box_closure(supp):
+    """Reference: every triple of every box below an element of supp."""
+    return {
+        (i, j, k)
+        for (a, b, c) in supp.triples
+        for i in range(1, a + 1)
+        for j in range(1, b + 1)
+        for k in range(1, c + 1)
+    }
+
+
+def test_downward_closure_equals_box_enumeration():
+    cases = [
+        support_set((3, 3, 3), []),
+        support_set((1, 1, 1), []),
+        support_set((1, 1, 1), [(1, 1, 1)]),
+        support_set((1, 4, 2), [(1, 4, 1), (1, 2, 2)]),
+    ]
+    cases += [gamma_support(n) for n in range(2, 13)]
+    gen = rng(23)
+    for _ in range(100):
+        dims = tuple(int(x) for x in gen.integers(1, 6, size=3))
+        cells = [(i, j, k) for i in range(1, dims[0] + 1) for j in range(1, dims[1] + 1)
+                 for k in range(1, dims[2] + 1)]
+        pick = gen.random(len(cells)) < gen.random() * 0.3
+        cases.append(support_set(dims, [c for c, take in zip(cells, pick) if take]))
+    for supp in cases:
+        closed = downward_closure(supp)
+        assert closed.dims == supp.dims
+        assert closed.triples == _box_closure(supp)
+
+
 def test_sjamaar_points_of_singleton():
     pts = sjamaar_inner_points(support_set((3, 3, 3), [(1, 1, 1)]))
     assert len(pts) == 1
