@@ -32,6 +32,7 @@ from .named import (
 )
 from .tensor import GroupTriple, Tensor3, apply, norm
 
+DEFAULT_TOL = 1e-10  # Ness residual (and family mu defect) a certificate accepts
 BLOCK_TOL = 1e-10
 PARALLEL_TOL = 1e-10
 VALUE_TOL = 1e-12
@@ -47,9 +48,6 @@ class StabilizerBlocks:
     """Per factor, the ordered partition of [n] into runs of equal eigenvalues."""
 
     factors: tuple[Blocks, Blocks, Blocks]
-
-    def pattern(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(len(block) for block in factor) for factor in self.factors)
 
 
 def _runs(values: Sequence, equal) -> Blocks:
@@ -199,7 +197,7 @@ def family_mu_defect(ft: FamilyTensor) -> float:
     return _frobenius_norm([c - qd for c, qd in zip(moment_map(ft.tensor).components, q)])
 
 
-def certify_family(n: int, tol: float = 1e-10) -> NonFreenessReport:
+def certify_family(n: int, tol: float = DEFAULT_TOL) -> NonFreenessReport:
     """Full certificate for the staircase family member of size n >= 3."""
     if n < 3:
         raise ValueError("certify_family requires n >= 3 (the n = 2 support is free)")
@@ -250,7 +248,7 @@ def _diag_defect(mu: HermTriple, expected) -> float:
 
 def certify_named(
     which: str,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
     group_element: GroupTriple | None = None,
 ) -> NonFreenessReport:
     """Certificates for the two named 3x3x3 tensors, T2 and T5.

@@ -15,22 +15,18 @@ import sys
 from fractions import Fraction
 
 from . import __version__
+from .certify import DEFAULT_TOL as DEFAULT_CERTIFY_TOL
 from .certify import NonFreenessReport, certify_family, certify_named, family_mu_defect
 from .construct import build_family_tensor, s0_tensor
 from .family import family_data, family_to_doc, halfspace_check
-from .flow import flow, ness_minimality
+from .flow import DEFAULT_MAX_STEPS, DEFAULT_RESIDUAL_TOL, DEFAULT_STEP, flow, ness_minimality
 from .jsonio import dumps
 from .moment import WeylPoint, moment_map, spec_point
-from .polytope import hull_refute, outer_halfspace
+from .polytope import DEFAULT_SAMPLES, hull_refute, outer_halfspace
+from .reduction import DEFAULT_TOL as DEFAULT_REDUCTION_TOL
 from .reduction import ReductionError, reduce_to_s0
 from .supports import is_free_support
-from .tensor import (
-    MAX_ENTRIES,
-    TensorFormatError,
-    support,
-    tensor_from_doc,
-    tensor_to_doc,
-)
+from .tensor import MAX_ENTRIES, SUPPORT_TOL, support, tensor_from_doc, tensor_to_doc
 
 
 class InputError(ValueError):
@@ -56,10 +52,7 @@ def _load_json(path: str) -> dict:
 
 
 def _load_tensor(path: str):
-    try:
-        return tensor_from_doc(_load_json(path))
-    except TensorFormatError as exc:
-        raise InputError(str(exc)) from exc
+    return tensor_from_doc(_load_json(path))
 
 
 def _parse_number(value) -> Fraction | float:
@@ -134,11 +127,7 @@ def cmd_family(args) -> tuple[dict, int]:
 
 
 def cmd_moment_map(args) -> tuple[dict, int]:
-    t = _load_tensor(args.input)
-    try:
-        mu = moment_map(t)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    mu = moment_map(_load_tensor(args.input))
     doc = _header("moment-map", {"input": args.input})
     doc["mu"] = _matrix_triple_doc(("h1", "h2", "h3"), mu.components)
     doc["spec_point"] = [list(c) for c in spec_point(mu).components]
@@ -210,10 +199,7 @@ def cmd_certify(args) -> tuple[dict, int]:
     else:
         key, certify = "named", certify_named
     config = {key: getattr(args, key), "tol": args.tol}
-    try:
-        report = certify(config[key], tol=args.tol)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    report = certify(config[key], tol=args.tol)
     doc = _header("certify-nonfree", config)
     doc["report"] = _report_doc(report)
     return doc, 0 if report.verdict else 1
@@ -295,32 +281,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flow", help="integrate the scaling gradient flow")
     p.add_argument("--input", required=True)
-    p.add_argument("--step", type=float, default=0.05)
-    p.add_argument("--residual-tol", type=float, default=1e-8)
-    p.add_argument("--max-steps", type=int, default=200_000)
+    p.add_argument("--step", type=float, default=DEFAULT_STEP)
+    p.add_argument("--residual-tol", type=float, default=DEFAULT_RESIDUAL_TOL)
+    p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("free-support", help="check whether the support is free")
     p.add_argument("--input", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=SUPPORT_TOL)
     p.set_defaults(func=cmd_free_support)
 
     p = sub.add_parser("certify-nonfree", help="emit a non-freeness certificate")
     p.add_argument("--family", type=int)
     p.add_argument("--named", choices=["T2", "T5", "t2", "t5"])
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_CERTIFY_TOL)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("reduce-s0", help="reduce a staircase tensor to the 0/1 form")
     p.add_argument("--input", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=DEFAULT_REDUCTION_TOL)
     p.set_defaults(func=cmd_reduce_s0)
 
     p = sub.add_parser("polytope", help="one-sided moment polytope certificates")
     p.add_argument("--input", required=True)
     p.add_argument("--halfspace")
     p.add_argument("--refute")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_polytope)
 
@@ -339,11 +325,8 @@ def main(argv=None) -> int:
                 raise InputError(f"--{name.replace('_', '-')} must be finite, got {value}")
         doc, code = args.func(args)
         text = dumps(doc)
-    except InputError as exc:
+    except ValueError as exc:  # every input error, whichever layer raised it
         print(dumps({"error": {"kind": "input", "message": str(exc)}}))
-        return 2
-    except ValueError as exc:
-        print(dumps({"error": {"kind": type(exc).__name__, "message": str(exc)}}))
         return 2
     print(text)
     return code

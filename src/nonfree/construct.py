@@ -17,10 +17,8 @@ from math import sqrt
 
 import numpy as np
 
-from .family import FamilyData, family_data
+from .family import FamilyData
 from .tensor import Tensor3
-
-WN_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,41 +70,24 @@ def build_W(data: FamilyData) -> WMatrix:
     return WMatrix(entries=entries, lambda_W=data.lambda_W, w=w)
 
 
-def wmatrix_membership(m: np.ndarray) -> bool:
-    """Whether m satisfies both Gram equations of the family within WN_TOL."""
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] + 1:
-        raise ValueError(f"expected an n x (n-1) matrix, got shape {m.shape}")
-    n = m.shape[0]
-    data = family_data(n)
-    w = np.array([sqrt(float(x)) for x in data.w_sq])
-    left, right = WMatrix(entries=m, lambda_W=data.lambda_W, w=w).gram_defects()
-    return bool(left <= WN_TOL and right <= WN_TOL)
+def _staircase(W: np.ndarray, a: np.ndarray) -> Tensor3:
+    """Tensor with T[n+1-i, i, k] = W[i, k] for k < n and T[n-i, i, n] = a_i (1-based)."""
+    n = W.shape[0]
+    rows = np.arange(n)
+    arr = np.zeros((n, n, n), dtype=np.complex128)
+    arr[n - 1 - rows, rows, : n - 1] = W
+    arr[n - 2 - rows[:-1], rows[:-1], n - 1] = a
+    return Tensor3(arr)
 
 
 def build_family_tensor(data: FamilyData) -> FamilyTensor:
-    """Tensor with T[n+1-i, i, k] = W[i, k] for k < n and T[n-i, i, n] = a_i."""
-    n = data.n
     wm = build_W(data)
-    a = np.array([sqrt(float(bj)) for bj in data.b[: n - 1]])
-    arr = np.zeros((n, n, n), dtype=np.complex128)
-    for i in range(1, n + 1):
-        for k in range(1, n):
-            arr[n - i, i - 1, k - 1] = wm.entries[i - 1, k - 1]
-    for i in range(1, n):
-        arr[n - i - 1, i - 1, n - 1] = a[i - 1]
-    return FamilyTensor(W=wm, a=a, tensor=Tensor3(arr), data=data)
+    a = np.array([sqrt(float(bj)) for bj in data.b[: data.n - 1]])
+    return FamilyTensor(W=wm, a=a, tensor=_staircase(wm.entries, a), data=data)
 
 
 def s0_tensor(n: int) -> Tensor3:
     """The 0/1 representative: identity block over an all-ones row, unit a-entries."""
     if n < 2:
         raise ValueError("s0_tensor requires n >= 2")
-    arr = np.zeros((n, n, n), dtype=np.complex128)
-    for i in range(1, n):  # W rows e_1 ... e_{n-1}
-        arr[n - i, i - 1, i - 1] = 1.0
-    for k in range(1, n):  # all-ones last W row, placed at first slice
-        arr[0, n - 1, k - 1] = 1.0
-    for i in range(1, n):  # unit a-entries
-        arr[n - i - 1, i - 1, n - 1] = 1.0
-    return Tensor3(arr)
+    return _staircase(np.vstack([np.eye(n - 1), np.ones((1, n - 1))]), np.ones(n - 1))

@@ -6,18 +6,18 @@ gradient residual |mu(T) * T - lambda T|, since only the projective limit is
 guaranteed to exist.
 
 The integrator steps a plain entries array and builds a `Tensor3` only for the
-limit and requested snapshots. One evaluation per accepted point serves the
-monotonicity check, the convergence test and the next step's first RK4 stage.
+limit. One evaluation per accepted point serves the monotonicity check, the
+convergence test and the next step's first RK4 stage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .moment import _action_array, _frobenius_norm, _moment_arrays, infinitesimal_action, moment_map
-from .tensor import Tensor3, norm, support
+from .tensor import Tensor3, norm
 
 DEFAULT_STEP = 0.05
 DEFAULT_RESIDUAL_TOL = 1e-8
@@ -47,7 +47,6 @@ class FlowResult:
     final_residual: float
     mu_norm_trajectory: list[float]
     converged: bool
-    snapshots: list[Tensor3] = field(default_factory=list)
 
 
 def _lam_residual(arr: np.ndarray, action: np.ndarray) -> tuple[float, float]:
@@ -85,7 +84,6 @@ def flow(
     step_size: float = DEFAULT_STEP,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
     max_steps: int = DEFAULT_MAX_STEPS,
-    snapshot_every: int | None = None,
 ) -> FlowResult:
     """Integrate the flow until the projective gradient residual drops below
     residual_tol; non-convergence is reported in the result, not raised.
@@ -102,7 +100,6 @@ def flow(
     x = t.entries * (1.0 / norm(t))
     mu_norm, velocity, residual = _evaluate(x)
     trajectory = [mu_norm]
-    snapshots = [Tensor3(x)] if snapshot_every else []
     dt = step_size
     streak = 0
 
@@ -122,8 +119,6 @@ def flow(
         mu_norm, velocity, residual = evaluation
         steps += 1
         trajectory.append(mu_norm)
-        if snapshot_every and steps % snapshot_every == 0:
-            snapshots.append(Tensor3(x))
         streak = 0 if halvings else streak + 1
         if streak >= 10 and dt < step_size:
             dt = min(2.0 * dt, step_size)
@@ -135,11 +130,5 @@ def flow(
         final_residual=residual,
         mu_norm_trajectory=trajectory,
         converged=residual <= residual_tol,
-        snapshots=snapshots,
     )
 
-
-def support_never_grew(result: FlowResult, initial: Tensor3) -> bool:
-    """Whether every recorded snapshot stays inside the initial exact support."""
-    start = support(initial, 0.0)
-    return all(support(snap).issubset(start) for snap in result.snapshots)

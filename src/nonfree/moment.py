@@ -55,14 +55,6 @@ def _frobenius_norm(components) -> float:
     return float(np.sqrt(sum(np.linalg.norm(m) ** 2 for m in components)))
 
 
-def diagonal_herm_triple(d1, d2, d3) -> HermTriple:
-    return HermTriple(
-        np.diag(np.asarray(d1, dtype=float)),
-        np.diag(np.asarray(d2, dtype=float)),
-        np.diag(np.asarray(d3, dtype=float)),
-    )
-
-
 @dataclass(frozen=True)
 class WeylPoint:
     """Triple of non-increasing, nonnegative vectors with unit coordinate sums."""
@@ -87,9 +79,6 @@ class WeylPoint:
     def components(self) -> tuple[tuple[float, ...], ...]:
         return (self.p1, self.p2, self.p3)
 
-    def concatenated(self) -> np.ndarray:
-        return np.concatenate([np.asarray(p) for p in self.components])
-
 
 def _moment_arrays(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three components of mu(T) for the entries array of T."""
@@ -107,10 +96,6 @@ def _moment_arrays(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def moment_map(t: Tensor3) -> HermTriple:
     """Normalized flattening Gram matrices; each component is PSD with unit trace."""
     return HermTriple(*_moment_arrays(t.entries))
-
-
-def diagonal_part(m: HermTriple) -> HermTriple:
-    return HermTriple(*(np.diag(np.diag(c)) for c in m.components))
 
 
 def off_diagonal_mass(m: HermTriple) -> float:

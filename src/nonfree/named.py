@@ -85,21 +85,6 @@ def ness_form_t5() -> Tensor3:
     return from_coefficients((3, 3, 3), S5_COEFFS)
 
 
-def free_moment_twin() -> Tensor3:
-    """Free-support tensor whose moment map image coincides with that of
-    ness_form_t2(); shows the family spectrum also arises from a free tensor."""
-    return from_coefficients(
-        (3, 3, 3),
-        {
-            (1, 1, 1): sqrt(5 / 14),
-            (1, 2, 2): sqrt(1 / 21),
-            (2, 1, 2): sqrt(1 / 21),
-            (2, 2, 3): sqrt(2 / 7),
-            (3, 3, 2): sqrt(11 / 42),
-        },
-    )
-
-
 # Diagonal moment-map values of the two representatives.
 MU_S2_DIAGONALS = (
     (17 / 42, 1 / 3, 11 / 42),

@@ -1,7 +1,7 @@
 """One-sided moment polytope certificates.
 
 Outer bounds: a halfspace containing the downward closure of the support
-contains the whole polytope. Inner bounds: sorted support vertices of free
+contains the whole polytope. Inner bounds: sorted uniform marginals of free
 supports. Refutation: sampled supports of triangular basis changes whose
 convex hulls must contain every polytope point. The point is read as exact
 rationals whose components each sum to 1, and a hull excludes it only
@@ -24,6 +24,7 @@ from .supports import downward_closure, sjamaar_inner_points
 from .tensor import GroupTriple, Tensor3, apply, support
 
 RATIONALIZE_DENOMINATOR = 10**12
+DEFAULT_SAMPLES = 100
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ def outer_halfspace(t: Tensor3, h, c) -> HalfspaceCert:
 
 
 def inner_points(t: Tensor3) -> list[WeylPoint]:
-    """Sorted support vertices of a free-support tensor; all lie in the polytope."""
+    """Inner points of a free-support tensor: sorted uniform marginals of its support."""
     return sjamaar_inner_points(support(t))
 
 
@@ -116,7 +117,9 @@ def _hull_contains(supp, dims, target: list[Fraction]) -> bool:
     return in_convex_hull(vertices, target)
 
 
-def hull_refute(t: Tensor3, p: WeylPoint, samples: int = 100, seed: int = 0) -> HullRefutation:
+def hull_refute(
+    t: Tensor3, p: WeylPoint, samples: int = DEFAULT_SAMPLES, seed: int = 0
+) -> HullRefutation:
     """Try to certify p outside the moment polytope of t.
 
     Draws one random unit-diagonal upper-triangular triple U and tests p for
@@ -132,18 +135,15 @@ def hull_refute(t: Tensor3, p: WeylPoint, samples: int = 100, seed: int = 0) -> 
     u = GroupTriple(*(_unit_triangular(gen, n, upper=True) for n in dims))
     ut = apply(u, t)
 
-    lowers = [GroupTriple(*(np.eye(n) for n in dims))]
-    lowers.extend(
-        GroupTriple(*(_unit_triangular(gen, n, upper=False) for n in dims))
-        for _ in range(samples)
-    )
-
     target = _rational_target(p)
     sizes = []
-    for index, lower in enumerate(lowers):
-        moved = apply(lower, ut)
+    for index in range(samples + 1):
+        moved = ut
+        if index:  # each lower triple is drawn when its sample is reached
+            lower = GroupTriple(*(_unit_triangular(gen, n, upper=False) for n in dims))
+            moved = apply(lower, ut)
         supp = support(moved)
         sizes.append(len(supp))
         if not _hull_contains(supp, dims, target):
             return HullRefutation("refuted", index, index + 1, seed, u, sizes)
-    return HullRefutation("inconclusive", None, len(lowers), seed, u, sizes)
+    return HullRefutation("inconclusive", None, samples + 1, seed, u, sizes)

@@ -18,6 +18,7 @@ from .construct import s0_tensor
 from .family import gamma_support
 from .tensor import GroupTriple, Tensor3, apply, compose, norm, support
 
+DEFAULT_TOL = 1e-8  # log-linear consistency and final residual
 RANK_TOL = 1e-10
 STAIRCASE_TOL = 1e-12  # relative cutoff for entries that count as escaping the staircase
 
@@ -60,7 +61,7 @@ def _check_row_deletion_rank(w: np.ndarray) -> None:
             raise ReductionError(f"rows of W without row {drop + 1} are dependent")
 
 
-def reduce_to_s0(s: Tensor3, tol: float = 1e-8) -> ReductionResult:
+def reduce_to_s0(s: Tensor3, tol: float = DEFAULT_TOL) -> ReductionResult:
     """Find g with g . s equal to the 0/1 representative within tol.
 
     Requires all a-entries nonzero and every n-1 rows of the W-part linearly

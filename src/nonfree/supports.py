@@ -8,6 +8,7 @@ have disjoint support.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .moment import WeylPoint
 from .tensor import SupportSet, Triple, support_set
@@ -54,21 +55,23 @@ def downward_closure(s: SupportSet) -> SupportSet:
     return support_set(s.dims, closed)
 
 
-def _sorted_vertex(dims: Triple, triple: Triple) -> WeylPoint:
-    comps = []
-    for n, _ in zip(dims, triple):
-        comps.append((1.0,) + (0.0,) * (n - 1))
-    return WeylPoint(*comps)
-
-
 def sjamaar_inner_points(s: SupportSet) -> list[WeylPoint]:
-    """Sorted support vertices; each is a certified moment-polytope member.
+    """The sorted marginals of the uniform distribution on a free support.
 
-    Every standard basis vector sorts to (1, 0, ..., 0), so one point is
-    emitted per support triple and they all coincide; callers interested in
-    the full inner bound should take convex combinations before sorting.
+    For a free support every sorted marginal triple of a distribution on the
+    support lies in the moment polytope (Sjamaar 1998, Franz 2002). The
+    marginals are summed as exact rationals; an empty support has no point.
     """
     witness = is_free_support(s)
     if not witness.verdict:
         raise ValueError(f"support is not free: {witness.offending_pair}")
-    return [_sorted_vertex(s.dims, triple) for triple in s]
+    if not len(s):
+        return []
+    weight = Fraction(1, len(s))
+    components = []
+    for axis, n in enumerate(s.dims):
+        marginal = [Fraction(0)] * n
+        for triple in s.triples:
+            marginal[triple[axis] - 1] += weight
+        components.append(sorted(marginal, reverse=True))
+    return [WeylPoint(*components)]

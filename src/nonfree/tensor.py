@@ -7,7 +7,6 @@ everything here is safe to share across threads.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -62,17 +61,6 @@ class Tensor3:
         return complex(self.entries[i - 1, j - 1, k - 1])
 
 
-def zero_tensor(dims: Triple) -> Tensor3:
-    return Tensor3(np.zeros(dims, dtype=np.complex128))
-
-
-def basis_tensor(dims: Triple, i: int, j: int, k: int) -> Tensor3:
-    """The standard basis tensor at 1-based position (i, j, k)."""
-    arr = np.zeros(dims, dtype=np.complex128)
-    arr[i - 1, j - 1, k - 1] = 1.0
-    return Tensor3(arr)
-
-
 def from_coefficients(dims: Triple, coeffs: dict[Triple, complex]) -> Tensor3:
     """Build a tensor from {(i, j, k): value} with 1-based triples."""
     arr = np.zeros(dims, dtype=np.complex128)
@@ -116,31 +104,6 @@ class UnitaryTriple(GroupTriple):
             raise ValueError(f"factor {name} is not unitary (defect {defect:.3e})")
 
 
-def identity_triple(dims: Triple) -> UnitaryTriple:
-    return UnitaryTriple(*(np.eye(n) for n in dims))
-
-
-def diagonal_triple(d1, d2, d3) -> GroupTriple:
-    return GroupTriple(np.diag(d1), np.diag(d2), np.diag(d3))
-
-
-def permutation_triple(dims: Triple, sigma, tau, rho) -> UnitaryTriple:
-    """Permutation action sending e_{i,j,k} to e_{sigma(i),tau(j),rho(k)}.
-
-    Permutations are given as 1-based images, e.g. sigma = [2, 1, 3].
-    """
-
-    def matrix(n, perm):
-        m = np.zeros((n, n))
-        for src, dst in enumerate(perm):
-            m[dst - 1, src] = 1.0
-        return m
-
-    return UnitaryTriple(
-        matrix(dims[0], sigma), matrix(dims[1], tau), matrix(dims[2], rho)
-    )
-
-
 def compose(g: GroupTriple, h: GroupTriple) -> GroupTriple:
     """The triple gh, so that apply(gh, T) = apply(g, apply(h, T))."""
     return GroupTriple(g.a @ h.a, g.b @ h.b, g.c @ h.c)
@@ -173,11 +136,6 @@ def flattening_ranks(t: Tensor3) -> tuple[int, int, int]:
         s = np.linalg.svd(flattening(t, factor), compute_uv=False)
         ranks.append(int(np.sum(s > RANK_CUTOFF * s[0])) if s.size and s[0] > 0 else 0)
     return tuple(ranks)  # type: ignore[return-value]
-
-
-def is_concise(t: Tensor3) -> bool:
-    """All three flattenings have full numerical rank."""
-    return flattening_ranks(t) == t.dims
 
 
 @dataclass(frozen=True)
@@ -228,13 +186,6 @@ def norm(t: Tensor3) -> float:
     return float(np.linalg.norm(t.entries))
 
 
-def inner(s: Tensor3, t: Tensor3) -> complex:
-    """Sesquilinear inner product, conjugate-linear in the first argument."""
-    if s.dims != t.dims:
-        raise DimensionMismatchError(f"dims {s.dims} vs {t.dims}")
-    return complex(np.vdot(s.entries, t.entries))
-
-
 # --- JSON interchange -------------------------------------------------------
 #
 # {"dims": [n1, n2, n3], "entries": [{"i": 1, "j": 2, "k": 3, "re": 0.5, "im": 0.0}, ...]}
@@ -276,8 +227,3 @@ def tensor_from_doc(doc: dict) -> Tensor3:
         seen.add((i, j, k))
         arr[i - 1, j - 1, k - 1] = value
     return Tensor3(arr)
-
-
-def save_tensor(t: Tensor3, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(tensor_to_doc(t), handle)

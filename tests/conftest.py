@@ -1,4 +1,4 @@
-"""Shared randomized-input helpers for the test suite."""
+"""Shared input helpers for the test suite: seeded random inputs and permutation triples."""
 
 from __future__ import annotations
 
@@ -26,6 +26,21 @@ def random_unitary(gen: np.random.Generator, n: int) -> np.ndarray:
 
 def random_unitary_triple(gen: np.random.Generator, dims) -> UnitaryTriple:
     return UnitaryTriple(*(random_unitary(gen, n) for n in dims))
+
+
+def permutation_triple(dims, sigma, tau, rho) -> UnitaryTriple:
+    """Permutation action sending e_{i,j,k} to e_{sigma(i),tau(j),rho(k)}.
+
+    Permutations are given as 1-based images, e.g. sigma = [2, 1, 3].
+    """
+
+    def matrix(n, perm):
+        m = np.zeros((n, n))
+        for src, dst in enumerate(perm):
+            m[dst - 1, src] = 1.0
+        return m
+
+    return UnitaryTriple(matrix(dims[0], sigma), matrix(dims[1], tau), matrix(dims[2], rho))
 
 
 def random_group_triple(gen: np.random.Generator, dims) -> GroupTriple:

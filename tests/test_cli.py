@@ -17,7 +17,12 @@ import nonfree.family
 from nonfree.cli import main
 from nonfree.construct import build_family_tensor, s0_tensor
 from nonfree.family import family_data
-from nonfree.tensor import save_tensor, tensor_to_doc
+from nonfree.tensor import tensor_to_doc
+
+
+def write_tensor(t, path):
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(tensor_to_doc(t)))
 
 
 def run(capsys, *argv):
@@ -71,7 +76,7 @@ def test_free_support_w_state(tmp_path, capsys):
 
 def test_free_support_staircase_is_exit_one(tmp_path, capsys):
     path = tmp_path / "tw.json"
-    save_tensor(build_family_tensor(family_data(3)).tensor, path)
+    write_tensor(build_family_tensor(family_data(3)).tensor, path)
     code, out = run(capsys, "free-support", "--input", str(path))
     doc = json.loads(out)
     assert code == 1
@@ -89,7 +94,7 @@ def test_moment_map_command(tmp_path, capsys):
 
 def test_flow_command(tmp_path, capsys):
     path = tmp_path / "t.json"
-    save_tensor(build_family_tensor(family_data(3)).tensor, path)
+    write_tensor(build_family_tensor(family_data(3)).tensor, path)
     code, out = run(capsys, "flow", "--input", str(path), "--max-steps", "10")
     doc = json.loads(out)
     assert code == 0
@@ -99,7 +104,7 @@ def test_flow_command(tmp_path, capsys):
 
 def test_reduce_s0_command(tmp_path, capsys):
     path = tmp_path / "t.json"
-    save_tensor(build_family_tensor(family_data(4)).tensor, path)
+    write_tensor(build_family_tensor(family_data(4)).tensor, path)
     code, out = run(capsys, "reduce-s0", "--input", str(path))
     doc = json.loads(out)
     assert code == 0
@@ -120,7 +125,7 @@ def test_reduce_s0_rejects_bad_support(tmp_path, capsys):
 
 def test_polytope_halfspace_command(tmp_path, capsys):
     t_path = tmp_path / "t.json"
-    save_tensor(build_family_tensor(family_data(3)).tensor, t_path)
+    write_tensor(build_family_tensor(family_data(3)).tensor, t_path)
     data = family_data(3)
     h_path = tmp_path / "h.json"
     h_path.write_text(json.dumps({
@@ -138,7 +143,7 @@ def test_polytope_halfspace_command(tmp_path, capsys):
 
 def test_polytope_refute_command(tmp_path, capsys):
     t_path = tmp_path / "t.json"
-    save_tensor(build_family_tensor(family_data(3)).tensor, t_path)
+    write_tensor(build_family_tensor(family_data(3)).tensor, t_path)
     p_path = tmp_path / "p.json"
     third = 1 / 3
     p_path.write_text(json.dumps({"p1": [third] * 3, "p2": [third] * 3, "p3": [third] * 3}))
@@ -199,7 +204,7 @@ def test_oversized_tensor_is_input_error(tmp_path, capsys):
 
 def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
     t_path = tmp_path / "t.json"
-    save_tensor(s0_tensor(3), t_path)
+    write_tensor(s0_tensor(3), t_path)
     p_path = tmp_path / "p.json"
     p_path.write_text(json.dumps({
         "p1": [0.5, 0.3, 0.2], "p2": [0.5, 0.3, 0.2], "p3": [0.5, 0.3, 0.2],
@@ -241,7 +246,7 @@ def test_out_of_range_flow_and_refute_flags_are_input_errors(tmp_path, capsys, a
     point.write_text(json.dumps({"p1": [0.5, 0.5], "p2": [0.5, 0.5], "p3": [0.5, 0.5]}))
     code, out = run(capsys, *(arg.format(tensor=tensor, point=point) for arg in argv))
     assert code == 2
-    assert "error" in json.loads(out)
+    assert json.loads(out)["error"]["kind"] == "input"
 
 
 @pytest.mark.parametrize(
@@ -303,10 +308,10 @@ def test_a_usage_error_leaves_no_state_behind(capsys):
 )
 def test_negative_tol_is_input_error(tmp_path, capsys, argv):
     tensor = tmp_path / "t.json"
-    save_tensor(build_family_tensor(family_data(4)).tensor, tensor)
+    write_tensor(build_family_tensor(family_data(4)).tensor, tensor)
     code, out = run(capsys, *(arg.format(tensor=tensor) for arg in argv))
     assert code == 2
-    assert json.loads(out)["error"]["message"] == "tol must be nonnegative"
+    assert json.loads(out)["error"] == {"kind": "input", "message": "tol must be nonnegative"}
 
 
 @pytest.mark.parametrize("command", ["moment-map", "flow"])
@@ -337,7 +342,7 @@ def test_a_family_command_validates_its_data_once(monkeypatch, capsys, argv):
 
 def _polytope_argv(tmp_path, flag, doc):
     t_path = tmp_path / "t.json"
-    save_tensor(build_family_tensor(family_data(3)).tensor, t_path)
+    write_tensor(build_family_tensor(family_data(3)).tensor, t_path)
     d_path = tmp_path / "doc.json"
     d_path.write_text(json.dumps(doc))
     return ("polytope", "--input", str(t_path), flag, str(d_path), "--samples", "0")
@@ -470,7 +475,7 @@ def _assert_one_json_answer(argv):
 @pytest.fixture(scope="module")
 def doc_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("docs")
-    save_tensor(build_family_tensor(family_data(3)).tensor, directory / "family3.json")
+    write_tensor(build_family_tensor(family_data(3)).tensor, directory / "family3.json")
     return directory
 
 

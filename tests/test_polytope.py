@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
+from math import sqrt
 
 import numpy as np
 import pytest
@@ -10,14 +11,13 @@ from nonfree.construct import build_family_tensor
 from nonfree.exactlp import in_convex_hull
 from nonfree.family import family_data, gamma_support
 from nonfree.moment import WeylPoint, moment_map, spec_point
-from nonfree.named import MU_S2_DIAGONALS, free_moment_twin
+from nonfree.named import MU_S2_DIAGONALS
 from nonfree.polytope import hull_refute, inner_points, outer_halfspace
 from nonfree.supports import downward_closure
 from nonfree.tensor import (
     GroupTriple,
     Tensor3,
     apply,
-    basis_tensor,
     from_coefficients,
     norm,
     support,
@@ -67,30 +67,44 @@ def test_outer_halfspace_strengthened_fails():
 
 
 def test_outer_halfspace_trivial_zero_halfspace():
-    t = basis_tensor((3, 3, 3), 1, 1, 1)
+    t = from_coefficients((3, 3, 3), {(1, 1, 1): 1.0})
     zero = ((0, 0, 0), (0, 0, 0), (0, 0, 0))
     assert outer_halfspace(t, zero, 0).valid
 
 
+def free_moment_twin() -> Tensor3:
+    """Free-support tensor whose moment map image coincides with that of
+    ness_form_t2(); shows the family spectrum also arises from a free tensor."""
+    return from_coefficients(
+        (3, 3, 3),
+        {
+            (1, 1, 1): sqrt(5 / 14),
+            (1, 2, 2): sqrt(1 / 21),
+            (2, 1, 2): sqrt(1 / 21),
+            (2, 2, 3): sqrt(2 / 7),
+            (3, 3, 2): sqrt(11 / 42),
+        },
+    )
+
+
 def test_inner_points_of_w_state():
     t = from_coefficients((2, 2, 2), {(1, 1, 2): 1.0, (1, 2, 1): 1.0, (2, 1, 1): 1.0})
-    points = inner_points(t)
-    assert len(points) == 3
-    for p in points:
-        assert p.components == ((1.0, 0.0), (1.0, 0.0), (1.0, 0.0))
+    (point,) = inner_points(t)
+    assert point.components == ((2 / 3, 1 / 3), (2 / 3, 1 / 3), (2 / 3, 1 / 3))
 
 
 def test_inner_points_of_diagonal_tensor():
     n = 3
     t = from_coefficients((n, n, n), {(i, i, i): 1.0 for i in range(1, n + 1)})
-    points = inner_points(t)
-    assert len(points) == n
-    assert all(p == points[0] for p in points)
+    (point,) = inner_points(t)
+    assert point.components == ((1 / 3,) * 3,) * 3
 
 
 def test_inner_points_of_free_twin_and_its_moment_image():
     twin = free_moment_twin()
-    assert len(inner_points(twin)) == 5
+    (point,) = inner_points(twin)
+    first = (2 / 5, 2 / 5, 1 / 5)
+    assert point.components == (first, first, (3 / 5, 1 / 5, 1 / 5))
     mu = moment_map(twin)
     for comp, expected in zip(mu.components, MU_S2_DIAGONALS):
         np.testing.assert_allclose(np.diag(comp).real, expected, atol=1e-12)
@@ -108,6 +122,23 @@ def test_hull_refute_uniform_point_on_family_tensor():
     assert result.refuting_sample == 0  # the identity sample realizes the outer bound
 
 
+def test_a_point_refuted_at_sample_0_draws_no_lower_triple(monkeypatch):
+    import nonfree.polytope as polytope
+
+    built = []
+
+    class Counting(GroupTriple):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(polytope, "GroupTriple", Counting)
+    u3 = (1 / 3, 1 / 3, 1 / 3)
+    result = hull_refute(build_family_tensor(family_data(3)).tensor, WeylPoint(u3, u3, u3))
+    assert result.refuted and result.refuting_sample == 0
+    assert len(built) == 1  # the upper triple U; sample 0 is U . t itself
+
+
 def test_hull_refute_moment_point_is_inconclusive():
     t = build_family_tensor(family_data(3)).tensor
     result = hull_refute(t, spec_point(moment_map(t)), samples=10, seed=0)
@@ -115,7 +146,7 @@ def test_hull_refute_moment_point_is_inconclusive():
 
 
 def test_hull_refute_rank_one_vertex_is_inconclusive():
-    t = basis_tensor((3, 3, 3), 1, 1, 1)
+    t = from_coefficients((3, 3, 3), {(1, 1, 1): 1.0})
     p = WeylPoint((1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0))
     assert hull_refute(t, p, samples=10, seed=1).outcome == "inconclusive"
 

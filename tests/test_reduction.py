@@ -7,7 +7,7 @@ from conftest import rng
 from nonfree.construct import build_family_tensor, s0_tensor
 from nonfree.family import family_data, gamma_support
 from nonfree.reduction import ReductionError, extract_Wa, reduce_to_s0
-from nonfree.tensor import Tensor3, apply, diagonal_triple, norm, support
+from nonfree.tensor import GroupTriple, Tensor3, apply, norm, support
 
 
 def staircase_tensor(gen, n):
@@ -40,7 +40,7 @@ def test_extract_respects_diagonal_scaling():
     d1 = gen.standard_normal(n) + 2.0
     d2 = gen.standard_normal(n) + 2.0
     d3 = gen.standard_normal(n) + 2.0
-    scaled = apply(diagonal_triple(d1, d2, d3), s)
+    scaled = apply(GroupTriple(np.diag(d1), np.diag(d2), np.diag(d3)), s)
     w2, a2 = extract_Wa(scaled)
     for i in range(1, n + 1):
         for k in range(1, n):

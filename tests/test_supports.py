@@ -125,10 +125,14 @@ def test_sjamaar_points_of_singleton():
 
 
 def test_sjamaar_points_of_w_state_support():
+    # The uniform distribution on the three triples has marginals (2/3, 1/3) on every factor.
     pts = sjamaar_inner_points(gamma_support(2))
-    assert len(pts) == 3
-    for p in pts:
-        assert p.components == ((1.0, 0.0), (1.0, 0.0), (1.0, 0.0))
+    assert len(pts) == 1
+    assert pts[0].components == ((2 / 3, 1 / 3), (2 / 3, 1 / 3), (2 / 3, 1 / 3))
+
+
+def test_sjamaar_points_of_empty_support():
+    assert sjamaar_inner_points(support_set((2, 2, 2), [])) == []
 
 
 def test_sjamaar_rejects_non_free_support():

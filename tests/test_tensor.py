@@ -5,39 +5,41 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_group_triple, random_tensor, random_unitary_triple, rng
+from conftest import (
+    permutation_triple,
+    random_group_triple,
+    random_tensor,
+    random_unitary_triple,
+    rng,
+)
 from nonfree.tensor import (
     MAX_ENTRIES,
     DimensionMismatchError,
+    GroupTriple,
     Tensor3,
     TensorFormatError,
+    UnitaryTriple,
     apply,
-    basis_tensor,
     compose,
-    diagonal_triple,
     flattening,
     flattening_ranks,
     from_coefficients,
-    identity_triple,
-    inner,
     norm,
-    permutation_triple,
     support,
     support_set,
     tensor_from_doc,
     tensor_to_doc,
-    zero_tensor,
 )
 
 
 def test_identity_action_is_identity():
     t = random_tensor(rng(0), (3, 4, 2))
-    out = apply(identity_triple(t.dims), t)
+    out = apply(UnitaryTriple(*(np.eye(n) for n in t.dims)), t)
     np.testing.assert_allclose(out.entries, t.entries, atol=1e-14)
 
 
 def test_permutation_action_moves_basis_tensor():
-    t = basis_tensor((3, 3, 3), 1, 2, 3)
+    t = from_coefficients((3, 3, 3), {(1, 2, 3): 1.0})
     g = permutation_triple((3, 3, 3), [2, 3, 1], [1, 3, 2], [3, 2, 1])
     out = apply(g, t)
     assert out[2, 3, 1] == pytest.approx(1.0)
@@ -67,9 +69,7 @@ def test_diagonal_action_preserves_support():
     gen = rng(3)
     for _ in range(20):
         t = random_tensor(gen, (3, 3, 3))
-        d = diagonal_triple(
-            gen.standard_normal(3) + 2.5, gen.standard_normal(3) + 2.5, gen.standard_normal(3) + 2.5
-        )
+        d = GroupTriple(*(np.diag(gen.standard_normal(3) + 2.5) for _ in range(3)))
         assert support(apply(d, t), 0.0).triples == support(t, 0.0).triples
 
 
@@ -82,7 +82,7 @@ def test_flattening_rank_invariant_under_group_action():
 
 
 def test_flattening_of_basis_tensor():
-    t = basis_tensor((2, 2, 2), 1, 1, 1)
+    t = from_coefficients((2, 2, 2), {(1, 1, 1): 1.0})
     f = flattening(t, 1)
     assert f.shape == (2, 4)
     expected = np.zeros((2, 4))
@@ -108,7 +108,7 @@ def test_support_of_t2_lists_its_six_triples():
 
 
 def test_support_of_zero_tensor_is_empty():
-    assert len(support(zero_tensor((2, 3, 2)), 0.0)) == 0
+    assert len(support(Tensor3(np.zeros((2, 3, 2))), 0.0)) == 0
 
 
 def test_support_relative_tolerance():
@@ -117,24 +117,9 @@ def test_support_relative_tolerance():
     assert support(t, 0.0).triples == {(1, 1, 1), (2, 2, 2)}
 
 
-def test_inner_product_is_sesquilinear_and_matches_norm():
-    gen = rng(5)
-    s = random_tensor(gen, (2, 3, 2))
-    t = random_tensor(gen, (2, 3, 2))
-    assert inner(t, t) == pytest.approx(norm(t) ** 2)
-    z = 0.7 - 1.3j
-    assert inner(Tensor3(z * s.entries), t) == pytest.approx(np.conj(z) * inner(s, t))
-    assert inner(s, Tensor3(z * t.entries)) == pytest.approx(z * inner(s, t))
-
-
-def test_inner_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        inner(zero_tensor((2, 2, 2)), zero_tensor((2, 2, 3)))
-
-
 def test_apply_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        apply(identity_triple((2, 2, 2)), zero_tensor((3, 3, 3)))
+        apply(UnitaryTriple(*(np.eye(2) for _ in range(3))), Tensor3(np.zeros((3, 3, 3))))
 
 
 def test_json_roundtrip():
@@ -182,4 +167,4 @@ def test_support_set_range_validation():
 
 def test_support_rejects_negative_tolerance():
     with pytest.raises(ValueError):
-        support(zero_tensor((2, 2, 2)), -1.0)
+        support(Tensor3(np.zeros((2, 2, 2))), -1.0)
