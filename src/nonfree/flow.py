@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moment import _action_array, _frobenius_norm, _moment_arrays, infinitesimal_action, moment_map
-from .tensor import Tensor3, norm
+from .tensor import Tensor3, _norm, norm
 
 DEFAULT_STEP = 0.05
 DEFAULT_RESIDUAL_TOL = 1e-8
@@ -51,9 +51,9 @@ class FlowResult:
 
 def _lam_residual(arr: np.ndarray, action: np.ndarray) -> tuple[float, float]:
     """lambda = <T, mu(T)T> / |T|^2 and the scaled residual |mu(T)T - lambda T| / |T|."""
-    nrm = float(np.linalg.norm(arr))
+    nrm = _norm(arr)
     lam = complex(np.vdot(arr, action)).real / nrm**2
-    return lam, float(np.linalg.norm(action - lam * arr)) / nrm
+    return lam, _norm(action - lam * arr) / nrm
 
 
 def ness_minimality(t: Tensor3) -> NessCertificate:
@@ -108,7 +108,7 @@ def flow(
         halvings = 0
         while True:
             y = _rk4_step(x, velocity, dt)
-            candidate = y * (1.0 / np.linalg.norm(y))
+            candidate = y * (1.0 / _norm(y))
             evaluation = _evaluate(candidate)
             if evaluation[0] <= mu_norm + MONOTONICITY_SLACK or halvings >= MAX_HALVINGS:
                 break

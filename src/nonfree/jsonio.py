@@ -6,9 +6,9 @@ and reports are reproducible across runs and platforms.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -23,11 +23,15 @@ def _format_float(x: float) -> str:
     return text
 
 
+# The literals and the string escaping json.dumps(obj, ensure_ascii=False) writes.
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
 def _emit(obj, out: list[str]) -> None:
     if obj is None or obj is True or obj is False:
-        out.append(json.dumps(obj))
+        out.append(_LITERALS[obj])
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
+        out.append(encode_basestring(obj))
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
@@ -43,7 +47,7 @@ def _emit(obj, out: list[str]) -> None:
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             if pos:
                 out.append(",")
-            out.append(json.dumps(key, ensure_ascii=False))
+            out.append(encode_basestring(key))
             out.append(":")
             _emit(value, out)
         out.append("}")

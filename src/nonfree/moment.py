@@ -11,11 +11,12 @@ gradient flow calls the kernels directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DimensionMismatchError, Tensor3, _freeze
+from .tensor import DimensionMismatchError, Tensor3, _flattening, _freeze, _norm
 
 HERMITICITY_TOL = 1e-12
 WEYL_TOL = 1e-12
@@ -34,7 +35,7 @@ class HermTriple:
             m = np.ascontiguousarray(getattr(self, name), dtype=np.complex128)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"component {name} must be a square matrix")
-            defect = np.linalg.norm(m - m.conj().T)
+            defect = _norm(m - m.conj().T)
             if defect > HERMITICITY_TOL:
                 raise ValueError(f"component {name} not Hermitian (defect {defect:.3e})")
             object.__setattr__(self, name, _freeze(m))
@@ -52,7 +53,7 @@ class HermTriple:
 
 
 def _frobenius_norm(components) -> float:
-    return float(np.sqrt(sum(np.linalg.norm(m) ** 2 for m in components)))
+    return math.sqrt(sum(_norm(m) ** 2 for m in components))
 
 
 @dataclass(frozen=True)
@@ -82,14 +83,18 @@ class WeylPoint:
 
 def _moment_arrays(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three components of mu(T) for the entries array of T."""
-    sq = float(np.linalg.norm(arr)) ** 2
+    sq = _norm(arr) ** 2
     if sq == 0.0:
         raise ValueError("moment map is undefined for the zero tensor")
     parts = []
     for axis in range(3):
-        f = np.moveaxis(arr, axis, 0).reshape(arr.shape[axis], -1)
-        gram = (f @ f.conj().T) / sq
-        parts.append((gram + gram.conj().T) / 2.0)
+        f = _flattening(arr, axis)
+        # (G / sq + (G / sq)^*) / 2, operation for operation, in place.
+        gram = f @ f.conj().T
+        gram /= sq
+        gram += gram.conj().T
+        gram /= 2.0
+        parts.append(gram)
     return tuple(parts)  # type: ignore[return-value]
 
 

@@ -7,6 +7,7 @@ everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -121,12 +122,22 @@ def apply(g: GroupTriple, t: Tensor3) -> Tensor3:
     return Tensor3(out)
 
 
+# Axis orders that bring each axis to the front and keep the other two in
+# order: the layouts np.moveaxis(arr, axis, 0) builds, without its argument
+# handling.
+_FLATTENING_ORDERS = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+
+
+def _flattening(arr: np.ndarray, axis: int) -> np.ndarray:
+    """Flattening of a 3-axis array along the 0-based `axis`."""
+    return arr.transpose(_FLATTENING_ORDERS[axis]).reshape(arr.shape[axis], -1)
+
+
 def flattening(t: Tensor3, factor: int) -> np.ndarray:
     """Matrix whose i-th row is the vectorized i-th slice along `factor`."""
     if factor not in (1, 2, 3):
         raise ValueError("factor must be 1, 2 or 3")
-    moved = np.moveaxis(t.entries, factor - 1, 0)
-    return moved.reshape(moved.shape[0], -1)
+    return _flattening(t.entries, factor - 1)
 
 
 def flattening_ranks(t: Tensor3) -> tuple[int, int, int]:
@@ -182,8 +193,16 @@ def support(t: Tensor3, tol: float = SUPPORT_TOL) -> SupportSet:
     return support_set(t.dims, ((i + 1, j + 1, k + 1) for i, j, k in idx))
 
 
+def _norm(a: np.ndarray) -> float:
+    """Frobenius norm, computed as np.linalg.norm's default path does and
+    equal to it bit for bit, without its argument handling."""
+    v = a.ravel(order="K")
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def norm(t: Tensor3) -> float:
-    return float(np.linalg.norm(t.entries))
+    return _norm(t.entries)
 
 
 # --- JSON interchange -------------------------------------------------------

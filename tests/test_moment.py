@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    random_complex,
     random_free_support,
     random_tensor,
     random_unitary_triple,
@@ -15,13 +16,15 @@ from conftest import (
 from nonfree.moment import (
     HermTriple,
     WeylPoint,
+    _frobenius_norm,
+    _moment_arrays,
     infinitesimal_action,
     moment_map,
     off_diagonal_mass,
     spec_point,
 )
 from nonfree.named import MU_S2_DIAGONALS, MU_S5_DIAGONALS, ness_form_t2, ness_form_t5
-from nonfree.tensor import Tensor3, apply, from_coefficients, norm
+from nonfree.tensor import Tensor3, _norm, apply, flattening, from_coefficients, norm
 
 
 def assert_diagonals(m: HermTriple, expected, atol=1e-12):
@@ -48,6 +51,38 @@ def test_moment_map_of_uniform_diagonal_tensor():
     n = 3
     t = from_coefficients((n, n, n), {(i, i, i): 1 / math.sqrt(n) for i in range(1, n + 1)})
     assert_diagonals(moment_map(t), [(1 / n,) * n] * 3)
+
+
+def reference_moment_arrays(arr):
+    """The moment kernel spelled with np.moveaxis and np.linalg.norm."""
+    sq = float(np.linalg.norm(arr)) ** 2
+    parts = []
+    for axis in range(3):
+        f = np.moveaxis(arr, axis, 0).reshape(arr.shape[axis], -1)
+        gram = (f @ f.conj().T) / sq
+        parts.append((gram + gram.conj().T) / 2.0)
+    return parts
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 4), (4, 2, 3), (3, 4, 2), (1, 5, 2), (5, 1, 1)])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_moment_kernel_matches_moveaxis_reference_bit_for_bit(dims, kind):
+    gen = rng(sum(dims) + len(kind))
+    for _ in range(20):
+        arr = random_complex(gen, dims) if kind == "complex" else gen.standard_normal(dims)
+        assert _norm(arr) == float(np.linalg.norm(arr))
+        parts = _moment_arrays(arr)
+        expected = reference_moment_arrays(arr)
+        assert all(same_bits(got, exp) for got, exp in zip(parts, expected))
+        assert _frobenius_norm(parts) == float(np.sqrt(sum(np.linalg.norm(m) ** 2 for m in expected)))
+        t = Tensor3(arr)
+        for factor in (1, 2, 3):
+            moved = np.moveaxis(t.entries, factor - 1, 0)
+            assert same_bits(flattening(t, factor), moved.reshape(dims[factor - 1], -1))
 
 
 def test_moment_map_rejects_zero_tensor():
