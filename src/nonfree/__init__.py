@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .certify import (
     NonFreenessReport,
     ObstructionWitness,
-    StabilizerBlocks,
     certify_family,
     certify_named,
     stabilizer_blocks,

@@ -43,13 +43,6 @@ Blocks = tuple[tuple[int, ...], ...]
 NAMED_BLOCKS = (((1,), (2,), (3,)), ((1,), (2,), (3,)), ((1, 2), (3,)))
 
 
-@dataclass(frozen=True)
-class StabilizerBlocks:
-    """Per factor, the ordered partition of [n] into runs of equal eigenvalues."""
-
-    factors: tuple[Blocks, Blocks, Blocks]
-
-
 def _runs(values: Sequence, equal) -> Blocks:
     blocks: list[tuple[int, ...]] = []
     current = [1]
@@ -63,8 +56,9 @@ def _runs(values: Sequence, equal) -> Blocks:
     return tuple(blocks)
 
 
-def stabilizer_blocks(m) -> StabilizerBlocks:
-    """Eigenvalue-equality partition of a diagonal triple.
+def stabilizer_blocks(m) -> tuple[Blocks, Blocks, Blocks]:
+    """Per factor, the ordered partition of [n] into runs of equal eigenvalues
+    of a diagonal triple.
 
     Accepts a HermTriple that is diagonal within BLOCK_TOL, whose eigenvalues
     are compared at BLOCK_TOL, or a triple of rational vectors, which are
@@ -81,7 +75,7 @@ def stabilizer_blocks(m) -> StabilizerBlocks:
         if not all(isinstance(x, (Fraction, int)) for vec in vectors for x in vec):
             raise ValueError("stabilizer_blocks needs a HermTriple or rational vectors")
         equal = lambda a, b: a == b
-    return StabilizerBlocks(tuple(_runs(vec, equal) for vec in vectors))  # type: ignore[arg-type]
+    return tuple(_runs(vec, equal) for vec in vectors)  # type: ignore[return-value]
 
 
 def family_block_pattern(n: int) -> tuple[Blocks, Blocks, Blocks]:
@@ -186,7 +180,7 @@ class NonFreenessReport:
     verdict: bool
     failed_stage: str | None
     ness: NessCertificate | None
-    blocks: StabilizerBlocks | None
+    blocks: tuple[Blocks, Blocks, Blocks] | None
     obstruction: ObstructionWitness | None
     details: dict = field(default_factory=dict)
 
@@ -220,8 +214,8 @@ def certify_family(n: int, tol: float = DEFAULT_TOL) -> NonFreenessReport:
         return NonFreenessReport(f"family-{n}", False, "ness", ness, None, None, details)
 
     blocks = stabilizer_blocks(data.q)
-    details["blocks"] = blocks.factors
-    if blocks.factors != family_block_pattern(n):
+    details["blocks"] = blocks
+    if blocks != family_block_pattern(n):
         return NonFreenessReport(f"family-{n}", False, "stabilizer_blocks", ness, blocks, None, details)
 
     gram = ft.W.entries @ ft.W.entries.conj().T
@@ -300,8 +294,8 @@ def certify_named(
             return NonFreenessReport(which, False, "flow", ness, None, None, details)
 
     blocks = stabilizer_blocks(mu)
-    details["blocks"] = blocks.factors
-    if blocks.factors != NAMED_BLOCKS:
+    details["blocks"] = blocks
+    if blocks != NAMED_BLOCKS:
         return NonFreenessReport(which, False, "stabilizer_blocks", ness, blocks, None, details)
 
     decision = two_column_obstruction(s, 3, (1, 2))

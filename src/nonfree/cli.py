@@ -18,7 +18,7 @@ from . import __version__
 from .certify import DEFAULT_TOL as DEFAULT_CERTIFY_TOL
 from .certify import NonFreenessReport, certify_family, certify_named, family_mu_defect
 from .construct import build_family_tensor, s0_tensor
-from .family import family_data, family_to_doc, halfspace_check
+from .family import family_data, family_to_doc, gamma_support, halfspace_check
 from .flow import DEFAULT_MAX_STEPS, DEFAULT_RESIDUAL_TOL, DEFAULT_STEP, flow, ness_minimality
 from .jsonio import dumps
 from .moment import WeylPoint, moment_map, spec_point
@@ -63,7 +63,9 @@ def _parse_number(value) -> Fraction | float:
             raise InputError(f"cannot parse rational {value!r}") from exc
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, float):
+    if isinstance(value, float):  # json.load also reads NaN, Infinity and -Infinity
+        if not math.isfinite(value):
+            raise InputError(f"halfspace values must be finite, got {value}")
         return value
     raise InputError(f"expected a number or 'p/q' string, got {value!r}")
 
@@ -121,7 +123,7 @@ def cmd_family(args) -> tuple[dict, int]:
                 "ness_lambda": ness.lam,
                 "ness_residual": ness.residual,
                 "halfspace_valid": half.valid,
-                "halfspace_equality_is_gamma": half.equals_gamma,
+                "halfspace_equality_is_gamma": half.equality_set == gamma_support(args.n),
             }
     return doc, 0
 
@@ -184,7 +186,7 @@ def _report_doc(report: NonFreenessReport) -> dict:
     if report.ness is not None:
         doc["ness"] = {"lambda": report.ness.lam, "residual": report.ness.residual}
     if report.blocks is not None:
-        doc["stabilizer_blocks"] = [list(map(list, f)) for f in report.blocks.factors]
+        doc["stabilizer_blocks"] = [list(map(list, f)) for f in report.blocks]
     if report.obstruction is not None:
         doc["obstruction"] = {"kind": report.obstruction.kind, "data": report.obstruction.data}
     return doc
@@ -231,7 +233,7 @@ def cmd_polytope(args) -> tuple[dict, int]:
         h = tuple(tuple(_parse_number(x) for x in vec) for vec in vectors)
         c = _parse_number(halfspace_doc.get("c"))
         try:
-            cert = outer_halfspace(t, h, c)
+            cert = outer_halfspace(support(t), h, c)
         except OverflowError as exc:  # a rational beyond float range, compared with floats
             raise InputError(f"halfspace values out of float range: {exc}") from exc
         doc = _header("polytope", {"input": args.input, "halfspace": args.halfspace})

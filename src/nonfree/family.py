@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .supports import downward_closure
-from .tensor import SupportSet, Triple, support_set
+from .polytope import HalfspaceCert, outer_halfspace
+from .tensor import SupportSet, support_set
 
 RationalVec = tuple[Fraction, ...]
 
@@ -59,11 +59,6 @@ class FamilyData:
     def ness_lambda(self) -> Fraction:
         """Constant weight pairing over Gamma_n, equal to 3/n + c^2/|h|^2."""
         return Fraction(3, self.n) + self.c * self.c / self.norm_h_sq
-
-
-def _pairing(h: tuple[RationalVec, ...], triple: Triple) -> Fraction:
-    i, j, k = triple
-    return h[0][i - 1] + h[1][j - 1] + h[2][k - 1]
 
 
 def family_data(n: int) -> FamilyData:
@@ -128,7 +123,9 @@ def _validate(data: FamilyData) -> None:
         (hx * qx for hi, qi in zip(data.h, data.q) for hx, qx in zip(hi, qi)),
         Fraction(0)) == data.c))
     checks.append(("|q|^2 = 3/n + c^2/|h|^2", q_norm_sq == data.ness_lambda))
-    pairing_ok = all(_pairing(data.q, triple) == q_norm_sq for triple in gamma_support(n))
+    pairing_ok = all(
+        q1[i - 1] + q2[j - 1] + q3[k - 1] == q_norm_sq for (i, j, k) in gamma_support(n)
+    )
     checks.append(("<(e_i|e_j|e_k), q> constant on Gamma_n", pairing_ok))
 
     failed = [name for name, ok in checks if not ok]
@@ -136,31 +133,9 @@ def _validate(data: FamilyData) -> None:
         raise FamilyInvariantError(f"n={n}: failed {failed}")
 
 
-@dataclass(frozen=True)
-class HalfspaceReport:
-    """Exact verification of <p, h> >= c over the downward closure of Gamma_n."""
-
-    c: Fraction
-    min_value: Fraction
-    valid: bool
-    equality_set: SupportSet
-    equals_gamma: bool
-
-
-def halfspace_check(data: FamilyData) -> HalfspaceReport:
-    n = data.n
-    gamma = gamma_support(n)
-    closure = downward_closure(gamma)
-    values = {triple: _pairing(data.h, triple) for triple in closure}
-    min_value = min(values.values())
-    equality = support_set((n, n, n), (t for t, v in values.items() if v == data.c))
-    return HalfspaceReport(
-        c=data.c,
-        min_value=min_value,
-        valid=min_value >= data.c,
-        equality_set=equality,
-        equals_gamma=equality.triples == gamma.triples,
-    )
+def halfspace_check(data: FamilyData) -> HalfspaceCert:
+    """Exact check of <p, h> >= c over the downward closure of Gamma_n."""
+    return outer_halfspace(gamma_support(data.n), data.h, data.c)
 
 
 # --- JSON serialization (jsonio writes each Fraction as decimal strings) -----

@@ -21,7 +21,7 @@ import numpy as np
 from .exactlp import in_convex_hull
 from .moment import WeylPoint
 from .supports import downward_closure, sjamaar_inner_points
-from .tensor import GroupTriple, Tensor3, apply, support
+from .tensor import GroupTriple, SupportSet, Tensor3, apply, support, support_set
 
 RATIONALIZE_DENOMINATOR = 10**12
 DEFAULT_SAMPLES = 100
@@ -29,38 +29,44 @@ DEFAULT_SAMPLES = 100
 
 @dataclass(frozen=True)
 class HalfspaceCert:
-    """Certified outer bound <p, h> >= c on every polytope point, or its failure."""
+    """Certified outer bound <p, h> >= c on every polytope point, or its failure.
 
-    h: tuple[tuple, tuple, tuple]
+    `c` is the bound as given; `equality_set` holds the closure triples whose
+    pairing equals it (as a float when h or c is one).
+    """
+
     c: object
     min_support_value: object
     valid: bool
     vertex_count: int
+    equality_set: SupportSet
 
 
 def _is_exact(values) -> bool:
     return all(isinstance(x, Rational) for x in values)
 
 
-def outer_halfspace(t: Tensor3, h, c) -> HalfspaceCert:
-    """Check <(e_i|e_j|e_k), h> >= c on the downward closure of supp(t).
+def outer_halfspace(supp: SupportSet, h, c) -> HalfspaceCert:
+    """Check <(e_i|e_j|e_k), h> >= c on the downward closure of supp.
 
     Exact when h and c are rationals; otherwise plain float comparisons.
     """
     h1, h2, h3 = (tuple(component) for component in h)
-    closure = downward_closure(support(t))
-    exact = _is_exact(h1 + h2 + h3 + (c,))
-    cast = (lambda x: x) if exact else float
-    values = [
-        cast(h1[i - 1]) + cast(h2[j - 1]) + cast(h3[k - 1]) for (i, j, k) in closure
-    ]
+    bound = c
+    if not _is_exact(h1 + h2 + h3 + (c,)):
+        h1, h2, h3 = (tuple(map(float, component)) for component in (h1, h2, h3))
+        bound = float(c)
+    closure = list(downward_closure(supp))
+    values = [h1[i - 1] + h2[j - 1] + h3[k - 1] for (i, j, k) in closure]
     min_value = min(values)
     return HalfspaceCert(
-        h=(h1, h2, h3),
         c=c,
         min_support_value=min_value,
-        valid=min_value >= cast(c),
+        valid=min_value >= bound,
         vertex_count=len(values),
+        equality_set=support_set(
+            supp.dims, (triple for triple, value in zip(closure, values) if value == bound)
+        ),
     )
 
 

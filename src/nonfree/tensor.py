@@ -157,14 +157,15 @@ class SupportSet:
     triples: frozenset[Triple]
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
-        object.__setattr__(
-            self, "triples", frozenset(tuple(int(x) for x in t) for t in self.triples)
-        )
-        n1, n2, n3 = self.dims
-        for i, j, k in self.triples:
+        n1, n2, n3 = dims = tuple(int(n) for n in self.dims)
+        triples = set()
+        for i, j, k in self.triples:  # any iterable of triples, read once
+            i, j, k = int(i), int(j), int(k)
             if not (1 <= i <= n1 and 1 <= j <= n2 and 1 <= k <= n3):
                 raise ValueError(f"triple {(i, j, k)} outside [{n1}]x[{n2}]x[{n3}]")
+            triples.add((i, j, k))
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "triples", frozenset(triples))
 
     def __contains__(self, triple: Triple) -> bool:
         return tuple(triple) in self.triples
@@ -180,7 +181,7 @@ class SupportSet:
 
 
 def support_set(dims: Triple, triples: Iterable[Triple]) -> SupportSet:
-    return SupportSet(tuple(dims), frozenset(tuple(t) for t in triples))
+    return SupportSet(dims, triples)  # type: ignore[arg-type]
 
 
 def support(t: Tensor3, tol: float = SUPPORT_TOL) -> SupportSet:

@@ -244,7 +244,7 @@ def test_criterion_8_property_suites():
             perm_cases += 1
 
     halfspace_ok = all(
-        halfspace_check(family_data(n)).valid and halfspace_check(family_data(n)).equals_gamma for n in range(2, 11)
+        halfspace_check(family_data(n)).valid and halfspace_check(family_data(n)).equality_set == gamma_support(n) for n in range(2, 11)
     )
 
     refutations = 0

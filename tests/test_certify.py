@@ -26,14 +26,14 @@ from nonfree.tensor import (
 
 def test_blocks_of_mu_s2():
     blocks = stabilizer_blocks(moment_map(ness_form_t2()))
-    assert blocks.factors == (((1,), (2,), (3,)), ((1,), (2,), (3,)), ((1, 2), (3,)))
+    assert blocks == (((1,), (2,), (3,)), ((1,), (2,), (3,)), ((1, 2), (3,)))
 
 
 def test_blocks_of_rational_q():
     for n in (3, 5, 9):
         blocks = stabilizer_blocks(family_data(n).q)
-        assert blocks.factors == family_block_pattern(n)
-        sizes = tuple(tuple(map(len, factor)) for factor in blocks.factors)
+        assert blocks == family_block_pattern(n)
+        sizes = tuple(tuple(map(len, factor)) for factor in blocks)
         assert sizes == ((1,) * n, (1,) * n, (n - 1, 1))
 
 
@@ -42,7 +42,7 @@ def test_blocks_of_maximally_mixed_triple():
     m = HermTriple(*(np.eye(n) / n for _ in range(3)))
     blocks = stabilizer_blocks(m)
     one_block = (tuple(range(1, n + 1)),)
-    assert blocks.factors == (one_block, one_block, one_block)
+    assert blocks == (one_block, one_block, one_block)
 
 
 def test_blocks_reject_non_diagonal_input():
@@ -202,4 +202,4 @@ def test_certificate_report_is_rechecable_from_details():
     assert report.details["mu_defect"] <= 1e-12
     assert report.details["ness_residual"] <= 1e-10
     assert report.details["lambda_expected"] == pytest.approx(43 / 42)
-    assert report.blocks.factors == (((1,), (2,), (3,)), ((1,), (2,), (3,)), ((1, 2), (3,)))
+    assert report.blocks == (((1,), (2,), (3,)), ((1,), (2,), (3,)), ((1, 2), (3,)))

@@ -369,6 +369,16 @@ def test_malformed_polytope_document_is_input_error(tmp_path, capsys, flag, doc)
     assert json.loads(out)["error"]["kind"] == "input"
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["h1", "c"])
+def test_non_finite_halfspace_value_is_input_error(tmp_path, capsys, key, value):
+    doc = dict(HALFSPACE_3, c=value) if key == "c" else dict(HALFSPACE_3, h1=[1, 0, value])
+    code, out = run(capsys, *_polytope_argv(tmp_path, "--halfspace", doc))
+    error = json.loads(out)["error"]
+    assert code == 2
+    assert error["kind"] == "input" and "halfspace values must be finite" in error["message"]
+
+
 def test_tensor_entries_that_are_not_a_list_is_input_error(tmp_path, capsys):
     path = tmp_path / "t.json"
     path.write_text(json.dumps({"dims": [2, 2, 2], "entries": 5}))

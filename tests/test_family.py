@@ -76,8 +76,8 @@ def test_halfspace_equality_set_is_gamma():
     for n in range(2, 11):
         report = halfspace_check(family_data(n))
         assert report.valid
-        assert report.min_value == report.c
-        assert report.equals_gamma
+        assert report.min_support_value == report.c
+        assert report.equality_set == gamma_support(n)
         assert report.equality_set.triples == gamma_support(n).triples
 
 

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
-from math import sqrt
+from math import copysign, sqrt
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from nonfree.tensor import (
     from_coefficients,
     norm,
     support,
+    support_set,
 )
 
 
@@ -41,7 +42,7 @@ def test_exact_hull_membership_boundary_point():
 def test_outer_halfspace_family_is_tight():
     for n in (3, 4, 6):
         data = family_data(n)
-        cert = outer_halfspace(build_family_tensor(family_data(n)).tensor, data.h, data.c)
+        cert = outer_halfspace(support(build_family_tensor(family_data(n)).tensor), data.h, data.c)
         assert cert.valid
         assert cert.min_support_value == data.c  # exact rationals throughout
 
@@ -54,7 +55,7 @@ def test_outer_halfspace_agrees_with_ness_certificate():
     for n in (3, 5):
         data = family_data(n)
         ft = build_family_tensor(family_data(n))
-        cert = outer_halfspace(ft.tensor, data.h, data.c)
+        cert = outer_halfspace(support(ft.tensor), data.h, data.c)
         ness = ness_minimality(ft.tensor)
         assert cert.valid and cert.min_support_value == data.c
         assert ness.lam == pytest.approx(float(data.q_norm_sq), abs=1e-12)
@@ -62,14 +63,36 @@ def test_outer_halfspace_agrees_with_ness_certificate():
 
 def test_outer_halfspace_strengthened_fails():
     data = family_data(3)
-    cert = outer_halfspace(build_family_tensor(family_data(3)).tensor, data.h, data.c + 1)
+    cert = outer_halfspace(support(build_family_tensor(family_data(3)).tensor), data.h, data.c + 1)
     assert not cert.valid
 
 
 def test_outer_halfspace_trivial_zero_halfspace():
     t = from_coefficients((3, 3, 3), {(1, 1, 1): 1.0})
     zero = ((0, 0, 0), (0, 0, 0), (0, 0, 0))
-    assert outer_halfspace(t, zero, 0).valid
+    cert = outer_halfspace(support(t), zero, 0)
+    assert cert.valid
+    assert cert.equality_set == downward_closure(support(t))
+
+
+def test_outer_halfspace_float_equality_set_uses_the_cast_bound():
+    # The closure of {(2, 1, 1)} pairs to 1/3 (as a float) at (1, 1, 1) and to 0 at (2, 1, 1).
+    supp = support_set((2, 2, 2), [(2, 1, 1)])
+    h = ((1 / 3, 0.0), (0.0, 0.0), (0.0, 0.0))
+    cert = outer_halfspace(supp, h, F(1, 3))
+    assert cert.c == F(1, 3)  # reported as given
+    assert cert.min_support_value == 0.0 and not cert.valid
+    assert cert.equality_set == support_set((2, 2, 2), [(1, 1, 1)])
+    assert cert.vertex_count == 2
+
+
+def test_outer_halfspace_reports_the_first_minimum_in_sorted_closure_order():
+    # Every pairing is a zero, and they tie; only (1, 1, 1), the first, pairs to -0.0.
+    supp = support_set((3, 3, 3), [(3, 3, 3)])
+    h = ((-0.0, 0.0, 0.0),) * 3
+    cert = outer_halfspace(supp, h, 0.0)
+    assert cert.valid and cert.vertex_count == 27
+    assert copysign(1.0, cert.min_support_value) == -1.0
 
 
 def free_moment_twin() -> Tensor3:
@@ -202,8 +225,6 @@ def _unit_triangular(gen, n, upper):
 
 def _reflect(supp):
     n1, n2, n3 = supp.dims
-    from nonfree.tensor import support_set
-
     return support_set(
         supp.dims, ((n1 + 1 - i, n2 + 1 - j, n3 + 1 - k) for (i, j, k) in supp)
     )
