@@ -49,34 +49,43 @@ class FlowResult:
     converged: bool
 
 
-def _lam_residual(arr: np.ndarray, action: np.ndarray) -> tuple[float, float]:
+def _lam_residual(arr: np.ndarray, action: np.ndarray, nrm: float) -> tuple[float, float]:
     """lambda = <T, mu(T)T> / |T|^2 and the scaled residual |mu(T)T - lambda T| / |T|."""
-    nrm = _norm(arr)
     lam = complex(np.vdot(arr, action)).real / nrm**2
     return lam, _norm(action - lam * arr) / nrm
 
 
 def ness_minimality(t: Tensor3) -> NessCertificate:
-    if norm(t) == 0.0:
+    nrm = norm(t)
+    if nrm == 0.0:
         raise ValueError("ness_minimality requires a nonzero tensor")
-    return NessCertificate(*_lam_residual(t.entries, infinitesimal_action(moment_map(t), t).entries))
+    action = infinitesimal_action(moment_map(t), t).entries
+    return NessCertificate(*_lam_residual(t.entries, action, nrm))
 
 
 def _evaluate(x: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """|mu(x)|, the velocity -mu(x) * x and the projective residual at x."""
-    mu = _moment_arrays(x)
+    """|mu(x)|, the action mu(x) * x and the projective residual at x."""
+    nrm = _norm(x)
+    mu = _moment_arrays(x, nrm)
     action = _action_array(mu, x)
-    return _frobenius_norm(mu), -action, _lam_residual(x, action)[1]
+    return _frobenius_norm(mu), action, _lam_residual(x, action, nrm)[1]
 
 
 def _rk4_step(x: np.ndarray, k1: np.ndarray, dt: float) -> np.ndarray:
-    def f(y: np.ndarray) -> np.ndarray:
-        return -_action_array(_moment_arrays(y), y)
+    """One RK4 step of dx/dt = -mu(x) * x, where k1 = mu(x) * x.
 
-    k2 = f(x + 0.5 * dt * k1)
-    k3 = f(x + 0.5 * dt * k2)
-    k4 = f(x + dt * (k3))
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    Each stage holds mu(y) * y rather than the velocity, its negation, and is
+    subtracted; rounding is symmetric under negation, so the bits are those
+    of adding the velocities.
+    """
+
+    def f(y: np.ndarray) -> np.ndarray:
+        return _action_array(_moment_arrays(y, _norm(y)), y)
+
+    k2 = f(x - 0.5 * dt * k1)
+    k3 = f(x - 0.5 * dt * k2)
+    k4 = f(x - dt * k3)
+    return x - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def flow(
@@ -98,7 +107,7 @@ def flow(
         raise ValueError("flow requires a nonzero tensor")
     # Scale by the reciprocal of the norm: dividing by it would round differently.
     x = t.entries * (1.0 / norm(t))
-    mu_norm, velocity, residual = _evaluate(x)
+    mu_norm, action, residual = _evaluate(x)
     trajectory = [mu_norm]
     dt = step_size
     streak = 0
@@ -107,7 +116,7 @@ def flow(
     while residual > residual_tol and steps < max_steps:
         halvings = 0
         while True:
-            y = _rk4_step(x, velocity, dt)
+            y = _rk4_step(x, action, dt)
             candidate = y * (1.0 / _norm(y))
             evaluation = _evaluate(candidate)
             if evaluation[0] <= mu_norm + MONOTONICITY_SLACK or halvings >= MAX_HALVINGS:
@@ -116,7 +125,7 @@ def flow(
             halvings += 1
             streak = 0
         x = candidate
-        mu_norm, velocity, residual = evaluation
+        mu_norm, action, residual = evaluation
         steps += 1
         trajectory.append(mu_norm)
         streak = 0 if halvings else streak + 1

@@ -12,6 +12,7 @@ reported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -49,16 +50,22 @@ def _is_exact(values) -> bool:
 def outer_halfspace(supp: SupportSet, h, c) -> HalfspaceCert:
     """Check <(e_i|e_j|e_k), h> >= c on the downward closure of supp.
 
-    Exact when h and c are rationals; otherwise plain float comparisons.
+    Exact when h and c are rationals; otherwise plain float comparisons. An
+    empty support, or a float pairing that overflows, is a ValueError.
     """
     h1, h2, h3 = (tuple(component) for component in h)
     bound = c
-    if not _is_exact(h1 + h2 + h3 + (c,)):
+    exact = _is_exact(h1 + h2 + h3 + (c,))
+    if not exact:
         h1, h2, h3 = (tuple(map(float, component)) for component in (h1, h2, h3))
         bound = float(c)
     closure = list(downward_closure(supp))
+    if not closure:
+        raise ValueError("outer halfspace check needs a nonempty support; the support is empty")
     values = [h1[i - 1] + h2[j - 1] + h3[k - 1] for (i, j, k) in closure]
     min_value = min(values)
+    if not exact and not math.isfinite(min_value):
+        raise ValueError(f"halfspace pairing overflows the float range (minimum {min_value})")
     return HalfspaceCert(
         c=c,
         min_support_value=min_value,

@@ -379,6 +379,25 @@ def test_non_finite_halfspace_value_is_input_error(tmp_path, capsys, key, value)
     assert error["kind"] == "input" and "halfspace values must be finite" in error["message"]
 
 
+def test_overflowing_float_halfspace_pairing_is_input_error(tmp_path, capsys):
+    doc = dict(HALFSPACE_3, h1=[1e308] * 3, h2=[1e308] * 3, h3=[0, 0, 0])
+    code, out = run(capsys, *_polytope_argv(tmp_path, "--halfspace", doc))
+    error = json.loads(out)["error"]
+    assert code == 2
+    assert error["kind"] == "input" and "overflows the float range" in error["message"]
+
+
+def test_halfspace_on_an_empty_support_is_input_error(tmp_path, capsys):
+    t_path = tmp_path / "t.json"
+    t_path.write_text(json.dumps({"dims": [2, 2, 2], "entries": []}))
+    d_path = tmp_path / "doc.json"
+    d_path.write_text(json.dumps({"h1": [0, 0], "h2": [0, 0], "h3": [0, 0], "c": 0}))
+    code, out = run(capsys, "polytope", "--input", str(t_path), "--halfspace", str(d_path))
+    error = json.loads(out)["error"]
+    assert code == 2
+    assert error["kind"] == "input" and "support is empty" in error["message"]
+
+
 def test_tensor_entries_that_are_not_a_list_is_input_error(tmp_path, capsys):
     path = tmp_path / "t.json"
     path.write_text(json.dumps({"dims": [2, 2, 2], "entries": 5}))

@@ -16,7 +16,7 @@ from conftest import (
 from nonfree.construct import build_family_tensor, s0_tensor
 from nonfree.family import family_data
 from nonfree.flow import flow, ness_minimality
-from nonfree.moment import moment_map
+from nonfree.moment import _action_array, _moment_arrays, moment_map
 from nonfree.named import (
     NESS_LAMBDA_T2,
     NESS_LAMBDA_T5,
@@ -24,7 +24,7 @@ from nonfree.named import (
     ness_form_t5,
     tensor_t2,
 )
-from nonfree.tensor import Tensor3, apply, from_coefficients, norm, support
+from nonfree.tensor import Tensor3, _norm, apply, from_coefficients, norm, support
 
 
 def test_ness_certificate_of_s2():
@@ -142,6 +142,39 @@ def test_flow_kernel_agrees_exactly_with_the_public_boundary(monkeypatch, make, 
     assert (len(evaluations) > result.steps + 1) == halves
     assert result.final_residual == ness_minimality(result.limit).residual
     assert result.mu_norm_trajectory[-1] == moment_map(result.limit).frobenius_norm()
+
+
+def negated_velocity_rk4_step(x, dt):
+    """RK4 on dx/dt = -mu(x) * x, written with the velocities added."""
+
+    def f(y):
+        return -_action_array(_moment_arrays(y, _norm(y)), y)
+
+    k1 = f(x)
+    k2 = f(x + 0.5 * dt * k1)
+    k3 = f(x + 0.5 * dt * k2)
+    k4 = f(x + dt * (k3))
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize("dt", [0.05, 1.0])
+@pytest.mark.parametrize(
+    "make",
+    [
+        tensor_t2,
+        lambda: s0_tensor(4),
+        lambda: random_tensor(rng(1), (4, 4, 4)),
+        lambda: random_tensor(rng(2), (2, 3, 4)),
+    ],
+    ids=["t2", "s0-4", "dense-4", "dense-2x3x4"],
+)
+def test_rk4_step_equals_the_negated_velocity_step_bit_for_bit(make, dt):
+    t = make()
+    x = t.entries * (1.0 / norm(t))
+    action = _action_array(_moment_arrays(x, _norm(x)), x)
+    got = sys.modules["nonfree.flow"]._rk4_step(x, action, dt)
+    expected = negated_velocity_rk4_step(x, dt)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 def test_flow_norm_stays_one():

@@ -68,14 +68,20 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("dims", [(2, 3, 4), (4, 2, 3), (3, 4, 2), (1, 5, 2), (5, 1, 1)])
+@pytest.mark.parametrize(
+    "dims",
+    [
+        (2, 3, 4), (4, 2, 3), (3, 4, 2), (1, 5, 2), (5, 1, 1),
+        (1, 1, 1), (2, 2, 2), (3, 3, 3), (5, 5, 5), (32, 32, 32),
+    ],
+)
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_moment_kernel_matches_moveaxis_reference_bit_for_bit(dims, kind):
     gen = rng(sum(dims) + len(kind))
     for _ in range(20):
         arr = random_complex(gen, dims) if kind == "complex" else gen.standard_normal(dims)
         assert _norm(arr) == float(np.linalg.norm(arr))
-        parts = _moment_arrays(arr)
+        parts = _moment_arrays(arr, _norm(arr))
         expected = reference_moment_arrays(arr)
         assert all(same_bits(got, exp) for got, exp in zip(parts, expected))
         assert _frobenius_norm(parts) == float(np.sqrt(sum(np.linalg.norm(m) ** 2 for m in expected)))
