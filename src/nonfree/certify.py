@@ -91,24 +91,6 @@ class ObstructionWitness:
     kind: str  # pairwise-nonparallel-triple | nonorthogonal-pair | ww-star-offdiagonal
     data: dict
 
-    def __post_init__(self):
-        if self.kind == "pairwise-nonparallel-triple":
-            vectors = self.data["vectors"]
-            if len(vectors) != 3:
-                raise ValueError("triple obstruction needs exactly three vectors")
-            for a in range(3):
-                for b in range(a + 1, 3):
-                    det = abs(
-                        vectors[a][0] * vectors[b][1] - vectors[a][1] * vectors[b][0]
-                    )
-                    if det < PARALLEL_TOL:
-                        raise ValueError("obstruction vectors are nearly parallel")
-        elif self.kind == "ww-star-offdiagonal":
-            if self.data["min_offdiagonal"] < PARALLEL_TOL:
-                raise ValueError("off-diagonal magnitude below certificate threshold")
-            if self.data["n"] - 1 < 2:
-                raise ValueError("off-diagonal obstruction needs n - 1 >= 2")
-
 
 @dataclass(frozen=True)
 class TwoColumnDecision:
@@ -131,8 +113,11 @@ def two_column_obstruction(s: Tensor3, factor: int, block: tuple[int, int]) -> T
     That happens exactly when the nonzero vectors fall into at most two
     parallel classes which, if there are two, are orthogonal.
     """
-    if len(block) != 2:
-        raise ValueError("block must consist of exactly two indices")
+    if factor not in (1, 2, 3):
+        raise ValueError(f"factor must be 1, 2 or 3, got {factor!r}")
+    size = s.dims[factor - 1]
+    if len(block) != 2 or block[0] == block[1] or not all(1 <= b <= size for b in block):
+        raise ValueError(f"block must be two distinct indices in 1..{size}, got {block!r}")
     moved = np.moveaxis(s.entries, factor - 1, 2)
     rows = moved[:, :, [block[0] - 1, block[1] - 1]].reshape(-1, 2)
     cutoff = 1e-12 * max(float(np.abs(s.entries).max()), 1e-300)
@@ -162,16 +147,9 @@ def two_column_obstruction(s: Tensor3, factor: int, block: tuple[int, int]) -> T
             b /= np.linalg.norm(b)
             u = np.vstack([a.conj(), b.conj()])
             return TwoColumnDecision(True, u, None)
-        witness = ObstructionWitness(
-            "nonorthogonal-pair",
-            {"vectors": [tuple(map(complex, r)) for r in reps]},
-        )
-        return TwoColumnDecision(False, None, witness)
-    witness = ObstructionWitness(
-        "pairwise-nonparallel-triple",
-        {"vectors": [tuple(map(complex, r)) for r in reps[:3]]},
-    )
-    return TwoColumnDecision(False, None, witness)
+    kind = "nonorthogonal-pair" if len(reps) == 2 else "pairwise-nonparallel-triple"
+    vectors = [tuple(map(complex, r)) for r in reps[:3]]
+    return TwoColumnDecision(False, None, ObstructionWitness(kind, {"vectors": vectors}))
 
 
 @dataclass(frozen=True)
@@ -191,46 +169,78 @@ def family_mu_defect(ft: FamilyTensor) -> float:
     return _frobenius_norm([c - qd for c, qd in zip(moment_map(ft.tensor).components, q)])
 
 
+def _certify(
+    input_id: str,
+    details: dict,
+    s: Tensor3,
+    tol: float,
+    value_tol: float,
+    mu_defect: float,
+    lam_expected: float,
+    spectrum,
+    expected_blocks: tuple[Blocks, Blocks, Blocks],
+    obstruction: tuple[dict, ObstructionWitness | None],
+    flow_start: Tensor3 | None = None,
+) -> NonFreenessReport:
+    """The shared stages on the representative s, in order; the first failure ends the report.
+
+    mu_defect (the distance of mu(s) from its expected diagonal) and lambda
+    are held to value_tol, the Ness residual to tol. The flow from flow_start
+    must reach |spectrum|, whose eigenvalue blocks must be expected_blocks.
+    The obstruction is the details it adds and its witness, None if it fails.
+    """
+    ness = blocks = witness = None
+
+    def report(stage: str | None) -> NonFreenessReport:
+        return NonFreenessReport(input_id, stage is None, stage, ness, blocks, witness, details)
+
+    details["mu_defect"] = mu_defect
+    if mu_defect > value_tol:
+        return report("moment_map")
+
+    ness = ness_minimality(s)
+    details["lambda"] = ness.lam
+    details["lambda_expected"] = lam_expected
+    details["ness_residual"] = ness.residual
+    if ness.residual > tol or abs(ness.lam - lam_expected) > value_tol:
+        return report("ness")
+
+    if flow_start is not None:
+        result = flow(flow_start)
+        limit_gap = abs(result.mu_norm_trajectory[-1] - spectrum.frobenius_norm())
+        details["flow_steps"] = result.steps
+        details["flow_mu_norm_gap"] = limit_gap
+        if not result.converged or limit_gap > 1e-6:
+            return report("flow")
+
+    blocks = stabilizer_blocks(spectrum)
+    details["blocks"] = blocks
+    if blocks != expected_blocks:
+        return report("stabilizer_blocks")
+
+    found, witness = obstruction
+    details.update(found)
+    return report(None if witness is not None else "obstruction")
+
+
 def certify_family(n: int, tol: float = DEFAULT_TOL) -> NonFreenessReport:
     """Full certificate for the staircase family member of size n >= 3."""
     if n < 3:
         raise ValueError("certify_family requires n >= 3 (the n = 2 support is free)")
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    details: dict = {"n": n, "tol": tol}
     ft = build_family_tensor(family_data(n))
-    data = ft.data
-
-    mu_defect = family_mu_defect(ft)
-    details["mu_defect"] = mu_defect
-    if mu_defect > tol:
-        return NonFreenessReport(f"family-{n}", False, "moment_map", None, None, None, details)
-
-    ness = ness_minimality(ft.tensor)
-    details["lambda"] = ness.lam
-    details["lambda_expected"] = float(data.ness_lambda)
-    details["ness_residual"] = ness.residual
-    if ness.residual > tol or abs(ness.lam - float(data.ness_lambda)) > tol:
-        return NonFreenessReport(f"family-{n}", False, "ness", ness, None, None, details)
-
-    blocks = stabilizer_blocks(data.q)
-    details["blocks"] = blocks
-    if blocks != family_block_pattern(n):
-        return NonFreenessReport(f"family-{n}", False, "stabilizer_blocks", ness, blocks, None, details)
-
     gram = ft.W.entries @ ft.W.entries.conj().T
-    off = np.abs(gram - np.diag(np.diag(gram)))
-    min_off = float(off[~np.eye(n, dtype=bool)].min())
-    details["min_offdiagonal"] = min_off
-    try:
-        obstruction = ObstructionWitness(
-            "ww-star-offdiagonal",
-            {"n": n, "min_offdiagonal": min_off, "w": [float(x) for x in ft.W.w]},
-        )
-    except ValueError:
-        return NonFreenessReport(f"family-{n}", False, "obstruction", ness, blocks, None, details)
-
-    return NonFreenessReport(f"family-{n}", True, None, ness, blocks, obstruction, details)
+    min_off = float(np.abs(gram)[~np.eye(n, dtype=bool)].min())
+    witness = ObstructionWitness(
+        "ww-star-offdiagonal", {"n": n, "min_offdiagonal": min_off, "w": [float(x) for x in ft.W.w]}
+    )
+    return _certify(
+        f"family-{n}", {"n": n, "tol": tol}, ft.tensor, tol, tol,
+        mu_defect=family_mu_defect(ft), lam_expected=float(ft.data.ness_lambda),
+        spectrum=ft.data.q, expected_blocks=family_block_pattern(n),
+        obstruction=({"min_offdiagonal": min_off}, witness if min_off >= PARALLEL_TOL else None),
+    )
 
 
 def _diag_defect(mu: HermTriple, expected) -> float:
@@ -261,46 +271,21 @@ def certify_named(
     if which == "T2":
         g = group_element if group_element is not None else t2_scaling_triple()
         s = apply(g, tensor_t2())
-        expected_mu = MU_S2_DIAGONALS
-        expected_lambda = NESS_LAMBDA_T2
         coeff_defect = norm(Tensor3(s.entries - ness_form_t2().entries))
         details["s2_coefficient_defect"] = coeff_defect
         if coeff_defect > VALUE_TOL:
             return NonFreenessReport("T2", False, "s2_coefficients", None, None, None, details)
+        expected_mu, expected_lambda, flow_start = MU_S2_DIAGONALS, NESS_LAMBDA_T2, None
     else:
         s = ness_form_t5()
-        expected_mu = MU_S5_DIAGONALS
-        expected_lambda = NESS_LAMBDA_T5
+        expected_mu, expected_lambda, flow_start = MU_S5_DIAGONALS, NESS_LAMBDA_T5, tensor_t5()
 
     mu = moment_map(s)
-    mu_defect = _diag_defect(mu, expected_mu)
-    details["mu_defect"] = mu_defect
-    if mu_defect > VALUE_TOL:
-        return NonFreenessReport(which, False, "moment_map", None, None, None, details)
-
-    ness = ness_minimality(s)
-    details["lambda"] = ness.lam
-    details["lambda_expected"] = expected_lambda
-    details["ness_residual"] = ness.residual
-    if ness.residual > tol or abs(ness.lam - expected_lambda) > VALUE_TOL:
-        return NonFreenessReport(which, False, "ness", ness, None, None, details)
-
-    if which == "T5":
-        result = flow(tensor_t5())
-        limit_gap = abs(result.mu_norm_trajectory[-1] - mu.frobenius_norm())
-        details["flow_steps"] = result.steps
-        details["flow_mu_norm_gap"] = limit_gap
-        if not result.converged or limit_gap > 1e-6:
-            return NonFreenessReport(which, False, "flow", ness, None, None, details)
-
-    blocks = stabilizer_blocks(mu)
-    details["blocks"] = blocks
-    if blocks != NAMED_BLOCKS:
-        return NonFreenessReport(which, False, "stabilizer_blocks", ness, blocks, None, details)
-
-    decision = two_column_obstruction(s, 3, (1, 2))
-    if decision.free_possible or decision.obstruction is None:
-        return NonFreenessReport(which, False, "obstruction", ness, blocks, None, details)
-    details["obstruction_vectors"] = decision.obstruction.data.get("vectors")
-
-    return NonFreenessReport(which, True, None, ness, blocks, decision.obstruction, details)
+    witness = two_column_obstruction(s, 3, (1, 2)).obstruction
+    found = {} if witness is None else {"obstruction_vectors": witness.data["vectors"]}
+    return _certify(
+        which, details, s, tol, VALUE_TOL,
+        mu_defect=_diag_defect(mu, expected_mu), lam_expected=expected_lambda,
+        spectrum=mu, expected_blocks=NAMED_BLOCKS, obstruction=(found, witness),
+        flow_start=flow_start,
+    )

@@ -61,7 +61,7 @@ def _parse_number(value) -> Fraction | float:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse rational {value!r}") from exc
-    if isinstance(value, int):
+    if type(value) is int:  # json.load reads true and false as bools, which are ints
         return Fraction(value)
     if isinstance(value, float):  # json.load also reads NaN, Infinity and -Infinity
         if not math.isfinite(value):
@@ -245,6 +245,8 @@ def cmd_polytope(args) -> tuple[dict, int]:
         }
         return doc, 0 if cert.valid else 1
     vectors = _vectors(_load_json(args.refute), ("p1", "p2", "p3"), t.dims)
+    if any(isinstance(x, bool) for vec in vectors for x in vec):
+        raise InputError("invalid Weyl point: true and false are not numbers")
     try:
         point = WeylPoint(*(tuple(float(x) for x in vec) for vec in vectors))
     except (TypeError, ValueError, OverflowError) as exc:

@@ -26,10 +26,11 @@ def in_convex_hull(vertices: Sequence[Sequence[Rational]], point: Sequence[Ratio
 
     Returns False only with an exact Farkas certificate, a rational y with
     y.p < y.v for every vertex v. A point in the hull, a point too close to
-    its boundary for the float solve, or a solver failure returns True.
+    its boundary for the float solve, or a solver failure returns True. An
+    empty vertex list, whose hull has no Farkas certificate, is a ValueError.
     """
     if not vertices:
-        return False
+        raise ValueError("convex hull membership needs at least one vertex")
     dim = len(point)
     if any(len(v) != dim for v in vertices):
         raise ValueError("vertex dimension does not match point dimension")

@@ -140,9 +140,12 @@ def hull_refute(
     0, which realizes the downward-closure outer bound; random dense lower
     triples rarely shrink the hull) followed by `samples` random unit-diagonal
     lower-triangular triples. Any failed membership certifies refutation.
+    The zero tensor, whose polytope is empty, is a ValueError.
     """
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
+    if not t.entries.any():
+        raise ValueError("hull refutation is undefined for the zero tensor")
     gen = np.random.Generator(np.random.PCG64(seed))
     dims = t.dims
     u = GroupTriple(*(_unit_triangular(gen, n, upper=True) for n in dims))

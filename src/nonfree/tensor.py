@@ -225,6 +225,8 @@ def tensor_from_doc(doc: dict) -> Tensor3:
             and isinstance(doc.get("entries", []), list)):
         raise TensorFormatError("a tensor document is a JSON object with 'dims' and 'entries' lists")
     try:
+        if bool in map(type, doc["dims"]):
+            raise TypeError("true and false are not numbers")
         dims = tuple(int(n) for n in doc["dims"])
     except (TypeError, ValueError, OverflowError) as exc:
         raise TensorFormatError(f"bad dims: {exc}") from exc
@@ -236,8 +238,12 @@ def tensor_from_doc(doc: dict) -> Tensor3:
     seen = set()
     for entry in doc.get("entries", []):
         try:
-            i, j, k = int(entry["i"]), int(entry["j"]), int(entry["k"])
-            value = float(entry.get("re", 0.0)) + 1j * float(entry.get("im", 0.0))
+            i, j, k = entry["i"], entry["j"], entry["k"]
+            re, im = entry.get("re", 0.0), entry.get("im", 0.0)
+            if bool in (type(i), type(j), type(k), type(re), type(im)):
+                raise TypeError("true and false are not numbers")
+            i, j, k = int(i), int(j), int(k)
+            value = float(re) + 1j * float(im)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise TensorFormatError(f"bad entry {entry!r}: {exc}") from exc
         if not (1 <= i <= dims[0] and 1 <= j <= dims[1] and 1 <= k <= dims[2]):

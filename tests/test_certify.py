@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import permutation_triple, random_unitary, rng
+from nonfree import certify
 from nonfree.certify import (
+    TwoColumnDecision,
     certify_family,
     certify_named,
     family_block_pattern,
@@ -13,8 +15,9 @@ from nonfree.certify import (
 )
 from nonfree.construct import build_W
 from nonfree.family import family_data
+from nonfree.flow import FlowResult
 from nonfree.moment import HermTriple, moment_map
-from nonfree.named import ness_form_t2, t2_scaling_triple
+from nonfree.named import ness_form_t2, t2_scaling_triple, tensor_t5
 from nonfree.tensor import (
     GroupTriple,
     Tensor3,
@@ -115,6 +118,22 @@ def test_obstruction_block_size_validation():
         two_column_obstruction(ness_form_t2(), 3, (1, 2, 3))  # type: ignore[arg-type]
 
 
+@pytest.mark.parametrize(
+    "factor, block",
+    [(0, (1, 2)), (4, (1, 2)), (3, (0, 1)), (3, (1, 1)), (3, (2, 4)), (1, (3, 4))],
+)
+def test_obstruction_rejects_bad_factor_and_block(factor, block):
+    with pytest.raises(ValueError):
+        two_column_obstruction(ness_form_t2(), factor, block)
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1e-5, 1.0, 1e6])
+def test_obstruction_on_s2_does_not_depend_on_scale(scale):
+    decision = two_column_obstruction(Tensor3(scale * ness_form_t2().entries), 3, (1, 2))
+    assert not decision.free_possible
+    assert decision.obstruction.kind == "pairwise-nonparallel-triple"
+
+
 def test_obstruction_verdict_stable_under_local_permutations_and_phases():
     gen = rng(60)
     s2 = ness_form_t2()
@@ -177,11 +196,15 @@ def test_certify_named_rejects_unknown_name():
         certify_named("T7")
 
 
-def test_corrupted_group_element_fails_certification():
+def _corrupted_t2():
     g = t2_scaling_triple()
     g3 = np.array(g.c)
     g3[1, 0] = -g3[1, 0]  # one sign flipped
-    report = certify_named("T2", group_element=GroupTriple(np.array(g.a), np.array(g.b), g3))
+    return certify_named("T2", group_element=GroupTriple(np.array(g.a), np.array(g.b), g3))
+
+
+def test_corrupted_group_element_fails_certification():
+    report = _corrupted_t2()
     assert not report.verdict
     assert report.failed_stage == "s2_coefficients"
 
@@ -203,3 +226,62 @@ def test_certificate_report_is_rechecable_from_details():
     assert report.details["ness_residual"] <= 1e-10
     assert report.details["lambda_expected"] == pytest.approx(43 / 42)
     assert report.blocks == (((1,), (2,), (3,)), ((1,), (2,), (3,)), ((1, 2), (3,)))
+
+
+def _t5_flow_not_converged(monkeypatch):
+    stalled = FlowResult(tensor_t5(), 7, 1.0, [1.0], False)
+    monkeypatch.setattr(certify, "flow", lambda t: stalled)
+    return certify_named("T5")
+
+
+def _family_with_other_block_pattern(monkeypatch):
+    monkeypatch.setattr(certify, "family_block_pattern", lambda n: ((), (), ()))
+    return certify_family(3)
+
+
+def _t2_with_free_decision(monkeypatch):
+    free = TwoColumnDecision(True, np.eye(2, dtype=np.complex128), None)
+    monkeypatch.setattr(certify, "two_column_obstruction", lambda s, factor, block: free)
+    return certify_named("T2")
+
+
+def _family_with_small_offdiagonal(monkeypatch):
+    monkeypatch.setattr(certify, "PARALLEL_TOL", 1.0)
+    return certify_family(3)
+
+
+FAMILY_KEYS = ["n", "tol", "mu_defect", "lambda", "lambda_expected", "ness_residual"]
+NAMED_KEYS = ["tol", "value_tol", "mu_defect", "lambda", "lambda_expected", "ness_residual"]
+T2_KEYS = NAMED_KEYS[:2] + ["s2_coefficient_defect"] + NAMED_KEYS[2:]
+T5_KEYS = NAMED_KEYS + ["flow_steps", "flow_mu_norm_gap"]
+
+
+@pytest.mark.parametrize(
+    "make, stage, keys, present",
+    [
+        (lambda mp: certify_family(3, tol=1e-20), "moment_map", FAMILY_KEYS[:3], ""),
+        (lambda mp: certify_named("T2", tol=1e-20), "ness", T2_KEYS, "n"),
+        (lambda mp: _corrupted_t2(), "s2_coefficients", T2_KEYS[:3], ""),
+        (_t5_flow_not_converged, "flow", T5_KEYS, "n"),
+        (_family_with_other_block_pattern, "stabilizer_blocks", FAMILY_KEYS + ["blocks"], "nb"),
+        (_t2_with_free_decision, "obstruction", T2_KEYS + ["blocks"], "nb"),
+        (_family_with_small_offdiagonal, "obstruction",
+         FAMILY_KEYS + ["blocks", "min_offdiagonal"], "nb"),
+        (lambda mp: certify_family(3), None, FAMILY_KEYS + ["blocks", "min_offdiagonal"], "nbo"),
+        (lambda mp: certify_named("T2"), None, T2_KEYS + ["blocks", "obstruction_vectors"], "nbo"),
+        (lambda mp: certify_named("T5"), None, T5_KEYS + ["blocks", "obstruction_vectors"], "nbo"),
+    ],
+    ids=["moment_map", "ness", "s2_coefficients", "flow", "stabilizer_blocks",
+         "obstruction-named", "obstruction-family", "family", "T2", "T5"],
+)
+def test_each_stage_reports_its_failure_and_details_in_order(monkeypatch, make, stage, keys, present):
+    # present: which of ness (n), blocks (b) and obstruction (o) the report carries.
+    report = make(monkeypatch)
+    assert report.verdict == (stage is None)
+    assert report.failed_stage == stage
+    assert list(report.details) == keys
+    carried = "".join(
+        flag for flag, value in zip("nbo", (report.ness, report.blocks, report.obstruction))
+        if value is not None
+    )
+    assert carried == present

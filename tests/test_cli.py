@@ -369,6 +369,51 @@ def test_malformed_polytope_document_is_input_error(tmp_path, capsys, flag, doc)
     assert json.loads(out)["error"]["kind"] == "input"
 
 
+@pytest.mark.parametrize(
+    "flag, doc",
+    [
+        ("--halfspace", dict(HALFSPACE_3, h1=[True, 0, -1])),
+        ("--halfspace", dict(HALFSPACE_3, c=False)),
+        ("--refute", dict(POINT_3, p1=[True, False, False])),
+    ],
+    ids=["halfspace-h1", "halfspace-c", "point-p1"],
+)
+def test_boolean_polytope_value_is_input_error(tmp_path, capsys, flag, doc):
+    code, out = run(capsys, *_polytope_argv(tmp_path, flag, doc))
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "input"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"dims": [2, 2, 2], "entries": [{"i": True, "j": 1, "k": 1, "re": 1.0}]},
+        {"dims": [2, 2, 2], "entries": [{"i": 1, "j": 1, "k": 1, "re": True}]},
+        {"dims": [2, 2, 2], "entries": [{"i": 1, "j": 1, "k": 1, "re": 1.0, "im": False}]},
+        {"dims": [True, 2, 2], "entries": [{"i": 1, "j": 1, "k": 1, "re": 1.0}]},
+    ],
+    ids=["index", "re", "im", "dims"],
+)
+def test_boolean_tensor_value_is_input_error(tmp_path, capsys, doc):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "moment-map", "--input", str(path))
+    error = json.loads(out)["error"]
+    assert code == 2
+    assert error["kind"] == "input" and "not numbers" in error["message"]
+
+
+def test_refuting_a_point_for_the_zero_tensor_is_input_error(tmp_path, capsys):
+    t_path = tmp_path / "t.json"
+    t_path.write_text(json.dumps({"dims": [2, 2, 2], "entries": []}))
+    p_path = tmp_path / "p.json"
+    p_path.write_text(json.dumps({"p1": [0.5, 0.5], "p2": [0.5, 0.5], "p3": [0.5, 0.5]}))
+    code, out = run(capsys, "polytope", "--input", str(t_path), "--refute", str(p_path))
+    error = json.loads(out)["error"]
+    assert code == 2
+    assert error["kind"] == "input" and "zero tensor" in error["message"]
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("key", ["h1", "c"])
 def test_non_finite_halfspace_value_is_input_error(tmp_path, capsys, key, value):

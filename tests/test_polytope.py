@@ -31,6 +31,8 @@ def test_exact_hull_membership_basics():
     assert in_convex_hull(square, [F(1), F(1)])
     assert not in_convex_hull(square, [F(3, 2), F(1, 2)])
     assert not in_convex_hull(square, [F(1, 2), F(-1, 100)])
+    with pytest.raises(ValueError):  # no vertices, so no Farkas certificate either way
+        in_convex_hull([], [F(1, 2), F(1, 2)])
 
 
 def test_exact_hull_membership_boundary_point():
