@@ -245,11 +245,11 @@ def cmd_polytope(args) -> tuple[dict, int]:
         }
         return doc, 0 if cert.valid else 1
     vectors = _vectors(_load_json(args.refute), ("p1", "p2", "p3"), t.dims)
-    if any(isinstance(x, bool) for vec in vectors for x in vec):
-        raise InputError("invalid Weyl point: true and false are not numbers")
+    if not all(type(x) in (int, float) for vec in vectors for x in vec):  # bool is an int subclass
+        raise InputError("invalid Weyl point: values must be JSON numbers, not strings or booleans")
     try:
         point = WeylPoint(*(tuple(float(x) for x in vec) for vec in vectors))
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise InputError(f"invalid Weyl point: {exc}") from exc
     result = hull_refute(t, point, samples=args.samples, seed=args.seed)
     doc = _header(

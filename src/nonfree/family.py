@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .polytope import HalfspaceCert, outer_halfspace
+from .polytope import HalfspaceCert, _integer_scaling, outer_halfspace
 from .tensor import SupportSet, support_set
 
 RationalVec = tuple[Fraction, ...]
@@ -123,8 +123,10 @@ def _validate(data: FamilyData) -> None:
         (hx * qx for hi, qi in zip(data.h, data.q) for hx, qx in zip(hi, qi)),
         Fraction(0)) == data.c))
     checks.append(("|q|^2 = 3/n + c^2/|h|^2", q_norm_sq == data.ness_lambda))
+    _, (s1, s2, s3), scaled_norm_sq = _integer_scaling(data.q, q_norm_sq)
     pairing_ok = all(
-        q1[i - 1] + q2[j - 1] + q3[k - 1] == q_norm_sq for (i, j, k) in gamma_support(n)
+        s1[i - 1] + s2[j - 1] + s3[k - 1] == scaled_norm_sq
+        for (i, j, k) in gamma_support(n).triples
     )
     checks.append(("<(e_i|e_j|e_k), q> constant on Gamma_n", pairing_ok))
 

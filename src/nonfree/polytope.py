@@ -32,8 +32,9 @@ DEFAULT_SAMPLES = 100
 class HalfspaceCert:
     """Certified outer bound <p, h> >= c on every polytope point, or its failure.
 
-    `c` is the bound as given; `equality_set` holds the closure triples whose
-    pairing equals it (as a float when h or c is one).
+    `c` is the bound as given; `min_support_value` is a Fraction when h and c
+    are rationals, else a float; `equality_set` holds the closure triples
+    whose pairing equals c (as a float when h or c is one).
     """
 
     c: object
@@ -47,17 +48,35 @@ def _is_exact(values) -> bool:
     return all(isinstance(x, Rational) for x in values)
 
 
+def _integer_scaling(h, c) -> tuple[int, tuple[tuple[int, ...], ...], int]:
+    """Rational h and c over their common denominator D: (D, D*h, D*c), all ints.
+
+    A pairing <(e_i|e_j|e_k), h> is then D times a sum of three ints.
+    """
+    denominators = [int(x.denominator) for component in h for x in component]
+    scale = math.lcm(*denominators, int(c.denominator))
+
+    def scaled(x) -> int:
+        return int(x.numerator) * (scale // int(x.denominator))
+
+    return scale, tuple(tuple(map(scaled, component)) for component in h), scaled(c)
+
+
 def outer_halfspace(supp: SupportSet, h, c) -> HalfspaceCert:
     """Check <(e_i|e_j|e_k), h> >= c on the downward closure of supp.
 
-    Exact when h and c are rationals; otherwise plain float comparisons. An
-    empty support, or a float pairing that overflows, is a ValueError.
+    The closure is paired in sorted order. Exact when h and c are rationals:
+    they are put over one common denominator D, every pairing is a sum of
+    ints, and the minimum is reported as a Fraction. Otherwise plain float
+    comparisons with float(c). An empty support, or a float pairing that
+    overflows, is a ValueError.
     """
-    h1, h2, h3 = (tuple(component) for component in h)
-    bound = c
+    h1, h2, h3 = h = tuple(tuple(component) for component in h)
     exact = _is_exact(h1 + h2 + h3 + (c,))
-    if not exact:
-        h1, h2, h3 = (tuple(map(float, component)) for component in (h1, h2, h3))
+    if exact:
+        scale, (h1, h2, h3), bound = _integer_scaling(h, c)
+    else:
+        h1, h2, h3 = (tuple(map(float, component)) for component in h)
         bound = float(c)
     closure = list(downward_closure(supp))
     if not closure:
@@ -68,7 +87,7 @@ def outer_halfspace(supp: SupportSet, h, c) -> HalfspaceCert:
         raise ValueError(f"halfspace pairing overflows the float range (minimum {min_value})")
     return HalfspaceCert(
         c=c,
-        min_support_value=min_value,
+        min_support_value=Fraction(min_value, scale) if exact else min_value,
         valid=min_value >= bound,
         vertex_count=len(values),
         equality_set=support_set(

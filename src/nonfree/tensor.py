@@ -224,12 +224,11 @@ def tensor_from_doc(doc: dict) -> Tensor3:
     if not (isinstance(doc, dict) and isinstance(doc.get("dims"), list)
             and isinstance(doc.get("entries", []), list)):
         raise TensorFormatError("a tensor document is a JSON object with 'dims' and 'entries' lists")
-    try:
-        if bool in map(type, doc["dims"]):
-            raise TypeError("true and false are not numbers")
-        dims = tuple(int(n) for n in doc["dims"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise TensorFormatError(f"bad dims: {exc}") from exc
+    # Types are compared exactly: json.load reads true and false as bools, an int subclass.
+    dims = tuple(doc["dims"])
+    if not all(type(n) is int for n in dims):
+        raise TensorFormatError(f"bad dims {doc['dims']!r}: each must be a JSON integer "
+                                "(true and false are not numbers)")
     if len(dims) != 3 or any(n < 1 for n in dims):
         raise TensorFormatError(f"dims must be three positive integers, got {dims}")
     if dims[0] * dims[1] * dims[2] > MAX_ENTRIES:
@@ -240,11 +239,12 @@ def tensor_from_doc(doc: dict) -> Tensor3:
         try:
             i, j, k = entry["i"], entry["j"], entry["k"]
             re, im = entry.get("re", 0.0), entry.get("im", 0.0)
-            if bool in (type(i), type(j), type(k), type(re), type(im)):
-                raise TypeError("true and false are not numbers")
-            i, j, k = int(i), int(j), int(k)
+            if not (all(type(x) is int for x in (i, j, k))
+                    and all(type(x) in (int, float) for x in (re, im))):
+                raise TypeError("i, j and k must be JSON integers and re and im JSON numbers "
+                                "(true and false are not numbers)")
             value = float(re) + 1j * float(im)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise TensorFormatError(f"bad entry {entry!r}: {exc}") from exc
         if not (1 <= i <= dims[0] and 1 <= j <= dims[1] and 1 <= k <= dims[2]):
             raise TensorFormatError(f"index ({i},{j},{k}) outside dims {dims}")

@@ -360,8 +360,10 @@ POINT_3 = {"p1": [0.5, 0.3, 0.2], "p2": [0.5, 0.3, 0.2], "p3": [0.5, 0.3, 0.2]}
         ("--halfspace", dict(HALFSPACE_3, h3=7)),
         ("--refute", dict(POINT_3, p2=None)),
         ("--refute", dict(POINT_3, p1=[0.5, 0.5])),
+        ("--refute", dict(POINT_3, p1=["0.5", 0.3, 0.2])),
     ],
-    ids=["halfspace-list", "halfspace-short", "halfspace-scalar", "point-null", "point-short"],
+    ids=["halfspace-list", "halfspace-short", "halfspace-scalar", "point-null", "point-short",
+         "point-string"],
 )
 def test_malformed_polytope_document_is_input_error(tmp_path, capsys, flag, doc):
     code, out = run(capsys, *_polytope_argv(tmp_path, flag, doc))
@@ -401,6 +403,25 @@ def test_boolean_tensor_value_is_input_error(tmp_path, capsys, doc):
     error = json.loads(out)["error"]
     assert code == 2
     assert error["kind"] == "input" and "not numbers" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"dims": [2, 2, 2], "entries": [{"i": 1.9, "j": 1, "k": 1, "re": 1.0}]},
+        {"dims": [2, 2, 2], "entries": [{"i": "2", "j": 1, "k": 1, "re": 1.0}]},
+        {"dims": [2, 2, 2], "entries": [{"i": 1, "j": 1, "k": 1, "re": "1.0"}]},
+        {"dims": [2.0, 2, 2], "entries": [{"i": 1, "j": 1, "k": 1, "re": 1.0}]},
+    ],
+    ids=["index-float", "index-string", "re-string", "dims-float"],
+)
+def test_tensor_value_of_the_wrong_json_type_is_input_error(tmp_path, capsys, doc):
+    # Indices and dims are JSON integers, values JSON numbers: nothing is truncated or parsed.
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "free-support", "--input", str(path))
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "input"
 
 
 def test_refuting_a_point_for_the_zero_tensor_is_input_error(tmp_path, capsys):

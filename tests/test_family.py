@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction as F
 
 import pytest
 
-from nonfree.family import family_data, family_to_doc, gamma_support, halfspace_check
+from nonfree.family import (
+    FamilyInvariantError,
+    family_data,
+    family_to_doc,
+    gamma_support,
+    halfspace_check,
+)
 from nonfree.jsonio import dumps
 from nonfree.supports import is_free_support
 
@@ -79,6 +86,17 @@ def test_halfspace_equality_set_is_gamma():
         assert report.min_support_value == report.c
         assert report.equality_set == gamma_support(n)
         assert report.equality_set.triples == gamma_support(n).triples
+
+
+def test_a_nudged_q_breaks_the_gamma_pairing_identity():
+    # Negative control: construction re-checks every identity, the scaled integer pairing included.
+    n = 5
+    data = family_data(n)
+    q1, q2, q3 = data.q
+    nudged = (q1, q2, q3[:1] + (q3[1] + F(1, n**3),) + q3[2:])
+    with pytest.raises(FamilyInvariantError) as excinfo:
+        dataclasses.replace(data, q=nudged)
+    assert "<(e_i|e_j|e_k), q> constant on Gamma_n" in str(excinfo.value)
 
 
 def test_gamma_freeness_transition():

@@ -97,6 +97,43 @@ def test_outer_halfspace_reports_the_first_minimum_in_sorted_closure_order():
     assert copysign(1.0, cert.min_support_value) == -1.0
 
 
+def test_outer_halfspace_exact_path_matches_a_fraction_reference():
+    # Non-cubic dims, h over mixed coprime denominators, and c below the minimum,
+    # at it, and at a higher attained level, whose equality set is not the minimal one.
+    gen = rng(41)
+    denominators = (1, 2, 3, 5, 7, 11, 13)
+    higher_levels = 0
+    for _ in range(60):
+        dims = tuple(int(x) for x in gen.integers(1, 6, size=3))
+        cells = [(i, j, k) for i in range(1, dims[0] + 1) for j in range(1, dims[1] + 1)
+                 for k in range(1, dims[2] + 1)]
+        pick = gen.random(len(cells)) < 0.15
+        supp = support_set(dims, [c for c, take in zip(cells, pick) if take] or [cells[-1]])
+        h = tuple(
+            tuple(F(int(gen.integers(-20, 21)), int(gen.choice(denominators))) for _ in range(n))
+            for n in dims
+        )
+        pairings = {
+            (i, j, k): h[0][i - 1] + h[1][j - 1] + h[2][k - 1]
+            for (i, j, k) in cells
+            if any(i <= a and j <= b and k <= c for (a, b, c) in supp.triples)
+        }
+        levels = sorted(set(pairings.values()))
+        low = levels[0]
+        bounds = [low - F(1, 17), low]
+        if len(levels) > 1:
+            bounds.append(levels[1])
+            higher_levels += 1
+        for c in bounds:
+            cert = outer_halfspace(supp, h, c)
+            assert isinstance(cert.min_support_value, F) and cert.min_support_value == low
+            assert cert.valid == (c <= low)
+            assert cert.vertex_count == len(pairings)
+            assert cert.equality_set.dims == dims
+            assert cert.equality_set.triples == {t for t, v in pairings.items() if v == c}
+    assert higher_levels > 40
+
+
 def free_moment_twin() -> Tensor3:
     """Free-support tensor whose moment map image coincides with that of
     ness_form_t2(); shows the family spectrum also arises from a free tensor."""

@@ -118,6 +118,12 @@ def test_downward_closure_equals_box_enumeration():
         assert closed.triples == _box_closure(supp)
 
 
+def test_downward_closure_of_gamma_has_the_closed_form_size():
+    # Column heights K(i, j) sum to n(n - 1)(n + 2)/2 over the staircase.
+    for n in range(2, 33):
+        assert len(downward_closure(gamma_support(n))) == n * (n - 1) * (n + 2) // 2
+
+
 def test_sjamaar_points_of_singleton():
     pts = sjamaar_inner_points(support_set((3, 3, 3), [(1, 1, 1)]))
     assert len(pts) == 1
