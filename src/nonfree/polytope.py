@@ -4,10 +4,11 @@ Outer bounds: a halfspace containing the downward closure of the support
 contains the whole polytope. Inner bounds: sorted uniform marginals of free
 supports. Refutation: sampled supports of triangular basis changes whose
 convex hulls must contain every polytope point. The point is read as exact
-rationals whose components each sum to 1, and a hull excludes it only
-through an exact Farkas certificate (see exactlp), so a "refuted" verdict is
-sound up to the genericity of the sampled upper-triangular change, which is
-reported.
+rationals whose components each sum to 1. A hull contains it outright when
+it is the product of its components over the support; otherwise a hull
+excludes it only through an exact Farkas certificate (see exactlp), so a
+"refuted" verdict is sound up to the genericity of the sampled
+upper-triangular change, which is reported.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .tensor import GroupTriple, SupportSet, Tensor3, apply, support, support_se
 
 RATIONALIZE_DENOMINATOR = 10**12
 DEFAULT_SAMPLES = 100
+MAX_SAMPLES = 10**4  # most lower-triangular samples one refutation may draw
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,28 @@ def _rational_target(point: WeylPoint) -> list[Fraction]:
     return target
 
 
-def _hull_contains(supp, dims, target: list[Fraction]) -> bool:
+def _product_witness(supp: SupportSet, dims, target: list[Fraction]) -> bool:
+    """Whether target is, exactly, a convex combination of the support vertices
+    with the product weights p1_i * p2_j * p3_k.
+
+    That needs nonnegative components that each sum to 1, and every triple of
+    supp(p1) x supp(p2) x supp(p3) in the support.
+    """
+    n1, n2, _ = dims
+    blocks = (target[:n1], target[n1 : n1 + n2], target[n1 + n2 :])
+    if any(x < 0 for x in target) or any(sum(block) != 1 for block in blocks):
+        return False
+    s1, s2, s3 = ([i for i, x in enumerate(block, 1) if x] for block in blocks)
+    return all((i, j, k) in supp.triples for i in s1 for j in s2 for k in s3)
+
+
+def _hull_contains(supp: SupportSet, dims, target: list[Fraction]) -> bool:
+    """Whether target may lie in the hull of the support vertices (e_i|e_j|e_k).
+
+    True at once on a product witness; otherwise the exact LP answers.
+    """
+    if _product_witness(supp, dims, target):
+        return True
     n1, n2, _ = dims
     vertices = []
     for (i, j, k) in supp:
@@ -156,13 +179,23 @@ def hull_refute(
 
     Draws one random unit-diagonal upper-triangular triple U and tests p for
     membership in conv supp(L U . t) for L ranging over the identity (sample
-    0, which realizes the downward-closure outer bound; random dense lower
-    triples rarely shrink the hull) followed by `samples` random unit-diagonal
-    lower-triangular triples. Any failed membership certifies refutation.
-    The zero tensor, whose polytope is empty, is a ValueError.
+    0, which realizes the downward-closure outer bound) followed by `samples`
+    random unit-diagonal lower-triangular triples. Any failed membership
+    certifies refutation.
+
+    For a nonzero t and generic U and L, L U . t has full support: the
+    coefficient of L1_{i1} L2_{j1} L3_{k1} in every entry is (U . t)_{111}.
+    Its hull is then the whole product of simplices, which contains p. So
+    each membership is first tried as a product witness, p = sum of
+    p1_i p2_j p3_k (e_i|e_j|e_k) over the support, which answers only "in
+    the hull"; the LP runs only when that fails and stays the one source of
+    refutations. `samples` outside 0..MAX_SAMPLES, or the zero tensor, whose
+    polytope is empty, is a ValueError.
     """
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples = {samples} is above the limit of {MAX_SAMPLES}")
     if not t.entries.any():
         raise ValueError("hull refutation is undefined for the zero tensor")
     gen = np.random.Generator(np.random.PCG64(seed))

@@ -17,6 +17,7 @@ import nonfree.family
 from nonfree.cli import main
 from nonfree.construct import build_family_tensor, s0_tensor
 from nonfree.family import family_data
+from nonfree.polytope import MAX_SAMPLES
 from nonfree.tensor import tensor_to_doc
 
 
@@ -247,6 +248,25 @@ def test_out_of_range_flow_and_refute_flags_are_input_errors(tmp_path, capsys, a
     code, out = run(capsys, *(arg.format(tensor=tensor, point=point) for arg in argv))
     assert code == 2
     assert json.loads(out)["error"]["kind"] == "input"
+
+
+@pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 10**12])
+def test_samples_above_the_limit_are_input_error(tmp_path, capsys, monkeypatch, samples):
+    import nonfree.polytope as polytope
+
+    def no_work(*args):
+        raise AssertionError("no sample should be drawn")
+
+    monkeypatch.setattr(polytope, "apply", no_work)  # the answer comes before any work starts
+    tensor = write_w_state(tmp_path / "w_state.json")
+    point = tmp_path / "p.json"
+    point.write_text(json.dumps({"p1": [0.5, 0.5], "p2": [0.5, 0.5], "p3": [0.5, 0.5]}))
+    code, out = run(capsys, "polytope", "--input", str(tensor), "--refute", str(point),
+                    "--samples", str(samples))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "input"
+    assert error["message"] == f"samples = {samples} is above the limit of {MAX_SAMPLES}"
 
 
 @pytest.mark.parametrize(

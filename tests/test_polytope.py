@@ -11,8 +11,15 @@ from nonfree.construct import build_family_tensor
 from nonfree.exactlp import in_convex_hull
 from nonfree.family import family_data, gamma_support
 from nonfree.moment import WeylPoint, moment_map, spec_point
-from nonfree.named import MU_S2_DIAGONALS
-from nonfree.polytope import hull_refute, inner_points, outer_halfspace
+from nonfree.named import MU_S2_DIAGONALS, tensor_t2
+from nonfree.polytope import (
+    _hull_contains,
+    _product_witness,
+    _rational_target,
+    hull_refute,
+    inner_points,
+    outer_halfspace,
+)
 from nonfree.supports import downward_closure
 from nonfree.tensor import (
     GroupTriple,
@@ -224,6 +231,87 @@ def test_float_points_inside_a_full_support_are_never_refuted():
         result = hull_refute(t, p, samples=0, seed=seed)
         assert result.outcome == "inconclusive"
         assert result.support_sizes == [27]
+        # The product witness answers the refuter above, so ask the LP directly too.
+        assert in_convex_hull(_vertices((3, 3, 3), _cells((3, 3, 3))), _rational_target(p))
+
+
+def _cells(dims):
+    n1, n2, n3 = dims
+    return [(i, j, k) for i in range(1, n1 + 1) for j in range(1, n2 + 1) for k in range(1, n3 + 1)]
+
+
+def _vertices(dims, cells):
+    """The hull vertices (e_i|e_j|e_k) of the cells, built apart from polytope._hull_contains."""
+    return [
+        [int(a == i) for a in range(1, dims[0] + 1)]
+        + [int(b == j) for b in range(1, dims[1] + 1)]
+        + [int(c == k) for c in range(1, dims[2] + 1)]
+        for (i, j, k) in cells
+    ]
+
+
+def _random_block(gen, n):
+    """Exact weights summing to 1: a random prefix is nonzero, and now and then
+    the rest outweighs 1, so that the leading weight is negative."""
+    nonzero = int(gen.integers(1, n + 1))
+    rest = [F(int(gen.integers(1, 6)), 7) for _ in range(nonzero - 1)]
+    if rest and gen.random() < 0.2:
+        rest[0] += 1
+    return [1 - sum(rest, F(0))] + rest + [F(0)] * (n - nonzero)
+
+
+def test_the_product_witness_agrees_with_the_lp():
+    gen = rng(75)
+    fired = refuted = 0
+    for dims in [(2, 3, 3), (3, 3, 3)] * 60:
+        box = _cells(dims)
+        keep = gen.random(len(box)) < gen.choice([0.5, 0.8, 1.0])
+        keep[0] = True  # (1, 1, 1)
+        cells = [c for c, take in zip(box, keep) if take]
+        target = [x for n in dims for x in _random_block(gen, n)]
+        supp = support_set(dims, cells)
+        lp = in_convex_hull(_vertices(dims, cells), target)
+        assert _hull_contains(supp, dims, target) == lp
+        if _product_witness(supp, dims, target):
+            fired += 1
+            assert lp
+        refuted += not lp
+    assert fired > 20 and refuted > 20
+    # Weights summing to 1/2 in one component are no convex combination, full support or not.
+    dims = (2, 3, 3)
+    half = [F(1, 4), F(1, 4)] + [F(1, 3)] * 6
+    assert not _product_witness(support_set(dims, _cells(dims)), dims, half)
+    assert not in_convex_hull(_vertices(dims, _cells(dims)), half)
+
+
+def test_full_supports_are_answered_without_an_lp(monkeypatch):
+    import nonfree.polytope as polytope
+
+    def no_lp(vertices, point):
+        raise AssertionError("the product witness should have answered")
+
+    monkeypatch.setattr(polytope, "in_convex_hull", no_lp)
+    u3 = (1 / 3, 1 / 3, 1 / 3)
+    result = hull_refute(random_tensor(rng(76), (3, 3, 3)), WeylPoint(u3, u3, u3), samples=5)
+    assert result.outcome == "inconclusive"
+    assert result.samples_checked == 6
+    assert result.support_sizes == [27] * 6
+
+
+def test_the_uniform_point_on_t2_needs_exactly_one_lp(monkeypatch):
+    import nonfree.polytope as polytope
+
+    calls = []
+
+    def recording(vertices, point):
+        calls.append(len(vertices))
+        return in_convex_hull(vertices, point)
+
+    monkeypatch.setattr(polytope, "in_convex_hull", recording)
+    u3 = (1 / 3, 1 / 3, 1 / 3)
+    result = hull_refute(tensor_t2(), WeylPoint(u3, u3, u3))
+    assert result.refuted and result.refuting_sample == 0
+    assert len(calls) == 1
 
 
 def test_refutation_above_600_vertices_is_exact(monkeypatch):
