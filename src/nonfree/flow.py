@@ -12,6 +12,7 @@ convergence test and the next step's first RK4 stage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,9 +98,13 @@ def flow(
     """Integrate the flow until the projective gradient residual drops below
     residual_tol; non-convergence is reported in the result, not raised.
 
-    The step is halved whenever |mu| would increase beyond integrator noise
-    and is allowed to recover after a run of accepted steps. A step_size that
-    is not positive, or a negative residual_tol or max_steps, is a ValueError.
+    The step is halved whenever |mu| would increase beyond integrator noise,
+    or the step would leave the finite nonzero tensors, and is allowed to
+    recover after a run of accepted steps. If MAX_HALVINGS halvings find no
+    acceptable step, the flow stops at the last accepted point, unconverged,
+    so |mu| never rises by more than MONOTONICITY_SLACK a step. A step_size
+    that is not positive, or a negative residual_tol or max_steps, is a
+    ValueError.
     """
     if not step_size > 0 or residual_tol < 0 or max_steps < 0:
         raise ValueError("flow needs step_size > 0, residual_tol >= 0 and max_steps >= 0")
@@ -114,16 +119,20 @@ def flow(
 
     steps = 0
     while residual > residual_tol and steps < max_steps:
-        halvings = 0
-        while True:
+        for halvings in range(MAX_HALVINGS + 1):
+            if halvings:
+                dt *= 0.5
+                streak = 0
             y = _rk4_step(x, action, dt)
-            candidate = y * (1.0 / _norm(y))
-            evaluation = _evaluate(candidate)
-            if evaluation[0] <= mu_norm + MONOTONICITY_SLACK or halvings >= MAX_HALVINGS:
-                break
-            dt *= 0.5
-            halvings += 1
-            streak = 0
+            y_norm = _norm(y)
+            # A step to zero or past the float range is rejected like a rise of |mu|.
+            if 0.0 < y_norm < math.inf:
+                candidate = y * (1.0 / y_norm)
+                evaluation = _evaluate(candidate)
+                if evaluation[0] <= mu_norm + MONOTONICITY_SLACK:
+                    break
+        else:
+            break  # no step down to dt / 2**MAX_HALVINGS was accepted: stop unconverged
         x = candidate
         mu_norm, action, residual = evaluation
         steps += 1

@@ -1,6 +1,6 @@
 """The two named non-free 3x3x3 tensors, T2 and T5, their minimum-norm
-representatives, and the diagonal/triangular basis change carrying T2 onto
-its representative."""
+representatives, and for each the diagonal/triangular basis change carrying
+it onto its representative; every entry of those is +-sqrt of a rational."""
 
 from __future__ import annotations
 
@@ -83,6 +83,20 @@ S5_COEFFS: dict[tuple[int, int, int], float] = {
 
 def ness_form_t5() -> Tensor3:
     return from_coefficients((3, 3, 3), S5_COEFFS)
+
+
+def t5_scaling_triple() -> GroupTriple:
+    """Basis change g with g . T5 equal to ness_form_t5()."""
+    g1 = np.diag([1.0, 1.0, sqrt(4 / 35)])
+    g2 = np.diag([1.0, sqrt(2 / 7), sqrt(4 / 35)])
+    g3 = np.array(
+        [
+            [1.0, 0.0, 0.0],
+            [-sqrt(1 / 6), sqrt(49 / 24), 0.0],
+            [0.0, 0.0, sqrt(1 / 5)],
+        ]
+    )
+    return GroupTriple(g1, g2, g3)
 
 
 # Diagonal moment-map values of the two representatives.

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,8 @@ from nonfree.certify import (
 )
 from nonfree.construct import build_W
 from nonfree.family import family_data
-from nonfree.flow import FlowResult
 from nonfree.moment import HermTriple, moment_map
-from nonfree.named import ness_form_t2, t2_scaling_triple, tensor_t5
+from nonfree.named import ness_form_t2, t2_scaling_triple, t5_scaling_triple
 from nonfree.tensor import (
     GroupTriple,
     Tensor3,
@@ -188,7 +189,19 @@ def test_certify_named_t5():
     report = certify_named("T5")
     assert report.verdict
     assert report.ness.lam == pytest.approx(16 / 15, abs=1e-12)
-    assert report.details["flow_mu_norm_gap"] <= 1e-6
+    assert report.details["s5_coefficient_defect"] <= certify.VALUE_TOL
+    assert not [key for key in report.details if key.startswith("flow")]
+
+
+@pytest.mark.parametrize("triple", [t2_scaling_triple, t5_scaling_triple])
+def test_scaling_triples_are_triangular_with_square_roots_of_small_rationals(triple):
+    g1, g2, g3 = (np.array(m) for m in triple().factors)
+    assert np.array_equal(g1, np.diag(np.diag(g1))) and np.array_equal(g2, np.diag(np.diag(g2)))
+    assert np.array_equal(g3, np.tril(g3))
+    for entry in np.concatenate([g1.ravel(), g2.ravel(), g3.ravel()]):
+        square = float(entry.real) ** 2
+        assert entry.imag == 0.0
+        assert abs(square - float(Fraction(square).limit_denominator(1000))) <= 1e-15
 
 
 def test_certify_named_rejects_unknown_name():
@@ -196,15 +209,15 @@ def test_certify_named_rejects_unknown_name():
         certify_named("T7")
 
 
-def _corrupted_t2():
-    g = t2_scaling_triple()
+def _corrupted(which, triple):
+    g = triple()
     g3 = np.array(g.c)
     g3[1, 0] = -g3[1, 0]  # one sign flipped
-    return certify_named("T2", group_element=GroupTriple(np.array(g.a), np.array(g.b), g3))
+    return certify_named(which, group_element=GroupTriple(np.array(g.a), np.array(g.b), g3))
 
 
 def test_corrupted_group_element_fails_certification():
-    report = _corrupted_t2()
+    report = _corrupted("T2", t2_scaling_triple)
     assert not report.verdict
     assert report.failed_stage == "s2_coefficients"
 
@@ -228,12 +241,6 @@ def test_certificate_report_is_rechecable_from_details():
     assert report.blocks == (((1,), (2,), (3,)), ((1,), (2,), (3,)), ((1, 2), (3,)))
 
 
-def _t5_flow_not_converged(monkeypatch):
-    stalled = FlowResult(tensor_t5(), 7, 1.0, [1.0], False)
-    monkeypatch.setattr(certify, "flow", lambda t: stalled)
-    return certify_named("T5")
-
-
 def _family_with_other_block_pattern(monkeypatch):
     monkeypatch.setattr(certify, "family_block_pattern", lambda n: ((), (), ()))
     return certify_family(3)
@@ -253,7 +260,7 @@ def _family_with_small_offdiagonal(monkeypatch):
 FAMILY_KEYS = ["n", "tol", "mu_defect", "lambda", "lambda_expected", "ness_residual"]
 NAMED_KEYS = ["tol", "value_tol", "mu_defect", "lambda", "lambda_expected", "ness_residual"]
 T2_KEYS = NAMED_KEYS[:2] + ["s2_coefficient_defect"] + NAMED_KEYS[2:]
-T5_KEYS = NAMED_KEYS + ["flow_steps", "flow_mu_norm_gap"]
+T5_KEYS = NAMED_KEYS[:2] + ["s5_coefficient_defect"] + NAMED_KEYS[2:]
 
 
 @pytest.mark.parametrize(
@@ -261,8 +268,8 @@ T5_KEYS = NAMED_KEYS + ["flow_steps", "flow_mu_norm_gap"]
     [
         (lambda mp: certify_family(3, tol=1e-20), "moment_map", FAMILY_KEYS[:3], ""),
         (lambda mp: certify_named("T2", tol=1e-20), "ness", T2_KEYS, "n"),
-        (lambda mp: _corrupted_t2(), "s2_coefficients", T2_KEYS[:3], ""),
-        (_t5_flow_not_converged, "flow", T5_KEYS, "n"),
+        (lambda mp: _corrupted("T2", t2_scaling_triple), "s2_coefficients", T2_KEYS[:3], ""),
+        (lambda mp: _corrupted("T5", t5_scaling_triple), "s5_coefficients", T5_KEYS[:3], ""),
         (_family_with_other_block_pattern, "stabilizer_blocks", FAMILY_KEYS + ["blocks"], "nb"),
         (_t2_with_free_decision, "obstruction", T2_KEYS + ["blocks"], "nb"),
         (_family_with_small_offdiagonal, "obstruction",
@@ -271,7 +278,7 @@ T5_KEYS = NAMED_KEYS + ["flow_steps", "flow_mu_norm_gap"]
         (lambda mp: certify_named("T2"), None, T2_KEYS + ["blocks", "obstruction_vectors"], "nbo"),
         (lambda mp: certify_named("T5"), None, T5_KEYS + ["blocks", "obstruction_vectors"], "nbo"),
     ],
-    ids=["moment_map", "ness", "s2_coefficients", "flow", "stabilizer_blocks",
+    ids=["moment_map", "ness", "s2_coefficients", "s5_coefficients", "stabilizer_blocks",
          "obstruction-named", "obstruction-family", "family", "T2", "T5"],
 )
 def test_each_stage_reports_its_failure_and_details_in_order(monkeypatch, make, stage, keys, present):

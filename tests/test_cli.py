@@ -11,6 +11,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import random_tensor, rng
 import nonfree
 import nonfree.family
 
@@ -51,6 +52,46 @@ def test_certify_named_t2_exit_zero(capsys):
     assert code == 0
     assert report["report"]["verdict"] is True
     assert report["report"]["ness"]["lambda"] == pytest.approx(43 / 42)
+
+
+# The named certificates' stdout, pinned so that their shared coefficient prelude
+# cannot move either report unnoticed; T5 pins all but its details values.
+T2_REPORT = (
+    '{"tool":"nonfree","version":"0.1.0","command":"certify-nonfree","config":{"named":"T2",'
+    '"tol":1e-10},"report":{"input":"T2","verdict":true,"failed_stage":null,'
+    '"details":{"tol":1e-10,"value_tol":9.9999999999999998e-13,'
+    '"s2_coefficient_defect":1.5700924586837752e-16,"mu_defect":1.6653345369377348e-16,'
+    '"lambda":1.0238095238095242,"lambda_expected":1.0238095238095237,'
+    '"ness_residual":1.94944108925813e-16,"blocks":[[[1],[2],[3]],[[1],[2],[3]],[[1,2],[3]]],'
+    '"obstruction_vectors":[[{"re":0.0,"im":0.0},{"re":0.51176631571915898,"im":0.0}],'
+    '[{"re":0.36037498507822358,"im":0.0},{"re":0.24618298195866542,"im":0.0}],'
+    '[{"re":0.47673129462279623,"im":0.0},{"re":-0.18609684207969424,"im":0.0}]]},'
+    '"ness":{"lambda":1.0238095238095242,"residual":1.94944108925813e-16},'
+    '"stabilizer_blocks":[[[1],[2],[3]],[[1],[2],[3]],[[1,2],[3]]],'
+    '"obstruction":{"kind":"pairwise-nonparallel-triple","data":{"vectors":[[{"re":0.0,'
+    '"im":0.0},{"re":0.51176631571915898,"im":0.0}],[{"re":0.36037498507822358,"im":0.0},'
+    '{"re":0.24618298195866542,"im":0.0}],[{"re":0.47673129462279623,"im":0.0},'
+    '{"re":-0.18609684207969424,"im":0.0}]]}}}}\n'
+)
+T5_REPORT_TAIL = (
+    '"ness":{"lambda":1.0666666666666667,"residual":1.7554276312358743e-16},'
+    '"stabilizer_blocks":[[[1],[2],[3]],[[1],[2],[3]],[[1,2],[3]]],'
+    '"obstruction":{"kind":"pairwise-nonparallel-triple",'
+    '"data":{"vectors":[[{"re":0.33806170189140661,"im":0.0},{"re":0.34503277967117713,'
+    '"im":0.0}],[{"re":0.53452248382484879,"im":0.0},{"re":-0.21821789023599236,"im":0.0}],'
+    '[{"re":0.0,"im":0.0},{"re":0.48304589153964794,"im":0.0}]]}}}}\n'
+)
+T5_DETAILS = [
+    "tol", "value_tol", "s5_coefficient_defect", "mu_defect", "lambda", "lambda_expected",
+    "ness_residual", "blocks", "obstruction_vectors",
+]
+
+
+def test_named_certificates_print_pinned_bytes(capsys):
+    assert run(capsys, "certify-nonfree", "--named", "T2") == (0, T2_REPORT)
+    code, out = run(capsys, "certify-nonfree", "--named", "T5")
+    assert code == 0 and out.endswith("," + T5_REPORT_TAIL)
+    assert list(json.loads(out)["report"]["details"]) == T5_DETAILS
 
 
 def test_certify_family_n2_is_input_error(capsys):
@@ -101,6 +142,20 @@ def test_flow_command(tmp_path, capsys):
     assert code == 0
     assert doc["result"]["converged"] is True
     assert doc["result"]["lambda"] == pytest.approx(43 / 42)
+
+
+@pytest.mark.parametrize("step", ["1e20", "1e40"])
+def test_a_flow_no_halving_can_save_stops_unconverged(tmp_path, capsys, step):
+    # Every halving of 1e20 still raises |mu|; a step of 1e40 leaves the float range.
+    path = tmp_path / "t.json"
+    write_tensor(random_tensor(rng(7), (2, 2, 2)), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, out = run(capsys, "flow", "--input", str(path), "--step", step, "--max-steps", "5")
+    result = json.loads(out)["result"]
+    assert code == 1
+    assert result["converged"] is False and result["steps"] == 0
+    assert len(result["mu_norm_trajectory"]) == 1
 
 
 def test_reduce_s0_command(tmp_path, capsys):

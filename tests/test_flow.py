@@ -15,7 +15,7 @@ from conftest import (
 )
 from nonfree.construct import build_family_tensor, s0_tensor
 from nonfree.family import family_data
-from nonfree.flow import flow, ness_minimality
+from nonfree.flow import MONOTONICITY_SLACK, flow, ness_minimality
 from nonfree.moment import _action_array, _moment_arrays, moment_map
 from nonfree.named import (
     NESS_LAMBDA_T2,
@@ -175,6 +175,19 @@ def test_rk4_step_equals_the_negated_velocity_step_bit_for_bit(make, dt):
     got = sys.modules["nonfree.flow"]._rk4_step(x, action, dt)
     expected = negated_velocity_rk4_step(x, dt)
     assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("step", [1e20, 1e40])
+def test_a_step_no_halving_can_save_stops_the_flow_where_it_was(step):
+    # Down to step / 2**MAX_HALVINGS, every RK4 step from this tensor raises |mu|
+    # (1e20) or leaves the float range (1e40). Neither may be accepted.
+    t = random_tensor(rng(7), (2, 2, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = flow(t, step_size=step, max_steps=5)
+    assert not result.converged
+    assert result.steps == 0 and len(result.mu_norm_trajectory) == 1
+    assert result.limit.entries.tobytes() == (t.entries * (1.0 / norm(t))).tobytes()
+    assert np.diff(result.mu_norm_trajectory).max(initial=0.0) <= MONOTONICITY_SLACK
 
 
 def test_flow_norm_stays_one():
