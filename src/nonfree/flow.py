@@ -7,7 +7,9 @@ guaranteed to exist.
 
 The integrator steps a plain entries array and builds a `Tensor3` only for the
 limit. One evaluation per accepted point serves the monotonicity check, the
-convergence test and the next step's first RK4 stage.
+convergence test and the next step's first RK4 stage. Each evaluation and each
+later RK4 stage gets mu and mu * x from one kernel, `moment._moment_action`,
+which for a small cubic tensor builds one set of stacked flattenings for both.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moment import _action_array, _frobenius_norm, _moment_arrays, infinitesimal_action, moment_map
+from .moment import _frobenius_norm, _moment_action, infinitesimal_action, moment_map
 from .tensor import Tensor3, _norm, norm
 
 DEFAULT_STEP = 0.05
@@ -67,8 +69,7 @@ def ness_minimality(t: Tensor3) -> NessCertificate:
 def _evaluate(x: np.ndarray) -> tuple[float, np.ndarray, float]:
     """|mu(x)|, the action mu(x) * x and the projective residual at x."""
     nrm = _norm(x)
-    mu = _moment_arrays(x, nrm)
-    action = _action_array(mu, x)
+    mu, action = _moment_action(x, nrm)
     return _frobenius_norm(mu), action, _lam_residual(x, action, nrm)[1]
 
 
@@ -81,7 +82,7 @@ def _rk4_step(x: np.ndarray, k1: np.ndarray, dt: float) -> np.ndarray:
     """
 
     def f(y: np.ndarray) -> np.ndarray:
-        return _action_array(_moment_arrays(y, _norm(y)), y)
+        return _moment_action(y, _norm(y))[1]
 
     k2 = f(x - 0.5 * dt * k1)
     k3 = f(x - 0.5 * dt * k2)
@@ -118,29 +119,32 @@ def flow(
     streak = 0
 
     steps = 0
-    while residual > residual_tol and steps < max_steps:
-        for halvings in range(MAX_HALVINGS + 1):
-            if halvings:
-                dt *= 0.5
+    # A step that overflows is rejected below by its non-finite norm, so
+    # numpy's overflow warnings would only name internals on stderr.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while residual > residual_tol and steps < max_steps:
+            for halvings in range(MAX_HALVINGS + 1):
+                if halvings:
+                    dt *= 0.5
+                    streak = 0
+                y = _rk4_step(x, action, dt)
+                y_norm = _norm(y)
+                # A step to zero or past the float range is rejected like a rise of |mu|.
+                if 0.0 < y_norm < math.inf:
+                    candidate = y * (1.0 / y_norm)
+                    evaluation = _evaluate(candidate)
+                    if evaluation[0] <= mu_norm + MONOTONICITY_SLACK:
+                        break
+            else:
+                break  # no step down to dt / 2**MAX_HALVINGS was accepted: stop unconverged
+            x = candidate
+            mu_norm, action, residual = evaluation
+            steps += 1
+            trajectory.append(mu_norm)
+            streak = 0 if halvings else streak + 1
+            if streak >= 10 and dt < step_size:
+                dt = min(2.0 * dt, step_size)
                 streak = 0
-            y = _rk4_step(x, action, dt)
-            y_norm = _norm(y)
-            # A step to zero or past the float range is rejected like a rise of |mu|.
-            if 0.0 < y_norm < math.inf:
-                candidate = y * (1.0 / y_norm)
-                evaluation = _evaluate(candidate)
-                if evaluation[0] <= mu_norm + MONOTONICITY_SLACK:
-                    break
-        else:
-            break  # no step down to dt / 2**MAX_HALVINGS was accepted: stop unconverged
-        x = candidate
-        mu_norm, action, residual = evaluation
-        steps += 1
-        trajectory.append(mu_norm)
-        streak = 0 if halvings else streak + 1
-        if streak >= 10 and dt < step_size:
-            dt = min(2.0 * dt, step_size)
-            streak = 0
 
     return FlowResult(
         limit=Tensor3(x),

@@ -150,12 +150,29 @@ def test_a_flow_no_halving_can_save_stops_unconverged(tmp_path, capsys, step):
     path = tmp_path / "t.json"
     write_tensor(random_tensor(rng(7), (2, 2, 2)), path)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         code, out = run(capsys, "flow", "--input", str(path), "--step", step, "--max-steps", "5")
     result = json.loads(out)["result"]
     assert code == 1
     assert result["converged"] is False and result["steps"] == 0
     assert len(result["mu_norm_trajectory"]) == 1
+
+
+def test_an_overflowing_flow_step_leaves_stderr_empty(tmp_path, capsys):
+    # The RK4 stages of a 1e40 step overflow; the flow rejects the step by its
+    # norm, and numpy must not report the overflow on stderr.
+    path = tmp_path / "t.json"
+    write_tensor(random_tensor(rng(7), (2, 2, 2)), path)
+    argv = ["flow", "--input", str(path), "--step", "1e40", "--max-steps", "5"]
+    src = os.path.dirname(os.path.dirname(nonfree.__file__))
+    code = "import sys; from nonfree.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.stderr == ""
+    assert (done.returncode, done.stdout) == run(capsys, *argv)
+    assert done.returncode == 1 and json.loads(done.stdout)["result"]["steps"] == 0
 
 
 def test_reduce_s0_command(tmp_path, capsys):

@@ -16,7 +16,9 @@ from conftest import (
 from nonfree.moment import (
     HermTriple,
     WeylPoint,
+    _action_array,
     _frobenius_norm,
+    _moment_action,
     _moment_arrays,
     infinitesimal_action,
     moment_map,
@@ -89,6 +91,32 @@ def test_moment_kernel_matches_moveaxis_reference_bit_for_bit(dims, kind):
         for factor in (1, 2, 3):
             moved = np.moveaxis(t.entries, factor - 1, 0)
             assert same_bits(flattening(t, factor), moved.reshape(dims[factor - 1], -1))
+
+
+@pytest.mark.parametrize("dims", [(n, n, n) for n in range(1, 15)] + [(2, 3, 4)])
+@pytest.mark.parametrize("kind", ["dense", "sparse", "tiny"])
+def test_moment_action_kernel_matches_the_two_kernels_bit_for_bit(dims, kind):
+    # Cubic n <= 13 shares the stacked flattenings; n = 14 and (2, 3, 4) take
+    # the per-axis kernels.
+    gen = rng(sum(dims) + len(kind))
+    for _ in range(5):
+        arr = random_complex(gen, dims)
+        if kind == "sparse":
+            arr[gen.random(dims) < 0.7] = 0.0
+        elif kind == "tiny":
+            arr *= 1e-150
+        if not arr.any():
+            continue
+        mu, action = _moment_action(arr, _norm(arr))
+        expected = _moment_arrays(arr, _norm(arr))
+        assert len(mu) == 3 and all(same_bits(got, exp) for got, exp in zip(mu, expected))
+        assert same_bits(action, _action_array(expected, arr))
+
+
+def test_moment_action_kernel_rejects_zero_tensor():
+    for dims in ((3, 3, 3), (2, 3, 4)):
+        with pytest.raises(ValueError):
+            _moment_action(np.zeros(dims, dtype=np.complex128), 0.0)
 
 
 def test_moment_map_rejects_zero_tensor():
