@@ -35,7 +35,6 @@ from .named import (
 from .tensor import GroupTriple, Tensor3, apply, norm
 
 DEFAULT_TOL = 1e-10  # Ness residual (and family mu defect) a certificate accepts
-BLOCK_TOL = 1e-10
 PARALLEL_TOL = 1e-10
 VALUE_TOL = 1e-12
 
@@ -45,11 +44,11 @@ Blocks = tuple[tuple[int, ...], ...]
 NAMED_BLOCKS = (((1,), (2,), (3,)), ((1,), (2,), (3,)), ((1, 2), (3,)))
 
 
-def _runs(values: Sequence, equal) -> Blocks:
+def _runs(values: Sequence) -> Blocks:
     blocks: list[tuple[int, ...]] = []
     current = [1]
     for idx in range(1, len(values)):
-        if equal(values[idx - 1], values[idx]):
+        if values[idx - 1] == values[idx]:
             current.append(idx + 1)
         else:
             blocks.append(tuple(current))
@@ -60,24 +59,12 @@ def _runs(values: Sequence, equal) -> Blocks:
 
 def stabilizer_blocks(m) -> tuple[Blocks, Blocks, Blocks]:
     """Per factor, the ordered partition of [n] into runs of equal eigenvalues
-    of a diagonal triple.
-
-    Accepts a HermTriple that is diagonal within BLOCK_TOL, whose eigenvalues
-    are compared at BLOCK_TOL, or a triple of rational vectors, which are
-    compared exactly.
+    of a diagonal triple, given as three rational vectors and compared exactly.
     """
-    if isinstance(m, HermTriple):
-        mass = off_diagonal_mass(m)
-        if mass > BLOCK_TOL:
-            raise ValueError(f"input is not diagonal (off-diagonal mass {mass:.3e})")
-        vectors = [tuple(np.diag(c).real) for c in m.components]
-        equal = lambda a, b: abs(a - b) <= BLOCK_TOL
-    else:
-        vectors = [tuple(component) for component in m]
-        if not all(isinstance(x, (Fraction, int)) for vec in vectors for x in vec):
-            raise ValueError("stabilizer_blocks needs a HermTriple or rational vectors")
-        equal = lambda a, b: a == b
-    return tuple(_runs(vec, equal) for vec in vectors)  # type: ignore[return-value]
+    vectors = [tuple(component) for component in m]
+    if not all(isinstance(x, (Fraction, int)) for vec in vectors for x in vec):
+        raise ValueError("stabilizer_blocks needs three rational vectors")
+    return tuple(_runs(vec) for vec in vectors)  # type: ignore[return-value]
 
 
 def family_block_pattern(n: int) -> tuple[Blocks, Blocks, Blocks]:
@@ -178,7 +165,7 @@ def _certify(
     tol: float,
     value_tol: float,
     mu_defect: float,
-    lam_expected: float,
+    lam_expected: Fraction,
     spectrum,
     expected_blocks: tuple[Blocks, Blocks, Blocks],
     obstruction: tuple[dict, ObstructionWitness | None],
@@ -186,9 +173,11 @@ def _certify(
     """The shared stages on the representative s, in order; the first failure ends the report.
 
     mu_defect (the distance of mu(s) from its expected diagonal) and lambda
-    are held to value_tol, the Ness residual to tol, and the eigenvalue
-    blocks of spectrum must be expected_blocks. The obstruction is the
-    details it adds and its witness, None if it fails.
+    (against the exact lam_expected, compared as a float) are held to
+    value_tol, the Ness residual to tol, and the eigenvalue blocks of the
+    exact diagonal spectrum, which mu_defect has tied to mu(s), must be
+    expected_blocks. The obstruction is the details it adds and its witness,
+    None if it fails.
     """
     ness = blocks = witness = None
 
@@ -200,10 +189,11 @@ def _certify(
         return report("moment_map")
 
     ness = ness_minimality(s)
+    lam = float(lam_expected)
     details["lambda"] = ness.lam
-    details["lambda_expected"] = lam_expected
+    details["lambda_expected"] = lam
     details["ness_residual"] = ness.residual
-    if ness.residual > tol or abs(ness.lam - lam_expected) > value_tol:
+    if ness.residual > tol or abs(ness.lam - lam) > value_tol:
         return report("ness")
 
     blocks = stabilizer_blocks(spectrum)
@@ -230,7 +220,7 @@ def certify_family(n: int, tol: float = DEFAULT_TOL) -> NonFreenessReport:
     )
     return _certify(
         f"family-{n}", {"n": n, "tol": tol}, ft.tensor, tol, tol,
-        mu_defect=family_mu_defect(ft), lam_expected=float(ft.data.ness_lambda),
+        mu_defect=family_mu_defect(ft), lam_expected=ft.data.ness_lambda,
         spectrum=ft.data.q, expected_blocks=family_block_pattern(n),
         obstruction=({"min_offdiagonal": min_off}, witness if min_off >= PARALLEL_TOL else None),
     )
@@ -239,12 +229,13 @@ def certify_family(n: int, tol: float = DEFAULT_TOL) -> NonFreenessReport:
 def _diag_defect(mu: HermTriple, expected) -> float:
     worst = off_diagonal_mass(mu)
     for comp, exp in zip(mu.components, expected):
-        worst = max(worst, float(np.abs(np.diag(comp).real - np.asarray(exp)).max()))
+        gap = np.diag(comp).real - [float(x) for x in exp]
+        worst = max(worst, float(np.abs(gap).max()))
     return worst
 
 
 # Per named tensor T: T, its stored basis change g, its stored minimum-norm
-# representative S, the expected diagonals of mu(S) and lambda, and whether the
+# representative S, the exact diagonals of mu(S) and lambda, and whether the
 # stages after the coefficient check run on S (True) or on g . T. The check holds
 # the two within VALUE_TOL; each tensor keeps the one its reports were always
 # computed on, whose last bits they print.
@@ -266,7 +257,9 @@ def certify_named(
     s2_coefficients or s5_coefficients, checks g . T against the stored
     representative before the shared stages run. A vanishing Ness residual
     on that GL-orbit point makes its mu the minimum-norm point of the moment
-    polytope (Kempf-Ness), so no flow is needed.
+    polytope (Kempf-Ness), so no flow is needed. The blocks are read from the
+    stored exact diagonals, as certify_family reads them from q, once the
+    moment_map stage has held mu(S) to them.
     """
     which = which.upper()
     if which not in _NAMED:
@@ -284,11 +277,10 @@ def certify_named(
         return NonFreenessReport(which, False, f"s{which[1]}_coefficients", None, None, None, details)
     s = representative if on_stored else moved
 
-    mu = moment_map(s)
     witness = two_column_obstruction(s, 3, (1, 2)).obstruction
     found = {} if witness is None else {"obstruction_vectors": witness.data["vectors"]}
     return _certify(
         which, details, s, tol, VALUE_TOL,
-        mu_defect=_diag_defect(mu, expected_mu), lam_expected=expected_lambda,
-        spectrum=mu, expected_blocks=NAMED_BLOCKS, obstruction=(found, witness),
+        mu_defect=_diag_defect(moment_map(s), expected_mu), lam_expected=expected_lambda,
+        spectrum=expected_mu, expected_blocks=NAMED_BLOCKS, obstruction=(found, witness),
     )

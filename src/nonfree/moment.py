@@ -6,8 +6,9 @@ and trace one by construction, and transforms as A mu_L(T) A^{-1} under a
 unitary basis change A on factor L.
 
 The public functions wrap the result of a private ndarray kernel once; the
-gradient flow calls the kernels directly, through `_moment_action`, where one
-set of stacked flattenings serves both mu(T) and mu(T) * T.
+gradient flow calls the kernels directly, through `_moment_action`, where for
+a small cubic tensor one set of stacked flattenings serves both mu(T) and
+mu(T) * T. `moment_map` takes the per-axis products.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .tensor import _FLATTENING_ORDERS, DimensionMismatchError, Tensor3, _flatte
 
 HERMITICITY_TOL = 1e-12
 WEYL_TOL = 1e-12
-# Largest stack of three flattenings built in one piece; a cubic tensor above
-# it takes the per-axis products. Larger stacks can land on fresh pages that
+# Largest stack of three flattenings `_moment_action` builds in one piece; a
+# cubic tensor above it takes the per-axis products. Larger stacks can land on fresh pages that
 # fault on every call: on a 2-core x86-64 VM a 32^3 moment map took 2.8 ms and
 # 736 minor page faults stacked, against 1.0 ms per axis. The matmul dispatches
 # the stack saves matter only for small tensors.
@@ -114,26 +115,9 @@ def _stack_index(n: int) -> np.ndarray:
     return index
 
 
-def _stacked_moment(arr: np.ndarray, sq: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """For a small cubic array, its three flattenings as one (3, n, n^2) stack f
-    and the three components of mu as one (3, n, n) stack; None for other arrays."""
-    n = arr.shape[0]
-    if arr.shape != (n, n, n) or 3 * arr.nbytes > STACKED_GRAM_MAX_BYTES:
-        return None
-    # One gather builds the stack: at n = 3 it took 0.8 us on a 2-core x86-64
-    # VM, against 3.6 us to concatenate the three transposes. Then one batched
-    # matmul: numpy calls BLAS once per matrix of a batch, so the bits equal
-    # the per-axis products.
-    f = arr.take(_stack_index(n))
-    return f, _symmetrized(f @ f.conj().swapaxes(-1, -2), sq)
-
-
 def _moment_arrays(arr: np.ndarray, nrm: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three components of mu(T) for the entries array of T and its norm."""
     sq = _squared_norm(nrm)
-    stacked = _stacked_moment(arr, sq)
-    if stacked is not None:
-        return tuple(stacked[1])  # type: ignore[return-value]
     parts = []
     for axis in range(3):
         f = _flattening(arr, axis)
@@ -167,16 +151,20 @@ def _action_array(h, arr: np.ndarray) -> np.ndarray:
 def _moment_action(arr: np.ndarray, nrm: float) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """mu(T) and mu(T) * T for the entries array of T and its norm.
 
-    A small cubic tensor's stacked flattenings serve both: one batched einsum
-    applies each Gram matrix to its own flattening, and the three parts are
-    summed in `_action_array`'s order, with its bits.
+    A small cubic tensor's stacked flattenings serve both: one batched matmul
+    gives the three Gram matrices, one batched einsum applies each to its own
+    flattening, and the three parts are summed in `_action_array`'s order,
+    with its bits. Other tensors take `_moment_arrays` and `_action_array`.
     """
-    stacked = _stacked_moment(arr, _squared_norm(nrm))
-    if stacked is None:
+    n = arr.shape[0]
+    if arr.shape != (n, n, n) or 3 * arr.nbytes > STACKED_GRAM_MAX_BYTES:
         mu = _moment_arrays(arr, nrm)
         return mu, _action_array(mu, arr)
-    f, g = stacked
-    n = arr.shape[0]
+    # One gather builds the stack: at n = 3 it took 0.8 us on a 2-core x86-64
+    # VM, against 3.6 us to concatenate the three transposes. numpy calls BLAS
+    # once per matrix of a batch, so the bits equal the per-axis products.
+    f = arr.take(_stack_index(n))
+    g = _symmetrized(f @ f.conj().swapaxes(-1, -2), _squared_norm(nrm))
     p = np.einsum("lia,lax->lix", g, f).reshape(3, n, n, n)
     out = p[0] + p[1].transpose(1, 0, 2)
     out += p[2].transpose(1, 2, 0)

@@ -1,9 +1,12 @@
 """The two named non-free 3x3x3 tensors, T2 and T5, their minimum-norm
 representatives, and for each the diagonal/triangular basis change carrying
-it onto its representative; every entry of those is +-sqrt of a rational."""
+it onto its representative; every entry of those is +-sqrt of a rational.
+The diagonals of mu at the representatives and the Ness lambdas are stored
+as exact Fractions."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import sqrt
 
 import numpy as np
@@ -99,17 +102,18 @@ def t5_scaling_triple() -> GroupTriple:
     return GroupTriple(g1, g2, g3)
 
 
-# Diagonal moment-map values of the two representatives.
+# Diagonal moment-map values of the two representatives and their Ness
+# lambdas, exact: the certificates read their eigenvalue blocks from these.
 MU_S2_DIAGONALS = (
-    (17 / 42, 1 / 3, 11 / 42),
-    (17 / 42, 1 / 3, 11 / 42),
-    (5 / 14, 5 / 14, 2 / 7),
+    (Fraction(17, 42), Fraction(1, 3), Fraction(11, 42)),
+    (Fraction(17, 42), Fraction(1, 3), Fraction(11, 42)),
+    (Fraction(5, 14), Fraction(5, 14), Fraction(2, 7)),
 )
 MU_S5_DIAGONALS = (
-    (13 / 30, 1 / 3, 7 / 30),
-    (13 / 30, 1 / 3, 7 / 30),
-    (2 / 5, 2 / 5, 1 / 5),
+    (Fraction(13, 30), Fraction(1, 3), Fraction(7, 30)),
+    (Fraction(13, 30), Fraction(1, 3), Fraction(7, 30)),
+    (Fraction(2, 5), Fraction(2, 5), Fraction(1, 5)),
 )
 
-NESS_LAMBDA_T2 = 43 / 42
-NESS_LAMBDA_T5 = 16 / 15
+NESS_LAMBDA_T2 = Fraction(43, 42)
+NESS_LAMBDA_T5 = Fraction(16, 15)

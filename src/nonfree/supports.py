@@ -7,6 +7,7 @@ have disjoint support.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,18 +27,25 @@ class FreeSupportWitness:
             raise ValueError("offending_pair must be present exactly when verdict is false")
 
 
-def _differing_coordinates(s: Triple, t: Triple) -> int:
-    return sum(1 for a, b in zip(s, t) if a != b)
-
-
 def is_free_support(s: SupportSet) -> FreeSupportWitness:
-    """Pairwise scan; supports here have at most n^2 elements."""
-    triples = sorted(s.triples)
-    for i, first in enumerate(triples):
-        for second in triples[i + 1 :]:
-            if _differing_coordinates(first, second) == 1:
-                return FreeSupportWitness(False, (first, second))
-    return FreeSupportWitness(True)
+    """Freeness in one pass over the support, with the least offending pair.
+
+    Two distinct triples differ in one coordinate exactly when they share one
+    of the three projections that drop a coordinate, so the triples are
+    grouped by those. The pair reported is the least triple that shares a
+    group, with the least other member of its groups: the first pair a
+    pairwise scan in sorted order would meet.
+    """
+    groups: dict[tuple, list[Triple]] = defaultdict(list)
+    for i, j, k in s.triples:
+        for key in ((None, j, k), (i, None, k), (i, j, None)):
+            groups[key].append((i, j, k))
+    shared = [members for members in groups.values() if len(members) > 1]
+    if not shared:
+        return FreeSupportWitness(True)
+    first = min(min(members) for members in shared)
+    second = min(t for members in shared if first in members for t in members if t != first)
+    return FreeSupportWitness(False, (first, second))
 
 
 def downward_closure(s: SupportSet) -> SupportSet:

@@ -8,6 +8,7 @@ import pytest
 from conftest import permutation_triple, random_unitary, rng
 from nonfree import certify
 from nonfree.certify import (
+    NAMED_BLOCKS,
     TwoColumnDecision,
     certify_family,
     certify_named,
@@ -17,8 +18,14 @@ from nonfree.certify import (
 )
 from nonfree.construct import build_W
 from nonfree.family import family_data
-from nonfree.moment import HermTriple, moment_map
-from nonfree.named import ness_form_t2, t2_scaling_triple, t5_scaling_triple
+from nonfree.moment import moment_map
+from nonfree.named import (
+    MU_S2_DIAGONALS,
+    MU_S5_DIAGONALS,
+    ness_form_t2,
+    t2_scaling_triple,
+    t5_scaling_triple,
+)
 from nonfree.tensor import (
     GroupTriple,
     Tensor3,
@@ -28,9 +35,9 @@ from nonfree.tensor import (
 )
 
 
-def test_blocks_of_mu_s2():
-    blocks = stabilizer_blocks(moment_map(ness_form_t2()))
-    assert blocks == (((1,), (2,), (3,)), ((1,), (2,), (3,)), ((1, 2), (3,)))
+def test_blocks_of_exact_named_diagonals():
+    for diagonals in (MU_S2_DIAGONALS, MU_S5_DIAGONALS):
+        assert stabilizer_blocks(diagonals) == NAMED_BLOCKS
 
 
 def test_blocks_of_rational_q():
@@ -41,18 +48,20 @@ def test_blocks_of_rational_q():
         assert sizes == ((1,) * n, (1,) * n, (n - 1, 1))
 
 
-def test_blocks_of_maximally_mixed_triple():
+def test_blocks_of_uniform_rational_triple():
     n = 4
-    m = HermTriple(*(np.eye(n) / n for _ in range(3)))
-    blocks = stabilizer_blocks(m)
+    blocks = stabilizer_blocks([[Fraction(1, n)] * n] * 3)
     one_block = (tuple(range(1, n + 1)),)
     assert blocks == (one_block, one_block, one_block)
 
 
-def test_blocks_reject_non_diagonal_input():
-    m = HermTriple(np.array([[0.5, 0.2], [0.2, 0.5]]), np.eye(2) / 2, np.eye(2) / 2)
+def test_blocks_reject_herm_triple():
+    # A float mu is tied to its exact diagonal by the moment_map stage, not here.
+    mu = moment_map(ness_form_t2())
+    with pytest.raises(TypeError):
+        stabilizer_blocks(mu)
     with pytest.raises(ValueError):
-        stabilizer_blocks(m)
+        stabilizer_blocks([np.diag(c).real for c in mu.components])
 
 
 def test_blocks_reject_float_vectors():
@@ -246,6 +255,13 @@ def _family_with_other_block_pattern(monkeypatch):
     return certify_family(3)
 
 
+def _t2_with_swapped_diagonal(monkeypatch):
+    tensor, g, stored, (first, *rest), lam, on_stored = certify._NAMED["T2"]
+    swapped = ((first[1], first[0], first[2]), *rest)
+    monkeypatch.setitem(certify._NAMED, "T2", (tensor, g, stored, swapped, lam, on_stored))
+    return certify_named("T2")
+
+
 def _t2_with_free_decision(monkeypatch):
     free = TwoColumnDecision(True, np.eye(2, dtype=np.complex128), None)
     monkeypatch.setattr(certify, "two_column_obstruction", lambda s, factor, block: free)
@@ -267,6 +283,7 @@ T5_KEYS = NAMED_KEYS[:2] + ["s5_coefficient_defect"] + NAMED_KEYS[2:]
     "make, stage, keys, present",
     [
         (lambda mp: certify_family(3, tol=1e-20), "moment_map", FAMILY_KEYS[:3], ""),
+        (_t2_with_swapped_diagonal, "moment_map", T2_KEYS[:4], ""),
         (lambda mp: certify_named("T2", tol=1e-20), "ness", T2_KEYS, "n"),
         (lambda mp: _corrupted("T2", t2_scaling_triple), "s2_coefficients", T2_KEYS[:3], ""),
         (lambda mp: _corrupted("T5", t5_scaling_triple), "s5_coefficients", T5_KEYS[:3], ""),
@@ -278,7 +295,7 @@ T5_KEYS = NAMED_KEYS[:2] + ["s5_coefficient_defect"] + NAMED_KEYS[2:]
         (lambda mp: certify_named("T2"), None, T2_KEYS + ["blocks", "obstruction_vectors"], "nbo"),
         (lambda mp: certify_named("T5"), None, T5_KEYS + ["blocks", "obstruction_vectors"], "nbo"),
     ],
-    ids=["moment_map", "ness", "s2_coefficients", "s5_coefficients", "stabilizer_blocks",
+    ids=["moment_map", "moment_map-named", "ness", "s2_coefficients", "s5_coefficients", "stabilizer_blocks",
          "obstruction-named", "obstruction-family", "family", "T2", "T5"],
 )
 def test_each_stage_reports_its_failure_and_details_in_order(monkeypatch, make, stage, keys, present):

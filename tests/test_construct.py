@@ -129,7 +129,7 @@ def test_family_tensor_moment_map_equals_q():
 def test_family_tensor_n3_cross_checks_named_values():
     mu = moment_map(build_family_tensor(family_data(3)).tensor)
     for comp, expected in zip(mu.components, MU_S2_DIAGONALS):
-        np.testing.assert_allclose(np.diag(comp).real, expected, atol=1e-12)
+        np.testing.assert_allclose(np.diag(comp).real, [float(x) for x in expected], atol=1e-12)
 
 
 def test_family_tensor_is_concise():

@@ -32,7 +32,7 @@ from nonfree.tensor import Tensor3, _norm, apply, flattening, from_coefficients,
 def assert_diagonals(m: HermTriple, expected, atol=1e-12):
     assert off_diagonal_mass(m) <= atol
     for comp, exp in zip(m.components, expected):
-        np.testing.assert_allclose(np.diag(comp).real, exp, atol=atol)
+        np.testing.assert_allclose(np.diag(comp).real, [float(x) for x in exp], atol=atol)
 
 
 def test_ness_representatives_have_unit_norm():
@@ -221,7 +221,7 @@ def test_spec_point_invariant_under_unitary_action():
 def test_spec_point_of_mu_s5():
     p = spec_point(moment_map(ness_form_t5()))
     for got, exp in zip(p.components, MU_S5_DIAGONALS):
-        np.testing.assert_allclose(got, sorted(exp, reverse=True), atol=1e-12)
+        np.testing.assert_allclose(got, [float(x) for x in sorted(exp, reverse=True)], atol=1e-12)
 
 
 def test_herm_triple_rejects_non_hermitian():

@@ -176,7 +176,7 @@ def test_inner_points_of_free_twin_and_its_moment_image():
     assert point.components == (first, first, (3 / 5, 1 / 5, 1 / 5))
     mu = moment_map(twin)
     for comp, expected in zip(mu.components, MU_S2_DIAGONALS):
-        np.testing.assert_allclose(np.diag(comp).real, expected, atol=1e-12)
+        np.testing.assert_allclose(np.diag(comp).real, [float(x) for x in expected], atol=1e-12)
 
 
 def test_inner_points_reject_non_free_tensor():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from conftest import random_free_support, rng
@@ -48,6 +50,45 @@ def test_free_support_has_at_most_n_squared_elements():
         supp = random_free_support(gen, (n, n, n))
         assert is_free_support(supp).verdict
         assert len(supp) <= n * n
+
+
+def _pairwise_scan(supp):
+    """Oracle: the first pair, in sorted order, of triples differing in one coordinate."""
+    triples = sorted(supp.triples)
+    for i, first in enumerate(triples):
+        for second in triples[i + 1 :]:
+            if sum(a != b for a, b in zip(first, second)) == 1:
+                return first, second
+    return None
+
+
+def test_free_support_matches_the_pairwise_scan_and_its_pair():
+    gen = rng(24)
+    cases = [gamma_support(n) for n in range(2, 9)]
+    cases += [random_free_support(gen, (4, 4, 4)) for _ in range(20)]
+    for _ in range(600):
+        dims = tuple(int(x) for x in gen.integers(1, 6, size=3))
+        cells = [(i, j, k) for i in range(1, dims[0] + 1) for j in range(1, dims[1] + 1)
+                 for k in range(1, dims[2] + 1)]
+        pick = gen.random(len(cells)) < gen.random() * 0.2
+        cases.append(support_set(dims, [c for c, take in zip(cells, pick) if take]))
+    verdicts = set()
+    for supp in cases:
+        pair = _pairwise_scan(supp)
+        witness = is_free_support(supp)
+        assert witness.offending_pair == pair
+        verdicts.add(witness.verdict)
+    assert verdicts == {True, False}
+
+
+def test_free_support_of_a_latin_square_is_linear_time():
+    n = 60
+    square = [(i, j, (i + j) % n + 1) for i in range(1, n + 1) for j in range(1, n + 1)]
+    start = time.perf_counter()
+    assert is_free_support(support_set((n, n, n), square)).verdict
+    assert time.perf_counter() - start < 1.0
+    broken = support_set((n, n, n), square + [(1, 1, 1)])
+    assert is_free_support(broken).offending_pair == _pairwise_scan(broken) == ((1, 1, 1), (1, 1, 3))
 
 
 def test_downward_closure_of_singleton():
