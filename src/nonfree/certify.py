@@ -81,25 +81,19 @@ class ObstructionWitness:
     data: dict
 
 
-@dataclass(frozen=True)
-class TwoColumnDecision:
-    """Either a 2x2 unitary making every block vector single-entry, or an obstruction."""
-
-    free_possible: bool
-    unitary: np.ndarray | None
-    obstruction: ObstructionWitness | None
-
-
 def _parallel(v: np.ndarray, w: np.ndarray) -> bool:
     det = v[0] * w[1] - v[1] * w[0]
     return abs(det) <= PARALLEL_TOL * np.linalg.norm(v) * np.linalg.norm(w)
 
 
-def two_column_obstruction(s: Tensor3, factor: int, block: tuple[int, int]) -> TwoColumnDecision:
-    """Decide whether a 2x2 unitary on the given eigenvalue block can make
-    every restricted 2-vector of s have at most one nonzero entry.
+def two_column_obstruction(
+    s: Tensor3, factor: int, block: tuple[int, int]
+) -> ObstructionWitness | None:
+    """The obstruction to a 2x2 unitary on the given eigenvalue block that
+    makes every restricted 2-vector of s have at most one nonzero entry, or
+    None when such a unitary exists.
 
-    That happens exactly when the nonzero vectors fall into at most two
+    It exists exactly when the nonzero vectors fall into at most two
     parallel classes which, if there are two, are orthogonal.
     """
     if factor not in (1, 2, 3):
@@ -122,23 +116,14 @@ def two_column_obstruction(s: Tensor3, factor: int, block: tuple[int, int]) -> T
             classes.append([v])
     reps = [max(members, key=np.linalg.norm) for members in classes]
 
-    if len(reps) == 0:
-        return TwoColumnDecision(True, np.eye(2, dtype=np.complex128), None)
-    if len(reps) == 1:
-        a = reps[0] / np.linalg.norm(reps[0])
-        u = np.array([[np.conj(a[0]), np.conj(a[1])], [-a[1], a[0]]])
-        return TwoColumnDecision(True, u, None)
+    if len(reps) < 2:
+        return None
     if len(reps) == 2:
-        a = reps[0] / np.linalg.norm(reps[0])
-        b = reps[1] / np.linalg.norm(reps[1])
+        a, b = (r / np.linalg.norm(r) for r in reps)
         if abs(np.vdot(a, b)) <= PARALLEL_TOL:
-            b = b - np.vdot(a, b) * a
-            b /= np.linalg.norm(b)
-            u = np.vstack([a.conj(), b.conj()])
-            return TwoColumnDecision(True, u, None)
+            return None
     kind = "nonorthogonal-pair" if len(reps) == 2 else "pairwise-nonparallel-triple"
-    vectors = [tuple(map(complex, r)) for r in reps[:3]]
-    return TwoColumnDecision(False, None, ObstructionWitness(kind, {"vectors": vectors}))
+    return ObstructionWitness(kind, {"vectors": [tuple(map(complex, r)) for r in reps[:3]]})
 
 
 @dataclass(frozen=True)
@@ -277,7 +262,7 @@ def certify_named(
         return NonFreenessReport(which, False, f"s{which[1]}_coefficients", None, None, None, details)
     s = representative if on_stored else moved
 
-    witness = two_column_obstruction(s, 3, (1, 2)).obstruction
+    witness = two_column_obstruction(s, 3, (1, 2))
     found = {} if witness is None else {"obstruction_vectors": witness.data["vectors"]}
     return _certify(
         which, details, s, tol, VALUE_TOL,

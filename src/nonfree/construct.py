@@ -17,7 +17,7 @@ from math import sqrt
 
 import numpy as np
 
-from .family import FamilyData
+from .family import FamilyData, staircase_index
 from .tensor import Tensor3
 
 
@@ -73,10 +73,10 @@ def build_W(data: FamilyData) -> WMatrix:
 def _staircase(W: np.ndarray, a: np.ndarray) -> Tensor3:
     """Tensor with T[n+1-i, i, k] = W[i, k] for k < n and T[n-i, i, n] = a_i (1-based)."""
     n = W.shape[0]
-    rows = np.arange(n)
+    w_index, a_index = staircase_index(n)
     arr = np.zeros((n, n, n), dtype=np.complex128)
-    arr[n - 1 - rows, rows, : n - 1] = W
-    arr[n - 2 - rows[:-1], rows[:-1], n - 1] = a
+    arr[w_index] = W
+    arr[a_index] = a
     return Tensor3(arr)
 
 

@@ -11,8 +11,10 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .polytope import HalfspaceCert, _integer_scaling, outer_halfspace
-from .tensor import SupportSet, support_set
+from .tensor import SupportSet
 
 RationalVec = tuple[Fraction, ...]
 
@@ -21,13 +23,26 @@ class FamilyInvariantError(AssertionError):
     """An exact identity of the family data failed; indicates a bug."""
 
 
+def staircase_index(n: int) -> tuple[tuple, tuple]:
+    """The 0-based index arrays of the staircase layout on an n x n x n array.
+
+    arr[w] is the n x (n-1) W-part, W[i, k] at T[n+1-i, i, k] (1-based), and
+    arr[a] the n-1 a-entries, a_i at T[n-i, i, n]. Together they cover Gamma_n.
+    """
+    rows = np.arange(n)
+    w = ((n - 1 - rows)[:, None], rows[:, None], np.arange(n - 1)[None, :])
+    a = (n - 2 - rows[:-1], rows[:-1], n - 1)
+    return w, a
+
+
 def gamma_support(n: int) -> SupportSet:
     """The staircase support: i + j = n+1 on the first n-1 slices, i + j = n on the last."""
     if n < 2:
         raise ValueError("gamma_support requires n >= 2")
-    triples = {(i, n + 1 - i, k) for i in range(1, n + 1) for k in range(1, n)}
-    triples |= {(i, n - i, n) for i in range(1, n)}
-    return support_set((n, n, n), triples)
+    mask = np.zeros((n, n, n), dtype=bool)
+    for index in staircase_index(n):
+        mask[index] = True
+    return SupportSet(mask)
 
 
 @dataclass(frozen=True)
@@ -126,7 +141,7 @@ def _validate(data: FamilyData) -> None:
     _, (s1, s2, s3), scaled_norm_sq = _integer_scaling(data.q, q_norm_sq)
     pairing_ok = all(
         s1[i - 1] + s2[j - 1] + s3[k - 1] == scaled_norm_sq
-        for (i, j, k) in gamma_support(n).triples
+        for (i, j, k) in gamma_support(n)
     )
     checks.append(("<(e_i|e_j|e_k), q> constant on Gamma_n", pairing_ok))
 

@@ -1,7 +1,8 @@
 """Deterministic JSON emission: same document, byte-identical text.
 
 Floats are printed with 17 significant digits so values round-trip exactly
-and reports are reproducible across runs and platforms.
+and reports are reproducible across runs and platforms. Reports hold Python
+values only: a numpy scalar or array, float64 included, is a TypeError.
 """
 
 from __future__ import annotations
@@ -9,8 +10,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from json.encoder import encode_basestring
-
-import numpy as np
 
 
 def _format_float(x: float) -> str:
@@ -32,13 +31,13 @@ def _emit(obj, out: list[str]) -> None:
         out.append(_LITERALS[obj])
     elif isinstance(obj, str):
         out.append(encode_basestring(obj))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_format_float(float(obj)))
+    elif type(obj) is int:
+        out.append(str(obj))
+    elif type(obj) is float:
+        out.append(_format_float(obj))
     elif isinstance(obj, Fraction):
         _emit({"num": str(obj.numerator), "den": str(obj.denominator)}, out)
-    elif isinstance(obj, complex):
+    elif type(obj) is complex:
         _emit({"re": obj.real, "im": obj.imag}, out)
     elif isinstance(obj, dict):
         out.append("{")
@@ -58,8 +57,6 @@ def _emit(obj, out: list[str]) -> None:
                 out.append(",")
             _emit(value, out)
         out.append("]")
-    elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), out)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 

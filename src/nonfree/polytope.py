@@ -1,14 +1,14 @@
 """One-sided moment polytope certificates.
 
-Outer bounds: a halfspace containing the downward closure of the support
-contains the whole polytope. Inner bounds: sorted uniform marginals of free
-supports. Refutation: sampled supports of triangular basis changes whose
-convex hulls must contain every polytope point. The point is read as exact
-rationals whose components each sum to 1. A hull contains it outright when
-it is the product of its components over the support; otherwise a hull
-excludes it only through an exact Farkas certificate (see exactlp), so a
-"refuted" verdict is sound up to the genericity of the sampled
-upper-triangular change, which is reported.
+Supports are `SupportSet` masks of the tensor box. Outer bounds: a halfspace
+containing the downward closure of the support contains the whole polytope.
+Inner bounds: sorted uniform marginals of free supports. Refutation: sampled
+supports of triangular basis changes whose convex hulls must contain every
+polytope point. The point is read as exact rationals whose components each
+sum to 1. A hull contains it outright when it is the product of its
+components over the support; otherwise a hull excludes it only through an
+exact Farkas certificate (see exactlp), so a "refuted" verdict is sound up
+to the genericity of the sampled upper-triangular change, which is reported.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from .exactlp import in_convex_hull
 from .moment import WeylPoint
 from .supports import downward_closure, sjamaar_inner_points
-from .tensor import GroupTriple, SupportSet, Tensor3, apply, support, support_set
+from .tensor import GroupTriple, SupportSet, Tensor3, apply, support
 
 RATIONALIZE_DENOMINATOR = 10**12
 DEFAULT_SAMPLES = 100
@@ -67,7 +67,8 @@ def _integer_scaling(h, c) -> tuple[int, tuple[tuple[int, ...], ...], int]:
 def outer_halfspace(supp: SupportSet, h, c) -> HalfspaceCert:
     """Check <(e_i|e_j|e_k), h> >= c on the downward closure of supp.
 
-    The closure is paired in sorted order. Exact when h and c are rationals:
+    The closure is a mask, paired in C order, the sorted triple order, and
+    the equality set is built as a mask. Exact when h and c are rationals:
     they are put over one common denominator D, every pairing is a sum of
     ints, and the minimum is reported as a Fraction. Otherwise plain float
     comparisons with float(c). An empty support, or a float pairing that
@@ -80,21 +81,21 @@ def outer_halfspace(supp: SupportSet, h, c) -> HalfspaceCert:
     else:
         h1, h2, h3 = (tuple(map(float, component)) for component in h)
         bound = float(c)
-    closure = list(downward_closure(supp))
-    if not closure:
+    closure = downward_closure(supp).mask
+    if not closure.any():
         raise ValueError("outer halfspace check needs a nonempty support; the support is empty")
-    values = [h1[i - 1] + h2[j - 1] + h3[k - 1] for (i, j, k) in closure]
+    values = [h1[i] + h2[j] + h3[k] for i, j, k in np.argwhere(closure).tolist()]
     min_value = min(values)
     if not exact and not math.isfinite(min_value):
         raise ValueError(f"halfspace pairing overflows the float range (minimum {min_value})")
+    equality = np.zeros_like(closure)
+    equality[closure] = [value == bound for value in values]
     return HalfspaceCert(
         c=c,
         min_support_value=Fraction(min_value, scale) if exact else min_value,
         valid=min_value >= bound,
         vertex_count=len(values),
-        equality_set=support_set(
-            supp.dims, (triple for triple, value in zip(closure, values) if value == bound)
-        ),
+        equality_set=SupportSet(equality),
     )
 
 
@@ -141,35 +142,33 @@ def _rational_target(point: WeylPoint) -> list[Fraction]:
     return target
 
 
-def _product_witness(supp: SupportSet, dims, target: list[Fraction]) -> bool:
+def _product_witness(supp: SupportSet, target: list[Fraction]) -> bool:
     """Whether target is, exactly, a convex combination of the support vertices
     with the product weights p1_i * p2_j * p3_k.
 
     That needs nonnegative components that each sum to 1, and every triple of
     supp(p1) x supp(p2) x supp(p3) in the support.
     """
-    n1, n2, _ = dims
+    n1, n2, _ = supp.dims
     blocks = (target[:n1], target[n1 : n1 + n2], target[n1 + n2 :])
     if any(x < 0 for x in target) or any(sum(block) != 1 for block in blocks):
         return False
-    s1, s2, s3 = ([i for i, x in enumerate(block, 1) if x] for block in blocks)
-    return all((i, j, k) in supp.triples for i in s1 for j in s2 for k in s3)
+    index = np.ix_(*([i for i, x in enumerate(block) if x] for block in blocks))
+    return bool(supp.mask[index].all())
 
 
-def _hull_contains(supp: SupportSet, dims, target: list[Fraction]) -> bool:
+def _hull_contains(supp: SupportSet, target: list[Fraction]) -> bool:
     """Whether target may lie in the hull of the support vertices (e_i|e_j|e_k).
 
     True at once on a product witness; otherwise the exact LP answers.
     """
-    if _product_witness(supp, dims, target):
+    if _product_witness(supp, target):
         return True
-    n1, n2, _ = dims
-    vertices = []
-    for (i, j, k) in supp:
-        vec = [0] * len(target)
-        vec[i - 1] = vec[n1 + j - 1] = vec[n1 + n2 + k - 1] = 1
-        vertices.append(vec)
-    return in_convex_hull(vertices, target)
+    n1, n2, _ = supp.dims
+    columns = np.argwhere(supp.mask) + (0, n1, n1 + n2)
+    vertices = np.zeros((len(columns), len(target)), dtype=int)
+    vertices[np.arange(len(columns))[:, None], columns] = 1
+    return in_convex_hull(vertices.tolist(), target)
 
 
 def hull_refute(
@@ -212,6 +211,6 @@ def hull_refute(
             moved = apply(lower, ut)
         supp = support(moved)
         sizes.append(len(supp))
-        if not _hull_contains(supp, dims, target):
+        if not _hull_contains(supp, target):
             return HullRefutation("refuted", index, index + 1, seed, u, sizes)
     return HullRefutation("inconclusive", None, samples + 1, seed, u, sizes)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construct import s0_tensor
-from .family import gamma_support
-from .tensor import GroupTriple, Tensor3, apply, compose, norm, support
+from .family import gamma_support, staircase_index
+from .tensor import GroupTriple, SupportSet, Tensor3, apply, compose, norm, support
 
 DEFAULT_TOL = 1e-8  # log-linear consistency and final residual
 RANK_TOL = 1e-10
@@ -40,16 +40,11 @@ def extract_Wa(s: Tensor3) -> tuple[np.ndarray, np.ndarray]:
     n = s.dims[0]
     if s.dims != (n, n, n):
         raise ValueError(f"expected a cubic tensor, got dims {s.dims}")
-    gamma = gamma_support(n)
-    escaped = [t for t in support(s, STAIRCASE_TOL) if t not in gamma]
-    if escaped:
-        raise ReductionError(f"support escapes the staircase at {escaped[:3]}")
-    w = np.empty((n, n - 1), dtype=np.complex128)
-    for i in range(1, n + 1):
-        for k in range(1, n):
-            w[i - 1, k - 1] = s.entries[n - i, i - 1, k - 1]
-    a = np.array([s.entries[n - i - 1, i - 1, n - 1] for i in range(1, n)])
-    return w, a
+    escaped = SupportSet(support(s, STAIRCASE_TOL).mask & ~gamma_support(n).mask)
+    if len(escaped):
+        raise ReductionError(f"support escapes the staircase at {list(escaped)[:3]}")
+    w_index, a_index = staircase_index(n)
+    return s.entries[w_index], s.entries[a_index]
 
 
 def _check_row_deletion_rank(w: np.ndarray) -> None:
@@ -107,7 +102,7 @@ def reduce_to_s0(s: Tensor3, tol: float = DEFAULT_TOL) -> ReductionResult:
 
     # (4) Remaining diagonal normalization in log space: minimum-norm solution
     # of x_i + y_j + z_k = -Log(entry) over the support incidence system.
-    triples = sorted(support(target, 0.0))
+    triples = list(support(target, 0.0))
     rows = np.zeros((len(triples), 3 * n))
     rhs = np.zeros(len(triples), dtype=np.complex128)
     for row, (i, j, k) in enumerate(triples):

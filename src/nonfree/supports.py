@@ -2,17 +2,19 @@
 
 A support is free when any two distinct triples in it differ in at least two
 coordinates; equivalently, distinct slices, rows and columns of the tensor
-have disjoint support.
+have disjoint support. Every function here works on the boolean mask of a
+`SupportSet` with whole-array operations and builds its results as masks.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .moment import WeylPoint
-from .tensor import SupportSet, Triple, support_set
+from .tensor import SupportSet, Triple
 
 
 @dataclass(frozen=True)
@@ -28,66 +30,51 @@ class FreeSupportWitness:
 
 
 def is_free_support(s: SupportSet) -> FreeSupportWitness:
-    """Freeness in one pass over the support, with the least offending pair.
+    """Freeness from the line counts of the mask, with the least offending pair.
 
-    Two distinct triples differ in one coordinate exactly when they share one
-    of the three projections that drop a coordinate, so the triples are
-    grouped by those. The pair reported is the least triple that shares a
-    group, with the least other member of its groups: the first pair a
+    Two distinct triples differ in one coordinate exactly when they lie on one
+    axis-parallel line of the box, so the support is free when no line holds
+    two of its triples. The pair reported is the least triple on a crowded
+    line with the least other triple on its three lines: the first pair a
     pairwise scan in sorted order would meet.
     """
-    groups: dict[tuple, list[Triple]] = defaultdict(list)
-    for i, j, k in s.triples:
-        for key in ((None, j, k), (i, None, k), (i, j, None)):
-            groups[key].append((i, j, k))
-    shared = [members for members in groups.values() if len(members) > 1]
-    if not shared:
+    m = s.mask
+    crowded = m & ((m.sum(0) > 1)[None] | (m.sum(1) > 1)[:, None] | (m.sum(2) > 1)[..., None])
+    if not crowded.any():
         return FreeSupportWitness(True)
-    first = min(min(members) for members in shared)
-    second = min(t for members in shared if first in members for t in members if t != first)
-    return FreeSupportWitness(False, (first, second))
+    first = i, j, k = tuple(np.argwhere(crowded)[0].tolist())
+    lines = np.zeros_like(m)
+    lines[:, j, k] = lines[i, :, k] = lines[i, j, :] = True
+    lines[first] = False
+    second = np.argwhere(m & lines)[0].tolist()
+    return FreeSupportWitness(False, (tuple(x + 1 for x in first), tuple(x + 1 for x in second)))
 
 
 def downward_closure(s: SupportSet) -> SupportSet:
-    """All triples pointwise dominated by some element of s.
-
-    The column height K(i, j) is the largest k of a triple (a, b, k) of s with
-    a >= i and b >= j, or 0 if there is none: a 2-D suffix maximum, built in
-    O(n1 n2 + |s|). The closure is every (i, j, k) with 1 <= k <= K(i, j).
-    """
-    n1, n2, _ = s.dims
-    heights = [[0] * (n2 + 2) for _ in range(n1 + 2)]
-    for i, j, k in s.triples:
-        heights[i][j] = max(heights[i][j], k)
-    for i in range(n1, 0, -1):
-        row, below = heights[i], heights[i + 1]
-        for j in range(n2, 0, -1):
-            row[j] = max(row[j], row[j + 1], below[j])
-    return support_set(s.dims, (
-        (i, j, k)
-        for i in range(1, n1 + 1)
-        for j in range(1, n2 + 1)
-        for k in range(1, heights[i][j] + 1)
-    ))
+    """All triples pointwise dominated by some element of s: a suffix OR of
+    the mask along each of the three axes in turn."""
+    closed = s.mask
+    for axis in range(3):
+        closed = np.flip(np.logical_or.accumulate(np.flip(closed, axis), axis=axis), axis)
+    return SupportSet(closed)
 
 
 def sjamaar_inner_points(s: SupportSet) -> list[WeylPoint]:
     """The sorted marginals of the uniform distribution on a free support.
 
     For a free support every sorted marginal triple of a distribution on the
-    support lies in the moment polytope (Sjamaar 1998, Franz 2002). The
-    marginals are summed as exact rationals; an empty support has no point.
+    support lies in the moment polytope (Sjamaar 1998, Franz 2002). Each
+    marginal is exact: the triple counts of the mask per index of an axis,
+    over the support size. An empty support has no point.
     """
     witness = is_free_support(s)
     if not witness.verdict:
         raise ValueError(f"support is not free: {witness.offending_pair}")
-    if not len(s):
+    size = len(s)
+    if not size:
         return []
-    weight = Fraction(1, len(s))
     components = []
-    for axis, n in enumerate(s.dims):
-        marginal = [Fraction(0)] * n
-        for triple in s.triples:
-            marginal[triple[axis] - 1] += weight
-        components.append(sorted(marginal, reverse=True))
+    for axis in range(3):
+        counts = s.mask.sum(axis=tuple(other for other in range(3) if other != axis))
+        components.append(sorted((Fraction(count, size) for count in counts.tolist()), reverse=True))
     return [WeylPoint(*components)]

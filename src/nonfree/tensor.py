@@ -149,39 +149,55 @@ def flattening_ranks(t: Tensor3) -> tuple[int, int, int]:
     return tuple(ranks)  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupportSet:
-    """Set of 1-based index triples inside a fixed dimension box."""
+    """Set of 1-based index triples inside the box [n1]x[n2]x[n3], held as a
+    read-only boolean mask of shape dims, so it holds no triple outside the box.
 
-    dims: Triple
-    triples: frozenset[Triple]
+    Iteration runs over the mask in C order, which is the sorted triple order.
+    """
+
+    mask: np.ndarray
 
     def __post_init__(self):
-        n1, n2, n3 = dims = tuple(int(n) for n in self.dims)
-        triples = set()
-        for i, j, k in self.triples:  # any iterable of triples, read once
-            i, j, k = int(i), int(j), int(k)
-            if not (1 <= i <= n1 and 1 <= j <= n2 and 1 <= k <= n3):
-                raise ValueError(f"triple {(i, j, k)} outside [{n1}]x[{n2}]x[{n3}]")
-            triples.add((i, j, k))
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "triples", frozenset(triples))
+        mask = np.ascontiguousarray(self.mask, dtype=bool)
+        if mask.ndim != 3:
+            raise ValueError(f"a support mask has 3 axes, got {mask.ndim}")
+        object.__setattr__(self, "mask", _freeze(mask))
+
+    @property
+    def dims(self) -> Triple:
+        return self.mask.shape  # type: ignore[return-value]
 
     def __contains__(self, triple: Triple) -> bool:
-        return tuple(triple) in self.triples
+        index = tuple(x - 1 for x in triple)
+        return all(0 <= x < n for x, n in zip(index, self.dims)) and bool(self.mask[index])
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return int(np.count_nonzero(self.mask))
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(sorted(self.triples))
+        return map(tuple, (np.argwhere(self.mask) + 1).tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SupportSet):
+            return NotImplemented
+        return bool(np.array_equal(self.mask, other.mask))  # False for other dims
 
     def issubset(self, other: "SupportSet") -> bool:
-        return self.triples <= other.triples
+        return self.dims == other.dims and not (self.mask & ~other.mask).any()
 
 
 def support_set(dims: Triple, triples: Iterable[Triple]) -> SupportSet:
-    return SupportSet(dims, triples)  # type: ignore[arg-type]
+    """The support of the given 1-based triples; a triple outside the box is a ValueError."""
+    n1, n2, n3 = dims = tuple(int(n) for n in dims)
+    mask = np.zeros(dims, dtype=bool)
+    for i, j, k in triples:
+        i, j, k = int(i), int(j), int(k)
+        if not (1 <= i <= n1 and 1 <= j <= n2 and 1 <= k <= n3):
+            raise ValueError(f"triple {(i, j, k)} outside [{n1}]x[{n2}]x[{n3}]")
+        mask[i - 1, j - 1, k - 1] = True
+    return SupportSet(mask)
 
 
 def support(t: Tensor3, tol: float = SUPPORT_TOL) -> SupportSet:
@@ -190,8 +206,7 @@ def support(t: Tensor3, tol: float = SUPPORT_TOL) -> SupportSet:
         raise ValueError("tol must be nonnegative")
     mags = np.abs(t.entries)
     peak = mags.max() if mags.size else 0.0
-    idx = np.argwhere(mags > tol * peak)
-    return support_set(t.dims, ((i + 1, j + 1, k + 1) for i, j, k in idx))
+    return SupportSet(mags > tol * peak)
 
 
 def _norm(a: np.ndarray) -> float:
@@ -213,10 +228,11 @@ def norm(t: Tensor3) -> float:
 
 
 def tensor_to_doc(t: Tensor3) -> dict:
-    entries = []
-    for (i, j, k) in support(t, 0.0):
-        value = t.entries[i - 1, j - 1, k - 1]
-        entries.append({"i": i, "j": j, "k": k, "re": float(value.real), "im": float(value.imag)})
+    supp = support(t, 0.0)
+    entries = [
+        {"i": i, "j": j, "k": k, "re": value.real, "im": value.imag}
+        for (i, j, k), value in zip(supp, t.entries[supp.mask].tolist())
+    ]
     return {"dims": list(t.dims), "entries": entries}
 
 

@@ -9,7 +9,6 @@ from conftest import permutation_triple, random_unitary, rng
 from nonfree import certify
 from nonfree.certify import (
     NAMED_BLOCKS,
-    TwoColumnDecision,
     certify_family,
     certify_named,
     family_block_pattern,
@@ -29,7 +28,6 @@ from nonfree.named import (
 from nonfree.tensor import (
     GroupTriple,
     Tensor3,
-    UnitaryTriple,
     apply,
     from_coefficients,
 )
@@ -71,12 +69,11 @@ def test_blocks_reject_float_vectors():
 
 
 def test_obstruction_on_s2_lists_the_three_vectors():
-    decision = two_column_obstruction(ness_form_t2(), 3, (1, 2))
-    assert not decision.free_possible
-    assert decision.obstruction.kind == "pairwise-nonparallel-triple"
+    witness = two_column_obstruction(ness_form_t2(), 3, (1, 2))
+    assert witness.kind == "pairwise-nonparallel-triple"
     got = sorted(
         (round(v[0].real, 6), round(v[1].real, 6))
-        for v in decision.obstruction.data["vectors"]
+        for v in witness.data["vectors"]
     )
     expected = sorted(
         (round(x, 6), round(y, 6))
@@ -89,38 +86,24 @@ def test_obstruction_on_s2_lists_the_three_vectors():
     assert got == expected
 
 
-def test_obstruction_single_parallel_class_yields_unitary():
+def test_obstruction_single_parallel_class_has_no_obstruction():
     # Both block vectors proportional to (1, 1): one class, rotatable to an axis.
     t = from_coefficients(
         (2, 2, 2), {(1, 1, 1): 1.0, (1, 1, 2): 1.0, (2, 2, 1): 0.5, (2, 2, 2): 0.5}
     )
-    decision = two_column_obstruction(t, 3, (1, 2))
-    assert decision.free_possible
-    u = decision.unitary
-    np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
-    rotated = apply(UnitaryTriple(np.eye(2), np.eye(2), u), t)
-    for i in range(1, 3):
-        for j in range(1, 3):
-            row = [abs(rotated[i, j, 1]), abs(rotated[i, j, 2])]
-            assert min(row) <= 1e-12
+    assert two_column_obstruction(t, 3, (1, 2)) is None
 
 
-def test_obstruction_two_orthogonal_classes_yields_unitary():
+def test_obstruction_two_orthogonal_classes_has_no_obstruction():
     t = from_coefficients((2, 2, 2), {(1, 1, 1): 1.0, (2, 2, 2): 2.0})
-    decision = two_column_obstruction(t, 3, (1, 2))
-    assert decision.free_possible
-    np.testing.assert_allclose(
-        decision.unitary @ decision.unitary.conj().T, np.eye(2), atol=1e-12
-    )
+    assert two_column_obstruction(t, 3, (1, 2)) is None
 
 
 def test_obstruction_two_nonorthogonal_classes():
     t = from_coefficients(
         (2, 2, 2), {(1, 1, 1): 1.0, (2, 2, 1): 1.0, (2, 2, 2): 1.0}
     )
-    decision = two_column_obstruction(t, 3, (1, 2))
-    assert not decision.free_possible
-    assert decision.obstruction.kind == "nonorthogonal-pair"
+    assert two_column_obstruction(t, 3, (1, 2)).kind == "nonorthogonal-pair"
 
 
 def test_obstruction_block_size_validation():
@@ -139,9 +122,8 @@ def test_obstruction_rejects_bad_factor_and_block(factor, block):
 
 @pytest.mark.parametrize("scale", [1e-20, 1e-5, 1.0, 1e6])
 def test_obstruction_on_s2_does_not_depend_on_scale(scale):
-    decision = two_column_obstruction(Tensor3(scale * ness_form_t2().entries), 3, (1, 2))
-    assert not decision.free_possible
-    assert decision.obstruction.kind == "pairwise-nonparallel-triple"
+    witness = two_column_obstruction(Tensor3(scale * ness_form_t2().entries), 3, (1, 2))
+    assert witness.kind == "pairwise-nonparallel-triple"
 
 
 def test_obstruction_verdict_stable_under_local_permutations_and_phases():
@@ -159,8 +141,7 @@ def test_obstruction_verdict_stable_under_local_permutations_and_phases():
             phases, permutation_triple((3, 3, 3), sigma, tau, rho).factors
         )))
         moved = apply(g, s2)
-        decision = two_column_obstruction(moved, 3, (1, 2))
-        assert not decision.free_possible
+        assert two_column_obstruction(moved, 3, (1, 2)) is not None
 
 
 def test_right_unitary_closure_keeps_a_doubly_occupied_row():
@@ -263,8 +244,7 @@ def _t2_with_swapped_diagonal(monkeypatch):
 
 
 def _t2_with_free_decision(monkeypatch):
-    free = TwoColumnDecision(True, np.eye(2, dtype=np.complex128), None)
-    monkeypatch.setattr(certify, "two_column_obstruction", lambda s, factor, block: free)
+    monkeypatch.setattr(certify, "two_column_obstruction", lambda s, factor, block: None)
     return certify_named("T2")
 
 

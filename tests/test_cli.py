@@ -657,6 +657,7 @@ def _assert_one_json_answer(argv):
     doc = json.loads(out)
     assert code in (0, 1, 2)
     assert (code == 2) == ("error" in doc)
+    return code, doc
 
 
 @pytest.fixture(scope="module")
@@ -691,3 +692,71 @@ def test_any_point_document_gets_one_json_answer(doc_dir, doc):
     tensor = str(doc_dir / "family3.json")
     argv = ("polytope", "--input", tensor, "--refute", _write(doc_dir, doc), "--samples", "0")
     _assert_one_json_answer(argv)
+
+
+@pytest.fixture(scope="module")
+def branch_docs(tmp_path_factory):
+    """The input files of the report branches below, by name."""
+    directory = tmp_path_factory.mktemp("branches")
+    data = family_data(3)
+    docs = {
+        "family3": tensor_to_doc(build_family_tensor(data).tensor),
+        "family4": tensor_to_doc(build_family_tensor(family_data(4)).tensor),
+        "dense": tensor_to_doc(random_tensor(rng(7), (3, 3, 3))),
+        "exact_h": {**{f"h{a}": [str(x) for x in data.h[a - 1]] for a in (1, 2, 3)},
+                    "c": str(data.c)},
+        "float_h": {"h1": [1.0, 0.5, 0.0], "h2": [0.0] * 3, "h3": [0.0] * 3, "c": 2.0},
+        "uniform": {key: [1 / 3] * 3 for key in ("p1", "p2", "p3")},
+        "w_point": {key: [2 / 3, 1 / 3] for key in ("p1", "p2", "p3")},
+    }
+    paths = {name: directory / f"{name}.json" for name in docs}
+    for name, doc in docs.items():
+        paths[name].write_text(json.dumps(doc))
+    paths["w"] = directory / "w.json"
+    write_w_state(paths["w"])
+    return {name: str(path) for name, path in paths.items()}
+
+
+# Every subcommand and every branch of its report, with the exit code and the
+# field that shows the branch was taken; {name} is a file of branch_docs.
+REPORT_BRANCHES = {
+    "family-n2": (("family", "--n", "2"), 0, "s0"),
+    "family-verify": (("family", "--n", "3", "--verify"), 0, "verification"),
+    "moment-map": (("moment-map", "--input", "{w}"), 0, "spec_point"),
+    "flow-converged": (("flow", "--input", "{family3}", "--max-steps", "10"), 0, "result"),
+    "flow-unconverged": (("flow", "--input", "{dense}", "--max-steps", "1"), 1, "result"),
+    "free-support-free": (("free-support", "--input", "{w}"), 0, "free"),
+    "free-support-pair": (("free-support", "--input", "{family3}"), 1, "offending_pair"),
+    "certify-family": (("certify-nonfree", "--family", "3"), 0, "report"),
+    "certify-t2": (("certify-nonfree", "--named", "T2"), 0, "report"),
+    "certify-t5": (("certify-nonfree", "--named", "T5"), 0, "report"),
+    "certify-fails-moment-map": (("certify-nonfree", "--family", "3", "--tol", "0"), 1, "report"),
+    "certify-fails-ness": (("certify-nonfree", "--named", "T5", "--tol", "0"), 1, "report"),
+    "reduce-s0": (("reduce-s0", "--input", "{family4}"), 0, "g"),
+    "reduce-s0-escapes": (("reduce-s0", "--input", "{dense}"), 1, "reason"),
+    "reduce-s0-inconsistent": (("reduce-s0", "--input", "{family4}", "--tol", "0"), 1, "reason"),
+    "halfspace-exact": (("polytope", "--input", "{family3}", "--halfspace", "{exact_h}"),
+                        0, "halfspace"),
+    "halfspace-float-invalid": (("polytope", "--input", "{family3}", "--halfspace", "{float_h}"),
+                                1, "halfspace"),
+    "refute-refuted": (("polytope", "--input", "{family3}", "--refute", "{uniform}", "--samples", "3"),
+                       0, "refutation"),
+    "refute-inconclusive": (("polytope", "--input", "{w}", "--refute", "{w_point}", "--samples", "2"),
+                            0, "refutation"),
+    "usage-error": (("polytope", "--input", "{w}"), 2, "error"),
+}
+
+
+@pytest.mark.parametrize("branch", list(REPORT_BRANCHES))
+def test_every_report_branch_prints_one_json_document(branch_docs, branch):
+    # dumps refuses numpy values, so a report that leaks one fails here with a TypeError.
+    argv, expected_code, field = REPORT_BRANCHES[branch]
+    code, doc = _assert_one_json_answer([arg.format(**branch_docs) for arg in argv])
+    assert code == expected_code and field in doc
+
+
+def test_a_failed_obstruction_stage_prints_one_json_document(monkeypatch):
+    # Every pair of block vectors counts as parallel, so the family obstruction fails.
+    monkeypatch.setattr(nonfree.certify, "PARALLEL_TOL", 1.0)
+    code, doc = _assert_one_json_answer(["certify-nonfree", "--family", "3"])
+    assert code == 1 and doc["report"]["failed_stage"] == "obstruction"

@@ -123,7 +123,7 @@ def test_outer_halfspace_exact_path_matches_a_fraction_reference():
         pairings = {
             (i, j, k): h[0][i - 1] + h[1][j - 1] + h[2][k - 1]
             for (i, j, k) in cells
-            if any(i <= a and j <= b and k <= c for (a, b, c) in supp.triples)
+            if any(i <= a and j <= b and k <= c for (a, b, c) in supp)
         }
         levels = sorted(set(pairings.values()))
         low = levels[0]
@@ -137,7 +137,7 @@ def test_outer_halfspace_exact_path_matches_a_fraction_reference():
             assert cert.valid == (c <= low)
             assert cert.vertex_count == len(pairings)
             assert cert.equality_set.dims == dims
-            assert cert.equality_set.triples == {t for t, v in pairings.items() if v == c}
+            assert set(cert.equality_set) == {t for t, v in pairings.items() if v == c}
     assert higher_levels > 40
 
 
@@ -271,8 +271,8 @@ def test_the_product_witness_agrees_with_the_lp():
         target = [x for n in dims for x in _random_block(gen, n)]
         supp = support_set(dims, cells)
         lp = in_convex_hull(_vertices(dims, cells), target)
-        assert _hull_contains(supp, dims, target) == lp
-        if _product_witness(supp, dims, target):
+        assert _hull_contains(supp, target) == lp
+        if _product_witness(supp, target):
             fired += 1
             assert lp
         refuted += not lp
@@ -280,7 +280,7 @@ def test_the_product_witness_agrees_with_the_lp():
     # Weights summing to 1/2 in one component are no convex combination, full support or not.
     dims = (2, 3, 3)
     half = [F(1, 4), F(1, 4)] + [F(1, 3)] * 6
-    assert not _product_witness(support_set(dims, _cells(dims)), dims, half)
+    assert not _product_witness(support_set(dims, _cells(dims)), half)
     assert not in_convex_hull(_vertices(dims, _cells(dims)), half)
 
 
