@@ -40,9 +40,6 @@ VALUE_TOL = 1e-12
 
 Blocks = tuple[tuple[int, ...], ...]
 
-# Eigenvalue blocks of mu(S) for both named tensors: singletons, then a (2, 1) split.
-NAMED_BLOCKS = (((1,), (2,), (3,)), ((1,), (2,), (3,)), ((1, 2), (3,)))
-
 
 def _runs(values: Sequence) -> Blocks:
     blocks: list[tuple[int, ...]] = []
@@ -152,7 +149,6 @@ def _certify(
     mu_defect: float,
     lam_expected: Fraction,
     spectrum,
-    expected_blocks: tuple[Blocks, Blocks, Blocks],
     obstruction: tuple[dict, ObstructionWitness | None],
 ) -> NonFreenessReport:
     """The shared stages on the representative s, in order; the first failure ends the report.
@@ -161,8 +157,8 @@ def _certify(
     (against the exact lam_expected, compared as a float) are held to
     value_tol, the Ness residual to tol, and the eigenvalue blocks of the
     exact diagonal spectrum, which mu_defect has tied to mu(s), must be
-    expected_blocks. The obstruction is the details it adds and its witness,
-    None if it fails.
+    family_block_pattern of the size of s; T2 and T5 share the n = 3 pattern.
+    The obstruction is the details it adds and its witness, None if it fails.
     """
     ness = blocks = witness = None
 
@@ -183,7 +179,7 @@ def _certify(
 
     blocks = stabilizer_blocks(spectrum)
     details["blocks"] = blocks
-    if blocks != expected_blocks:
+    if blocks != family_block_pattern(s.dims[0]):
         return report("stabilizer_blocks")
 
     found, witness = obstruction
@@ -205,8 +201,7 @@ def certify_family(n: int, tol: float = DEFAULT_TOL) -> NonFreenessReport:
     )
     return _certify(
         f"family-{n}", {"n": n, "tol": tol}, ft.tensor, tol, tol,
-        mu_defect=family_mu_defect(ft), lam_expected=ft.data.ness_lambda,
-        spectrum=ft.data.q, expected_blocks=family_block_pattern(n),
+        mu_defect=family_mu_defect(ft), lam_expected=ft.data.ness_lambda, spectrum=ft.data.q,
         obstruction=({"min_offdiagonal": min_off}, witness if min_off >= PARALLEL_TOL else None),
     )
 
@@ -267,5 +262,5 @@ def certify_named(
     return _certify(
         which, details, s, tol, VALUE_TOL,
         mu_defect=_diag_defect(moment_map(s), expected_mu), lam_expected=expected_lambda,
-        spectrum=expected_mu, expected_blocks=NAMED_BLOCKS, obstruction=(found, witness),
+        spectrum=expected_mu, obstruction=(found, witness),
     )

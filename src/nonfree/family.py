@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polytope import HalfspaceCert, _integer_scaling, outer_halfspace
+from .polytope import HalfspaceCert, _pairings, outer_halfspace
 from .tensor import SupportSet
 
 RationalVec = tuple[Fraction, ...]
@@ -138,12 +138,8 @@ def _validate(data: FamilyData) -> None:
         (hx * qx for hi, qi in zip(data.h, data.q) for hx, qx in zip(hi, qi)),
         Fraction(0)) == data.c))
     checks.append(("|q|^2 = 3/n + c^2/|h|^2", q_norm_sq == data.ness_lambda))
-    _, (s1, s2, s3), scaled_norm_sq = _integer_scaling(data.q, q_norm_sq)
-    pairing_ok = all(
-        s1[i - 1] + s2[j - 1] + s3[k - 1] == scaled_norm_sq
-        for (i, j, k) in gamma_support(n)
-    )
-    checks.append(("<(e_i|e_j|e_k), q> constant on Gamma_n", pairing_ok))
+    _, pairings, scaled_norm_sq = _pairings(gamma_support(n).mask, data.q, q_norm_sq)
+    checks.append(("<(e_i|e_j|e_k), q> constant on Gamma_n", (pairings == scaled_norm_sq).all()))
 
     failed = [name for name, ok in checks if not ok]
     if failed:

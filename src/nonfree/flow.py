@@ -7,8 +7,8 @@ guaranteed to exist.
 
 The integrator steps a plain entries array and builds a `Tensor3` only for the
 limit. One evaluation per accepted point serves the monotonicity check, the
-convergence test and the next step's first RK4 stage. Each evaluation and each
-later RK4 stage gets mu and mu * x from one kernel, `moment._moment_action`,
+convergence test, lambda and the next step's first RK4 stage. Each evaluation
+and later RK4 stage gets mu and mu * x from one kernel, `moment._moment_action`,
 which for a small cubic tensor builds one set of stacked flattenings for both.
 """
 
@@ -50,6 +50,7 @@ class FlowResult:
     final_residual: float
     mu_norm_trajectory: list[float]
     converged: bool
+    lam: float  # <T, mu(T)T> / |T|^2 at the limit, from its last evaluation
 
 
 def _lam_residual(arr: np.ndarray, action: np.ndarray, nrm: float) -> tuple[float, float]:
@@ -66,11 +67,11 @@ def ness_minimality(t: Tensor3) -> NessCertificate:
     return NessCertificate(*_lam_residual(t.entries, action, nrm))
 
 
-def _evaluate(x: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """|mu(x)|, the action mu(x) * x and the projective residual at x."""
+def _evaluate(x: np.ndarray) -> tuple[float, np.ndarray, float, float]:
+    """|mu(x)|, the action mu(x) * x, lambda and the projective residual at x."""
     nrm = _norm(x)
     mu, action = _moment_action(x, nrm)
-    return _frobenius_norm(mu), action, _lam_residual(x, action, nrm)[1]
+    return _frobenius_norm(mu), action, *_lam_residual(x, action, nrm)
 
 
 def _rk4_step(x: np.ndarray, k1: np.ndarray, dt: float) -> np.ndarray:
@@ -113,7 +114,7 @@ def flow(
         raise ValueError("flow requires a nonzero tensor")
     # Scale by the reciprocal of the norm: dividing by it would round differently.
     x = t.entries * (1.0 / norm(t))
-    mu_norm, action, residual = _evaluate(x)
+    mu_norm, action, lam, residual = _evaluate(x)
     trajectory = [mu_norm]
     dt = step_size
     streak = 0
@@ -138,7 +139,7 @@ def flow(
             else:
                 break  # no step down to dt / 2**MAX_HALVINGS was accepted: stop unconverged
             x = candidate
-            mu_norm, action, residual = evaluation
+            mu_norm, action, lam, residual = evaluation
             steps += 1
             trajectory.append(mu_norm)
             streak = 0 if halvings else streak + 1
@@ -152,5 +153,6 @@ def flow(
         final_residual=residual,
         mu_norm_trajectory=trajectory,
         converged=residual <= residual_tol,
+        lam=lam,
     )
 

@@ -16,14 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 import numpy as np
 
 from .exactlp import in_convex_hull
 from .moment import WeylPoint
-from .supports import downward_closure, sjamaar_inner_points
-from .tensor import GroupTriple, SupportSet, Tensor3, apply, support
+from .supports import downward_closure, sjamaar_inner_points, vertex_matrix
+from .tensor import DimensionMismatchError, GroupTriple, SupportSet, Tensor3, apply, support
 
 RATIONALIZE_DENOMINATOR = 10**12
 DEFAULT_SAMPLES = 100
@@ -34,65 +33,62 @@ MAX_SAMPLES = 10**4  # most lower-triangular samples one refutation may draw
 class HalfspaceCert:
     """Certified outer bound <p, h> >= c on every polytope point, or its failure.
 
-    `c` is the bound as given; `min_support_value` is a Fraction when h and c
-    are rationals, else a float; `equality_set` holds the closure triples
-    whose pairing equals c (as a float when h or c is one).
+    `c` is the bound as given; `min_support_value` is the exact minimum of the
+    pairings over the closure, a Fraction; `equality_set` holds the closure
+    triples whose pairing equals c exactly.
     """
 
     c: object
-    min_support_value: object
+    min_support_value: Fraction
     valid: bool
     vertex_count: int
     equality_set: SupportSet
 
 
-def _is_exact(values) -> bool:
-    return all(isinstance(x, Rational) for x in values)
+def _pairings(mask: np.ndarray, h, c) -> tuple[int, np.ndarray, int]:
+    """(D, D times the pairings <(e_i|e_j|e_k), h> at the triples of mask in C
+    order, D * c), with D the common denominator of h and c.
 
-
-def _integer_scaling(h, c) -> tuple[int, tuple[tuple[int, ...], ...], int]:
-    """Rational h and c over their common denominator D: (D, D*h, D*c), all ints.
-
-    A pairing <(e_i|e_j|e_k), h> is then D times a sum of three ints.
+    Every value is read as the exact rational Fraction(x), floats included, so
+    the pairings are an object array of Python ints. A non-finite value is a
+    ValueError, and an h whose lengths are not mask.shape a DimensionMismatchError.
     """
-    denominators = [int(x.denominator) for component in h for x in component]
-    scale = math.lcm(*denominators, int(c.denominator))
+    try:
+        h, c = tuple(tuple(map(Fraction, component)) for component in h), Fraction(c)
+    except OverflowError as exc:  # Fraction(inf); Fraction(nan) is a ValueError
+        raise ValueError(f"halfspace values must be finite: {exc}") from exc
+    if (lengths := tuple(map(len, h))) != mask.shape:
+        raise DimensionMismatchError(f"halfspace lengths {lengths} do not match dims {mask.shape}")
+    scale = math.lcm(*(int(x.denominator) for x in sum(h, (c,))))
 
-    def scaled(x) -> int:
+    def scaled(x: Fraction) -> int:
         return int(x.numerator) * (scale // int(x.denominator))
 
-    return scale, tuple(tuple(map(scaled, component)) for component in h), scaled(c)
+    h1, h2, h3 = (np.array([scaled(x) for x in component], dtype=object) for component in h)
+    i, j, k = np.nonzero(mask)
+    return scale, h1[i] + h2[j] + h3[k], scaled(c)
 
 
 def outer_halfspace(supp: SupportSet, h, c) -> HalfspaceCert:
     """Check <(e_i|e_j|e_k), h> >= c on the downward closure of supp.
 
-    The closure is a mask, paired in C order, the sorted triple order, and
-    the equality set is built as a mask. Exact when h and c are rationals:
-    they are put over one common denominator D, every pairing is a sum of
-    ints, and the minimum is reported as a Fraction. Otherwise plain float
-    comparisons with float(c). An empty support, or a float pairing that
-    overflows, is a ValueError.
+    Exact for every input: h and c are read as rationals, floats included,
+    and put over one common denominator, so every pairing is an int and the
+    minimum is reported as a Fraction. The closure is a mask, paired in C
+    order, and the equality set is built as a mask. An empty support, a
+    non-finite value, or a component of h whose length is not its side of
+    the box, is a ValueError.
     """
-    h1, h2, h3 = h = tuple(tuple(component) for component in h)
-    exact = _is_exact(h1 + h2 + h3 + (c,))
-    if exact:
-        scale, (h1, h2, h3), bound = _integer_scaling(h, c)
-    else:
-        h1, h2, h3 = (tuple(map(float, component)) for component in h)
-        bound = float(c)
     closure = downward_closure(supp).mask
     if not closure.any():
         raise ValueError("outer halfspace check needs a nonempty support; the support is empty")
-    values = [h1[i] + h2[j] + h3[k] for i, j, k in np.argwhere(closure).tolist()]
-    min_value = min(values)
-    if not exact and not math.isfinite(min_value):
-        raise ValueError(f"halfspace pairing overflows the float range (minimum {min_value})")
+    scale, values, bound = _pairings(closure, h, c)
+    min_value = values.min()
     equality = np.zeros_like(closure)
-    equality[closure] = [value == bound for value in values]
+    equality[closure] = values == bound
     return HalfspaceCert(
         c=c,
-        min_support_value=Fraction(min_value, scale) if exact else min_value,
+        min_support_value=Fraction(min_value, scale),
         valid=min_value >= bound,
         vertex_count=len(values),
         equality_set=SupportSet(equality),
@@ -164,11 +160,7 @@ def _hull_contains(supp: SupportSet, target: list[Fraction]) -> bool:
     """
     if _product_witness(supp, target):
         return True
-    n1, n2, _ = supp.dims
-    columns = np.argwhere(supp.mask) + (0, n1, n1 + n2)
-    vertices = np.zeros((len(columns), len(target)), dtype=int)
-    vertices[np.arange(len(columns))[:, None], columns] = 1
-    return in_convex_hull(vertices.tolist(), target)
+    return in_convex_hull(vertex_matrix(supp).tolist(), target)
 
 
 def hull_refute(
@@ -188,9 +180,13 @@ def hull_refute(
     each membership is first tried as a product witness, p = sum of
     p1_i p2_j p3_k (e_i|e_j|e_k) over the support, which answers only "in
     the hull"; the LP runs only when that fails and stays the one source of
-    refutations. `samples` outside 0..MAX_SAMPLES, or the zero tensor, whose
-    polytope is empty, is a ValueError.
+    refutations. `samples` outside 0..MAX_SAMPLES, the zero tensor, whose
+    polytope is empty, or a p whose component lengths are not t.dims, is a
+    ValueError.
     """
+    lengths = tuple(map(len, p.components))
+    if lengths != t.dims:
+        raise DimensionMismatchError(f"point lengths {lengths} do not match tensor dims {t.dims}")
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     if samples > MAX_SAMPLES:

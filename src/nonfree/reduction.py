@@ -16,9 +16,10 @@ import numpy as np
 
 from .construct import s0_tensor
 from .family import gamma_support, staircase_index
+from .supports import vertex_matrix
 from .tensor import GroupTriple, SupportSet, Tensor3, apply, compose, norm, support
 
-DEFAULT_TOL = 1e-8  # log-linear consistency and final residual
+DEFAULT_TOL = 1e-8  # bound on the final residual |g . s - S0|
 RANK_TOL = 1e-10
 STAIRCASE_TOL = 1e-12  # relative cutoff for entries that count as escaping the staircase
 
@@ -57,10 +58,12 @@ def _check_row_deletion_rank(w: np.ndarray) -> None:
 
 
 def reduce_to_s0(s: Tensor3, tol: float = DEFAULT_TOL) -> ReductionResult:
-    """Find g with g . s equal to the 0/1 representative within tol.
+    """Find g with g . s equal to the 0/1 representative S0 within tol.
 
     Requires all a-entries nonzero and every n-1 rows of the W-part linearly
-    independent; both are generic within the staircase support.
+    independent (generic within the staircase support), else a ReductionError.
+    Step 4's log-space system always has a solution, so tol bounds only the
+    final residual |g . s - S0|, and success means the residual is within it.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
@@ -100,26 +103,16 @@ def reduce_to_s0(s: Tensor3, tol: float = DEFAULT_TOL) -> ReductionResult:
     current = apply(g3, current)
     log.append("third-factor diagonal normalizes the ones row")
 
-    # (4) Remaining diagonal normalization in log space: minimum-norm solution
-    # of x_i + y_j + z_k = -Log(entry) over the support incidence system.
-    triples = list(support(target, 0.0))
-    rows = np.zeros((len(triples), 3 * n))
-    rhs = np.zeros(len(triples), dtype=np.complex128)
-    for row, (i, j, k) in enumerate(triples):
-        rows[row, i - 1] = 1.0
-        rows[row, n + j - 1] = 1.0
-        rows[row, 2 * n + k - 1] = 1.0
-        value = current.entries[i - 1, j - 1, k - 1]
-        if abs(value) <= 1e-14:
-            raise ReductionError(f"expected support entry {(i, j, k)} vanished")
-        rhs[row] = -np.log(value)
-    solution, *_ = np.linalg.lstsq(rows.astype(np.complex128), rhs, rcond=None)
-    log_residual = float(np.linalg.norm(rows @ solution - rhs))
-    if log_residual > tol:
-        raise ReductionError(
-            f"log-linear normalization inconsistent (residual {log_residual:.3e}); "
-            "tensor is not generic on the staircase"
-        )
+    # (4) Remaining diagonal normalization in log space: minimum-norm solution of
+    # x_i + y_j + z_k = -Log(entry) on the 3(n-1) triples of S0, a full-row-rank system.
+    target_support = support(target, 0.0)
+    values = current.entries[target_support.mask]
+    vanished = np.abs(values) <= 1e-14
+    if vanished.any():
+        triple = list(target_support)[vanished.argmax()]
+        raise ReductionError(f"expected support entry {triple} vanished")
+    rows = vertex_matrix(target_support).astype(np.complex128)
+    solution, *_ = np.linalg.lstsq(rows, -np.log(values), rcond=None)
     g4 = GroupTriple(
         np.diag(np.exp(solution[:n])),
         np.diag(np.exp(solution[n : 2 * n])),

@@ -3,7 +3,7 @@
 A support is free when any two distinct triples in it differ in at least two
 coordinates; equivalently, distinct slices, rows and columns of the tensor
 have disjoint support. Every function here works on the boolean mask of a
-`SupportSet` with whole-array operations and builds its results as masks.
+`SupportSet` with whole-array operations.
 """
 
 from __future__ import annotations
@@ -57,6 +57,16 @@ def downward_closure(s: SupportSet) -> SupportSet:
     for axis in range(3):
         closed = np.flip(np.logical_or.accumulate(np.flip(closed, axis), axis=axis), axis)
     return SupportSet(closed)
+
+
+def vertex_matrix(s: SupportSet) -> np.ndarray:
+    """The 0/1 int matrix whose rows are the vertices (e_i|e_j|e_k) of the
+    triples of s in sorted order, over n1 + n2 + n3 columns."""
+    n1, n2, _ = s.dims
+    columns = np.argwhere(s.mask) + (0, n1, n1 + n2)
+    rows = np.zeros((len(columns), sum(s.dims)), dtype=int)
+    rows[np.arange(len(columns))[:, None], columns] = 1
+    return rows
 
 
 def sjamaar_inner_points(s: SupportSet) -> list[WeylPoint]:

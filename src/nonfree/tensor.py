@@ -189,13 +189,16 @@ class SupportSet:
 
 
 def support_set(dims: Triple, triples: Iterable[Triple]) -> SupportSet:
-    """The support of the given 1-based triples; a triple outside the box is a ValueError."""
+    """The support of the given 1-based triples; a triple that is not three
+    integers, or lies outside the box, is a ValueError."""
     n1, n2, n3 = dims = tuple(int(n) for n in dims)
     mask = np.zeros(dims, dtype=bool)
-    for i, j, k in triples:
-        i, j, k = int(i), int(j), int(k)
+    for triple in triples:
+        i, j, k = index = tuple(int(x) for x in triple)
+        if index != tuple(triple):
+            raise ValueError(f"triple {tuple(triple)} is not three integers")
         if not (1 <= i <= n1 and 1 <= j <= n2 and 1 <= k <= n3):
-            raise ValueError(f"triple {(i, j, k)} outside [{n1}]x[{n2}]x[{n3}]")
+            raise ValueError(f"triple {index} outside [{n1}]x[{n2}]x[{n3}]")
         mask[i - 1, j - 1, k - 1] = True
     return SupportSet(mask)
 

@@ -8,7 +8,6 @@ import pytest
 from conftest import permutation_triple, random_unitary, rng
 from nonfree import certify
 from nonfree.certify import (
-    NAMED_BLOCKS,
     certify_family,
     certify_named,
     family_block_pattern,
@@ -35,7 +34,7 @@ from nonfree.tensor import (
 
 def test_blocks_of_exact_named_diagonals():
     for diagonals in (MU_S2_DIAGONALS, MU_S5_DIAGONALS):
-        assert stabilizer_blocks(diagonals) == NAMED_BLOCKS
+        assert stabilizer_blocks(diagonals) == family_block_pattern(3)
 
 
 def test_blocks_of_rational_q():

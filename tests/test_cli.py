@@ -537,12 +537,19 @@ def test_non_finite_halfspace_value_is_input_error(tmp_path, capsys, key, value)
     assert error["kind"] == "input" and "halfspace values must be finite" in error["message"]
 
 
-def test_overflowing_float_halfspace_pairing_is_input_error(tmp_path, capsys):
-    doc = dict(HALFSPACE_3, h1=[1e308] * 3, h2=[1e308] * 3, h3=[0, 0, 0])
+@pytest.mark.parametrize(
+    "doc, minimum",
+    [
+        (dict(HALFSPACE_3, h1=[1e308] * 3, h2=[1e308] * 3, h3=[0, 0, 0]), 2 * int(1e308)),
+        (dict(HALFSPACE_3, h1=[0.5, 0.25, 0.0], h2=[0, 0, 0], h3=[0, 0, 0], c="-1e400"), 0),
+    ],
+    ids=["float-pairing-overflows", "float-h-with-huge-rational-c"],
+)
+def test_halfspaces_beyond_the_float_range_are_compared_exactly(tmp_path, capsys, doc, minimum):
     code, out = run(capsys, *_polytope_argv(tmp_path, "--halfspace", doc))
-    error = json.loads(out)["error"]
-    assert code == 2
-    assert error["kind"] == "input" and "overflows the float range" in error["message"]
+    half = json.loads(out)["halfspace"]
+    assert code == 0 and half["valid"] is True
+    assert half["min_support_value"] == {"num": str(minimum), "den": "1"}
 
 
 def test_halfspace_on_an_empty_support_is_input_error(tmp_path, capsys):
@@ -734,7 +741,7 @@ REPORT_BRANCHES = {
     "certify-fails-ness": (("certify-nonfree", "--named", "T5", "--tol", "0"), 1, "report"),
     "reduce-s0": (("reduce-s0", "--input", "{family4}"), 0, "g"),
     "reduce-s0-escapes": (("reduce-s0", "--input", "{dense}"), 1, "reason"),
-    "reduce-s0-inconsistent": (("reduce-s0", "--input", "{family4}", "--tol", "0"), 1, "reason"),
+    "reduce-s0-above-tol": (("reduce-s0", "--input", "{family4}", "--tol", "0"), 1, "residual"),
     "halfspace-exact": (("polytope", "--input", "{family3}", "--halfspace", "{exact_h}"),
                         0, "halfspace"),
     "halfspace-float-invalid": (("polytope", "--input", "{family3}", "--halfspace", "{float_h}"),

@@ -132,15 +132,17 @@ def test_fixed_point_iff_no_projective_progress():
     ids=["t2-unconverged", "s0-4", "dense-4-halving"],
 )
 def test_flow_kernel_agrees_exactly_with_the_public_boundary(monkeypatch, make, kwargs, halves):
-    # The flow steps raw arrays; its reported numbers must be the ones the
-    # validated moment_map and ness_minimality give at the limit, bit for bit.
+    # The flow steps raw arrays; its reported numbers, lambda included, must be
+    # the ones the validated moment_map and ness_minimality give at the limit,
+    # bit for bit.
     module = sys.modules["nonfree.flow"]  # the package re-exports flow() under that name
     evaluate, evaluations = module._evaluate, []
     monkeypatch.setattr(module, "_evaluate", lambda x: evaluations.append(None) or evaluate(x))
     result = flow(make(), **kwargs)
     # One evaluation per accepted step after the start; each halving adds one.
     assert (len(evaluations) > result.steps + 1) == halves
-    assert result.final_residual == ness_minimality(result.limit).residual
+    ness = ness_minimality(result.limit)
+    assert (result.lam, result.final_residual) == (ness.lam, ness.residual)
     assert result.mu_norm_trajectory[-1] == moment_map(result.limit).frobenius_norm()
 
 

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
-from math import copysign, sqrt
+from math import sqrt
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from nonfree.polytope import (
 )
 from nonfree.supports import downward_closure
 from nonfree.tensor import (
+    DimensionMismatchError,
     GroupTriple,
     Tensor3,
     apply,
@@ -84,30 +85,45 @@ def test_outer_halfspace_trivial_zero_halfspace():
     assert cert.equality_set == downward_closure(support(t))
 
 
-def test_outer_halfspace_float_equality_set_uses_the_cast_bound():
-    # The closure of {(2, 1, 1)} pairs to 1/3 (as a float) at (1, 1, 1) and to 0 at (2, 1, 1).
+def test_outer_halfspace_compares_a_float_h_exactly():
+    # The closure of {(2, 1, 1)} pairs to the float 1/3 at (1, 1, 1) and to 0 at (2, 1, 1).
+    # That float is not the rational 1/3, so only the float bound is attained there.
     supp = support_set((2, 2, 2), [(2, 1, 1)])
     h = ((1 / 3, 0.0), (0.0, 0.0), (0.0, 0.0))
     cert = outer_halfspace(supp, h, F(1, 3))
     assert cert.c == F(1, 3)  # reported as given
-    assert cert.min_support_value == 0.0 and not cert.valid
+    assert cert.min_support_value == 0 and isinstance(cert.min_support_value, F)
+    assert not cert.valid and cert.vertex_count == 2
+    assert len(cert.equality_set) == 0
+    cert = outer_halfspace(supp, h, 1 / 3)
+    assert cert.c == 1 / 3 and not cert.valid
     assert cert.equality_set == support_set((2, 2, 2), [(1, 1, 1)])
-    assert cert.vertex_count == 2
 
 
-def test_outer_halfspace_reports_the_first_minimum_in_sorted_closure_order():
-    # Every pairing is a zero, and they tie; only (1, 1, 1), the first, pairs to -0.0.
-    supp = support_set((3, 3, 3), [(3, 3, 3)])
-    h = ((-0.0, 0.0, 0.0),) * 3
-    cert = outer_halfspace(supp, h, 0.0)
-    assert cert.valid and cert.vertex_count == 27
-    assert copysign(1.0, cert.min_support_value) == -1.0
+@pytest.mark.parametrize("lengths", [(2, 3, 2), (2, 1, 2), (2, 2)], ids=["long", "short", "two"])
+def test_outer_halfspace_rejects_h_of_other_lengths(lengths):
+    h = tuple((0,) * n for n in lengths)
+    with pytest.raises(DimensionMismatchError):
+        outer_halfspace(support_set((2, 2, 2), [(1, 1, 1)]), h, 0)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("where", ["h", "c"])
+def test_outer_halfspace_rejects_non_finite_values(where, value):
+    h = ((value if where == "h" else 0, 0), (0, 0), (0, 0))
+    with pytest.raises(ValueError, match="finite|NaN"):
+        outer_halfspace(support_set((2, 2, 2), [(1, 1, 1)]), h, value if where == "c" else 0)
 
 
 def test_outer_halfspace_exact_path_matches_a_fraction_reference():
     # Non-cubic dims, h over mixed coprime denominators, and c below the minimum,
-    # at it, and at a higher attained level, whose equality set is not the minimal one.
-    gen = rng(41)
+    # at it, and at a higher attained level, whose equality set is not the minimal
+    # one. Float values of h and c are compared as the rationals Fraction(x).
+    for kind in ("fraction", "float", "mixed"):
+        _check_outer_halfspace_against_a_fraction_reference(rng(41), kind)
+
+
+def _check_outer_halfspace_against_a_fraction_reference(gen, kind):
     denominators = (1, 2, 3, 5, 7, 11, 13)
     higher_levels = 0
     for _ in range(60):
@@ -120,8 +136,11 @@ def test_outer_halfspace_exact_path_matches_a_fraction_reference():
             tuple(F(int(gen.integers(-20, 21)), int(gen.choice(denominators))) for _ in range(n))
             for n in dims
         )
+        if kind != "fraction":  # floats, all of h or a random half of its values
+            h = tuple(tuple(float(x) if kind == "float" or gen.random() < 0.5 else x
+                            for x in component) for component in h)
         pairings = {
-            (i, j, k): h[0][i - 1] + h[1][j - 1] + h[2][k - 1]
+            (i, j, k): F(h[0][i - 1]) + F(h[1][j - 1]) + F(h[2][k - 1])
             for (i, j, k) in cells
             if any(i <= a and j <= b and k <= c for (a, b, c) in supp)
         }
@@ -131,13 +150,16 @@ def test_outer_halfspace_exact_path_matches_a_fraction_reference():
         if len(levels) > 1:
             bounds.append(levels[1])
             higher_levels += 1
+        if kind != "fraction":  # the float nearest each bound, which the pairings may miss
+            bounds += [float(c) for c in bounds]
         for c in bounds:
             cert = outer_halfspace(supp, h, c)
+            assert cert.c is c
             assert isinstance(cert.min_support_value, F) and cert.min_support_value == low
-            assert cert.valid == (c <= low)
+            assert cert.valid == (F(c) <= low)
             assert cert.vertex_count == len(pairings)
             assert cert.equality_set.dims == dims
-            assert set(cert.equality_set) == {t for t, v in pairings.items() if v == c}
+            assert set(cert.equality_set) == {t for t, v in pairings.items() if v == F(c)}
     assert higher_levels > 40
 
 
@@ -206,6 +228,14 @@ def test_a_point_refuted_at_sample_0_draws_no_lower_triple(monkeypatch):
     result = hull_refute(build_family_tensor(family_data(3)).tensor, WeylPoint(u3, u3, u3))
     assert result.refuted and result.refuting_sample == 0
     assert len(built) == 1  # the upper triple U; sample 0 is U . t itself
+
+
+def test_hull_refute_rejects_a_point_of_other_lengths():
+    # Uniform components of lengths (3, 2, 4) on a 2 x 3 x 4 tensor came back refuted.
+    t = random_tensor(rng(3), (2, 3, 4))
+    assert not hull_refute(t, WeylPoint(*([1 / n] * n for n in (2, 3, 4))), samples=2).refuted
+    with pytest.raises(DimensionMismatchError):
+        hull_refute(t, WeylPoint(*([1 / n] * n for n in (3, 2, 4))), samples=2)
 
 
 def test_hull_refute_moment_point_is_inconclusive():

@@ -6,7 +6,8 @@ import pytest
 from conftest import rng
 from nonfree.construct import build_family_tensor, s0_tensor
 from nonfree.family import family_data, gamma_support
-from nonfree.reduction import ReductionError, extract_Wa, reduce_to_s0
+from nonfree.reduction import DEFAULT_TOL, ReductionError, extract_Wa, reduce_to_s0
+from nonfree.supports import vertex_matrix
 from nonfree.tensor import GroupTriple, Tensor3, apply, norm, support
 
 
@@ -96,6 +97,22 @@ def test_reduce_random_staircase_tensors():
         except ReductionError:
             pass
     assert successes >= 99
+
+
+def test_the_log_space_system_has_full_row_rank():
+    # Step 4 solves x_i + y_j + z_k = -Log(entry) over the support of S0; full
+    # row rank makes it consistent for every right side, so only the final
+    # residual can fail a reduction that passed the genericity checks.
+    for n in range(3, 33):
+        rows = vertex_matrix(support(s0_tensor(n), 0.0))
+        assert rows.shape == (3 * (n - 1), 3 * n)
+        assert np.linalg.matrix_rank(rows) == 3 * (n - 1)
+
+
+def test_tol_bounds_only_the_final_residual():
+    result = reduce_to_s0(build_family_tensor(family_data(4)).tensor, tol=0.0)
+    assert not result.success and 0.0 < result.residual <= DEFAULT_TOL
+    assert len(result.log) == 4
 
 
 def test_reduce_rejects_vanishing_a_entry():

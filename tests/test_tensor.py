@@ -192,8 +192,10 @@ def test_support_set_is_its_mask():
         wider = support_set((n1 + 1, n2, n3), triples)
         assert wider != s and not s.issubset(wider) and not wider.issubset(s)
         assert s.issubset(s) and SupportSet(np.zeros(s.dims, dtype=bool)).issubset(s)
-        with pytest.raises(ValueError):
-            support_set(s.dims, triples + [(n1, n2, n3 + 1)])
+        for bad in [(n1, n2, n3 + 1), (1.5, 1, 1), (1, 1, 0.5)]:  # outside, or not integers
+            with pytest.raises(ValueError):
+                support_set(s.dims, triples + [bad])
+        assert support_set(s.dims, [(1.0, 1, np.int64(1))]) == support_set(s.dims, [(1, 1, 1)])
 
 
 def test_support_rejects_negative_tolerance():
