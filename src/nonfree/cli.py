@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flow", help="integrate the scaling gradient flow")
     p.add_argument("--input", required=True)
-    p.add_argument("--step", type=float, default=DEFAULT_STEP)
+    p.add_argument("--step", type=float, default=DEFAULT_STEP, help="initial step, then adaptive")
     p.add_argument("--residual-tol", type=float, default=DEFAULT_RESIDUAL_TOL)
     p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     p.set_defaults(func=cmd_flow)

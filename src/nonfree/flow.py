@@ -1,15 +1,15 @@
 """Kempf-Ness gradient flow dT/dt = -mu(T) * T and the Ness fixed-point test.
 
-The flow is integrated projectively: the tensor is renormalized to unit norm
-after every accepted step, and convergence is declared on the projective
-gradient residual |mu(T) * T - lambda T|, since only the projective limit is
-guaranteed to exist.
+The flow is integrated projectively, by geodesic (Lie-Euler) steps
+x <- (e^{-dt mu_1} x e^{-dt mu_2} x e^{-dt mu_3}) x with mu frozen at x: group
+elements, so every iterate stays in the orbit of the input. Each is renormalized
+to unit norm, and convergence is declared on the projective gradient residual
+|mu(T) * T - lambda T|, since only the projective limit is guaranteed to exist.
 
 The integrator steps a plain entries array and builds a `Tensor3` only for the
-limit. One evaluation per accepted point serves the monotonicity check, the
-convergence test, lambda and the next step's first RK4 stage. Each evaluation
-and later RK4 stage gets mu and mu * x from one kernel, `moment._moment_action`,
-which for a small cubic tensor builds one set of stacked flattenings for both.
+limit. One evaluation per candidate, `moment._moment_action`, gives mu and
+mu * x for the monotonicity and drift tests, the convergence test and lambda;
+an accepted one also gives the eigendecomposition of mu every halving reuses.
 """
 
 from __future__ import annotations
@@ -67,28 +67,25 @@ def ness_minimality(t: Tensor3) -> NessCertificate:
     return NessCertificate(*_lam_residual(t.entries, action, nrm))
 
 
-def _evaluate(x: np.ndarray) -> tuple[float, np.ndarray, float, float]:
-    """|mu(x)|, the action mu(x) * x, lambda and the projective residual at x."""
+def _evaluate(x: np.ndarray) -> tuple[float, tuple[np.ndarray, ...], np.ndarray, float, float]:
+    """|mu(x)|, mu(x), the action mu(x) * x, lambda and the projective residual at x."""
     nrm = _norm(x)
     mu, action = _moment_action(x, nrm)
-    return _frobenius_norm(mu), action, *_lam_residual(x, action, nrm)
+    return _frobenius_norm(mu), mu, action, *_lam_residual(x, action, nrm)
 
 
-def _rk4_step(x: np.ndarray, k1: np.ndarray, dt: float) -> np.ndarray:
-    """One RK4 step of dx/dt = -mu(x) * x, where k1 = mu(x) * x.
+def _spectra(mu: tuple[np.ndarray, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Pairs (w, v) with mu_L = v diag(w) v^*, one batched pair for three equal sizes."""
+    cubic = mu[0].shape == mu[1].shape == mu[2].shape
+    return [np.linalg.eigh(np.stack(mu))] if cubic else [np.linalg.eigh(m) for m in mu]
 
-    Each stage holds mu(y) * y rather than the velocity, its negation, and is
-    subtracted; rounding is symmetric under negation, so the bits are those
-    of adding the velocities.
-    """
 
-    def f(y: np.ndarray) -> np.ndarray:
-        return _moment_action(y, _norm(y))[1]
-
-    k2 = f(x - 0.5 * dt * k1)
-    k3 = f(x - 0.5 * dt * k2)
-    k4 = f(x - dt * k3)
-    return x - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _geodesic_step(arrays: np.ndarray, spectra, dt: float) -> np.ndarray:
+    """The factors e^{-dt mu_L} = v diag(e^{-dt w}) v^*, applied to each stacked 3-axis array."""
+    f = [(v * np.exp(-dt * w)[..., None, :]) @ v.conj().swapaxes(-1, -2) for w, v in spectra]
+    a, b, c = f[0] if len(f) == 1 else f
+    k, n1 = arrays.shape[:2]
+    return b @ (a @ arrays.reshape(k, n1, -1)).reshape(arrays.shape) @ c.T
 
 
 def flow(
@@ -100,13 +97,14 @@ def flow(
     """Integrate the flow until the projective gradient residual drops below
     residual_tol; non-convergence is reported in the result, not raised.
 
-    The step is halved whenever |mu| would increase beyond integrator noise,
-    or the step would leave the finite nonzero tensors, and is allowed to
-    recover after a run of accepted steps. If MAX_HALVINGS halvings find no
-    acceptable step, the flow stops at the last accepted point, unconverged,
-    so |mu| never rises by more than MONOTONICITY_SLACK a step. A step_size
-    that is not positive, or a negative residual_tol or max_steps, is a
-    ValueError.
+    step_size is the initial dt. A candidate y is accepted only if |mu| rises by
+    at most MONOTONICITY_SLACK and the generator drifts by |mu(y) * y - mu(x) * y|
+    <= residual(x) / 2, an estimate of the local error. Otherwise, or if the
+    step would leave the finite nonzero tensors, dt is halved; it doubles after
+    10 accepted steps in a row, without a cap. If MAX_HALVINGS halvings find no
+    acceptable step, the flow stops unconverged at the last accepted point. A
+    step_size that is not positive, or a negative residual_tol or max_steps, is
+    a ValueError.
     """
     if not step_size > 0 or residual_tol < 0 or max_steps < 0:
         raise ValueError("flow needs step_size > 0, residual_tol >= 0 and max_steps >= 0")
@@ -114,7 +112,7 @@ def flow(
         raise ValueError("flow requires a nonzero tensor")
     # Scale by the reciprocal of the norm: dividing by it would round differently.
     x = t.entries * (1.0 / norm(t))
-    mu_norm, action, lam, residual = _evaluate(x)
+    mu_norm, mu, action, lam, residual = _evaluate(x)
     trajectory = [mu_norm]
     dt = step_size
     streak = 0
@@ -124,28 +122,30 @@ def flow(
     # numpy's overflow warnings would only name internals on stderr.
     with np.errstate(over="ignore", invalid="ignore"):
         while residual > residual_tol and steps < max_steps:
+            spectra = _spectra(mu)
+            # mu(x) * x rides along: the step commutes with mu(x), so it yields
+            # mu(x) * y for the drift test up to the scale of y.
+            pair = np.stack((x, action))
             for halvings in range(MAX_HALVINGS + 1):
-                if halvings:
-                    dt *= 0.5
-                    streak = 0
-                y = _rk4_step(x, action, dt)
-                y_norm = _norm(y)
+                stepped = _geodesic_step(pair, spectra, dt)
+                y_norm = _norm(stepped[0])
                 # A step to zero or past the float range is rejected like a rise of |mu|.
                 if 0.0 < y_norm < math.inf:
-                    candidate = y * (1.0 / y_norm)
+                    candidate, moved_action = stepped * (1.0 / y_norm)
                     evaluation = _evaluate(candidate)
-                    if evaluation[0] <= mu_norm + MONOTONICITY_SLACK:
+                    drift = _norm(evaluation[2] - moved_action)
+                    if evaluation[0] <= mu_norm + MONOTONICITY_SLACK and drift <= 0.5 * residual:
                         break
+                dt *= 0.5
             else:
                 break  # no step down to dt / 2**MAX_HALVINGS was accepted: stop unconverged
             x = candidate
-            mu_norm, action, lam, residual = evaluation
+            mu_norm, mu, action, lam, residual = evaluation
             steps += 1
             trajectory.append(mu_norm)
             streak = 0 if halvings else streak + 1
-            if streak >= 10 and dt < step_size:
-                dt = min(2.0 * dt, step_size)
-                streak = 0
+            if streak == 10:
+                dt, streak = 2.0 * dt, 0
 
     return FlowResult(
         limit=Tensor3(x),

@@ -146,7 +146,7 @@ def test_flow_command(tmp_path, capsys):
 
 @pytest.mark.parametrize("step", ["1e20", "1e40"])
 def test_a_flow_no_halving_can_save_stops_unconverged(tmp_path, capsys, step):
-    # Every halving of 1e20 still raises |mu|; a step of 1e40 leaves the float range.
+    # Each halving of 1e20 underflows to zero or raises |mu|; each of 1e40 underflows.
     path = tmp_path / "t.json"
     write_tensor(random_tensor(rng(7), (2, 2, 2)), path)
     with warnings.catch_warnings():
@@ -158,11 +158,27 @@ def test_a_flow_no_halving_can_save_stops_unconverged(tmp_path, capsys, step):
     assert len(result["mu_norm_trajectory"]) == 1
 
 
+def test_flow_passes_a_flat_stretch_that_monotonicity_alone_accepts(tmp_path, capsys):
+    # W3 = e112 + e121 + e211 + e333 / 2 admits steps of 1.0 that keep |mu|
+    # exactly flat at |mu|^2 = 1.30378 (RK4 took them for all 200 000 steps);
+    # the flow must reach the minimum, 15/14, instead.
+    path = tmp_path / "w3.json"
+    entries = [((1, 1, 2), 1.0), ((1, 2, 1), 1.0), ((2, 1, 1), 1.0), ((3, 3, 3), 0.5)]
+    path.write_text(json.dumps({"dims": [3, 3, 3], "entries": [
+        {"i": i, "j": j, "k": k, "re": re, "im": 0.0} for (i, j, k), re in entries
+    ]}))
+    code, out = run(capsys, "flow", "--input", str(path), "--step", "1.0")
+    result = json.loads(out)["result"]
+    assert code == 0 and result["converged"] is True
+    assert result["lambda"] == pytest.approx(15 / 14, abs=1e-6)
+
+
 def test_an_overflowing_flow_step_leaves_stderr_empty(tmp_path, capsys):
-    # The RK4 stages of a 1e40 step overflow; the flow rejects the step by its
-    # norm, and numpy must not report the overflow on stderr.
+    # The last eigenvalue of mu_3 of this 2x2x5 tensor rounds to -3e-17, so
+    # e^{-dt mu_3} overflows at every halving of a 1e40 step; the flow rejects
+    # the step by its norm, and numpy must not report the overflow on stderr.
     path = tmp_path / "t.json"
-    write_tensor(random_tensor(rng(7), (2, 2, 2)), path)
+    write_tensor(random_tensor(rng(0), (2, 2, 5)), path)
     argv = ["flow", "--input", str(path), "--step", "1e40", "--max-steps", "5"]
     src = os.path.dirname(os.path.dirname(nonfree.__file__))
     code = "import sys; from nonfree.cli import main; sys.exit(main(sys.argv[1:]))"

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import (
     random_free_support,
@@ -23,8 +24,9 @@ from nonfree.named import (
     ness_form_t2,
     ness_form_t5,
     tensor_t2,
+    tensor_t5,
 )
-from nonfree.tensor import Tensor3, _norm, apply, from_coefficients, norm, support
+from nonfree.tensor import GroupTriple, Tensor3, _norm, apply, from_coefficients, norm, support
 
 
 def test_ness_certificate_of_s2():
@@ -126,7 +128,7 @@ def test_fixed_point_iff_no_projective_progress():
     "make, kwargs, halves",
     [
         (tensor_t2, {"max_steps": 50}, False),
-        (lambda: s0_tensor(4), {}, False),
+        (lambda: s0_tensor(4), {}, True),
         (lambda: random_tensor(rng(0), (4, 4, 4)), {"step_size": 2.0}, True),
     ],
     ids=["t2-unconverged", "s0-4", "dense-4-halving"],
@@ -146,19 +148,6 @@ def test_flow_kernel_agrees_exactly_with_the_public_boundary(monkeypatch, make, 
     assert result.mu_norm_trajectory[-1] == moment_map(result.limit).frobenius_norm()
 
 
-def negated_velocity_rk4_step(x, dt):
-    """RK4 on dx/dt = -mu(x) * x, written with the velocities added."""
-
-    def f(y):
-        return -_action_array(_moment_arrays(y, _norm(y)), y)
-
-    k1 = f(x)
-    k2 = f(x + 0.5 * dt * k1)
-    k3 = f(x + 0.5 * dt * k2)
-    k4 = f(x + dt * (k3))
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 @pytest.mark.parametrize("dt", [0.05, 1.0])
 @pytest.mark.parametrize(
     "make",
@@ -170,19 +159,41 @@ def negated_velocity_rk4_step(x, dt):
     ],
     ids=["t2", "s0-4", "dense-4", "dense-2x3x4"],
 )
-def test_rk4_step_equals_the_negated_velocity_step_bit_for_bit(make, dt):
+def test_geodesic_step_applies_the_exponentials_of_mu(make, dt):
+    # The step carries x and mu(x) * x through the group element
+    # (e^{-dt mu_1}, e^{-dt mu_2}, e^{-dt mu_3}) that tensor.apply applies.
     t = make()
     x = t.entries * (1.0 / norm(t))
-    action = _action_array(_moment_arrays(x, _norm(x)), x)
-    got = sys.modules["nonfree.flow"]._rk4_step(x, action, dt)
-    expected = negated_velocity_rk4_step(x, dt)
-    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    mu = _moment_arrays(x, _norm(x))
+    action = _action_array(mu, x)
+    module = sys.modules["nonfree.flow"]
+    got = module._geodesic_step(np.stack((x, action)), module._spectra(mu), dt)
+    g = GroupTriple(*(scipy.linalg.expm(-dt * m) for m in mu))
+    for stepped, arr in zip(got, (x, action)):
+        np.testing.assert_allclose(stepped, apply(g, Tensor3(arr)).entries, rtol=0, atol=1e-12)
+
+
+def test_flow_from_t5_at_step_one_converges():
+    # Without the drift test, geodesic steps from 1.0 stall here at residual 5e-3.
+    result = flow(tensor_t5(), step_size=1.0)
+    assert result.converged
+    assert result.mu_norm_trajectory[-1] ** 2 == pytest.approx(16 / 15, abs=1e-6)
+
+
+@pytest.mark.parametrize("n, step", [(3, 2.0), (4, 100.0)])
+def test_flow_from_a_large_first_step_reaches_the_closed_form_lambda(n, step):
+    # Every iterate is a group element applied to S0(n), so even from a step of
+    # 100 the limit is the minimum of |mu| over the orbit, not a nearby point.
+    result = flow(s0_tensor(n), step_size=step)
+    assert result.converged
+    assert result.lam == pytest.approx(float(family_data(n).ness_lambda), abs=1e-6)
+    assert result.mu_norm_trajectory[-1] ** 2 == pytest.approx(result.lam, abs=1e-6)
 
 
 @pytest.mark.parametrize("step", [1e20, 1e40])
 def test_a_step_no_halving_can_save_stops_the_flow_where_it_was(step):
-    # Down to step / 2**MAX_HALVINGS, every RK4 step from this tensor raises |mu|
-    # (1e20) or leaves the float range (1e40). Neither may be accepted.
+    # Down to step / 2**MAX_HALVINGS, every step from this tensor underflows to
+    # zero or raises |mu| (1e20), or underflows (1e40). None may be accepted.
     t = random_tensor(rng(7), (2, 2, 2))
     with np.errstate(over="ignore", invalid="ignore"):
         result = flow(t, step_size=step, max_steps=5)

@@ -1,4 +1,4 @@
-"""Print one sha256 per benchmark workload and seed over every op's argv, exit code and stdout.
+"""Print one sha256 per benchmark workload, seed and command over its ops' argv, exit and stdout.
 
     python3 tools/stdout_hashes.py [--seeds 0 1 2] [--directory DIR]
 
@@ -34,13 +34,16 @@ def main(argv=None) -> int:
     for workload in BUILDERS:
         for seed in args.seeds:
             ops = build(workload, os.path.join(args.directory, f"{workload}-{seed}"), seed)
-            digest = hashlib.sha256()
+            records = {}
             for op in ops:
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out):
                     code = cli.main(list(op.argv))
-                digest.update(repr((list(op.argv), code, out.getvalue())).encode("utf-8"))
-            print(f"{workload}\tseed {seed}\t{len(ops)} ops\t{digest.hexdigest()}")
+                record = repr((list(op.argv), code, out.getvalue()))
+                records.setdefault(op.argv[0], []).append(record)
+            for command, reprs in records.items():
+                digest = hashlib.sha256("".join(reprs).encode("utf-8")).hexdigest()
+                print(f"{workload}\tseed {seed}\t{command}\t{len(reprs)} ops\t{digest}")
     return 0
 
 
