@@ -1,11 +1,11 @@
 """Constructive basis change carrying a generic staircase-supported tensor
 onto the 0/1 representative, returning the group element.
 
-The elementary steps are: a second-factor diagonal scaling normalizing the
-a-entries, one third-factor block matrix straightening the W-part, a
-third-factor column scaling, and a final diagonal normalization solved in
-log space over the support incidence system. The support stays inside the
-staircase throughout.
+The two steps are: one straightening, which divides the first factor by the
+peak entry and applies a third-factor block matrix that turns the W-part into
+the identity over one row, and one torus solve, a diagonal normalization of all
+three factors solved in log space over the support incidence system. The
+support stays inside the staircase throughout.
 """
 
 from __future__ import annotations
@@ -61,66 +61,44 @@ def reduce_to_s0(s: Tensor3, tol: float = DEFAULT_TOL) -> ReductionResult:
     """Find g with g . s equal to the 0/1 representative S0 within tol.
 
     Requires all a-entries nonzero and every n-1 rows of the W-part linearly
-    independent (generic within the staircase support), else a ReductionError.
-    Step 4's log-space system always has a solution, so tol bounds only the
+    independent (generic within the staircase support), else a ReductionError,
+    as is a g with a factor too ill-conditioned for a GroupTriple. The torus
+    solve's log-space system always has a solution, so tol bounds only the
     final residual |g . s - S0|, and success means the residual is within it.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     n = s.dims[0]
     w, a = extract_Wa(s)
-    if np.any(np.abs(a) <= 1e-14 * max(np.abs(s.entries).max(), 1e-300)):
+    # The peak, not the 2-norm, which underflows for entries near 1e-200.
+    peak = np.abs(s.entries).max()
+    if np.any(np.abs(a) <= 1e-14 * max(peak, 1e-300)):
         raise ReductionError("some a-entry vanishes; reduction undefined")
     _check_row_deletion_rank(w)
-    log: list[str] = []
     target = s0_tensor(n)
-
-    # (1) Second-factor diagonal making every a-entry 1.
-    scale2 = np.ones(n, dtype=np.complex128)
-    scale2[: n - 1] = 1.0 / a
-    g1 = GroupTriple(np.eye(n), np.diag(scale2), np.eye(n))
-    current = apply(g1, s)
-    log.append("second-factor diagonal normalizes a-entries to one")
-
-    # (2) Third-factor block matrix (M^T + [1]) with M the inverse of the first
-    # n-1 rows of W; straightens the W-part to the identity over a lambda-row.
-    w1, _ = extract_Wa(current)
-    m = np.linalg.inv(w1[: n - 1, :])
-    block = np.eye(n, dtype=np.complex128)
-    block[: n - 1, : n - 1] = m.T
-    g2 = GroupTriple(np.eye(n), np.eye(n), block)
-    current = apply(g2, current)
-    log.append("third-factor block matrix straightens the W rows")
-
-    lambdas = extract_Wa(current)[0][n - 1, :]
-    if np.any(np.abs(lambdas) <= 1e-14):
-        raise ReductionError("a straightened last-row coefficient vanishes")
-
-    # (3) Third-factor column scaling turning the last W row into all ones.
-    scale3 = np.ones(n, dtype=np.complex128)
-    scale3[: n - 1] = 1.0 / lambdas
-    g3 = GroupTriple(np.eye(n), np.eye(n), np.diag(scale3))
-    current = apply(g3, current)
-    log.append("third-factor diagonal normalizes the ones row")
-
-    # (4) Remaining diagonal normalization in log space: minimum-norm solution of
-    # x_i + y_j + z_k = -Log(entry) on the 3(n-1) triples of S0, a full-row-rank system.
     target_support = support(target, 0.0)
-    values = current.entries[target_support.mask]
+
+    # (1) Straighten: (I/p, I, M^T + [1]) with M the inverse of the first n-1 rows
+    # of W/p turns the W-part into [I; w_n W_top^-1] and the a-part into a/p.
+    block = np.eye(n, dtype=np.complex128)
+    block[: n - 1, : n - 1] = np.linalg.inv(w[: n - 1] / peak).T
+    g1 = GroupTriple(np.eye(n) / peak, np.eye(n), block)
+    values = apply(g1, s).entries[target_support.mask]
+    log = ["first- and third-factor matrices straighten the W rows"]
+
+    # (2) Torus solve: minimum-norm solution of x_i + y_j + z_k = -Log(entry) on
+    # the 3(n-1) triples of S0, a full-row-rank system, which absorbs any scaling.
     vanished = np.abs(values) <= 1e-14
     if vanished.any():
         triple = list(target_support)[vanished.argmax()]
         raise ReductionError(f"expected support entry {triple} vanished")
     rows = vertex_matrix(target_support).astype(np.complex128)
     solution, *_ = np.linalg.lstsq(rows, -np.log(values), rcond=None)
-    g4 = GroupTriple(
-        np.diag(np.exp(solution[:n])),
-        np.diag(np.exp(solution[n : 2 * n])),
-        np.diag(np.exp(solution[2 * n :])),
-    )
-    current = apply(g4, current)
+    try:
+        g = compose(GroupTriple(*map(np.diag, np.exp(solution).reshape(3, n))), g1)
+    except ValueError as exc:  # a factor's condition number is above 1/INVERTIBILITY_TOL
+        raise ReductionError(f"the reducing element is ill-conditioned: {exc}") from exc
     log.append("diagonal log-space normalization sets every entry to one")
 
-    g = compose(g4, compose(g3, compose(g2, g1)))
-    residual = norm(Tensor3(current.entries - target.entries))
+    residual = norm(Tensor3(apply(g, s).entries - target.entries))
     return ReductionResult(g=g, residual=residual, log=log, success=residual <= tol)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,9 +18,9 @@ import nonfree.family
 
 from nonfree.cli import main
 from nonfree.construct import build_family_tensor, s0_tensor
-from nonfree.family import family_data
+from nonfree.family import family_data, staircase_index
 from nonfree.polytope import MAX_SAMPLES
-from nonfree.tensor import tensor_to_doc
+from nonfree.tensor import Tensor3, tensor_to_doc
 
 
 def write_tensor(t, path):
@@ -199,6 +200,31 @@ def test_reduce_s0_command(tmp_path, capsys):
     assert code == 0
     assert doc["success"] is True
     assert doc["residual"] <= 1e-8
+
+
+@pytest.mark.parametrize("scale", [1e13, 1e-13, 1e100, 1e-100])
+@pytest.mark.parametrize("name", ["s0-4", "family-5"])
+def test_reduce_s0_accepts_a_scaled_tensor(tmp_path, capsys, name, scale):
+    t = s0_tensor(4) if name == "s0-4" else build_family_tensor(family_data(5)).tensor
+    path = tmp_path / "t.json"
+    write_tensor(Tensor3(t.entries * scale), path)
+    code, out = run(capsys, "reduce-s0", "--input", str(path))
+    doc = json.loads(out)
+    assert code == 0 and doc["success"] is True
+    assert doc["residual"] <= 1e-12
+
+
+def test_reduce_s0_reports_an_ill_conditioned_reduction_as_failed(tmp_path, capsys):
+    # The a-entries pass the vanish guard, but the element that scales them back
+    # to one is too ill-conditioned: a failed reduction, not an input error.
+    arr = np.array(build_family_tensor(family_data(5)).tensor.entries)
+    arr[staircase_index(5)[1]] *= 1e-13
+    path = tmp_path / "t.json"
+    write_tensor(Tensor3(arr), path)
+    code, out = run(capsys, "reduce-s0", "--input", str(path))
+    doc = json.loads(out)
+    assert code == 1 and doc["success"] is False
+    assert "factor" in doc["reason"] and "ill-conditioned" in doc["reason"]
 
 
 def test_reduce_s0_rejects_bad_support(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import rng
 from nonfree.construct import build_family_tensor, s0_tensor
-from nonfree.family import family_data, gamma_support
+from nonfree.family import family_data, gamma_support, staircase_index
 from nonfree.reduction import DEFAULT_TOL, ReductionError, extract_Wa, reduce_to_s0
 from nonfree.supports import vertex_matrix
 from nonfree.tensor import GroupTriple, Tensor3, apply, norm, support
@@ -100,7 +100,7 @@ def test_reduce_random_staircase_tensors():
 
 
 def test_the_log_space_system_has_full_row_rank():
-    # Step 4 solves x_i + y_j + z_k = -Log(entry) over the support of S0; full
+    # The torus solve solves x_i + y_j + z_k = -Log(entry) over the support of S0; full
     # row rank makes it consistent for every right side, so only the final
     # residual can fail a reduction that passed the genericity checks.
     for n in range(3, 33):
@@ -112,7 +112,27 @@ def test_the_log_space_system_has_full_row_rank():
 def test_tol_bounds_only_the_final_residual():
     result = reduce_to_s0(build_family_tensor(family_data(4)).tensor, tol=0.0)
     assert not result.success and 0.0 < result.residual <= DEFAULT_TOL
-    assert len(result.log) == 4
+    assert len(result.log) == 2
+
+
+@pytest.mark.parametrize("scale", [1e13, 1e-13, 1e100, 1e-100])
+@pytest.mark.parametrize("name", ["s0-4", "family-5"])
+def test_the_reduction_is_scale_invariant(name, scale):
+    t = s0_tensor(4) if name == "s0-4" else build_family_tensor(family_data(5)).tensor
+    s = Tensor3(t.entries * scale)
+    result = reduce_to_s0(s)
+    assert result.success and result.residual <= 1e-12
+    moved = apply(result.g, s)
+    assert norm(Tensor3(moved.entries - s0_tensor(s.dims[0]).entries)) <= 1e-12
+
+
+def test_an_ill_conditioned_reducing_element_is_a_reduction_error():
+    # The a-entries stay above the vanish guard, but the torus factor that scales
+    # them back to one has a condition number above 1/INVERTIBILITY_TOL.
+    arr = np.array(build_family_tensor(family_data(5)).tensor.entries)
+    arr[staircase_index(5)[1]] *= 1e-13
+    with pytest.raises(ReductionError, match="ill-conditioned: factor [abc] is numerically singular"):
+        reduce_to_s0(Tensor3(arr))
 
 
 def test_reduce_rejects_vanishing_a_entry():
