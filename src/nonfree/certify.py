@@ -1,10 +1,13 @@
 """Non-freeness certificates.
 
-A certificate combines three independently checkable facts about a
-minimum-norm representative S: the Ness fixed-point residual (so |mu(S)| is
-minimal over the moment polytope), the eigenvalue block structure of mu(S)
-(pinning down the unitary stabilizer), and an obstruction showing that no
-residual unitary freedom can produce a free support.
+A certificate's inputs are a minimum-norm representative S, the exact
+diagonals q of mu(S) and an obstruction. From q alone come the mu-defect
+|mu(S) - diag(q)|, the expected Ness lambda |q|^2 (lambda(T) = |mu(T)|^2 for
+every tensor) and the eigenvalue blocks. It combines three independently
+checkable facts about S: the Ness fixed-point residual (so |mu(S)| is minimal
+over the moment polytope), the eigenvalue block structure of mu(S) (pinning
+down the unitary stabilizer), and an obstruction showing that no residual
+unitary freedom can produce a free support.
 """
 
 from __future__ import annotations
@@ -15,16 +18,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .construct import FamilyTensor, build_family_tensor
+from .construct import build_family_tensor
 from .family import family_data
 # flow is unused here but stays bound: perfbench's tracer test reads certify.flow.
 from .flow import NessCertificate, flow, ness_minimality  # noqa: F401
-from .moment import HermTriple, _frobenius_norm, moment_map, off_diagonal_mass
+from .moment import _frobenius_norm, moment_map
 from .named import (
     MU_S2_DIAGONALS,
     MU_S5_DIAGONALS,
-    NESS_LAMBDA_T2,
-    NESS_LAMBDA_T5,
     ness_form_t2,
     ness_form_t5,
     t2_scaling_triple,
@@ -134,10 +135,10 @@ class NonFreenessReport:
     details: dict = field(default_factory=dict)
 
 
-def family_mu_defect(ft: FamilyTensor) -> float:
-    """Frobenius distance of mu(T) from the diagonal triple diag(q) of the family."""
-    q = [np.diag([float(x) for x in qi]) for qi in ft.data.q]
-    return _frobenius_norm([c - qd for c, qd in zip(moment_map(ft.tensor).components, q)])
+def mu_defect(t: Tensor3, diagonals) -> float:
+    """Frobenius distance of mu(t) from the diagonal triple diag(diagonals)."""
+    expected = [np.diag([float(x) for x in d]) for d in diagonals]
+    return _frobenius_norm([c - e for c, e in zip(moment_map(t).components, expected)])
 
 
 def _certify(
@@ -146,38 +147,36 @@ def _certify(
     s: Tensor3,
     tol: float,
     value_tol: float,
-    mu_defect: float,
-    lam_expected: Fraction,
-    spectrum,
+    diagonals,
     obstruction: tuple[dict, ObstructionWitness | None],
 ) -> NonFreenessReport:
     """The shared stages on the representative s, in order; the first failure ends the report.
 
-    mu_defect (the distance of mu(s) from its expected diagonal) and lambda
-    (against the exact lam_expected, compared as a float) are held to
-    value_tol, the Ness residual to tol, and the eigenvalue blocks of the
-    exact diagonal spectrum, which mu_defect has tied to mu(s), must be
-    family_block_pattern of the size of s; T2 and T5 share the n = 3 pattern.
-    The obstruction is the details it adds and its witness, None if it fails.
+    Everything expected is read from the exact diagonals of mu(s): the
+    mu_defect, held to value_tol; lambda, held to value_tol of the exact |q|^2
+    compared as a float, with the Ness residual held to tol; and the
+    eigenvalue blocks, which must be family_block_pattern of the size of s (T2
+    and T5 share the n = 3 pattern). The obstruction is the details it adds
+    and its witness, None if it fails.
     """
     ness = blocks = witness = None
 
     def report(stage: str | None) -> NonFreenessReport:
         return NonFreenessReport(input_id, stage is None, stage, ness, blocks, witness, details)
 
-    details["mu_defect"] = mu_defect
-    if mu_defect > value_tol:
+    details["mu_defect"] = defect = mu_defect(s, diagonals)
+    if defect > value_tol:
         return report("moment_map")
 
     ness = ness_minimality(s)
-    lam = float(lam_expected)
+    lam = float(sum(x * x for d in diagonals for x in d))
     details["lambda"] = ness.lam
     details["lambda_expected"] = lam
     details["ness_residual"] = ness.residual
     if ness.residual > tol or abs(ness.lam - lam) > value_tol:
         return report("ness")
 
-    blocks = stabilizer_blocks(spectrum)
+    blocks = stabilizer_blocks(diagonals)
     details["blocks"] = blocks
     if blocks != family_block_pattern(s.dims[0]):
         return report("stabilizer_blocks")
@@ -200,28 +199,16 @@ def certify_family(n: int, tol: float = DEFAULT_TOL) -> NonFreenessReport:
         "ww-star-offdiagonal", {"n": n, "min_offdiagonal": min_off, "w": [float(x) for x in ft.W.w]}
     )
     return _certify(
-        f"family-{n}", {"n": n, "tol": tol}, ft.tensor, tol, tol,
-        mu_defect=family_mu_defect(ft), lam_expected=ft.data.ness_lambda, spectrum=ft.data.q,
-        obstruction=({"min_offdiagonal": min_off}, witness if min_off >= PARALLEL_TOL else None),
+        f"family-{n}", {"n": n, "tol": tol}, ft.tensor, tol, tol, ft.data.q,
+        ({"min_offdiagonal": min_off}, witness if min_off >= PARALLEL_TOL else None),
     )
 
 
-def _diag_defect(mu: HermTriple, expected) -> float:
-    worst = off_diagonal_mass(mu)
-    for comp, exp in zip(mu.components, expected):
-        gap = np.diag(comp).real - [float(x) for x in exp]
-        worst = max(worst, float(np.abs(gap).max()))
-    return worst
-
-
 # Per named tensor T: T, its stored basis change g, its stored minimum-norm
-# representative S, the exact diagonals of mu(S) and lambda, and whether the
-# stages after the coefficient check run on S (True) or on g . T. The check holds
-# the two within VALUE_TOL; each tensor keeps the one its reports were always
-# computed on, whose last bits they print.
+# representative S and the exact diagonals of mu(S).
 _NAMED = {
-    "T2": (tensor_t2, t2_scaling_triple, ness_form_t2, MU_S2_DIAGONALS, NESS_LAMBDA_T2, False),
-    "T5": (tensor_t5, t5_scaling_triple, ness_form_t5, MU_S5_DIAGONALS, NESS_LAMBDA_T5, True),
+    "T2": (tensor_t2, t2_scaling_triple, ness_form_t2, MU_S2_DIAGONALS),
+    "T5": (tensor_t5, t5_scaling_triple, ness_form_t5, MU_S5_DIAGONALS),
 }
 
 
@@ -232,35 +219,30 @@ def certify_named(
 ) -> NonFreenessReport:
     """Certificates for the two named 3x3x3 tensors, T2 and T5.
 
-    Each is carried onto its minimum-norm representative by its stored basis
-    change (injectable for negative controls); the coefficient stage,
-    s2_coefficients or s5_coefficients, checks g . T against the stored
-    representative before the shared stages run. A vanishing Ness residual
-    on that GL-orbit point makes its mu the minimum-norm point of the moment
-    polytope (Kempf-Ness), so no flow is needed. The blocks are read from the
-    stored exact diagonals, as certify_family reads them from q, once the
-    moment_map stage has held mu(S) to them.
+    Each is carried onto its stored minimum-norm representative S, the +-sqrt(q)
+    tensor of named, by its stored basis change (injectable for negative
+    controls); the coefficient stage, s2_coefficients or s5_coefficients,
+    holds g . T to S within VALUE_TOL before the shared stages run on S. A
+    vanishing Ness residual on that GL-orbit point makes its mu the
+    minimum-norm point of the moment polytope (Kempf-Ness), so no flow is
+    needed. The stages read everything they expect from the stored exact
+    diagonals of mu(S), as certify_family reads it from q.
     """
     which = which.upper()
     if which not in _NAMED:
         raise ValueError(f"unknown named tensor {which!r}")
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    tensor, default_g, stored, expected_mu, expected_lambda, on_stored = _NAMED[which]
+    tensor, default_g, stored, diagonals = _NAMED[which]
     details: dict = {"tol": tol, "value_tol": VALUE_TOL}
 
     g = group_element if group_element is not None else default_g()
-    moved, representative = apply(g, tensor()), stored()
-    coeff_defect = norm(Tensor3(moved.entries - representative.entries))
+    s = stored()
+    coeff_defect = norm(Tensor3(apply(g, tensor()).entries - s.entries))
     details[f"s{which[1]}_coefficient_defect"] = coeff_defect
     if coeff_defect > VALUE_TOL:
         return NonFreenessReport(which, False, f"s{which[1]}_coefficients", None, None, None, details)
-    s = representative if on_stored else moved
 
     witness = two_column_obstruction(s, 3, (1, 2))
     found = {} if witness is None else {"obstruction_vectors": witness.data["vectors"]}
-    return _certify(
-        which, details, s, tol, VALUE_TOL,
-        mu_defect=_diag_defect(moment_map(s), expected_mu), lam_expected=expected_lambda,
-        spectrum=expected_mu, obstruction=(found, witness),
-    )
+    return _certify(which, details, s, tol, VALUE_TOL, diagonals, (found, witness))

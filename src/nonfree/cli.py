@@ -16,13 +16,13 @@ from fractions import Fraction
 
 from . import __version__
 from .certify import DEFAULT_TOL as DEFAULT_CERTIFY_TOL
-from .certify import NonFreenessReport, certify_family, certify_named, family_mu_defect
+from .certify import NonFreenessReport, certify_family, certify_named, mu_defect
 from .construct import build_family_tensor, s0_tensor
 from .family import family_data, family_to_doc, gamma_support, halfspace_check
 from .flow import DEFAULT_MAX_STEPS, DEFAULT_RESIDUAL_TOL, DEFAULT_STEP, flow, ness_minimality
 from .jsonio import dumps
 from .moment import WeylPoint, moment_map, spec_point
-from .polytope import DEFAULT_SAMPLES, hull_refute, outer_halfspace
+from .polytope import DEFAULT_SAMPLES, hull_refute, outer_halfspace, rational
 from .reduction import DEFAULT_TOL as DEFAULT_REDUCTION_TOL
 from .reduction import ReductionError, reduce_to_s0
 from .supports import is_free_support
@@ -58,9 +58,9 @@ def _load_tensor(path: str):
 def _parse_number(value) -> Fraction | float:
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return rational(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"cannot parse rational {value!r}") from exc
+            raise InputError(f"cannot parse rational {value!r}: {exc}") from exc
     if type(value) is int:  # json.load reads true and false as bools, which are ints
         return Fraction(value)
     if isinstance(value, float):  # json.load also reads NaN, Infinity and -Infinity
@@ -119,7 +119,7 @@ def cmd_family(args) -> tuple[dict, int]:
             doc["verification"] = {
                 "gram_defect_wsw": left,
                 "gram_defect_wws": right,
-                "mu_defect": family_mu_defect(ft),
+                "mu_defect": mu_defect(ft.tensor, data.q),
                 "ness_lambda": ness.lam,
                 "ness_residual": ness.residual,
                 "halfspace_valid": half.valid,

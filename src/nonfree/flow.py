@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moment import _frobenius_norm, _moment_action, infinitesimal_action, moment_map
-from .tensor import Tensor3, _norm, norm
+from .tensor import Tensor3, _norm, _normal_range
 
 DEFAULT_STEP = 0.05
 DEFAULT_RESIDUAL_TOL = 1e-8
@@ -60,11 +60,14 @@ def _lam_residual(arr: np.ndarray, action: np.ndarray, nrm: float) -> tuple[floa
 
 
 def ness_minimality(t: Tensor3) -> NessCertificate:
-    nrm = norm(t)
+    """lambda and the residual at t, scaled first by a power of two if |t|^2 underflows."""
+    arr, nrm, k = _normal_range(t.entries)
     if nrm == 0.0:
         raise ValueError("ness_minimality requires a nonzero tensor")
+    if k:
+        t = Tensor3(arr)
     action = infinitesimal_action(moment_map(t), t).entries
-    return NessCertificate(*_lam_residual(t.entries, action, nrm))
+    return NessCertificate(*_lam_residual(arr, action, nrm))
 
 
 def _evaluate(x: np.ndarray) -> tuple[float, tuple[np.ndarray, ...], np.ndarray, float, float]:
@@ -108,10 +111,11 @@ def flow(
     """
     if not step_size > 0 or residual_tol < 0 or max_steps < 0:
         raise ValueError("flow needs step_size > 0, residual_tol >= 0 and max_steps >= 0")
-    if norm(t) == 0.0:
+    arr, nrm, _ = _normal_range(t.entries)
+    if nrm == 0.0:
         raise ValueError("flow requires a nonzero tensor")
     # Scale by the reciprocal of the norm: dividing by it would round differently.
-    x = t.entries * (1.0 / norm(t))
+    x = arr * (1.0 / nrm)
     mu_norm, mu, action, lam, residual = _evaluate(x)
     trajectory = [mu_norm]
     dt = step_size

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import _FLATTENING_ORDERS, DimensionMismatchError, Tensor3, _flattening, _freeze, _norm
+from .tensor import (
+    _FLATTENING_ORDERS, DimensionMismatchError, Tensor3, _flattening, _freeze, _norm, _normal_range,
+)
 
 HERMITICITY_TOL = 1e-12
 WEYL_TOL = 1e-12
@@ -45,7 +47,8 @@ class HermTriple:
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"component {name} must be a square matrix")
             defect = _norm(m - m.conj().T)
-            if defect > HERMITICITY_TOL:
+            # Negated so that a NaN component, whose defect is NaN, fails too.
+            if not defect <= HERMITICITY_TOL:
                 raise ValueError(f"component {name} not Hermitian (defect {defect:.3e})")
             object.__setattr__(self, name, _freeze(m))
 
@@ -99,7 +102,7 @@ def _symmetrized(gram: np.ndarray, sq: float) -> np.ndarray:
 
 
 def _squared_norm(nrm: float) -> float:
-    """|T|^2 from |T|; zero, also by underflow, is a ValueError."""
+    """|T|^2 from |T|; zero is a ValueError."""
     sq = nrm**2
     if sq == 0.0:
         raise ValueError("moment map is undefined for the zero tensor")
@@ -126,8 +129,12 @@ def _moment_arrays(arr: np.ndarray, nrm: float) -> tuple[np.ndarray, np.ndarray,
 
 
 def moment_map(t: Tensor3) -> HermTriple:
-    """Normalized flattening Gram matrices; each component is PSD with unit trace."""
-    return HermTriple(*_moment_arrays(t.entries, _norm(t.entries)))
+    """Normalized flattening Gram matrices; each component is PSD with unit trace.
+
+    A tensor so small that |T|^2 underflows is first scaled by a power of two.
+    """
+    arr, nrm, _ = _normal_range(t.entries)
+    return HermTriple(*_moment_arrays(arr, nrm))
 
 
 def off_diagonal_mass(m: HermTriple) -> float:

@@ -1,8 +1,8 @@
 """The two named non-free 3x3x3 tensors, T2 and T5, their minimum-norm
 representatives, and for each the diagonal/triangular basis change carrying
 it onto its representative; every entry of those is +-sqrt of a rational.
-The diagonals of mu at the representatives and the Ness lambdas are stored
-as exact Fractions."""
+The diagonals of mu at the representatives are stored as exact Fractions;
+the certificates derive the Ness lambda from them as |q|^2."""
 
 from __future__ import annotations
 
@@ -102,8 +102,8 @@ def t5_scaling_triple() -> GroupTriple:
     return GroupTriple(g1, g2, g3)
 
 
-# Diagonal moment-map values of the two representatives and their Ness
-# lambdas, exact: the certificates read their eigenvalue blocks from these.
+# Diagonal moment-map values of the two representatives, exact: the
+# certificates read their mu-defect, lambda and eigenvalue blocks from these.
 MU_S2_DIAGONALS = (
     (Fraction(17, 42), Fraction(1, 3), Fraction(11, 42)),
     (Fraction(17, 42), Fraction(1, 3), Fraction(11, 42)),
@@ -114,6 +114,3 @@ MU_S5_DIAGONALS = (
     (Fraction(13, 30), Fraction(1, 3), Fraction(7, 30)),
     (Fraction(2, 5), Fraction(2, 5), Fraction(1, 5)),
 )
-
-NESS_LAMBDA_T2 = Fraction(43, 42)
-NESS_LAMBDA_T5 = Fraction(16, 15)

@@ -14,6 +14,7 @@ to the genericity of the sampled upper-triangular change, which is reported.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,6 +28,12 @@ from .tensor import DimensionMismatchError, GroupTriple, SupportSet, Tensor3, ap
 RATIONALIZE_DENOMINATOR = 10**12
 DEFAULT_SAMPLES = 100
 MAX_SAMPLES = 10**4  # most lower-triangular samples one refutation may draw
+# Most digits of a halfspace string's decimal exponent and of the common
+# denominator of (h, c): Python's default int-string limit, which already bounds
+# every JSON integer. Fraction("1e-N") builds 10**N, at a cost that grows faster than N.
+MAX_DIGITS = 4300
+_DENOMINATOR_LIMIT = 10**MAX_DIGITS
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -45,21 +52,34 @@ class HalfspaceCert:
     equality_set: SupportSet
 
 
+def rational(x) -> Fraction:
+    """Fraction(x); a string whose decimal exponent is above MAX_DIGITS is a
+    ValueError, raised before Fraction builds the power of ten."""
+    if isinstance(x, str) and (exp := _EXPONENT.search(x)) and abs(int(exp[1])) > MAX_DIGITS:
+        raise ValueError(f"the decimal exponent is above the limit of {MAX_DIGITS}")
+    return Fraction(x)
+
+
 def _pairings(mask: np.ndarray, h, c) -> tuple[int, np.ndarray, int]:
     """(D, D times the pairings <(e_i|e_j|e_k), h> at the triples of mask in C
     order, D * c), with D the common denominator of h and c.
 
-    Every value is read as the exact rational Fraction(x), floats included, so
-    the pairings are an object array of Python ints. A non-finite value is a
-    ValueError, and an h whose lengths are not mask.shape a DimensionMismatchError.
+    Every value is read as the exact rational `rational(x)`, floats included,
+    so the pairings are an object array of Python ints. A non-finite value, or
+    a D of more than MAX_DIGITS digits, is a ValueError, and an h whose lengths
+    are not mask.shape a DimensionMismatchError.
     """
     try:
-        h, c = tuple(tuple(map(Fraction, component)) for component in h), Fraction(c)
+        h, c = tuple(tuple(map(rational, component)) for component in h), rational(c)
     except OverflowError as exc:  # Fraction(inf); Fraction(nan) is a ValueError
         raise ValueError(f"halfspace values must be finite: {exc}") from exc
     if (lengths := tuple(map(len, h))) != mask.shape:
         raise DimensionMismatchError(f"halfspace lengths {lengths} do not match dims {mask.shape}")
-    scale = math.lcm(*(int(x.denominator) for x in sum(h, (c,))))
+    scale = 1
+    for x in sum(h, (c,)):  # one step at a time, so that a growing lcm fails early
+        scale = math.lcm(scale, int(x.denominator))
+        if scale >= _DENOMINATOR_LIMIT:
+            raise ValueError(f"the halfspace's common denominator has more than {MAX_DIGITS} digits")
 
     def scaled(x: Fraction) -> int:
         return int(x.numerator) * (scale // int(x.denominator))

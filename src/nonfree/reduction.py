@@ -17,7 +17,7 @@ import numpy as np
 from .construct import s0_tensor
 from .family import gamma_support, staircase_index
 from .supports import vertex_matrix
-from .tensor import GroupTriple, SupportSet, Tensor3, apply, compose, norm, support
+from .tensor import GroupTriple, SupportSet, Tensor3, _normal_range, apply, compose, norm, support
 
 DEFAULT_TOL = 1e-8  # bound on the final residual |g . s - S0|
 RANK_TOL = 1e-10
@@ -65,14 +65,17 @@ def reduce_to_s0(s: Tensor3, tol: float = DEFAULT_TOL) -> ReductionResult:
     as is a g with a factor too ill-conditioned for a GroupTriple. The torus
     solve's log-space system always has a solution, so tol bounds only the
     final residual |g . s - S0|, and success means the residual is within it.
+    A tensor so small that |s|^2 underflows is first scaled by an exact power
+    of two 2**k, which g then carries, spread over its three factors.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     n = s.dims[0]
-    w, a = extract_Wa(s)
-    # The peak, not the 2-norm, which underflows for entries near 1e-200.
-    peak = np.abs(s.entries).max()
-    if np.any(np.abs(a) <= 1e-14 * max(peak, 1e-300)):
+    entries, _, k = _normal_range(s.entries)
+    scaled = Tensor3(entries) if k else s
+    w, a = extract_Wa(scaled)
+    peak = np.abs(entries).max()
+    if np.any(np.abs(a) <= 1e-14 * peak):
         raise ReductionError("some a-entry vanishes; reduction undefined")
     _check_row_deletion_rank(w)
     target = s0_tensor(n)
@@ -83,7 +86,7 @@ def reduce_to_s0(s: Tensor3, tol: float = DEFAULT_TOL) -> ReductionResult:
     block = np.eye(n, dtype=np.complex128)
     block[: n - 1, : n - 1] = np.linalg.inv(w[: n - 1] / peak).T
     g1 = GroupTriple(np.eye(n) / peak, np.eye(n), block)
-    values = apply(g1, s).entries[target_support.mask]
+    values = apply(g1, scaled).entries[target_support.mask]
     log = ["first- and third-factor matrices straighten the W rows"]
 
     # (2) Torus solve: minimum-norm solution of x_i + y_j + z_k = -Log(entry) on
@@ -96,6 +99,8 @@ def reduce_to_s0(s: Tensor3, tol: float = DEFAULT_TOL) -> ReductionResult:
     solution, *_ = np.linalg.lstsq(rows, -np.log(values), rcond=None)
     try:
         g = compose(GroupTriple(*map(np.diag, np.exp(solution).reshape(3, n))), g1)
+        if k:  # 2**k in thirds: a subnormal peak makes k up to 1074, and 2.0**1074 overflows
+            g = GroupTriple(*(f * 2.0 ** (k // 3 + (i < k % 3)) for i, f in enumerate(g.factors)))
     except ValueError as exc:  # a factor's condition number is above 1/INVERTIBILITY_TOL
         raise ReductionError(f"the reducing element is ill-conditioned: {exc}") from exc
     log.append("diagonal log-space normalization sets every entry to one")

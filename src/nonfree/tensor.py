@@ -8,6 +8,7 @@ everything here is safe to share across threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -222,6 +223,20 @@ def _norm(a: np.ndarray) -> float:
 
 def norm(t: Tensor3) -> float:
     return _norm(t.entries)
+
+
+def _normal_range(arr: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """(arr * 2**k, its norm, k) for the entries array of a tensor. k is 0, and
+    arr untouched, unless arr is nonzero and |arr|^2 falls below the smallest
+    normal float; then the exact power of two 2**k brings the peak entry into
+    [1/2, 1). Moment maps, lambda and residuals do not change with scale.
+    """
+    nrm = _norm(arr)
+    if nrm * nrm >= sys.float_info.min or not arr.any():
+        return arr, nrm, 0
+    k = -math.frexp(float(np.abs(arr).max()))[1]
+    scaled = np.ldexp(arr.view(np.float64), k).view(np.complex128)
+    return scaled, _norm(scaled), k
 
 
 # --- JSON interchange -------------------------------------------------------

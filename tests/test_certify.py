@@ -45,6 +45,19 @@ def test_blocks_of_rational_q():
         assert sizes == ((1,) * n, (1,) * n, (n - 1, 1))
 
 
+def _squared_norm(diagonals) -> Fraction:
+    return sum((x * x for d in diagonals for x in d), Fraction(0))
+
+
+def test_the_expected_lambda_is_the_exact_squared_norm_of_the_diagonals():
+    # lambda(T) = |mu(T)|^2 for every tensor, so the certificates expect |q|^2.
+    assert _squared_norm(MU_S2_DIAGONALS) == Fraction(43, 42)
+    assert _squared_norm(MU_S5_DIAGONALS) == Fraction(16, 15)
+    for n in range(3, 13):
+        data = family_data(n)
+        assert _squared_norm(data.q) == data.ness_lambda
+
+
 def test_blocks_of_uniform_rational_triple():
     n = 4
     blocks = stabilizer_blocks([[Fraction(1, n)] * n] * 3)
@@ -236,9 +249,9 @@ def _family_with_other_block_pattern(monkeypatch):
 
 
 def _t2_with_swapped_diagonal(monkeypatch):
-    tensor, g, stored, (first, *rest), lam, on_stored = certify._NAMED["T2"]
+    tensor, g, stored, (first, *rest) = certify._NAMED["T2"]
     swapped = ((first[1], first[0], first[2]), *rest)
-    monkeypatch.setitem(certify._NAMED, "T2", (tensor, g, stored, swapped, lam, on_stored))
+    monkeypatch.setitem(certify._NAMED, "T2", (tensor, g, stored, swapped))
     return certify_named("T2")
 
 

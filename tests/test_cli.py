@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -61,18 +62,18 @@ T2_REPORT = (
     '{"tool":"nonfree","version":"0.1.0","command":"certify-nonfree","config":{"named":"T2",'
     '"tol":1e-10},"report":{"input":"T2","verdict":true,"failed_stage":null,'
     '"details":{"tol":1e-10,"value_tol":9.9999999999999998e-13,'
-    '"s2_coefficient_defect":1.5700924586837752e-16,"mu_defect":1.6653345369377348e-16,'
-    '"lambda":1.0238095238095242,"lambda_expected":1.0238095238095237,'
-    '"ness_residual":1.94944108925813e-16,"blocks":[[[1],[2],[3]],[[1],[2],[3]],[[1,2],[3]]],'
+    '"s2_coefficient_defect":1.5700924586837752e-16,"mu_defect":9.618890705737148e-17,'
+    '"lambda":1.0238095238095237,"lambda_expected":1.0238095238095237,'
+    '"ness_residual":1.3878157797980524e-16,"blocks":[[[1],[2],[3]],[[1],[2],[3]],[[1,2],[3]]],'
     '"obstruction_vectors":[[{"re":0.0,"im":0.0},{"re":0.51176631571915898,"im":0.0}],'
-    '[{"re":0.36037498507822358,"im":0.0},{"re":0.24618298195866542,"im":0.0}],'
-    '[{"re":0.47673129462279623,"im":0.0},{"re":-0.18609684207969424,"im":0.0}]]},'
-    '"ness":{"lambda":1.0238095238095242,"residual":1.94944108925813e-16},'
+    '[{"re":0.36037498507822358,"im":0.0},{"re":0.24618298195866548,"im":0.0}],'
+    '[{"re":0.47673129462279618,"im":0.0},{"re":-0.18609684207969418,"im":0.0}]]},'
+    '"ness":{"lambda":1.0238095238095237,"residual":1.3878157797980524e-16},'
     '"stabilizer_blocks":[[[1],[2],[3]],[[1],[2],[3]],[[1,2],[3]]],'
     '"obstruction":{"kind":"pairwise-nonparallel-triple","data":{"vectors":[[{"re":0.0,'
     '"im":0.0},{"re":0.51176631571915898,"im":0.0}],[{"re":0.36037498507822358,"im":0.0},'
-    '{"re":0.24618298195866542,"im":0.0}],[{"re":0.47673129462279623,"im":0.0},'
-    '{"re":-0.18609684207969424,"im":0.0}]]}}}}\n'
+    '{"re":0.24618298195866548,"im":0.0}],[{"re":0.47673129462279618,"im":0.0},'
+    '{"re":-0.18609684207969418,"im":0.0}]]}}}}\n'
 )
 T5_REPORT_TAIL = (
     '"ness":{"lambda":1.0666666666666667,"residual":1.7554276312358743e-16},'
@@ -225,6 +226,33 @@ def test_reduce_s0_reports_an_ill_conditioned_reduction_as_failed(tmp_path, caps
     doc = json.loads(out)
     assert code == 1 and doc["success"] is False
     assert "factor" in doc["reason"] and "ill-conditioned" in doc["reason"]
+
+
+def test_reduce_s0_of_a_subnormal_peak_prints_one_json_document(tmp_path):
+    # LAPACK writes its complaints to stdout from C, so the command runs in a process of its own.
+    path = tmp_path / "t.json"
+    write_tensor(Tensor3(s0_tensor(4).entries * 1e-310), path)
+    src = os.path.dirname(os.path.dirname(nonfree.__file__))
+    code = "import sys; from nonfree.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run(
+        [sys.executable, "-c", code, "reduce-s0", "--input", str(path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert done.stderr == "" and done.stdout.count("\n") == 1
+    assert done.returncode == 0 and json.loads(done.stdout)["success"] is True
+
+
+@pytest.mark.parametrize("scale", [1e-155, 1e-170])
+@pytest.mark.parametrize("command", ["moment-map", "flow"])
+def test_a_tensor_whose_squared_norm_underflows_gets_its_report(tmp_path, capfd, command, scale):
+    path = tmp_path / "t.json"
+    write_tensor(Tensor3(build_family_tensor(family_data(5)).tensor.entries * scale), path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--input", str(path)])
+    out, err = capfd.readouterr()
+    assert code == 0 and err == "" and not caught
+    assert "error" not in json.loads(out)
 
 
 def test_reduce_s0_rejects_bad_support(tmp_path, capsys):
@@ -592,6 +620,44 @@ def test_halfspaces_beyond_the_float_range_are_compared_exactly(tmp_path, capsys
     half = json.loads(out)["halfspace"]
     assert code == 0 and half["valid"] is True
     assert half["min_support_value"] == {"num": str(minimum), "den": "1"}
+
+
+def _primes_above_a_million(count: int) -> list[int]:
+    sieve = np.ones(1_200_000, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, 1096):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return (np.nonzero(sieve[10**6 :])[0][:count] + 10**6).tolist()
+
+
+@pytest.mark.parametrize("case", ["exponent", "exponents", "prime-denominators"])
+def test_an_oversized_exact_halfspace_is_input_error_at_once(tmp_path, capsys, case):
+    if case == "prime-denominators":
+        # Their common denominator passes 4300 digits after about 615 of them.
+        h1 = [f"1/{p}" for p in _primes_above_a_million(8000)]
+        doc = {"h1": h1[2:], "h2": h1[:1], "h3": h1[1:2], "c": 0}
+        t_path, d_path = tmp_path / "t.json", tmp_path / "doc.json"
+        t_path.write_text(json.dumps({"dims": [len(h1) - 2, 1, 1], "entries": [
+            {"i": 1, "j": 1, "k": 1, "re": 1.0, "im": 0.0}]}))
+        d_path.write_text(json.dumps(doc))
+        argv = ("polytope", "--input", str(t_path), "--halfspace", str(d_path))
+    else:
+        doc = (dict(HALFSPACE_3, c="1e-10000000") if case == "exponent" else
+               dict(HALFSPACE_3, h3=["1e-3000000", "1e-2999999", 0], c="1e-2999998"))
+        argv = _polytope_argv(tmp_path, "--halfspace", doc)
+    start = time.perf_counter()
+    code, out = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and json.loads(out)["error"]["kind"] == "input"
+
+
+def test_a_halfspace_within_the_digit_limit_is_compared_exactly(tmp_path, capsys):
+    doc = {"h1": ["1e-4000"] * 3, "h2": [0, 0, 0], "h3": [0, 0, 0], "c": "1e-4000"}
+    code, out = run(capsys, *_polytope_argv(tmp_path, "--halfspace", doc))
+    half = json.loads(out)["halfspace"]
+    assert code == 0 and half["valid"] is True
+    assert half["min_support_value"] == {"num": "1", "den": str(10**4000)}
 
 
 def test_halfspace_on_an_empty_support_is_input_error(tmp_path, capsys):

@@ -19,8 +19,6 @@ from nonfree.family import family_data
 from nonfree.flow import MONOTONICITY_SLACK, flow, ness_minimality
 from nonfree.moment import _action_array, _moment_arrays, moment_map
 from nonfree.named import (
-    NESS_LAMBDA_T2,
-    NESS_LAMBDA_T5,
     ness_form_t2,
     ness_form_t5,
     tensor_t2,
@@ -31,13 +29,13 @@ from nonfree.tensor import GroupTriple, Tensor3, _norm, apply, from_coefficients
 
 def test_ness_certificate_of_s2():
     cert = ness_minimality(ness_form_t2())
-    assert cert.lam == pytest.approx(NESS_LAMBDA_T2, abs=1e-12)
+    assert cert.lam == pytest.approx(43 / 42, abs=1e-12)
     assert cert.residual <= 1e-10
 
 
 def test_ness_certificate_of_s5():
     cert = ness_minimality(ness_form_t5())
-    assert cert.lam == pytest.approx(NESS_LAMBDA_T5, abs=1e-12)
+    assert cert.lam == pytest.approx(16 / 15, abs=1e-12)
     assert cert.residual <= 1e-10
 
 
@@ -47,6 +45,14 @@ def test_ness_lambda_of_family_tensors():
         cert = ness_minimality(ft.tensor)
         assert cert.lam == pytest.approx(float(ft.data.ness_lambda), abs=1e-12)
         assert cert.residual <= 1e-9
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 3), (2, 3, 4)])
+def test_lambda_is_the_squared_norm_of_mu(dims):
+    gen = rng(31)
+    for _ in range(20):
+        t = random_tensor(gen, dims)
+        assert ness_minimality(t).lam == pytest.approx(moment_map(t).frobenius_norm() ** 2, abs=1e-12)
 
 
 def test_ness_rejects_zero_tensor():

@@ -13,6 +13,9 @@ from conftest import (
     rng,
     tensor_on_support,
 )
+from nonfree.construct import build_family_tensor
+from nonfree.family import family_data
+from nonfree.flow import ness_minimality
 from nonfree.moment import (
     HermTriple,
     WeylPoint,
@@ -145,6 +148,16 @@ def test_moment_map_scale_invariance():
             np.testing.assert_allclose(c1, c2, atol=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-155, 1e-170])
+def test_a_tensor_whose_squared_norm_underflows_keeps_its_moment_map(scale):
+    # At 1e-155 |T|^2 is subnormal, at 1e-170 it underflows to zero.
+    t = build_family_tensor(family_data(5)).tensor
+    tiny = Tensor3(t.entries * scale)
+    for c, c0 in zip(moment_map(tiny).components, moment_map(t).components):
+        assert np.abs(c - c0).max() <= 1e-15
+    assert abs(ness_minimality(tiny).lam - ness_minimality(t).lam) <= 1e-12
+
+
 def test_moment_map_unitary_equivariance():
     gen = rng(12)
     for _ in range(25):
@@ -227,6 +240,11 @@ def test_spec_point_of_mu_s5():
 def test_herm_triple_rejects_non_hermitian():
     with pytest.raises(ValueError):
         HermTriple(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2), np.eye(2))
+
+
+def test_herm_triple_rejects_non_finite_components():
+    with pytest.raises(ValueError):
+        HermTriple(np.full((2, 2), np.nan), np.eye(2), np.eye(2))
 
 
 def test_weyl_point_validation():

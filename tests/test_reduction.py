@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,19 @@ def test_the_reduction_is_scale_invariant(name, scale):
     s = Tensor3(t.entries * scale)
     result = reduce_to_s0(s)
     assert result.success and result.residual <= 1e-12
+    moved = apply(result.g, s)
+    assert norm(Tensor3(moved.entries - s0_tensor(s.dims[0]).entries)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["s0-4", "family-5"])
+def test_a_subnormal_peak_reduces_with_its_scale_in_g(name):
+    t = s0_tensor(4) if name == "s0-4" else build_family_tensor(family_data(5)).tensor
+    s = Tensor3(t.entries * 1e-310)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = reduce_to_s0(s)
+    assert result.success and result.residual <= 1e-12
+    assert all(np.isfinite(f).all() for f in result.g.factors)
     moved = apply(result.g, s)
     assert norm(Tensor3(moved.entries - s0_tensor(s.dims[0]).entries)) <= 1e-12
 
