@@ -204,8 +204,8 @@ def certify_family(n: int, tol: float = DEFAULT_TOL) -> NonFreenessReport:
     )
 
 
-# Per named tensor T: T, its stored basis change g, its stored minimum-norm
-# representative S and the exact diagonals of mu(S).
+# Per named tensor T: T, its basis change g and its minimum-norm representative S,
+# generated from the signed squares of named, and the diagonals of mu(S), derived there.
 _NAMED = {
     "T2": (tensor_t2, t2_scaling_triple, ness_form_t2, MU_S2_DIAGONALS),
     "T5": (tensor_t5, t5_scaling_triple, ness_form_t5, MU_S5_DIAGONALS),
@@ -219,14 +219,14 @@ def certify_named(
 ) -> NonFreenessReport:
     """Certificates for the two named 3x3x3 tensors, T2 and T5.
 
-    Each is carried onto its stored minimum-norm representative S, the +-sqrt(q)
-    tensor of named, by its stored basis change (injectable for negative
-    controls); the coefficient stage, s2_coefficients or s5_coefficients,
-    holds g . T to S within VALUE_TOL before the shared stages run on S. A
-    vanishing Ness residual on that GL-orbit point makes its mu the
-    minimum-norm point of the moment polytope (Kempf-Ness), so no flow is
-    needed. The stages read everything they expect from the stored exact
-    diagonals of mu(S), as certify_family reads it from q.
+    Each is carried onto its minimum-norm representative S by its basis
+    change g (injectable for negative controls), both generated from the
+    signed squares of named; the coefficient stage, s2_coefficients or
+    s5_coefficients, holds g . T to S within VALUE_TOL before the shared
+    stages run on S. A vanishing Ness residual on that GL-orbit point makes
+    its mu the minimum-norm point of the moment polytope (Kempf-Ness), so no
+    flow is needed. The stages read everything they expect from the diagonals
+    of mu(S), derived exactly from the squares of S, as certify_family does from q.
     """
     which = which.upper()
     if which not in _NAMED:

@@ -106,6 +106,8 @@ def _decimate(values: list[float], limit: int = 1000) -> list[float]:
 
 def cmd_family(args) -> tuple[dict, int]:
     data = family_data(_family_size(args.n))
+    if args.verify and args.n < 3:  # the n = 2 support is free: nothing to verify
+        raise InputError("--verify needs n >= 3")
     doc = _header("family", {"n": args.n, "verify": bool(args.verify)})
     doc["family_data"] = family_to_doc(data)
     doc["s0"] = tensor_to_doc(s0_tensor(args.n))

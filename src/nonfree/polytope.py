@@ -28,11 +28,11 @@ from .tensor import DimensionMismatchError, GroupTriple, SupportSet, Tensor3, ap
 RATIONALIZE_DENOMINATOR = 10**12
 DEFAULT_SAMPLES = 100
 MAX_SAMPLES = 10**4  # most lower-triangular samples one refutation may draw
-# Most digits of a halfspace string's decimal exponent and of the common
-# denominator of (h, c): Python's default int-string limit, which already bounds
-# every JSON integer. Fraction("1e-N") builds 10**N, at a cost that grows faster than N.
+# Most digits of a halfspace string's decimal exponent, of the common denominator of
+# (h, c), and of the parts of a printed c or minimum: Python's default int-string limit,
+# which bounds every JSON integer. Fraction("1e-N") builds 10**N, in time superlinear in N.
 MAX_DIGITS = 4300
-_DENOMINATOR_LIMIT = 10**MAX_DIGITS
+_DIGIT_LIMIT = 10**MAX_DIGITS
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
@@ -78,7 +78,7 @@ def _pairings(mask: np.ndarray, h, c) -> tuple[int, np.ndarray, int]:
     scale = 1
     for x in sum(h, (c,)):  # one step at a time, so that a growing lcm fails early
         scale = math.lcm(scale, int(x.denominator))
-        if scale >= _DENOMINATOR_LIMIT:
+        if scale >= _DIGIT_LIMIT:
             raise ValueError(f"the halfspace's common denominator has more than {MAX_DIGITS} digits")
 
     def scaled(x: Fraction) -> int:
@@ -97,18 +97,23 @@ def outer_halfspace(supp: SupportSet, h, c) -> HalfspaceCert:
     minimum is reported as a Fraction. The closure is a mask, paired in C
     order, and the equality set is built as a mask. An empty support, a
     non-finite value, or a component of h whose length is not its side of
-    the box, is a ValueError.
+    the box, is a ValueError, and so is a c or a minimum whose numerator or
+    denominator has more than MAX_DIGITS digits, which no report could print.
     """
     closure = downward_closure(supp).mask
     if not closure.any():
         raise ValueError("outer halfspace check needs a nonempty support; the support is empty")
     scale, values, bound = _pairings(closure, h, c)
     min_value = values.min()
+    minimum = Fraction(min_value, scale)
+    for name, value in (("bound c", Fraction(bound, scale)), ("minimum", minimum)):
+        if max(abs(value.numerator), value.denominator) >= _DIGIT_LIMIT:
+            raise ValueError(f"the halfspace's {name} has more than {MAX_DIGITS} digits")
     equality = np.zeros_like(closure)
     equality[closure] = values == bound
     return HalfspaceCert(
         c=c,
-        min_support_value=Fraction(min_value, scale),
+        min_support_value=minimum,
         valid=min_value >= bound,
         vertex_count=len(values),
         equality_set=SupportSet(equality),
@@ -138,6 +143,17 @@ def _unit_triangular(gen: np.random.Generator, n: int, upper: bool) -> np.ndarra
     strict = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
     mask = np.triu(np.ones((n, n)), 1) if upper else np.tril(np.ones((n, n)), -1)
     return np.eye(n, dtype=np.complex128) + strict * mask
+
+
+def _draw(gen: np.random.Generator, dims, upper: bool, index: int, seed: int) -> GroupTriple:
+    """A random unit-triangular triple for sample `index`, or a ValueError naming it."""
+    try:
+        return GroupTriple(*(_unit_triangular(gen, n, upper) for n in dims))
+    except ValueError as exc:  # det 1, but the condition number grows with the side
+        raise ValueError(
+            f"the unit-triangular change drawn for sample {index} at seed {seed} is too "
+            f"ill-conditioned at sides {dims} ({exc}); another seed may draw a usable change"
+        ) from exc
 
 
 def _rationalize(x: float) -> Fraction:
@@ -201,8 +217,8 @@ def hull_refute(
     p1_i p2_j p3_k (e_i|e_j|e_k) over the support, which answers only "in
     the hull"; the LP runs only when that fails and stays the one source of
     refutations. `samples` outside 0..MAX_SAMPLES, the zero tensor, whose
-    polytope is empty, or a p whose component lengths are not t.dims, is a
-    ValueError.
+    polytope is empty, a p whose component lengths are not t.dims, or a
+    drawn change too ill-conditioned to apply (see _draw), is a ValueError.
     """
     lengths = tuple(map(len, p.components))
     if lengths != t.dims:
@@ -215,7 +231,7 @@ def hull_refute(
         raise ValueError("hull refutation is undefined for the zero tensor")
     gen = np.random.Generator(np.random.PCG64(seed))
     dims = t.dims
-    u = GroupTriple(*(_unit_triangular(gen, n, upper=True) for n in dims))
+    u = _draw(gen, dims, True, 0, seed)
     ut = apply(u, t)
 
     target = _rational_target(p)
@@ -223,8 +239,7 @@ def hull_refute(
     for index in range(samples + 1):
         moved = ut
         if index:  # each lower triple is drawn when its sample is reached
-            lower = GroupTriple(*(_unit_triangular(gen, n, upper=False) for n in dims))
-            moved = apply(lower, ut)
+            moved = apply(_draw(gen, dims, False, index, seed), ut)
         supp = support(moved)
         sizes.append(len(supp))
         if not _hull_contains(supp, target):

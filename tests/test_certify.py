@@ -17,9 +17,12 @@ from nonfree.certify import (
 from nonfree.construct import build_W
 from nonfree.family import family_data
 from nonfree.moment import moment_map
+from nonfree.polytope import _pairings
 from nonfree.named import (
     MU_S2_DIAGONALS,
     MU_S5_DIAGONALS,
+    S2_SQUARES,
+    S5_SQUARES,
     ness_form_t2,
     t2_scaling_triple,
     t5_scaling_triple,
@@ -56,6 +59,41 @@ def test_the_expected_lambda_is_the_exact_squared_norm_of_the_diagonals():
     for n in range(3, 13):
         data = family_data(n)
         assert _squared_norm(data.q) == data.ness_lambda
+
+
+# The diagonals of mu(S2) and mu(S5) as they were once stored by hand: the oracle
+# for the ones named now derives from the signed squares of S.
+HAND_KEPT_DIAGONALS = {
+    "S2": (
+        (Fraction(17, 42), Fraction(1, 3), Fraction(11, 42)),
+        (Fraction(17, 42), Fraction(1, 3), Fraction(11, 42)),
+        (Fraction(5, 14), Fraction(5, 14), Fraction(2, 7)),
+    ),
+    "S5": (
+        (Fraction(13, 30), Fraction(1, 3), Fraction(7, 30)),
+        (Fraction(13, 30), Fraction(1, 3), Fraction(7, 30)),
+        (Fraction(2, 5), Fraction(2, 5), Fraction(1, 5)),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, squares, diagonals, norm_sq",
+    [
+        ("S2", S2_SQUARES, MU_S2_DIAGONALS, Fraction(43, 42)),
+        ("S5", S5_SQUARES, MU_S5_DIAGONALS, Fraction(16, 15)),
+    ],
+)
+def test_named_diagonals_are_derived_exactly_from_the_squares(name, squares, diagonals, norm_sq):
+    assert diagonals == HAND_KEPT_DIAGONALS[name]
+    assert sum(abs(r) for r in squares.values()) == 1  # S has unit norm
+    # Ness: <(e_i|e_j|e_k), q> = |q|^2 on every support triple, as family._validate
+    # checks on Gamma_n.
+    mask = np.zeros((3, 3, 3), dtype=bool)
+    for i, j, k in squares:
+        mask[i - 1, j - 1, k - 1] = True
+    _, pairings, scaled_norm_sq = _pairings(mask, diagonals, norm_sq)
+    assert len(pairings) == len(squares) and (pairings == scaled_norm_sq).all()
 
 
 def test_blocks_of_uniform_rational_triple():

@@ -56,8 +56,8 @@ def test_certify_named_t2_exit_zero(capsys):
     assert report["report"]["ness"]["lambda"] == pytest.approx(43 / 42)
 
 
-# The named certificates' stdout, pinned so that their shared coefficient prelude
-# cannot move either report unnoticed; T5 pins all but its details values.
+# The named certificates' stdout, pinned so that neither the tables of named nor
+# their shared coefficient prelude can move either report unnoticed.
 T2_REPORT = (
     '{"tool":"nonfree","version":"0.1.0","command":"certify-nonfree","config":{"named":"T2",'
     '"tol":1e-10},"report":{"input":"T2","verdict":true,"failed_stage":null,'
@@ -75,7 +75,16 @@ T2_REPORT = (
     '{"re":0.24618298195866548,"im":0.0}],[{"re":0.47673129462279618,"im":0.0},'
     '{"re":-0.18609684207969418,"im":0.0}]]}}}}\n'
 )
-T5_REPORT_TAIL = (
+T5_REPORT = (
+    '{"tool":"nonfree","version":"0.1.0","command":"certify-nonfree","config":{"named":"T5",'
+    '"tol":1e-10},"report":{"input":"T5","verdict":true,"failed_stage":null,'
+    '"details":{"tol":1e-10,"value_tol":9.9999999999999998e-13,'
+    '"s5_coefficient_defect":8.3266726846886741e-17,"mu_defect":1.1445349638603793e-16,'
+    '"lambda":1.0666666666666667,"lambda_expected":1.0666666666666667,'
+    '"ness_residual":1.7554276312358743e-16,"blocks":[[[1],[2],[3]],[[1],[2],[3]],[[1,2],[3]]],'
+    '"obstruction_vectors":[[{"re":0.33806170189140661,"im":0.0},{"re":0.34503277967117713,'
+    '"im":0.0}],[{"re":0.53452248382484879,"im":0.0},{"re":-0.21821789023599236,"im":0.0}],'
+    '[{"re":0.0,"im":0.0},{"re":0.48304589153964794,"im":0.0}]]},'
     '"ness":{"lambda":1.0666666666666667,"residual":1.7554276312358743e-16},'
     '"stabilizer_blocks":[[[1],[2],[3]],[[1],[2],[3]],[[1,2],[3]]],'
     '"obstruction":{"kind":"pairwise-nonparallel-triple",'
@@ -83,23 +92,23 @@ T5_REPORT_TAIL = (
     '"im":0.0}],[{"re":0.53452248382484879,"im":0.0},{"re":-0.21821789023599236,"im":0.0}],'
     '[{"re":0.0,"im":0.0},{"re":0.48304589153964794,"im":0.0}]]}}}}\n'
 )
-T5_DETAILS = [
-    "tol", "value_tol", "s5_coefficient_defect", "mu_defect", "lambda", "lambda_expected",
-    "ness_residual", "blocks", "obstruction_vectors",
-]
 
 
 def test_named_certificates_print_pinned_bytes(capsys):
     assert run(capsys, "certify-nonfree", "--named", "T2") == (0, T2_REPORT)
-    code, out = run(capsys, "certify-nonfree", "--named", "T5")
-    assert code == 0 and out.endswith("," + T5_REPORT_TAIL)
-    assert list(json.loads(out)["report"]["details"]) == T5_DETAILS
+    assert run(capsys, "certify-nonfree", "--named", "T5") == (0, T5_REPORT)
 
 
 def test_certify_family_n2_is_input_error(capsys):
     code, out = run(capsys, "certify-nonfree", "--family", "2")
     assert code == 2
     assert "error" in json.loads(out)
+
+
+def test_family_verify_needs_n_at_least_3(capsys):
+    code, out = run(capsys, "family", "--n", "2", "--verify")
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == "--verify needs n >= 3"
 
 
 def test_family_verify_reports_rationals(capsys):
@@ -392,6 +401,27 @@ def test_out_of_range_flow_and_refute_flags_are_input_errors(tmp_path, capsys, a
     assert json.loads(out)["error"]["kind"] == "input"
 
 
+@pytest.mark.parametrize("seed, expected", [(0, 0), (3, 2)])
+def test_an_ill_conditioned_refutation_draw_names_the_seed(tmp_path, capsys, seed, expected):
+    # A unit-triangular change has determinant 1, but at side 50 the upper one of
+    # seed 3 has a condition number past 1/INVERTIBILITY_TOL; the one of seed 0 does not.
+    n = 50
+    tensor, point = tmp_path / "diagonal.json", tmp_path / "uniform.json"
+    tensor.write_text(json.dumps({"dims": [n] * 3, "entries": [
+        {"i": i, "j": i, "k": i, "re": 1.0, "im": 0.0} for i in range(1, n + 1)]}))
+    point.write_text(json.dumps({key: [1 / n] * n for key in ("p1", "p2", "p3")}))
+    code, out = run(capsys, "polytope", "--input", str(tensor), "--refute", str(point),
+                    "--samples", "0", "--seed", str(seed))
+    doc = json.loads(out)
+    assert code == expected
+    if code == 0:
+        assert doc["refutation"]["outcome"] == "inconclusive"
+    else:
+        message = doc["error"]["message"]
+        assert "sample 0 at seed 3" in message and "(50, 50, 50)" in message
+        assert "another seed may draw a usable change" in message
+
+
 @pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 10**12])
 def test_samples_above_the_limit_are_input_error(tmp_path, capsys, monkeypatch, samples):
     import nonfree.polytope as polytope
@@ -658,6 +688,23 @@ def test_a_halfspace_within_the_digit_limit_is_compared_exactly(tmp_path, capsys
     half = json.loads(out)["halfspace"]
     assert code == 0 and half["valid"] is True
     assert half["min_support_value"] == {"num": "1", "den": str(10**4000)}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        dict(HALFSPACE_3, c="-1e4300"),
+        {"h1": ["1e4000"] * 3, "h2": ["1e-4000"] * 3, "h3": [0, 0, 0], "c": 0},
+    ],
+    ids=["c-numerator", "minimum-numerator"],
+)
+def test_a_halfspace_value_past_the_digit_limit_is_named(tmp_path, capsys, doc):
+    # Each exponent is within the limit, but -10^4300 and the minimum 10^4000 + 10^-4000
+    # have numerators of 4 301 and 8 001 digits, which no JSON integer may have.
+    code, out = run(capsys, *_polytope_argv(tmp_path, "--halfspace", doc))
+    message = json.loads(out)["error"]["message"]
+    assert code == 2
+    assert "4300 digits" in message and "set_int_max_str_digits" not in message
 
 
 def test_halfspace_on_an_empty_support_is_input_error(tmp_path, capsys):
