@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -281,9 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.set_defaults(func=cmd_moment_map)
 
-    p = sub.add_parser("flow", help="integrate the scaling gradient flow")
+    p = sub.add_parser("flow", help="move to the minimum of |mu| over the orbit by damped Newton steps")
     p.add_argument("--input", required=True)
-    p.add_argument("--step", type=float, default=DEFAULT_STEP, help="initial step, then adaptive")
+    p.add_argument(
+        "--step", type=float, default=DEFAULT_STEP,
+        help="initial step dt, which sets the Newton damping 2/dt; then adaptive",
+    )
     p.add_argument("--residual-tol", type=float, default=DEFAULT_RESIDUAL_TOL)
     p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     p.set_defaults(func=cmd_flow)
@@ -328,9 +332,16 @@ def main(argv=None) -> int:
         doc, code = args.func(args)
         text = dumps(doc)
     except ValueError as exc:  # every input error, whichever layer raised it
-        print(dumps({"error": {"kind": "input", "message": str(exc)}}))
-        return 2
-    print(text)
+        text, code = dumps({"error": {"kind": "input", "message": str(exc)}}), 2
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early. Point it at the null device, so that
+        # the flush at exit stays silent too, and keep the command's exit code.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

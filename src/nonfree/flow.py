@@ -1,15 +1,19 @@
-"""Kempf-Ness gradient flow dT/dt = -mu(T) * T and the Ness fixed-point test.
+"""Kempf-Ness flow to the minimum of |mu| over the orbit, and the Ness fixed-point test.
 
-The flow is integrated projectively, by geodesic (Lie-Euler) steps
-x <- (e^{-dt mu_1} x e^{-dt mu_2} x e^{-dt mu_3}) x with mu frozen at x: group
-elements, so every iterate stays in the orbit of the input. Each is renormalized
-to unit norm, and convergence is declared on the projective gradient residual
-|mu(T) * T - lambda T|, since only the projective limit is guaranteed to exist.
+The flow moves a tensor along its GL-orbit by damped Newton steps on the
+Kempf-Ness function log |e^X x|^2 over Hermitian triples X (Buergisser, Franks,
+Garg, Oliveira, Walter and Wigderson, FOCS 2019): x <- (e^{X_1} x e^{X_2} x
+e^{X_3}) x, a group element, so every iterate stays in the orbit of the input.
+Each is renormalized to unit norm, and convergence is declared on the
+projective gradient residual |mu(T) * T - lambda T|, since only the projective
+limit is guaranteed to exist. As the damping grows, the step tends to the
+geodesic step e^{-dt mu} x of the gradient flow dT/dt = -mu(T) * T.
 
-The integrator steps a plain entries array and builds a `Tensor3` only for the
+The loop steps a plain entries array and builds a `Tensor3` only for the
 limit. One evaluation per candidate, `moment._moment_action`, gives mu and
-mu * x for the monotonicity and drift tests, the convergence test and lambda;
-an accepted one also gives the eigendecomposition of mu every halving reuses.
+mu * x for the monotonicity test, the convergence test and lambda; the Newton
+system at an accepted point is set up once, and every halving only solves it
+again with a larger damping.
 """
 
 from __future__ import annotations
@@ -19,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moment import _frobenius_norm, _moment_action, infinitesimal_action, moment_map
+from .moment import (
+    _flattenings, _frobenius_norm, _moment_action, _unflattened_sum, infinitesimal_action, moment_map,
+)
 from .tensor import Tensor3, _norm, _normal_range
 
 DEFAULT_STEP = 0.05
@@ -29,6 +35,10 @@ DEFAULT_MAX_STEPS = 200_000
 # well below the 1e-8 monotonicity slack, above rounding noise.
 MONOTONICITY_SLACK = 1e-12
 MAX_HALVINGS = 60
+# Largest dt that steps accepted at once grow to. The damping 2 / dt bounds the
+# condition of the Newton system, so the rounding error of a step grows with dt:
+# without this cap, T2 and S0(4) stalled at residuals of 6e-14 and 1.4e-13.
+MAX_STEP = 1024.0
 
 
 @dataclass(frozen=True)
@@ -77,18 +87,100 @@ def _evaluate(x: np.ndarray) -> tuple[float, tuple[np.ndarray, ...], np.ndarray,
     return _frobenius_norm(mu), mu, action, *_lam_residual(x, action, nrm)
 
 
-def _spectra(mu: tuple[np.ndarray, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
+def _spectra(mu) -> list[tuple[np.ndarray, np.ndarray]]:
     """Pairs (w, v) with mu_L = v diag(w) v^*, one batched pair for three equal sizes."""
     cubic = mu[0].shape == mu[1].shape == mu[2].shape
     return [np.linalg.eigh(np.stack(mu))] if cubic else [np.linalg.eigh(m) for m in mu]
 
 
-def _geodesic_step(arrays: np.ndarray, spectra, dt: float) -> np.ndarray:
-    """The factors e^{-dt mu_L} = v diag(e^{-dt w}) v^*, applied to each stacked 3-axis array."""
+def _geodesic_step(arr: np.ndarray, spectra, dt: float) -> np.ndarray:
+    """The factors e^{-dt mu_L} = v diag(e^{-dt w}) v^*, applied to a 3-axis array."""
     f = [(v * np.exp(-dt * w)[..., None, :]) @ v.conj().swapaxes(-1, -2) for w, v in spectra]
     a, b, c = f[0] if len(f) == 1 else f
-    k, n1 = arrays.shape[:2]
-    return b @ (a @ arrays.reshape(k, n1, -1)).reshape(arrays.shape) @ c.T
+    return b @ (a @ arr.reshape(arr.shape[0], -1)).reshape(arr.shape) @ c.T
+
+
+def _newton_step(x: np.ndarray, mu: tuple[np.ndarray, ...]):
+    """The damped Newton step at a unit-norm x with moment map mu, as a function
+    (delta, tol) -> e^X x, unnormalized, or None for a non-finite X.
+
+    X solves (H + delta I) X = -g over Hermitian triples, for the gradient
+    g_L = 2 (mu_L - I / n_L) and the Hessian H X = 4 (herm(F_L(X x) F_L(x)^*)
+    - <X, mu> mu_L) of the Kempf-Ness function log |e^X x|^2. The scaling
+    directions (I on one factor) are dropped from g, since the renormalization
+    undoes them. H is never formed: preconditioned conjugate gradients take
+    one product per iteration, one action X x and three Grams, and stop once
+    the residual is at most tol, or after as many iterations as X has complex
+    entries. The preconditioner is diagonal in the eigenbasis of each mu_L,
+    with entries 2 (w_a + w_b) + delta. X lives in the basis of x, where the
+    zero entries the steps keep stay exactly zero. The triples are packed into
+    one vector for the iteration and seen as a (3, n, n) stack for a cubic x.
+    """
+    dims = x.shape
+    spectra = _spectra(mu)
+    cubic = len(spectra) == 1
+    if cubic:
+        w, v = spectra[0]
+        vh = v.conj().swapaxes(-1, -2)
+    else:
+        w, v = zip(*spectra)
+        vh = [u.conj().T for u in v]
+    ends = np.cumsum([n * n for n in dims])
+
+    def blocks(p: np.ndarray):
+        if cubic:
+            return p.reshape(3, *dims[1:])
+        return [p[e - n * n : e].reshape(n, n) for e, n in zip(ends, dims)]
+
+    def packed(m) -> np.ndarray:
+        return m.ravel() if isinstance(m, np.ndarray) else np.concatenate([b.ravel() for b in m])
+
+    def products(a, b):
+        both = isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+        return a @ b if both else [p @ q for p, q in zip(a, b)]
+
+    fx = _flattenings(x)
+    fxh = [f.conj().T for f in fx] if isinstance(fx, list) else fx.conj().swapaxes(-1, -2)
+    # Packed positions of the transposed entries, for the Hermitian part.
+    transposed = packed([np.arange(e - n * n, e).reshape(n, n).T for e, n in zip(ends, dims)])
+    m = packed(mu)
+    g = packed([2.0 * (u - np.eye(len(u)) / len(u)) for u in mu])
+    weights = packed([2.0 * (u[:, None] + u) for u in w])
+
+    def hessian(p: np.ndarray) -> np.ndarray:
+        c = packed(products(_flattenings(_unflattened_sum(products(blocks(p), fx), dims)), fxh))
+        c += c[transposed].conj()
+        c *= 2.0
+        c -= (4.0 * np.vdot(m, p).real) * m
+        return c
+
+    def step(delta: float, tol: float) -> np.ndarray | None:
+        scale = 1.0 / (weights + delta)
+
+        def precondition(r: np.ndarray) -> np.ndarray:
+            z = packed(products(products(vh, blocks(r)), v)) * scale
+            return packed(products(products(v, blocks(z)), vh))
+
+        step_x = np.zeros_like(g)
+        r = -g
+        z = precondition(r)
+        p, rz = z, np.vdot(r, z).real
+        for _ in range(len(g)):
+            if _norm(r) <= tol:
+                break
+            q = hessian(p)
+            q += delta * p
+            alpha = rz / np.vdot(p, q).real
+            step_x += alpha * p
+            r -= alpha * q
+            z = precondition(r)
+            rz, previous = np.vdot(r, z).real, rz
+            p = z + (rz / previous) * p
+        if not np.isfinite(step_x).all():
+            return None  # no exponential to take; the flow rejects the step
+        return _geodesic_step(x, _spectra(blocks(step_x)), -1.0)
+
+    return step
 
 
 def flow(
@@ -97,17 +189,20 @@ def flow(
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> FlowResult:
-    """Integrate the flow until the projective gradient residual drops below
-    residual_tol; non-convergence is reported in the result, not raised.
+    """Run damped Newton steps until the projective gradient residual drops
+    below residual_tol; non-convergence is reported in the result, not raised.
 
-    step_size is the initial dt. A candidate y is accepted only if |mu| rises by
-    at most MONOTONICITY_SLACK and the generator drifts by |mu(y) * y - mu(x) * y|
-    <= residual(x) / 2, an estimate of the local error. Otherwise, or if the
-    step would leave the finite nonzero tensors, dt is halved; it doubles after
-    10 accepted steps in a row, without a cap. If MAX_HALVINGS halvings find no
-    acceptable step, the flow stops unconverged at the last accepted point. A
-    step_size that is not positive, or a negative residual_tol or max_steps, is
-    a ValueError.
+    Each step solves (H + delta I) X = -g for the Kempf-Ness function (see
+    `_newton_step`) to a CG tolerance of min(1/2, sqrt(r)) r at the current
+    projective residual r, and moves x to e^X x, renormalized. The damping is
+    delta = 2 / dt, so as dt -> 0 the step tends to the geodesic step
+    e^{-dt mu} x of the gradient flow; step_size is the initial dt. A candidate
+    is accepted only if |mu| rises by at most MONOTONICITY_SLACK; otherwise,
+    or if the step would leave the finite nonzero tensors, dt is halved. A step
+    accepted at once multiplies dt by 8, up to MAX_STEP. If MAX_HALVINGS
+    halvings find no acceptable step, the flow stops unconverged at the last
+    accepted point. A step_size that is not positive, or a negative
+    residual_tol or max_steps, is a ValueError.
     """
     if not step_size > 0 or residual_tol < 0 or max_steps < 0:
         raise ValueError("flow needs step_size > 0, residual_tol >= 0 and max_steps >= 0")
@@ -116,40 +211,36 @@ def flow(
         raise ValueError("flow requires a nonzero tensor")
     # Scale by the reciprocal of the norm: dividing by it would round differently.
     x = arr * (1.0 / nrm)
-    mu_norm, mu, action, lam, residual = _evaluate(x)
+    mu_norm, mu, _, lam, residual = _evaluate(x)
     trajectory = [mu_norm]
-    dt = step_size
-    streak = 0
+    # The damping 2 / dt itself is kept: halving a subnormal dt would reach zero.
+    delta = 2.0 / step_size
 
     steps = 0
     # A step that overflows is rejected below by its non-finite norm, so
-    # numpy's overflow warnings would only name internals on stderr.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # numpy's warnings would only name internals on stderr.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while residual > residual_tol and steps < max_steps:
-            spectra = _spectra(mu)
-            # mu(x) * x rides along: the step commutes with mu(x), so it yields
-            # mu(x) * y for the drift test up to the scale of y.
-            pair = np.stack((x, action))
+            newton = _newton_step(x, mu)
+            tol = min(0.5, math.sqrt(residual)) * residual
             for halvings in range(MAX_HALVINGS + 1):
-                stepped = _geodesic_step(pair, spectra, dt)
-                y_norm = _norm(stepped[0])
+                y = newton(delta, tol)
+                y_norm = math.nan if y is None else _norm(y)
                 # A step to zero or past the float range is rejected like a rise of |mu|.
                 if 0.0 < y_norm < math.inf:
-                    candidate, moved_action = stepped * (1.0 / y_norm)
+                    candidate = y * (1.0 / y_norm)
                     evaluation = _evaluate(candidate)
-                    drift = _norm(evaluation[2] - moved_action)
-                    if evaluation[0] <= mu_norm + MONOTONICITY_SLACK and drift <= 0.5 * residual:
+                    if evaluation[0] <= mu_norm + MONOTONICITY_SLACK:
                         break
-                dt *= 0.5
+                delta *= 2.0
             else:
                 break  # no step down to dt / 2**MAX_HALVINGS was accepted: stop unconverged
             x = candidate
-            mu_norm, mu, action, lam, residual = evaluation
+            mu_norm, mu, _, lam, residual = evaluation
             steps += 1
             trajectory.append(mu_norm)
-            streak = 0 if halvings else streak + 1
-            if streak == 10:
-                dt, streak = 2.0 * dt, 0
+            if not halvings:
+                delta = max(delta / 8.0, 2.0 / MAX_STEP)
 
     return FlowResult(
         limit=Tensor3(x),

@@ -7,61 +7,76 @@ values only: a numpy scalar or array, float64 included, is a TypeError.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from json.encoder import encode_basestring
 
 
 def _format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError("non-finite float in report")
     text = format(x, ".17g")
     # Keep the token a JSON number that parses back as float.
-    if "e" not in text and "." not in text:
-        text += ".0"
+    if "." not in text and "e" not in text:
+        text = _integral(text)
     return text
 
 
-# The literals and the string escaping json.dumps(obj, ensure_ascii=False) writes.
-_LITERALS = {None: "null", True: "true", False: "false"}
+def _integral(text: str) -> str:
+    """The JSON token of a float whose 17-digit form has no point and no exponent."""
+    if text[-1] in "nf":  # nan, inf and -inf
+        raise ValueError("non-finite float in report")
+    return text + ".0"
 
 
-def _emit(obj, out: list[str]) -> None:
-    if obj is None or obj is True or obj is False:
-        out.append(_LITERALS[obj])
-    elif isinstance(obj, str):
-        out.append(encode_basestring(obj))
-    elif type(obj) is int:
-        out.append(str(obj))
-    elif type(obj) is float:
-        out.append(_format_float(obj))
-    elif isinstance(obj, Fraction):
-        _emit({"num": str(obj.numerator), "den": str(obj.denominator)}, out)
-    elif type(obj) is complex:
-        _emit({"re": obj.real, "im": obj.imag}, out)
-    elif isinstance(obj, dict):
-        out.append("{")
-        for pos, (key, value) in enumerate(obj.items()):
+def _encode_dict(obj: dict) -> str:
+    parts = []
+    for key, value in obj.items():
+        prefix = _KEYS.get(key)
+        if prefix is None:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            if pos:
-                out.append(",")
-            out.append(encode_basestring(key))
-            out.append(":")
-            _emit(value, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for pos, value in enumerate(obj):
-            if pos:
-                out.append(",")
-            _emit(value, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+            prefix = _KEYS[key] = encode_basestring(key) + ":"
+        # The floats of a tensor entry, its most common values, skip the dispatch.
+        if type(value) is float:
+            text = format(value, ".17g")
+            if "." not in text and "e" not in text:
+                text = _integral(text)
+            parts.append(prefix + text)
+        else:
+            parts.append(prefix + _encode(value))
+    return "{" + ",".join(parts) + "}"
+
+
+def _encode_list(obj) -> str:
+    return "[" + ",".join(map(_encode, obj)) + "]"
+
+
+# The literals and the string escaping json.dumps(obj, ensure_ascii=False) writes,
+# keyed by exact type; `_encode` looks a subclass up by its base.
+_ENCODERS = {
+    type(None): lambda obj: "null",
+    bool: lambda obj: "true" if obj else "false",
+    str: encode_basestring,
+    int: str,
+    float: _format_float,
+    Fraction: lambda obj: _encode_dict({"num": str(obj.numerator), "den": str(obj.denominator)}),
+    complex: lambda obj: _encode_dict({"re": obj.real, "im": obj.imag}),
+    dict: _encode_dict,
+    list: _encode_list,
+    tuple: _encode_list,
+}
+_BASES = (str, Fraction, dict, list, tuple)
+# Encoded object keys with their colon, by key; reports use a few dozen.
+_KEYS: dict[str, str] = {}
+
+
+def _encode(obj) -> str:
+    encoder = _ENCODERS.get(type(obj))
+    if encoder is None:
+        base = next((base for base in _BASES if isinstance(obj, base)), None)
+        if base is None:
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
+        encoder = _ENCODERS[base]
+    return encoder(obj)
 
 
 def dumps(obj) -> str:
-    out: list[str] = []
-    _emit(obj, out)
-    return "".join(out)
+    return _encode(obj)

@@ -31,6 +31,8 @@ WEYL_TOL = 1e-12
 # 736 minor page faults stacked, against 1.0 ms per axis. The matmul dispatches
 # the stack saves matter only for small tensors.
 STACKED_GRAM_MAX_BYTES = 128 * 1024
+# The inverse permutations of tensor._FLATTENING_ORDERS.
+_UNFLATTENING_ORDERS = ((0, 1, 2), (1, 0, 2), (1, 2, 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,27 +157,45 @@ def _action_array(h, arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _flattenings(arr: np.ndarray) -> np.ndarray | list[np.ndarray]:
+    """The three flattenings of a 3-axis array: one (3, n, n^2) stack for a
+    cubic array that fits in STACKED_GRAM_MAX_BYTES, else a list of three."""
+    n = arr.shape[0]
+    if arr.shape != (n, n, n) or 3 * arr.nbytes > STACKED_GRAM_MAX_BYTES:
+        return [_flattening(arr, axis) for axis in range(3)]
+    # One gather builds the stack: at n = 3 it took 0.8 us on a 2-core x86-64
+    # VM, against 3.6 us to concatenate the three transposes.
+    return arr.take(_stack_index(n))
+
+
+def _unflattened_sum(parts, dims) -> np.ndarray:
+    """The sum over the axes L of the arrays of shape dims whose L-th flattening is parts[L]."""
+    a, b, c = (
+        m.reshape([dims[i] for i in order]).transpose(inverse)
+        for m, order, inverse in zip(parts, _FLATTENING_ORDERS, _UNFLATTENING_ORDERS)
+    )
+    out = a + b
+    out += c
+    return out
+
+
 def _moment_action(arr: np.ndarray, nrm: float) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """mu(T) and mu(T) * T for the entries array of T and its norm.
 
     A small cubic tensor's stacked flattenings serve both: one batched matmul
     gives the three Gram matrices, one batched einsum applies each to its own
     flattening, and the three parts are summed in `_action_array`'s order,
-    with its bits. Other tensors take `_moment_arrays` and `_action_array`.
+    with its bits. Other tensors take the per-axis products of `_moment_arrays`
+    and `_action_array`.
     """
-    n = arr.shape[0]
-    if arr.shape != (n, n, n) or 3 * arr.nbytes > STACKED_GRAM_MAX_BYTES:
-        mu = _moment_arrays(arr, nrm)
+    f = _flattenings(arr)
+    sq = _squared_norm(nrm)
+    if isinstance(f, list):
+        mu = tuple(_symmetrized(m @ m.conj().T, sq) for m in f)
         return mu, _action_array(mu, arr)
-    # One gather builds the stack: at n = 3 it took 0.8 us on a 2-core x86-64
-    # VM, against 3.6 us to concatenate the three transposes. numpy calls BLAS
-    # once per matrix of a batch, so the bits equal the per-axis products.
-    f = arr.take(_stack_index(n))
-    g = _symmetrized(f @ f.conj().swapaxes(-1, -2), _squared_norm(nrm))
-    p = np.einsum("lia,lax->lix", g, f).reshape(3, n, n, n)
-    out = p[0] + p[1].transpose(1, 0, 2)
-    out += p[2].transpose(1, 2, 0)
-    return tuple(g), out
+    # numpy calls BLAS once per matrix of a batch, so the bits equal the per-axis products.
+    g = _symmetrized(f @ f.conj().swapaxes(-1, -2), sq)
+    return tuple(g), _unflattened_sum(np.einsum("lia,lax->lix", g, f), arr.shape)
 
 
 def infinitesimal_action(x: HermTriple, t: Tensor3) -> Tensor3:

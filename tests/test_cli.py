@@ -157,7 +157,7 @@ def test_flow_command(tmp_path, capsys):
 
 @pytest.mark.parametrize("step", ["1e20", "1e40"])
 def test_a_flow_no_halving_can_save_stops_unconverged(tmp_path, capsys, step):
-    # Each halving of 1e20 underflows to zero or raises |mu|; each of 1e40 underflows.
+    # Every Newton step from this tensor raises |mu|, down to 1e20 / 2**60 and 1e40 / 2**60.
     path = tmp_path / "t.json"
     write_tensor(random_tensor(rng(7), (2, 2, 2)), path)
     with warnings.catch_warnings():
@@ -186,8 +186,10 @@ def test_flow_passes_a_flat_stretch_that_monotonicity_alone_accepts(tmp_path, ca
 
 def test_an_overflowing_flow_step_leaves_stderr_empty(tmp_path, capsys):
     # The last eigenvalue of mu_3 of this 2x2x5 tensor rounds to -3e-17, so
-    # e^{-dt mu_3} overflows at every halving of a 1e40 step; the flow rejects
-    # the step by its norm, and numpy must not report the overflow on stderr.
+    # neither the Hessian nor the preconditioner damps the Newton step along its
+    # eigenvector, and e^X overflows or underflows at every halving of a 1e40
+    # step; the flow rejects the step by its norm, and numpy must not report
+    # the overflow on stderr.
     path = tmp_path / "t.json"
     write_tensor(random_tensor(rng(0), (2, 2, 5)), path)
     argv = ["flow", "--input", str(path), "--step", "1e40", "--max-steps", "5"]
@@ -200,6 +202,25 @@ def test_an_overflowing_flow_step_leaves_stderr_empty(tmp_path, capsys):
     assert done.stderr == ""
     assert (done.returncode, done.stdout) == run(capsys, *argv)
     assert done.returncode == 1 and json.loads(done.stdout)["result"]["steps"] == 0
+
+
+def test_a_reader_closing_stdout_early_gets_no_traceback():
+    # The family report at n = 48 is 154 KB, more than twice a 64 KiB pipe
+    # buffer, so the CLI is still writing when the reader closes the pipe after
+    # one unbuffered read of 100 bytes.
+    src = os.path.dirname(os.path.dirname(nonfree.__file__))
+    code = "import sys; from nonfree.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=src)
+    with subprocess.Popen(
+        [sys.executable, "-c", code, "family", "--n", "48"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+    ) as process:
+        head = process.stdout.read(100)
+        process.stdout.close()
+        stderr = process.stderr.read()
+        returncode = process.wait(timeout=60)
+    assert head.startswith(b'{"tool":"nonfree"')
+    assert (returncode, stderr) == (0, b"")
 
 
 def test_reduce_s0_command(tmp_path, capsys):

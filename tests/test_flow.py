@@ -17,7 +17,7 @@ from conftest import (
 from nonfree.construct import build_family_tensor, s0_tensor
 from nonfree.family import family_data
 from nonfree.flow import MONOTONICITY_SLACK, flow, ness_minimality
-from nonfree.moment import _action_array, _moment_arrays, moment_map
+from nonfree.moment import _moment_arrays, moment_map
 from nonfree.named import (
     ness_form_t2,
     ness_form_t5,
@@ -133,11 +133,14 @@ def test_fixed_point_iff_no_projective_progress():
 @pytest.mark.parametrize(
     "make, kwargs, halves",
     [
-        (tensor_t2, {"max_steps": 50}, False),
-        (lambda: s0_tensor(4), {}, True),
-        (lambda: random_tensor(rng(0), (4, 4, 4)), {"step_size": 2.0}, True),
+        (tensor_t2, {"max_steps": 3}, False),
+        (lambda: s0_tensor(4), {}, False),
+        (lambda: random_tensor(rng(0), (4, 4, 4)), {"step_size": 100.0}, True),
+        (lambda: random_tensor(rng(3), (1, 1, 1)), {}, False),
+        (lambda: random_tensor(rng(4), (1, 2, 3)), {}, True),
+        (lambda: random_tensor(rng(5), (2, 3, 4)), {}, False),
     ],
-    ids=["t2-unconverged", "s0-4", "dense-4-halving"],
+    ids=["t2-unconverged", "s0-4", "dense-4-halving", "dense-1x1x1", "dense-1x2x3", "dense-2x3x4"],
 )
 def test_flow_kernel_agrees_exactly_with_the_public_boundary(monkeypatch, make, kwargs, halves):
     # The flow steps raw arrays; its reported numbers, lambda included, must be
@@ -147,14 +150,14 @@ def test_flow_kernel_agrees_exactly_with_the_public_boundary(monkeypatch, make, 
     evaluate, evaluations = module._evaluate, []
     monkeypatch.setattr(module, "_evaluate", lambda x: evaluations.append(None) or evaluate(x))
     result = flow(make(), **kwargs)
-    # One evaluation per accepted step after the start; each halving adds one.
+    # One evaluation per accepted step after the start; each rejected finite candidate adds one.
     assert (len(evaluations) > result.steps + 1) == halves
     ness = ness_minimality(result.limit)
     assert (result.lam, result.final_residual) == (ness.lam, ness.residual)
     assert result.mu_norm_trajectory[-1] == moment_map(result.limit).frobenius_norm()
 
 
-@pytest.mark.parametrize("dt", [0.05, 1.0])
+@pytest.mark.parametrize("dt", [0.05, 1.0, -1.0])
 @pytest.mark.parametrize(
     "make",
     [
@@ -166,17 +169,38 @@ def test_flow_kernel_agrees_exactly_with_the_public_boundary(monkeypatch, make, 
     ids=["t2", "s0-4", "dense-4", "dense-2x3x4"],
 )
 def test_geodesic_step_applies_the_exponentials_of_mu(make, dt):
-    # The step carries x and mu(x) * x through the group element
-    # (e^{-dt mu_1}, e^{-dt mu_2}, e^{-dt mu_3}) that tensor.apply applies.
+    # The step applies the group element (e^{-dt mu_1}, e^{-dt mu_2}, e^{-dt mu_3})
+    # that tensor.apply applies; the Newton step uses it at dt = -1 for e^X.
     t = make()
     x = t.entries * (1.0 / norm(t))
     mu = _moment_arrays(x, _norm(x))
-    action = _action_array(mu, x)
     module = sys.modules["nonfree.flow"]
-    got = module._geodesic_step(np.stack((x, action)), module._spectra(mu), dt)
+    got = module._geodesic_step(x, module._spectra(mu), dt)
     g = GroupTriple(*(scipy.linalg.expm(-dt * m) for m in mu))
-    for stepped, arr in zip(got, (x, action)):
-        np.testing.assert_allclose(stepped, apply(g, Tensor3(arr)).entries, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got, apply(g, Tensor3(x)).entries, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("step", [0.05, 1.0, 100.0])
+@pytest.mark.parametrize(
+    "make",
+    [tensor_t2, tensor_t5, *(lambda n=n: s0_tensor(n) for n in (3, 4, 5)),
+     *(lambda n=n: random_tensor(rng(n), (n, n, n)) for n in (4, 5, 6))],
+    ids=["t2", "t5", "s0-3", "s0-4", "s0-5", "dense-4", "dense-5", "dense-6"],
+)
+def test_newton_steps_converge_within_twelve_accepted_steps(make, step):
+    # The geodesic flow these steps replace needed 57 or more on each.
+    result = flow(make(), step_size=step, max_steps=12)
+    assert result.converged
+
+
+@pytest.mark.parametrize(
+    "make", [tensor_t2, tensor_t5, lambda: s0_tensor(4)], ids=["t2", "t5", "s0-4"]
+)
+def test_newton_steps_reach_a_residual_of_1e_14(make):
+    # The error of a Newton step grows with dt; without the MAX_STEP cap on dt
+    # T2 and S0(4) stalled near 1e-13 until max_steps ran out.
+    result = flow(make(), step_size=1.0, residual_tol=1e-14, max_steps=400)
+    assert result.converged
 
 
 def test_flow_from_t5_at_step_one_converges():
@@ -198,8 +222,8 @@ def test_flow_from_a_large_first_step_reaches_the_closed_form_lambda(n, step):
 
 @pytest.mark.parametrize("step", [1e20, 1e40])
 def test_a_step_no_halving_can_save_stops_the_flow_where_it_was(step):
-    # Down to step / 2**MAX_HALVINGS, every step from this tensor underflows to
-    # zero or raises |mu| (1e20), or underflows (1e40). None may be accepted.
+    # Down to step / 2**MAX_HALVINGS, every Newton step from this tensor
+    # raises |mu|. None may be accepted.
     t = random_tensor(rng(7), (2, 2, 2))
     with np.errstate(over="ignore", invalid="ignore"):
         result = flow(t, step_size=step, max_steps=5)
