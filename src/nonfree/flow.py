@@ -24,9 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moment import (
-    _flattenings, _frobenius_norm, _moment_action, _unflattened_sum, infinitesimal_action, moment_map,
+    _action, _adjoints, _flattenings, _frobenius_norm, _moment_action, _products, infinitesimal_action,
+    moment_map,
 )
-from .tensor import Tensor3, _norm, _normal_range
+from .tensor import Tensor3, _apply_array, _norm, _normal_range
 
 DEFAULT_STEP = 0.05
 DEFAULT_RESIDUAL_TOL = 1e-8
@@ -80,8 +81,9 @@ def ness_minimality(t: Tensor3) -> NessCertificate:
     return NessCertificate(*_lam_residual(arr, action, nrm))
 
 
-def _evaluate(x: np.ndarray) -> tuple[float, tuple[np.ndarray, ...], np.ndarray, float, float]:
-    """|mu(x)|, mu(x), the action mu(x) * x, lambda and the projective residual at x."""
+def _evaluate(x: np.ndarray):
+    """|mu(x)|, mu(x) in the layout of `moment._flattenings`, the action mu(x) * x,
+    lambda and the projective residual at x."""
     nrm = _norm(x)
     mu, action = _moment_action(x, nrm)
     return _frobenius_norm(mu), mu, action, *_lam_residual(x, action, nrm)
@@ -93,14 +95,14 @@ def _spectra(mu) -> list[tuple[np.ndarray, np.ndarray]]:
     return [np.linalg.eigh(np.stack(mu))] if cubic else [np.linalg.eigh(m) for m in mu]
 
 
-def _geodesic_step(arr: np.ndarray, spectra, dt: float) -> np.ndarray:
-    """The factors e^{-dt mu_L} = v diag(e^{-dt w}) v^*, applied to a 3-axis array."""
-    f = [(v * np.exp(-dt * w)[..., None, :]) @ v.conj().swapaxes(-1, -2) for w, v in spectra]
-    a, b, c = f[0] if len(f) == 1 else f
-    return b @ (a @ arr.reshape(arr.shape[0], -1)).reshape(arr.shape) @ c.T
+def _geodesic_step(arr: np.ndarray, spectra) -> np.ndarray:
+    """e^X applied to a 3-axis array, for the spectra (w, v) of the triple X:
+    the factors e^{X_L} = v diag(e^w) v^*, through `tensor._apply_array`."""
+    f = [(v * np.exp(w)[..., None, :]) @ v.conj().swapaxes(-1, -2) for w, v in spectra]
+    return _apply_array(f[0] if len(f) == 1 else f, arr)
 
 
-def _newton_step(x: np.ndarray, mu: tuple[np.ndarray, ...]):
+def _newton_step(x: np.ndarray, mu):
     """The damped Newton step at a unit-norm x with moment map mu, as a function
     (delta, tol) -> e^X x, unnormalized, or None for a non-finite X.
 
@@ -119,12 +121,8 @@ def _newton_step(x: np.ndarray, mu: tuple[np.ndarray, ...]):
     dims = x.shape
     spectra = _spectra(mu)
     cubic = len(spectra) == 1
-    if cubic:
-        w, v = spectra[0]
-        vh = v.conj().swapaxes(-1, -2)
-    else:
-        w, v = zip(*spectra)
-        vh = [u.conj().T for u in v]
+    w, v = spectra[0] if cubic else zip(*spectra)
+    vh = _adjoints(v)
     ends = np.cumsum([n * n for n in dims])
 
     def blocks(p: np.ndarray):
@@ -135,12 +133,8 @@ def _newton_step(x: np.ndarray, mu: tuple[np.ndarray, ...]):
     def packed(m) -> np.ndarray:
         return m.ravel() if isinstance(m, np.ndarray) else np.concatenate([b.ravel() for b in m])
 
-    def products(a, b):
-        both = isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
-        return a @ b if both else [p @ q for p, q in zip(a, b)]
-
     fx = _flattenings(x)
-    fxh = [f.conj().T for f in fx] if isinstance(fx, list) else fx.conj().swapaxes(-1, -2)
+    fxh = _adjoints(fx)
     # Packed positions of the transposed entries, for the Hermitian part.
     transposed = packed([np.arange(e - n * n, e).reshape(n, n).T for e, n in zip(ends, dims)])
     m = packed(mu)
@@ -148,7 +142,7 @@ def _newton_step(x: np.ndarray, mu: tuple[np.ndarray, ...]):
     weights = packed([2.0 * (u[:, None] + u) for u in w])
 
     def hessian(p: np.ndarray) -> np.ndarray:
-        c = packed(products(_flattenings(_unflattened_sum(products(blocks(p), fx), dims)), fxh))
+        c = packed(_products(_flattenings(_action(blocks(p), fx, dims)), fxh))
         c += c[transposed].conj()
         c *= 2.0
         c -= (4.0 * np.vdot(m, p).real) * m
@@ -158,8 +152,8 @@ def _newton_step(x: np.ndarray, mu: tuple[np.ndarray, ...]):
         scale = 1.0 / (weights + delta)
 
         def precondition(r: np.ndarray) -> np.ndarray:
-            z = packed(products(products(vh, blocks(r)), v)) * scale
-            return packed(products(products(v, blocks(z)), vh))
+            z = packed(_products(_products(vh, blocks(r)), v)) * scale
+            return packed(_products(_products(v, blocks(z)), vh))
 
         step_x = np.zeros_like(g)
         r = -g
@@ -178,7 +172,7 @@ def _newton_step(x: np.ndarray, mu: tuple[np.ndarray, ...]):
             p = z + (rz / previous) * p
         if not np.isfinite(step_x).all():
             return None  # no exponential to take; the flow rejects the step
-        return _geodesic_step(x, _spectra(blocks(step_x)), -1.0)
+        return _geodesic_step(x, _spectra(blocks(step_x)))
 
     return step
 

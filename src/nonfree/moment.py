@@ -5,10 +5,12 @@ the factor-L flattening, mu_L(T) = F_L F_L^* / |T|^2, which is Hermitian, PSD
 and trace one by construction, and transforms as A mu_L(T) A^{-1} under a
 unitary basis change A on factor L.
 
-The public functions wrap the result of a private ndarray kernel once; the
-gradient flow calls the kernels directly, through `_moment_action`, where for
-a small cubic tensor one set of stacked flattenings serves both mu(T) and
-mu(T) * T. `moment_map` takes the per-axis products.
+Both mu(T) and the infinitesimal action X * T are matmuls on the flattenings
+that `_flattenings` returns: `_grams` gives mu and `_action` gives X * T, and
+every caller goes through them, the public functions, the flow's evaluation
+(`_moment_action`) and the Newton step's Hessian products alike. For a small
+cubic tensor the flattenings are one stack, and each kernel is one batched
+matmul with the bits of the three per-axis products.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .tensor import (
 
 HERMITICITY_TOL = 1e-12
 WEYL_TOL = 1e-12
-# Largest stack of three flattenings `_moment_action` builds in one piece; a
+# Largest stack of three flattenings `_flattenings` builds in one piece; a
 # cubic tensor above it takes the per-axis products. Larger stacks can land on fresh pages that
 # fault on every call: on a 2-core x86-64 VM a 32^3 moment map took 2.8 ms and
 # 736 minor page faults stacked, against 1.0 ms per axis. The matmul dispatches
@@ -95,14 +97,6 @@ class WeylPoint:
         return (self.p1, self.p2, self.p3)
 
 
-def _symmetrized(gram: np.ndarray, sq: float) -> np.ndarray:
-    """(G / sq + (G / sq)^*) / 2 over the last two axes, operation for operation, in place."""
-    gram /= sq
-    gram += gram.conj().swapaxes(-1, -2)
-    gram /= 2.0
-    return gram
-
-
 def _squared_norm(nrm: float) -> float:
     """|T|^2 from |T|; zero is a ValueError."""
     sq = nrm**2
@@ -120,23 +114,13 @@ def _stack_index(n: int) -> np.ndarray:
     return index
 
 
-def _moment_arrays(arr: np.ndarray, nrm: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three components of mu(T) for the entries array of T and its norm."""
-    sq = _squared_norm(nrm)
-    parts = []
-    for axis in range(3):
-        f = _flattening(arr, axis)
-        parts.append(_symmetrized(f @ f.conj().T, sq))
-    return tuple(parts)  # type: ignore[return-value]
-
-
 def moment_map(t: Tensor3) -> HermTriple:
     """Normalized flattening Gram matrices; each component is PSD with unit trace.
 
     A tensor so small that |T|^2 underflows is first scaled by a power of two.
     """
     arr, nrm, _ = _normal_range(t.entries)
-    return HermTriple(*_moment_arrays(arr, nrm))
+    return HermTriple(*_grams(_flattenings(arr), _squared_norm(nrm)))
 
 
 def off_diagonal_mass(m: HermTriple) -> float:
@@ -147,14 +131,6 @@ def off_diagonal_mass(m: HermTriple) -> float:
         if od.size:
             worst = max(worst, float(np.abs(od).max()))
     return worst
-
-
-def _action_array(h, arr: np.ndarray) -> np.ndarray:
-    """(A,B,C) * T on plain arrays: h holds (A, B, C), arr the entries of T."""
-    out = np.einsum("ia,ajk->ijk", h[0], arr)
-    out += np.einsum("jb,ibk->ijk", h[1], arr)
-    out += np.einsum("kc,ijc->ijk", h[2], arr)
-    return out
 
 
 def _flattenings(arr: np.ndarray) -> np.ndarray | list[np.ndarray]:
@@ -168,41 +144,57 @@ def _flattenings(arr: np.ndarray) -> np.ndarray | list[np.ndarray]:
     return arr.take(_stack_index(n))
 
 
-def _unflattened_sum(parts, dims) -> np.ndarray:
-    """The sum over the axes L of the arrays of shape dims whose L-th flattening is parts[L]."""
-    a, b, c = (
-        m.reshape([dims[i] for i in order]).transpose(inverse)
-        for m, order, inverse in zip(parts, _FLATTENING_ORDERS, _UNFLATTENING_ORDERS)
-    )
-    out = a + b
-    out += c
+def _adjoints(f):
+    """The conjugate transposes of the matrices f, a stack or a sequence, in
+    that layout."""
+    if isinstance(f, np.ndarray):
+        return f.conj().swapaxes(-1, -2)
+    return [m.conj().T for m in f]
+
+
+def _products(h, f):
+    """h_L F_L for each axis L: one batched matmul for a stack f, else three.
+    numpy calls BLAS once per matrix of a batch, so both layouts give the
+    same bits."""
+    if isinstance(f, np.ndarray):
+        return np.matmul(h, f)
+    return [m @ x for m, x in zip(h, f)]
+
+
+def _grams(f, sq: float):
+    """mu_L = (G_L + G_L^*) / 2 for G_L = F_L F_L^* / sq, in the layout of the
+    flattenings f, operation for operation."""
+    grams = _products(f, _adjoints(f))
+    for gram in grams:
+        gram /= sq
+        gram += gram.conj().T
+        gram /= 2.0
+    return grams
+
+
+def _action(h, f, dims) -> np.ndarray:
+    """X * T = sum_L h_L *_L T for the flattenings f of T, of shape dims: each
+    h_L F_L unflattened, summed into the first in the axis order."""
+    parts = _products(h, f)
+    out = parts[0].reshape(dims)
+    for m, order, inverse in zip(parts[1:], _FLATTENING_ORDERS[1:], _UNFLATTENING_ORDERS[1:]):
+        out += m.reshape([dims[i] for i in order]).transpose(inverse)
     return out
 
 
-def _moment_action(arr: np.ndarray, nrm: float) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """mu(T) and mu(T) * T for the entries array of T and its norm.
-
-    A small cubic tensor's stacked flattenings serve both: one batched matmul
-    gives the three Gram matrices, one batched einsum applies each to its own
-    flattening, and the three parts are summed in `_action_array`'s order,
-    with its bits. Other tensors take the per-axis products of `_moment_arrays`
-    and `_action_array`.
-    """
+def _moment_action(arr: np.ndarray, nrm: float):
+    """mu(T), in the layout of `_flattenings`, and mu(T) * T for the entries
+    array of T and its norm, from one set of flattenings."""
     f = _flattenings(arr)
-    sq = _squared_norm(nrm)
-    if isinstance(f, list):
-        mu = tuple(_symmetrized(m @ m.conj().T, sq) for m in f)
-        return mu, _action_array(mu, arr)
-    # numpy calls BLAS once per matrix of a batch, so the bits equal the per-axis products.
-    g = _symmetrized(f @ f.conj().swapaxes(-1, -2), sq)
-    return tuple(g), _unflattened_sum(np.einsum("lia,lax->lix", g, f), arr.shape)
+    mu = _grams(f, _squared_norm(nrm))
+    return mu, _action(mu, f, arr.shape)
 
 
 def infinitesimal_action(x: HermTriple, t: Tensor3) -> Tensor3:
     """Lie-algebra action (A,B,C) * T, the sum of the three one-factor actions."""
     if x.dims != t.dims:
         raise DimensionMismatchError(f"component dims {x.dims} vs tensor dims {t.dims}")
-    return Tensor3(_action_array(x.components, t.entries))
+    return Tensor3(_action(x.components, _flattenings(t.entries), t.dims))
 
 
 def spec_point(m: HermTriple) -> WeylPoint:

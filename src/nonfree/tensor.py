@@ -18,7 +18,6 @@ Triple = tuple[int, int, int]
 
 SUPPORT_TOL = 1e-9  # relative cutoff for support extraction of float tensors
 INVERTIBILITY_TOL = 1e-12  # smallest/largest singular value ratio
-UNITARITY_TOL = 1e-12
 MAX_ENTRIES = 2**20  # largest tensor a JSON document may declare
 RANK_CUTOFF = 1e-8  # relative singular-value cutoff for numerical ranks
 
@@ -97,15 +96,6 @@ class GroupTriple:
         return (self.a, self.b, self.c)
 
 
-class UnitaryTriple(GroupTriple):
-    """GroupTriple whose factors are unitary within UNITARITY_TOL."""
-
-    def _check(self, name: str, m: np.ndarray):
-        defect = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))
-        if defect > UNITARITY_TOL:
-            raise ValueError(f"factor {name} is not unitary (defect {defect:.3e})")
-
-
 def compose(g: GroupTriple, h: GroupTriple) -> GroupTriple:
     """The triple gh, so that apply(gh, T) = apply(g, apply(h, T))."""
     return GroupTriple(g.a @ h.a, g.b @ h.b, g.c @ h.c)
@@ -119,8 +109,14 @@ def apply(g: GroupTriple, t: Tensor3) -> Tensor3:
             f"group factor sizes {(g.a.shape[0], g.b.shape[0], g.c.shape[0])} "
             f"do not match tensor dims {t.dims}"
         )
-    out = np.einsum("ia,jb,kc,abc->ijk", g.a, g.b, g.c, t.entries, optimize=True)
-    return Tensor3(out)
+    return Tensor3(_apply_array(g.factors, t.entries))
+
+
+def _apply_array(factors, arr: np.ndarray) -> np.ndarray:
+    """(A, B, C) . arr on plain arrays, as matmuls: A on the first flattening,
+    B on each slice along the first axis, C^T from the right."""
+    a, b, c = factors
+    return b @ (a @ arr.reshape(arr.shape[0], -1)).reshape(arr.shape) @ c.T
 
 
 # Axis orders that bring each axis to the front and keep the other two in
@@ -184,9 +180,6 @@ class SupportSet:
         if not isinstance(other, SupportSet):
             return NotImplemented
         return bool(np.array_equal(self.mask, other.mask))  # False for other dims
-
-    def issubset(self, other: "SupportSet") -> bool:
-        return self.dims == other.dims and not (self.mask & ~other.mask).any()
 
 
 def support_set(dims: Triple, triples: Iterable[Triple]) -> SupportSet:

@@ -1,10 +1,27 @@
-"""Shared input helpers for the test suite: seeded random inputs and permutation triples."""
+"""Shared helpers for the test suite: seeded random inputs, unitary and
+permutation triples, and support inclusion."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from nonfree.tensor import GroupTriple, SupportSet, Tensor3, UnitaryTriple, support_set
+from nonfree.tensor import GroupTriple, SupportSet, Tensor3, support_set
+
+UNITARITY_TOL = 1e-12
+
+
+class UnitaryTriple(GroupTriple):
+    """GroupTriple whose factors are unitary within UNITARITY_TOL."""
+
+    def _check(self, name: str, m: np.ndarray):
+        defect = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))
+        if defect > UNITARITY_TOL:
+            raise ValueError(f"factor {name} is not unitary (defect {defect:.3e})")
+
+
+def issubset(s: SupportSet, other: SupportSet) -> bool:
+    """Whether every triple of s is in other, within the same box."""
+    return s.dims == other.dims and not (s.mask & ~other.mask).any()
 
 
 def rng(seed: int) -> np.random.Generator:

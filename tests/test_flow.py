@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 from conftest import (
+    issubset,
     random_free_support,
     random_tensor,
     random_unitary_triple,
@@ -17,14 +18,14 @@ from conftest import (
 from nonfree.construct import build_family_tensor, s0_tensor
 from nonfree.family import family_data
 from nonfree.flow import MONOTONICITY_SLACK, flow, ness_minimality
-from nonfree.moment import _moment_arrays, moment_map
+from nonfree.moment import moment_map
 from nonfree.named import (
     ness_form_t2,
     ness_form_t5,
     tensor_t2,
     tensor_t5,
 )
-from nonfree.tensor import GroupTriple, Tensor3, _norm, apply, from_coefficients, norm, support
+from nonfree.tensor import GroupTriple, Tensor3, apply, from_coefficients, norm, support
 
 
 def test_ness_certificate_of_s2():
@@ -102,7 +103,7 @@ def test_flow_preserves_free_support():
         x, steps = t, 0
         while steps < 3000:
             result = flow(x, max_steps=100)
-            assert support(result.limit).issubset(start)
+            assert issubset(support(result.limit), start)
             x, steps = result.limit, steps + result.steps
             if result.converged:
                 break
@@ -139,8 +140,13 @@ def test_fixed_point_iff_no_projective_progress():
         (lambda: random_tensor(rng(3), (1, 1, 1)), {}, False),
         (lambda: random_tensor(rng(4), (1, 2, 3)), {}, True),
         (lambda: random_tensor(rng(5), (2, 3, 4)), {}, False),
+        # Above STACKED_GRAM_MAX_BYTES: the per-axis flattenings.
+        (lambda: random_tensor(rng(6), (14, 14, 14)), {"max_steps": 2}, False),
     ],
-    ids=["t2-unconverged", "s0-4", "dense-4-halving", "dense-1x1x1", "dense-1x2x3", "dense-2x3x4"],
+    ids=[
+        "t2-unconverged", "s0-4", "dense-4-halving", "dense-1x1x1", "dense-1x2x3", "dense-2x3x4",
+        "dense-14-unconverged",
+    ],
 )
 def test_flow_kernel_agrees_exactly_with_the_public_boundary(monkeypatch, make, kwargs, halves):
     # The flow steps raw arrays; its reported numbers, lambda included, must be
@@ -169,14 +175,14 @@ def test_flow_kernel_agrees_exactly_with_the_public_boundary(monkeypatch, make, 
     ids=["t2", "s0-4", "dense-4", "dense-2x3x4"],
 )
 def test_geodesic_step_applies_the_exponentials_of_mu(make, dt):
-    # The step applies the group element (e^{-dt mu_1}, e^{-dt mu_2}, e^{-dt mu_3})
-    # that tensor.apply applies; the Newton step uses it at dt = -1 for e^X.
+    # The step applies the group element (e^{X_1}, e^{X_2}, e^{X_3}) that
+    # tensor.apply applies, here for X = -dt mu.
     t = make()
     x = t.entries * (1.0 / norm(t))
-    mu = _moment_arrays(x, _norm(x))
+    generator = [-dt * m for m in moment_map(Tensor3(x)).components]
     module = sys.modules["nonfree.flow"]
-    got = module._geodesic_step(x, module._spectra(mu), dt)
-    g = GroupTriple(*(scipy.linalg.expm(-dt * m) for m in mu))
+    got = module._geodesic_step(x, module._spectra(generator))
+    g = GroupTriple(*(scipy.linalg.expm(m) for m in generator))
     np.testing.assert_allclose(got, apply(g, Tensor3(x)).entries, rtol=0, atol=1e-12)
 
 

@@ -19,17 +19,18 @@ from nonfree.flow import ness_minimality
 from nonfree.moment import (
     HermTriple,
     WeylPoint,
-    _action_array,
+    _action,
+    _flattenings,
     _frobenius_norm,
+    _grams,
     _moment_action,
-    _moment_arrays,
     infinitesimal_action,
     moment_map,
     off_diagonal_mass,
     spec_point,
 )
 from nonfree.named import MU_S2_DIAGONALS, MU_S5_DIAGONALS, ness_form_t2, ness_form_t5
-from nonfree.tensor import Tensor3, _norm, apply, flattening, from_coefficients, norm
+from nonfree.tensor import Tensor3, _flattening, _norm, apply, flattening, from_coefficients, norm
 
 
 def assert_diagonals(m: HermTriple, expected, atol=1e-12):
@@ -86,7 +87,7 @@ def test_moment_kernel_matches_moveaxis_reference_bit_for_bit(dims, kind):
     for _ in range(20):
         arr = random_complex(gen, dims) if kind == "complex" else gen.standard_normal(dims)
         assert _norm(arr) == float(np.linalg.norm(arr))
-        parts = _moment_arrays(arr, _norm(arr))
+        parts = _grams(_flattenings(arr), _norm(arr) ** 2)
         expected = reference_moment_arrays(arr)
         assert all(same_bits(got, exp) for got, exp in zip(parts, expected))
         assert _frobenius_norm(parts) == float(np.sqrt(sum(np.linalg.norm(m) ** 2 for m in expected)))
@@ -96,11 +97,21 @@ def test_moment_kernel_matches_moveaxis_reference_bit_for_bit(dims, kind):
             assert same_bits(flattening(t, factor), moved.reshape(dims[factor - 1], -1))
 
 
+def reference_action(h, arr):
+    """X * T spelled as three einsums."""
+    out = np.einsum("ia,ajk->ijk", h[0], arr)
+    out += np.einsum("jb,ibk->ijk", h[1], arr)
+    out += np.einsum("kc,ijc->ijk", h[2], arr)
+    return out
+
+
 @pytest.mark.parametrize("dims", [(n, n, n) for n in range(1, 15)] + [(2, 3, 4)])
 @pytest.mark.parametrize("kind", ["dense", "sparse", "tiny"])
 def test_moment_action_kernel_matches_the_two_kernels_bit_for_bit(dims, kind):
-    # Cubic n <= 13 shares the stacked flattenings; n = 14 and (2, 3, 4) take
-    # the per-axis kernels.
+    # mu and mu * T from _moment_action equal _grams and _action in the
+    # stacked and in the per-axis layout. _flattenings stacks cubic n <= 13
+    # only; here every cubic tensor runs through both layouts, and (2, 3, 4),
+    # which cannot stack, through the list.
     gen = rng(sum(dims) + len(kind))
     for _ in range(5):
         arr = random_complex(gen, dims)
@@ -110,10 +121,16 @@ def test_moment_action_kernel_matches_the_two_kernels_bit_for_bit(dims, kind):
             arr *= 1e-150
         if not arr.any():
             continue
+        sq = _norm(arr) ** 2
+        per_axis = [_flattening(arr, axis) for axis in range(3)]
+        layouts = [per_axis, np.stack(per_axis)] if len(set(dims)) == 1 else [per_axis]
         mu, action = _moment_action(arr, _norm(arr))
-        expected = _moment_arrays(arr, _norm(arr))
-        assert len(mu) == 3 and all(same_bits(got, exp) for got, exp in zip(mu, expected))
-        assert same_bits(action, _action_array(expected, arr))
+        assert len(mu) == 3
+        for f in layouts:
+            grams = _grams(f, sq)
+            assert all(same_bits(got, exp) for got, exp in zip(grams, mu))
+            assert same_bits(_action(grams, f, dims), action)
+        assert _norm(action - reference_action(mu, arr)) <= 1e-13 * _norm(action)
 
 
 def test_moment_action_kernel_rejects_zero_tensor():

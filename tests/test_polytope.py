@@ -6,7 +6,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from conftest import random_complex, random_free_support, random_tensor, rng, tensor_on_support
+from conftest import issubset, random_complex, random_free_support, random_tensor, rng, tensor_on_support
 from nonfree.construct import build_family_tensor
 from nonfree.exactlp import in_convex_hull
 from nonfree.family import family_data, gamma_support
@@ -398,10 +398,10 @@ def test_triangular_actions_move_supports_along_the_order():
         u = GroupTriple(*(_unit_triangular(gen, 3, True) for _ in range(3)))
         lo = GroupTriple(*(_unit_triangular(gen, 3, False) for _ in range(3)))
         ut = apply(u, t)
-        assert support(ut, 1e-9).issubset(downward_closure(support(t, 0.0)))
+        assert issubset(support(ut, 1e-9), downward_closure(support(t, 0.0)))
         lut = apply(lo, ut)
         mirrored = _reflect(downward_closure(_reflect(support(ut, 1e-9))))
-        assert support(lut, 1e-9).issubset(mirrored)
+        assert issubset(support(lut, 1e-9), mirrored)
 
 
 def test_upper_triangular_keeps_staircase_inside_its_closure():
@@ -410,4 +410,4 @@ def test_upper_triangular_keeps_staircase_inside_its_closure():
     closure = downward_closure(gamma_support(3))
     for _ in range(10):
         u = GroupTriple(*(_unit_triangular(gen, 3, True) for _ in range(3)))
-        assert support(apply(u, t), 1e-9).issubset(closure)
+        assert issubset(support(apply(u, t), 1e-9), closure)

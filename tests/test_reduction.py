@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import rng
+from conftest import issubset, rng
 from nonfree.construct import build_family_tensor, s0_tensor
 from nonfree.family import family_data, gamma_support, staircase_index
 from nonfree.reduction import DEFAULT_TOL, ReductionError, extract_Wa, reduce_to_s0
@@ -86,7 +86,7 @@ def test_reduce_applies_g_soundly():
     moved = apply(result.g, s)
     assert norm(Tensor3(moved.entries - s0_tensor(n).entries)) <= 1e-8
     # The reduction never leaves the staircase.
-    assert support(moved, 1e-9).issubset(gamma_support(n))
+    assert issubset(support(moved, 1e-9), gamma_support(n))
 
 
 def test_reduce_random_staircase_tensors():

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    UnitaryTriple,
+    issubset,
     permutation_triple,
     random_group_triple,
     random_tensor,
@@ -19,7 +21,6 @@ from nonfree.tensor import (
     SupportSet,
     Tensor3,
     TensorFormatError,
-    UnitaryTriple,
     apply,
     compose,
     flattening,
@@ -45,6 +46,18 @@ def test_permutation_action_moves_basis_tensor():
     out = apply(g, t)
     assert out[2, 3, 1] == pytest.approx(1.0)
     assert norm(out) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 4), (1, 5, 2), (3, 3, 3)])
+def test_apply_matches_the_einsum_reference(dims):
+    gen = rng(sum(dims))
+    for _ in range(20):
+        t = random_tensor(gen, dims)
+        g = random_group_triple(gen, dims)
+        expected = np.einsum("ia,jb,kc,abc->ijk", g.a, g.b, g.c, t.entries)
+        got = apply(g, t).entries
+        assert got.shape == dims
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_group_action_composes():
@@ -190,8 +203,8 @@ def test_support_set_is_its_mask():
         for outside in [(0, 1, 1), (-1, 1, 1), (n1 + 1, 1, 1), (1, n2 + 1, 1), (1, 1, n3 + 1)]:
             assert outside not in s
         wider = support_set((n1 + 1, n2, n3), triples)
-        assert wider != s and not s.issubset(wider) and not wider.issubset(s)
-        assert s.issubset(s) and SupportSet(np.zeros(s.dims, dtype=bool)).issubset(s)
+        assert wider != s and not issubset(s, wider) and not issubset(wider, s)
+        assert issubset(s, s) and issubset(SupportSet(np.zeros(s.dims, dtype=bool)), s)
         for bad in [(n1, n2, n3 + 1), (1.5, 1, 1), (1, 1, 0.5)]:  # outside, or not integers
             with pytest.raises(ValueError):
                 support_set(s.dims, triples + [bad])
