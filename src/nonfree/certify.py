@@ -33,7 +33,7 @@ from .named import (
     tensor_t2,
     tensor_t5,
 )
-from .tensor import GroupTriple, Tensor3, apply, norm
+from .tensor import GroupTriple, Tensor3, _norm, apply
 
 DEFAULT_TOL = 1e-10  # Ness residual (and family mu defect) a certificate accepts
 PARALLEL_TOL = 1e-10
@@ -238,7 +238,7 @@ def certify_named(
 
     g = group_element if group_element is not None else default_g()
     s = stored()
-    coeff_defect = norm(Tensor3(apply(g, tensor()).entries - s.entries))
+    coeff_defect = _norm(apply(g, tensor()).entries - s.entries)
     details[f"s{which[1]}_coefficient_defect"] = coeff_defect
     if coeff_defect > VALUE_TOL:
         return NonFreenessReport(which, False, f"s{which[1]}_coefficients", None, None, None, details)

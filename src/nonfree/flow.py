@@ -10,10 +10,11 @@ limit is guaranteed to exist. As the damping grows, the step tends to the
 geodesic step e^{-dt mu} x of the gradient flow dT/dt = -mu(T) * T.
 
 The loop steps a plain entries array and builds a `Tensor3` only for the
-limit. One evaluation per candidate, `moment._moment_action`, gives mu and
-mu * x for the monotonicity test, the convergence test and lambda; the Newton
-system at an accepted point is set up once, and every halving only solves it
-again with a larger damping.
+limit. One evaluation per candidate, `_evaluate`, runs the moment kernels on
+one set of flattenings and gives |mu| for the monotonicity test, mu for the
+next Newton system, and lambda and the residual for the convergence test; the
+Newton system at an accepted point is set up once, and every halving only
+solves it again with a larger damping.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moment import (
-    _action, _adjoints, _flattenings, _frobenius_norm, _moment_action, _products, infinitesimal_action,
-    moment_map,
+    _action, _adjoints, _flattenings, _frobenius_norm, _grams, _products, _squared_norm,
+    infinitesimal_action, moment_map,
 )
 from .tensor import Tensor3, _apply_array, _norm, _normal_range
 
@@ -82,11 +83,12 @@ def ness_minimality(t: Tensor3) -> NessCertificate:
 
 
 def _evaluate(x: np.ndarray):
-    """|mu(x)|, mu(x) in the layout of `moment._flattenings`, the action mu(x) * x,
-    lambda and the projective residual at x."""
+    """|mu(x)|, mu(x) in the layout of `moment._flattenings`, lambda and the
+    projective residual at x, from one set of flattenings."""
     nrm = _norm(x)
-    mu, action = _moment_action(x, nrm)
-    return _frobenius_norm(mu), mu, action, *_lam_residual(x, action, nrm)
+    f = _flattenings(x)
+    mu = _grams(f, _adjoints(f), _squared_norm(nrm))
+    return _frobenius_norm(mu), mu, *_lam_residual(x, _action(mu, f, x.shape), nrm)
 
 
 def _spectra(mu) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -135,16 +137,13 @@ def _newton_step(x: np.ndarray, mu):
 
     fx = _flattenings(x)
     fxh = _adjoints(fx)
-    # Packed positions of the transposed entries, for the Hermitian part.
-    transposed = packed([np.arange(e - n * n, e).reshape(n, n).T for e, n in zip(ends, dims)])
     m = packed(mu)
     g = packed([2.0 * (u - np.eye(len(u)) / len(u)) for u in mu])
     weights = packed([2.0 * (u[:, None] + u) for u in w])
 
     def hessian(p: np.ndarray) -> np.ndarray:
-        c = packed(_products(_flattenings(_action(blocks(p), fx, dims)), fxh))
-        c += c[transposed].conj()
-        c *= 2.0
+        # 4 herm(F_L(X x) F_L(x)^*): dividing by 0.25 scales by 4 without rounding.
+        c = packed(_grams(_flattenings(_action(blocks(p), fx, dims)), fxh, 0.25))
         c -= (4.0 * np.vdot(m, p).real) * m
         return c
 
@@ -205,7 +204,7 @@ def flow(
         raise ValueError("flow requires a nonzero tensor")
     # Scale by the reciprocal of the norm: dividing by it would round differently.
     x = arr * (1.0 / nrm)
-    mu_norm, mu, _, lam, residual = _evaluate(x)
+    mu_norm, mu, lam, residual = _evaluate(x)
     trajectory = [mu_norm]
     # The damping 2 / dt itself is kept: halving a subnormal dt would reach zero.
     delta = 2.0 / step_size
@@ -230,7 +229,7 @@ def flow(
             else:
                 break  # no step down to dt / 2**MAX_HALVINGS was accepted: stop unconverged
             x = candidate
-            mu_norm, mu, _, lam, residual = evaluation
+            mu_norm, mu, lam, residual = evaluation
             steps += 1
             trajectory.append(mu_norm)
             if not halvings:

@@ -6,9 +6,9 @@ and trace one by construction, and transforms as A mu_L(T) A^{-1} under a
 unitary basis change A on factor L.
 
 Both mu(T) and the infinitesimal action X * T are matmuls on the flattenings
-that `_flattenings` returns: `_grams` gives mu and `_action` gives X * T, and
-every caller goes through them, the public functions, the flow's evaluation
-(`_moment_action`) and the Newton step's Hessian products alike. For a small
+that `_flattenings` returns: `_grams` gives every Hermitian Gram and `_action`
+gives X * T, and every caller goes through them, the public functions, the
+flow's evaluation and the Newton step's Hessian products alike. For a small
 cubic tensor the flattenings are one stack, and each kernel is one batched
 matmul with the bits of the three per-axis products.
 """
@@ -120,7 +120,8 @@ def moment_map(t: Tensor3) -> HermTriple:
     A tensor so small that |T|^2 underflows is first scaled by a power of two.
     """
     arr, nrm, _ = _normal_range(t.entries)
-    return HermTriple(*_grams(_flattenings(arr), _squared_norm(nrm)))
+    f = _flattenings(arr)
+    return HermTriple(*_grams(f, _adjoints(f), _squared_norm(nrm)))
 
 
 def off_diagonal_mass(m: HermTriple) -> float:
@@ -161,13 +162,14 @@ def _products(h, f):
     return [m @ x for m, x in zip(h, f)]
 
 
-def _grams(f, sq: float):
-    """mu_L = (G_L + G_L^*) / 2 for G_L = F_L F_L^* / sq, in the layout of the
-    flattenings f, operation for operation."""
-    grams = _products(f, _adjoints(f))
-    for gram in grams:
+def _grams(f, fh, sq: float):
+    """(G_L + G_L^*) / 2 for G_L = F_L H_L / sq, in the layout of f: mu_L for
+    the adjoints H_L = F_L^* of the flattenings and sq = |T|^2. A stack is
+    symmetrized in one piece, a list block by block, with the same bits."""
+    grams = _products(f, fh)
+    for gram in [grams] if isinstance(grams, np.ndarray) else grams:
         gram /= sq
-        gram += gram.conj().T
+        gram += gram.conj().swapaxes(-1, -2)
         gram /= 2.0
     return grams
 
@@ -180,14 +182,6 @@ def _action(h, f, dims) -> np.ndarray:
     for m, order, inverse in zip(parts[1:], _FLATTENING_ORDERS[1:], _UNFLATTENING_ORDERS[1:]):
         out += m.reshape([dims[i] for i in order]).transpose(inverse)
     return out
-
-
-def _moment_action(arr: np.ndarray, nrm: float):
-    """mu(T), in the layout of `_flattenings`, and mu(T) * T for the entries
-    array of T and its norm, from one set of flattenings."""
-    f = _flattenings(arr)
-    mu = _grams(f, _squared_norm(nrm))
-    return mu, _action(mu, f, arr.shape)
 
 
 def infinitesimal_action(x: HermTriple, t: Tensor3) -> Tensor3:

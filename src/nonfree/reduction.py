@@ -17,7 +17,7 @@ import numpy as np
 from .construct import s0_tensor
 from .family import gamma_support, staircase_index
 from .supports import vertex_matrix
-from .tensor import GroupTriple, SupportSet, Tensor3, _normal_range, apply, compose, norm, support
+from .tensor import GroupTriple, SupportSet, Tensor3, _apply_array, _norm, _normal_range, apply, support
 
 DEFAULT_TOL = 1e-8  # bound on the final residual |g . s - S0|
 RANK_TOL = 1e-10
@@ -85,8 +85,8 @@ def reduce_to_s0(s: Tensor3, tol: float = DEFAULT_TOL) -> ReductionResult:
     # of W/p turns the W-part into [I; w_n W_top^-1] and the a-part into a/p.
     block = np.eye(n, dtype=np.complex128)
     block[: n - 1, : n - 1] = np.linalg.inv(w[: n - 1] / peak).T
-    g1 = GroupTriple(np.eye(n) / peak, np.eye(n), block)
-    values = apply(g1, scaled).entries[target_support.mask]
+    straighten = (np.eye(n) / peak, np.eye(n), block)
+    values = _apply_array(straighten, entries)[target_support.mask]
     log = ["first- and third-factor matrices straighten the W rows"]
 
     # (2) Torus solve: minimum-norm solution of x_i + y_j + z_k = -Log(entry) on
@@ -97,13 +97,15 @@ def reduce_to_s0(s: Tensor3, tol: float = DEFAULT_TOL) -> ReductionResult:
         raise ReductionError(f"expected support entry {triple} vanished")
     rows = vertex_matrix(target_support).astype(np.complex128)
     solution, *_ = np.linalg.lstsq(rows, -np.log(values), rcond=None)
+    torus = np.exp(solution).reshape(3, n)
+    # g is the torus element times the straightening, times 2**k in thirds: a
+    # subnormal peak makes k up to 1074, and 2.0**1074 overflows.
+    powers = [k // 3 + (i < k % 3) for i in range(3)]
     try:
-        g = compose(GroupTriple(*map(np.diag, np.exp(solution).reshape(3, n))), g1)
-        if k:  # 2**k in thirds: a subnormal peak makes k up to 1074, and 2.0**1074 overflows
-            g = GroupTriple(*(f * 2.0 ** (k // 3 + (i < k % 3)) for i, f in enumerate(g.factors)))
+        g = GroupTriple(*(np.diag(d) @ f * 2.0**m for d, f, m in zip(torus, straighten, powers)))
     except ValueError as exc:  # a factor's condition number is above 1/INVERTIBILITY_TOL
         raise ReductionError(f"the reducing element is ill-conditioned: {exc}") from exc
     log.append("diagonal log-space normalization sets every entry to one")
 
-    residual = norm(Tensor3(apply(g, s).entries - target.entries))
+    residual = _norm(apply(g, s).entries - target.entries)
     return ReductionResult(g=g, residual=residual, log=log, success=residual <= tol)

@@ -96,11 +96,6 @@ class GroupTriple:
         return (self.a, self.b, self.c)
 
 
-def compose(g: GroupTriple, h: GroupTriple) -> GroupTriple:
-    """The triple gh, so that apply(gh, T) = apply(g, apply(h, T))."""
-    return GroupTriple(g.a @ h.a, g.b @ h.b, g.c @ h.c)
-
-
 def apply(g: GroupTriple, t: Tensor3) -> Tensor3:
     """Trilinear basis change (A, B, C) . T = (A x B x C) T."""
     n1, n2, n3 = t.dims

@@ -17,7 +17,7 @@ from conftest import random_tensor, rng
 import nonfree
 import nonfree.family
 
-from nonfree.cli import main
+from nonfree.cli import _decimate, main
 from nonfree.construct import build_family_tensor, s0_tensor
 from nonfree.family import family_data, staircase_index
 from nonfree.polytope import MAX_SAMPLES
@@ -256,6 +256,33 @@ def test_reduce_s0_reports_an_ill_conditioned_reduction_as_failed(tmp_path, caps
     doc = json.loads(out)
     assert code == 1 and doc["success"] is False
     assert "factor" in doc["reason"] and "ill-conditioned" in doc["reason"]
+
+
+def test_reduce_s0_reports_an_ill_conditioned_straightening_as_failed(tmp_path, capsys):
+    # The W-part passes the relative rank check but is so small against the
+    # peak that the third factor of g is too ill-conditioned: exit 1, not 2.
+    arr = np.array(build_family_tensor(family_data(3)).tensor.entries)
+    arr[staircase_index(3)[0]] *= 1e-12
+    path = tmp_path / "t.json"
+    write_tensor(Tensor3(arr), path)
+    code, out = run(capsys, "reduce-s0", "--input", str(path))
+    doc = json.loads(out)
+    assert code == 1 and doc["success"] is False
+    assert "ill-conditioned: factor c" in doc["reason"]
+
+
+@pytest.mark.parametrize("size", [0, 1, 1000, 1001, 1002, 2500])
+def test_decimate_keeps_every_stride_th_value_and_the_last(size):
+    values = [0.5 * i for i in range(size)]
+    out = _decimate(values)
+    if size <= 1000:
+        assert out == values
+        return
+    stride = -(-size // 1000)
+    strided = values[::stride]
+    assert out[: len(strided)] == strided
+    assert out[len(strided):] == ([] if strided[-1] == values[-1] else [values[-1]])
+    assert len(out) <= 1001 and out[0] == values[0] and out[-1] == values[-1]
 
 
 def test_reduce_s0_of_a_subnormal_peak_prints_one_json_document(tmp_path):

@@ -15,15 +15,16 @@ from conftest import (
 )
 from nonfree.construct import build_family_tensor
 from nonfree.family import family_data
-from nonfree.flow import ness_minimality
+from nonfree.flow import _evaluate, _lam_residual, ness_minimality
 from nonfree.moment import (
     HermTriple,
     WeylPoint,
     _action,
+    _adjoints,
     _flattenings,
     _frobenius_norm,
     _grams,
-    _moment_action,
+    _products,
     infinitesimal_action,
     moment_map,
     off_diagonal_mass,
@@ -87,7 +88,8 @@ def test_moment_kernel_matches_moveaxis_reference_bit_for_bit(dims, kind):
     for _ in range(20):
         arr = random_complex(gen, dims) if kind == "complex" else gen.standard_normal(dims)
         assert _norm(arr) == float(np.linalg.norm(arr))
-        parts = _grams(_flattenings(arr), _norm(arr) ** 2)
+        f = _flattenings(arr)
+        parts = _grams(f, _adjoints(f), _norm(arr) ** 2)
         expected = reference_moment_arrays(arr)
         assert all(same_bits(got, exp) for got, exp in zip(parts, expected))
         assert _frobenius_norm(parts) == float(np.sqrt(sum(np.linalg.norm(m) ** 2 for m in expected)))
@@ -108,10 +110,10 @@ def reference_action(h, arr):
 @pytest.mark.parametrize("dims", [(n, n, n) for n in range(1, 15)] + [(2, 3, 4)])
 @pytest.mark.parametrize("kind", ["dense", "sparse", "tiny"])
 def test_moment_action_kernel_matches_the_two_kernels_bit_for_bit(dims, kind):
-    # mu and mu * T from _moment_action equal _grams and _action in the
-    # stacked and in the per-axis layout. _flattenings stacks cubic n <= 13
-    # only; here every cubic tensor runs through both layouts, and (2, 3, 4),
-    # which cannot stack, through the list.
+    # mu, lambda and the residual of the flow's evaluation equal _grams and
+    # _action in the stacked and in the per-axis layout. _flattenings stacks
+    # cubic n <= 13 only; here every cubic tensor runs through both layouts,
+    # and (2, 3, 4), which cannot stack, through the list.
     gen = rng(sum(dims) + len(kind))
     for _ in range(5):
         arr = random_complex(gen, dims)
@@ -121,22 +123,68 @@ def test_moment_action_kernel_matches_the_two_kernels_bit_for_bit(dims, kind):
             arr *= 1e-150
         if not arr.any():
             continue
-        sq = _norm(arr) ** 2
+        nrm = _norm(arr)
         per_axis = [_flattening(arr, axis) for axis in range(3)]
         layouts = [per_axis, np.stack(per_axis)] if len(set(dims)) == 1 else [per_axis]
-        mu, action = _moment_action(arr, _norm(arr))
-        assert len(mu) == 3
+        mu_norm, mu, lam, residual = _evaluate(arr)
+        assert len(mu) == 3 and mu_norm == _frobenius_norm(mu)
         for f in layouts:
-            grams = _grams(f, sq)
+            grams = _grams(f, _adjoints(f), nrm**2)
             assert all(same_bits(got, exp) for got, exp in zip(grams, mu))
-            assert same_bits(_action(grams, f, dims), action)
+            action = _action(grams, f, dims)
+            assert _lam_residual(arr, action, nrm) == (lam, residual)
         assert _norm(action - reference_action(mu, arr)) <= 1e-13 * _norm(action)
 
 
 def test_moment_action_kernel_rejects_zero_tensor():
+    # The flow's evaluation, like moment_map, has no moment map at zero.
     for dims in ((3, 3, 3), (2, 3, 4)):
         with pytest.raises(ValueError):
-            _moment_action(np.zeros(dims, dtype=np.complex128), 0.0)
+            _evaluate(np.zeros(dims, dtype=np.complex128))
+
+
+def packed(m) -> np.ndarray:
+    return m.ravel() if isinstance(m, np.ndarray) else np.concatenate([b.ravel() for b in m])
+
+
+def packed_transpose_hessian_grams(fy, fxh):
+    """2 (P_L + P_L^*) for P_L = F_L(y) F_L(x)^*, packed, as the Newton Hessian
+    computed it through an index of the transposed entries."""
+    dims = [m.shape[-1] for m in fxh]
+    ends = np.cumsum([n * n for n in dims])
+    c = packed(_products(fy, fxh))
+    transposed = packed([np.arange(e - n * n, e).reshape(n, n).T for e, n in zip(ends, dims)])
+    c += c[transposed].conj()
+    c *= 2.0
+    return c
+
+
+@pytest.mark.parametrize(
+    "dims", [(n, n, n) for n in range(1, 14)] + [(14, 14, 14), (16, 16, 16), (2, 3, 4)], ids=str
+)
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+def test_hessian_grams_match_the_packed_transpose_code_bit_for_bit(dims, kind):
+    # The Newton Hessian takes 4 herm(F_L(X x) F_L(x)^*) from _grams with the
+    # scale 0.25, in the layout _flattenings gives: a stack for cubic n <= 13,
+    # else per axis. Dividing by 0.25 scales by 4 exactly, so it has the bits
+    # of the symmetrization it replaced, up to the sign of a zero: numpy
+    # divides by (0.25 + 0j) as a complex number, which can turn -0.0 into
+    # 0.0. Adding 0.0 turns every -0.0 into 0.0 before the bits are compared.
+    gen = rng(sum(dims) + len(kind))
+    for _ in range(3):
+        x = random_complex(gen, dims)
+        if kind == "sparse":
+            x[gen.random(dims) < 0.7] = 0.0
+        if not x.any():
+            continue
+        x *= 1.0 / _norm(x)
+        fx = _flattenings(x)
+        assert isinstance(fx, np.ndarray) == (len(set(dims)) == 1 and dims[0] <= 13)
+        fxh = _adjoints(fx)
+        blocks = [random_complex(gen, (n, n)) for n in dims]
+        fy = _flattenings(_action(np.stack(blocks) if isinstance(fx, np.ndarray) else blocks, fx, dims))
+        got = packed(_grams(fy, fxh, 0.25))
+        assert same_bits(got + 0.0, packed_transpose_hessian_grams(fy, fxh) + 0.0)
 
 
 def test_moment_map_rejects_zero_tensor():

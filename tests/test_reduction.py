@@ -150,6 +150,36 @@ def test_an_ill_conditioned_reducing_element_is_a_reduction_error():
         reduce_to_s0(Tensor3(arr))
 
 
+def scaled_staircase_tensor(key, n, w_scale, a_scale, w_row=None):
+    """A seeded staircase tensor with its W-part, or one row of it, and its
+    a-part scaled."""
+    arr = np.array(staircase_tensor(np.random.default_rng(key), n).entries)
+    w_index, a_index = staircase_index(n)
+    w = arr[w_index]
+    w[slice(None) if w_row is None else w_row] *= w_scale
+    arr[w_index] = w
+    arr[a_index] *= a_scale
+    return Tensor3(arr)
+
+
+def test_an_ill_conditioned_straightening_is_a_reduction_error():
+    # The W-part passes the rank check, which is relative, but is so small
+    # against the peak that every third factor that straightens it has a
+    # condition number above 1/INVERTIBILITY_TOL.
+    with pytest.raises(ReductionError, match="ill-conditioned: factor c is numerically singular"):
+        reduce_to_s0(scaled_staircase_tensor([5, 3], 3, 1e-12, 1.0))
+
+
+@pytest.mark.parametrize("a_scale", [1e-9, 1e-12])
+def test_only_the_returned_element_is_checked_for_conditioning(a_scale):
+    # The torus factor alone has a condition number above 1/INVERTIBILITY_TOL
+    # here, but g, its product with the straightening, stays below 1e9.
+    s = scaled_staircase_tensor([6, 3, 0], 3, 1e-9, a_scale, w_row=0)
+    result = reduce_to_s0(s)
+    assert result.success and result.residual <= 1e-12
+    assert max(np.linalg.cond(f) for f in result.g.factors) < 1e9
+
+
 def test_reduce_rejects_vanishing_a_entry():
     n = 3
     ft = build_family_tensor(family_data(n))
