@@ -87,18 +87,14 @@ def _family_size(n: int) -> int:
     return n
 
 
-def _header(command: str, config: dict) -> dict:
-    return {"tool": "nonfree", "version": __version__, "command": command, "config": config}
-
-
 def _matrix_triple_doc(names: tuple[str, str, str], matrices) -> dict:
     return {name: {"re": m.real.tolist(), "im": m.imag.tolist()} for name, m in zip(names, matrices)}
 
 
-def _decimate(values: list[float], limit: int = 1000) -> list[float]:
-    if len(values) <= limit:
+def _decimate(values: list[float]) -> list[float]:
+    if len(values) <= 1000:
         return values
-    stride = (len(values) + limit - 1) // limit
+    stride = (len(values) + 999) // 1000
     sampled = values[::stride]
     if sampled[-1] != values[-1]:
         sampled.append(values[-1])
@@ -109,9 +105,7 @@ def cmd_family(args) -> tuple[dict, int]:
     data = family_data(_family_size(args.n))
     if args.verify and args.n < 3:  # the n = 2 support is free: nothing to verify
         raise InputError("--verify needs n >= 3")
-    doc = _header("family", {"n": args.n, "verify": bool(args.verify)})
-    doc["family_data"] = family_to_doc(data)
-    doc["s0"] = tensor_to_doc(s0_tensor(args.n))
+    doc = {"family_data": family_to_doc(data), "s0": tensor_to_doc(s0_tensor(args.n))}
     if args.n >= 3:
         ft = build_family_tensor(data)
         doc["family_tensor"] = tensor_to_doc(ft.tensor)
@@ -133,10 +127,10 @@ def cmd_family(args) -> tuple[dict, int]:
 
 def cmd_moment_map(args) -> tuple[dict, int]:
     mu = moment_map(_load_tensor(args.input))
-    doc = _header("moment-map", {"input": args.input})
-    doc["mu"] = _matrix_triple_doc(("h1", "h2", "h3"), mu.components)
-    doc["spec_point"] = [list(c) for c in spec_point(mu).components]
-    return doc, 0
+    return {
+        "mu": _matrix_triple_doc(("h1", "h2", "h3"), mu.components),
+        "spec_point": [list(c) for c in spec_point(mu).components],
+    }, 0
 
 
 def cmd_flow(args) -> tuple[dict, int]:
@@ -147,16 +141,7 @@ def cmd_flow(args) -> tuple[dict, int]:
         residual_tol=args.residual_tol,
         max_steps=args.max_steps,
     )
-    doc = _header(
-        "flow",
-        {
-            "input": args.input,
-            "step": args.step,
-            "residual_tol": args.residual_tol,
-            "max_steps": args.max_steps,
-        },
-    )
-    doc["result"] = {
+    doc = {
         "converged": result.converged,
         "steps": result.steps,
         "final_residual": result.final_residual,
@@ -164,18 +149,14 @@ def cmd_flow(args) -> tuple[dict, int]:
         "mu_norm_trajectory": _decimate(result.mu_norm_trajectory),
         "limit": tensor_to_doc(result.limit),
     }
-    return doc, 0 if result.converged else 1
+    return {"result": doc}, 0 if result.converged else 1
 
 
 def cmd_free_support(args) -> tuple[dict, int]:
     t = _load_tensor(args.input)
     witness = is_free_support(support(t, args.tol))
-    doc = _header("free-support", {"input": args.input, "tol": args.tol})
-    doc["free"] = witness.verdict
-    doc["offending_pair"] = (
-        [list(x) for x in witness.offending_pair] if witness.offending_pair else None
-    )
-    return doc, 0 if witness.verdict else 1
+    pair = [list(x) for x in witness.offending_pair] if witness.offending_pair else None
+    return {"free": witness.verdict, "offending_pair": pair}, 0 if witness.verdict else 1
 
 
 def _report_doc(report: NonFreenessReport) -> dict:
@@ -198,31 +179,24 @@ def cmd_certify(args) -> tuple[dict, int]:
     if (args.family is None) == (args.named is None):
         raise InputError("choose exactly one of --family N or --named T2|T5")
     if args.family is not None:
-        _family_size(args.family)
-        key, certify = "family", certify_family
+        report = certify_family(_family_size(args.family), tol=args.tol)
     else:
-        key, certify = "named", certify_named
-    config = {key: getattr(args, key), "tol": args.tol}
-    report = certify(config[key], tol=args.tol)
-    doc = _header("certify-nonfree", config)
-    doc["report"] = _report_doc(report)
-    return doc, 0 if report.verdict else 1
+        report = certify_named(args.named, tol=args.tol)
+    return {"report": _report_doc(report)}, 0 if report.verdict else 1
 
 
 def cmd_reduce_s0(args) -> tuple[dict, int]:
     t = _load_tensor(args.input)
-    doc = _header("reduce-s0", {"input": args.input, "tol": args.tol})
     try:
         result = reduce_to_s0(t, tol=args.tol)
     except ReductionError as exc:
-        doc["success"] = False
-        doc["reason"] = str(exc)
-        return doc, 1
-    doc["success"] = result.success
-    doc["residual"] = result.residual
-    doc["steps"] = result.log
-    doc["g"] = _matrix_triple_doc(("a", "b", "c"), result.g.factors)
-    return doc, 0 if result.success else 1
+        return {"success": False, "reason": str(exc)}, 1
+    return {
+        "success": result.success,
+        "residual": result.residual,
+        "steps": result.log,
+        "g": _matrix_triple_doc(("a", "b", "c"), result.g.factors),
+    }, 0 if result.success else 1
 
 
 def cmd_polytope(args) -> tuple[dict, int]:
@@ -230,19 +204,20 @@ def cmd_polytope(args) -> tuple[dict, int]:
     if (args.halfspace is None) == (args.refute is None):
         raise InputError("choose exactly one of --halfspace or --refute")
     if args.halfspace is not None:
+        del args.samples, args.seed  # a halfspace check draws nothing
         halfspace_doc = _load_json(args.halfspace)
         vectors = _vectors(halfspace_doc, ("h1", "h2", "h3"), t.dims)
         h = tuple(tuple(_parse_number(x) for x in vec) for vec in vectors)
-        c = _parse_number(halfspace_doc.get("c"))
-        cert = outer_halfspace(support(t), h, c)
-        doc = _header("polytope", {"input": args.input, "halfspace": args.halfspace})
-        doc["halfspace"] = {
+        if "c" not in halfspace_doc:
+            raise InputError(f"{args.halfspace} is missing the bound c")
+        cert = outer_halfspace(support(t), h, _parse_number(halfspace_doc["c"]))
+        doc = {
             "valid": cert.valid,
             "c": cert.c,
             "min_support_value": cert.min_support_value,
             "vertices_checked": cert.vertex_count,
         }
-        return doc, 0 if cert.valid else 1
+        return {"halfspace": doc}, 0 if cert.valid else 1
     vectors = _vectors(_load_json(args.refute), ("p1", "p2", "p3"), t.dims)
     if not all(type(x) in (int, float) for vec in vectors for x in vec):  # bool is an int subclass
         raise InputError("invalid Weyl point: values must be JSON numbers, not strings or booleans")
@@ -251,18 +226,14 @@ def cmd_polytope(args) -> tuple[dict, int]:
     except (ValueError, OverflowError) as exc:
         raise InputError(f"invalid Weyl point: {exc}") from exc
     result = hull_refute(t, point, samples=args.samples, seed=args.seed)
-    doc = _header(
-        "polytope",
-        {"input": args.input, "refute": args.refute, "samples": args.samples, "seed": args.seed},
-    )
-    doc["refutation"] = {
+    doc = {
         "outcome": result.outcome,
         "refuting_sample": result.refuting_sample,
         "samples_checked": result.samples_checked,
         "support_sizes": result.support_sizes,
         "upper_triple": _matrix_triple_doc(("a", "b", "c"), result.upper_triple.factors),
     }
-    return doc, 0
+    return {"refutation": doc}, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,8 +300,16 @@ def main(argv=None) -> int:
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise InputError(f"--{name.replace('_', '-')} must be finite, got {value}")
-        doc, code = args.func(args)
-        text = dumps(doc)
+        body, code = args.func(args)
+        # The options as parsed, in flag order; a command may delete those it did not use.
+        config = {
+            name: value for name, value in vars(args).items()
+            if name not in ("command", "func") and value is not None
+        }
+        envelope = {
+            "tool": "nonfree", "version": __version__, "command": args.command, "config": config
+        }
+        text = dumps({**envelope, **body})
     except ValueError as exc:  # every input error, whichever layer raised it
         text, code = dumps({"error": {"kind": "input", "message": str(exc)}}), 2
     try:

@@ -216,9 +216,10 @@ def hull_refute(
     each membership is first tried as a product witness, p = sum of
     p1_i p2_j p3_k (e_i|e_j|e_k) over the support, which answers only "in
     the hull"; the LP runs only when that fails and stays the one source of
-    refutations. `samples` outside 0..MAX_SAMPLES, the zero tensor, whose
-    polytope is empty, a p whose component lengths are not t.dims, or a
-    drawn change too ill-conditioned to apply (see _draw), is a ValueError.
+    refutations. `samples` outside 0..MAX_SAMPLES, a negative seed, the
+    zero tensor, whose polytope is empty, a p whose component lengths are
+    not t.dims, or a drawn change too ill-conditioned to apply (see _draw),
+    is a ValueError.
     """
     lengths = tuple(map(len, p.components))
     if lengths != t.dims:
@@ -227,6 +228,8 @@ def hull_refute(
         raise ValueError(f"samples must be nonnegative, got {samples}")
     if samples > MAX_SAMPLES:
         raise ValueError(f"samples = {samples} is above the limit of {MAX_SAMPLES}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if not t.entries.any():
         raise ValueError("hull refutation is undefined for the zero tensor")
     gen = np.random.Generator(np.random.PCG64(seed))

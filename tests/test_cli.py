@@ -17,10 +17,13 @@ from conftest import random_tensor, rng
 import nonfree
 import nonfree.family
 
+from nonfree.certify import DEFAULT_TOL as DEFAULT_CERTIFY_TOL
 from nonfree.cli import _decimate, main
 from nonfree.construct import build_family_tensor, s0_tensor
 from nonfree.family import family_data, staircase_index
+from nonfree.flow import DEFAULT_RESIDUAL_TOL, DEFAULT_STEP
 from nonfree.polytope import MAX_SAMPLES
+from nonfree.reduction import DEFAULT_TOL as DEFAULT_REDUCTION_TOL
 from nonfree.tensor import Tensor3, tensor_to_doc
 
 
@@ -449,6 +452,13 @@ def test_out_of_range_flow_and_refute_flags_are_input_errors(tmp_path, capsys, a
     assert json.loads(out)["error"]["kind"] == "input"
 
 
+def test_a_negative_seed_is_named(tmp_path, capsys):
+    code, out = run(capsys, *_polytope_argv(tmp_path, "--refute", POINT_3), "--seed", "-1")
+    error = json.loads(out)["error"]
+    assert code == 2
+    assert error["kind"] == "input" and "seed must be nonnegative, got -1" in error["message"]
+
+
 @pytest.mark.parametrize("seed, expected", [(0, 0), (3, 2)])
 def test_an_ill_conditioned_refutation_draw_names_the_seed(tmp_path, capsys, seed, expected):
     # A unit-triangular change has determinant 1, but at side 50 the upper one of
@@ -673,6 +683,14 @@ def test_refuting_a_point_for_the_zero_tensor_is_input_error(tmp_path, capsys):
     error = json.loads(out)["error"]
     assert code == 2
     assert error["kind"] == "input" and "zero tensor" in error["message"]
+
+
+def test_a_halfspace_without_a_bound_is_named(tmp_path, capsys):
+    doc = {key: value for key, value in HALFSPACE_3.items() if key != "c"}
+    code, out = run(capsys, *_polytope_argv(tmp_path, "--halfspace", doc))
+    error = json.loads(out)["error"]
+    assert code == 2
+    assert error["kind"] == "input" and "missing the bound c" in error["message"]
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
@@ -970,3 +988,39 @@ def test_a_failed_obstruction_stage_prints_one_json_document(monkeypatch):
     monkeypatch.setattr(nonfree.certify, "PARALLEL_TOL", 1.0)
     code, doc = _assert_one_json_answer(["certify-nonfree", "--family", "3"])
     assert code == 1 and doc["report"]["failed_stage"] == "obstruction"
+
+
+# The envelope of each report mode: the parsed options in flag order, unset ones
+# omitted. A halfspace check draws nothing, so it omits --samples and --seed.
+ENVELOPES = {
+    "family": (("family", "--n", "3"), {"n": 3, "verify": False}),
+    "family-verify": (("family", "--n", "3", "--verify"), {"n": 3, "verify": True}),
+    "moment-map": (("moment-map", "--input", "{w}"), {"input": "{w}"}),
+    "flow": (("flow", "--input", "{family3}", "--max-steps", "10"),
+             {"input": "{family3}", "step": DEFAULT_STEP, "residual_tol": DEFAULT_RESIDUAL_TOL,
+              "max_steps": 10}),
+    "free-support": (("free-support", "--input", "{w}", "--tol", "0.001"),
+                     {"input": "{w}", "tol": 0.001}),
+    "certify-family": (("certify-nonfree", "--family", "3"),
+                       {"family": 3, "tol": DEFAULT_CERTIFY_TOL}),
+    "certify-named": (("certify-nonfree", "--tol", "1e-9", "--named", "t2"),
+                      {"named": "t2", "tol": 1e-9}),
+    "reduce-s0": (("reduce-s0", "--input", "{family4}"),
+                  {"input": "{family4}", "tol": DEFAULT_REDUCTION_TOL}),
+    "halfspace": (("polytope", "--seed", "5", "--input", "{family3}", "--halfspace", "{exact_h}"),
+                  {"input": "{family3}", "halfspace": "{exact_h}"}),
+    "refute": (("polytope", "--input", "{family3}", "--refute", "{uniform}", "--samples", "3"),
+               {"input": "{family3}", "refute": "{uniform}", "samples": 3, "seed": 0}),
+}
+
+
+@pytest.mark.parametrize("mode", list(ENVELOPES))
+def test_every_report_opens_with_one_envelope(branch_docs, mode):
+    argv, config = ENVELOPES[mode]
+    _, doc = _assert_one_json_answer([arg.format(**branch_docs) for arg in argv])
+    assert list(doc)[:4] == ["tool", "version", "command", "config"]
+    assert (doc["tool"], doc["version"], doc["command"]) == ("nonfree", nonfree.__version__, argv[0])
+    assert list(doc["config"].items()) == [
+        (key, value.format(**branch_docs) if isinstance(value, str) else value)
+        for key, value in config.items()
+    ]
