@@ -16,9 +16,9 @@ from .family import FamilyData, family_data, gamma_support, halfspace_check
 from .flow import FlowResult, NessCertificate, flow, ness_minimality
 from .moment import HermTriple, WeylPoint, infinitesimal_action, moment_map, spec_point
 from .named import ness_form_t2, ness_form_t5, tensor_t2, tensor_t5
-from .polytope import HalfspaceCert, HullRefutation, hull_refute, inner_points, outer_halfspace
+from .polytope import HalfspaceCert, HullRefutation, hull_refute, outer_halfspace
 from .reduction import ReductionResult, extract_Wa, reduce_to_s0
-from .supports import FreeSupportWitness, downward_closure, is_free_support, sjamaar_inner_points
-from .tensor import GroupTriple, SupportSet, Tensor3, apply, flattening, norm, support
+from .supports import FreeSupportWitness, downward_closure, is_free_support
+from .tensor import GroupTriple, SupportSet, Tensor3, apply, support
 
 __all__ = [name for name in dir() if not name.startswith("_")]

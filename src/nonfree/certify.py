@@ -84,23 +84,16 @@ def _parallel(v: np.ndarray, w: np.ndarray) -> bool:
     return abs(det) <= PARALLEL_TOL * np.linalg.norm(v) * np.linalg.norm(w)
 
 
-def two_column_obstruction(
-    s: Tensor3, factor: int, block: tuple[int, int]
-) -> ObstructionWitness | None:
-    """The obstruction to a 2x2 unitary on the given eigenvalue block that
-    makes every restricted 2-vector of s have at most one nonzero entry, or
-    None when such a unitary exists.
+def two_column_obstruction(s: Tensor3) -> ObstructionWitness | None:
+    """The obstruction to a 2x2 unitary on the eigenvalue block (1, 2) of
+    factor 3, the one block of two of family_block_pattern(3), that makes
+    every 2-vector (S_ij1, S_ij2) have at most one nonzero entry, or None
+    when such a unitary exists.
 
     It exists exactly when the nonzero vectors fall into at most two
     parallel classes which, if there are two, are orthogonal.
     """
-    if factor not in (1, 2, 3):
-        raise ValueError(f"factor must be 1, 2 or 3, got {factor!r}")
-    size = s.dims[factor - 1]
-    if len(block) != 2 or block[0] == block[1] or not all(1 <= b <= size for b in block):
-        raise ValueError(f"block must be two distinct indices in 1..{size}, got {block!r}")
-    moved = np.moveaxis(s.entries, factor - 1, 2)
-    rows = moved[:, :, [block[0] - 1, block[1] - 1]].reshape(-1, 2)
+    rows = s.entries[:, :, :2].reshape(-1, 2)
     cutoff = 1e-12 * max(float(np.abs(s.entries).max()), 1e-300)
     vectors = [v for v in rows if np.linalg.norm(v) > cutoff]
 
@@ -243,6 +236,6 @@ def certify_named(
     if coeff_defect > VALUE_TOL:
         return NonFreenessReport(which, False, f"s{which[1]}_coefficients", None, None, None, details)
 
-    witness = two_column_obstruction(s, 3, (1, 2))
+    witness = two_column_obstruction(s)
     found = {} if witness is None else {"obstruction_vectors": witness.data["vectors"]}
     return _certify(which, details, s, tol, VALUE_TOL, diagonals, (found, witness))

@@ -56,19 +56,20 @@ def _load_tensor(path: str):
     return tensor_from_doc(_load_json(path))
 
 
-def _parse_number(value) -> Fraction | float:
+def _parse_number(value, where: str) -> Fraction | float:
+    """A halfspace value; `where` names its key, and position, in errors."""
     if isinstance(value, str):
         try:
             return rational(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"cannot parse rational {value!r}: {exc}") from exc
+            raise InputError(f"cannot parse rational {value!r} {where}: {exc}") from exc
     if type(value) is int:  # json.load reads true and false as bools, which are ints
         return Fraction(value)
     if isinstance(value, float):  # json.load also reads NaN, Infinity and -Infinity
         if not math.isfinite(value):
-            raise InputError(f"halfspace values must be finite, got {value}")
+            raise InputError(f"halfspace values must be finite, got {value} {where}")
         return value
-    raise InputError(f"expected a number or 'p/q' string, got {value!r}")
+    raise InputError(f"expected a number or 'p/q' string {where}, got {value!r}")
 
 
 def _vectors(doc, keys: tuple[str, str, str], dims) -> list[list]:
@@ -207,10 +208,13 @@ def cmd_polytope(args) -> tuple[dict, int]:
         del args.samples, args.seed  # a halfspace check draws nothing
         halfspace_doc = _load_json(args.halfspace)
         vectors = _vectors(halfspace_doc, ("h1", "h2", "h3"), t.dims)
-        h = tuple(tuple(_parse_number(x) for x in vec) for vec in vectors)
+        h = tuple(
+            tuple(_parse_number(x, f"at position {i} of h{factor}") for i, x in enumerate(vec, 1))
+            for factor, vec in enumerate(vectors, 1)
+        )
         if "c" not in halfspace_doc:
             raise InputError(f"{args.halfspace} is missing the bound c")
-        cert = outer_halfspace(support(t), h, _parse_number(halfspace_doc["c"]))
+        cert = outer_halfspace(support(t), h, _parse_number(halfspace_doc["c"], "for c"))
         doc = {
             "valid": cert.valid,
             "c": cert.c,

@@ -11,10 +11,10 @@ geodesic step e^{-dt mu} x of the gradient flow dT/dt = -mu(T) * T.
 
 The loop steps a plain entries array and builds a `Tensor3` only for the
 limit. One evaluation per candidate, `_evaluate`, runs the moment kernels on
-one set of flattenings and gives |mu| for the monotonicity test, mu for the
-next Newton system, and lambda and the residual for the convergence test; the
-Newton system at an accepted point is set up once, and every halving only
-solves it again with a larger damping.
+one set of flattenings and gives |mu| and the residual for the acceptance
+test, mu for the next Newton system, and lambda and the residual for the
+convergence test; the Newton system at an accepted point is set up once, and
+every halving only solves it again with a larger damping.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from .tensor import Tensor3, _apply_array, _norm, _normal_range
 DEFAULT_STEP = 0.05
 DEFAULT_RESIDUAL_TOL = 1e-8
 DEFAULT_MAX_STEPS = 200_000
-# Allowed per-step increase of |mu| before the integrator halves the step;
-# well below the 1e-8 monotonicity slack, above rounding noise.
+# How far |mu| may rise above the least value the flow has accepted: above
+# rounding noise, and well below the 1e-8 rise the tests allow a trajectory.
 MONOTONICITY_SLACK = 1e-12
 MAX_HALVINGS = 60
 # Largest dt that steps accepted at once grow to. The damping 2 / dt bounds the
@@ -190,12 +190,15 @@ def flow(
     projective residual r, and moves x to e^X x, renormalized. The damping is
     delta = 2 / dt, so as dt -> 0 the step tends to the geodesic step
     e^{-dt mu} x of the gradient flow; step_size is the initial dt. A candidate
-    is accepted only if |mu| rises by at most MONOTONICITY_SLACK; otherwise,
-    or if the step would leave the finite nonzero tensors, dt is halved. A step
-    accepted at once multiplies dt by 8, up to MAX_STEP. If MAX_HALVINGS
-    halvings find no acceptable step, the flow stops unconverged at the last
-    accepted point. A step_size that is not positive, or a negative
-    residual_tol or max_steps, is a ValueError.
+    is accepted only if its |mu| is at most the least accepted |mu| plus
+    MONOTONICITY_SLACK, and its |mu| or its residual is below the current
+    point's: near the limit the gain in |mu| falls below rounding, while the
+    residual still resolves progress. Otherwise, or if the step would leave
+    the finite nonzero tensors, dt is halved. A step accepted at once
+    multiplies dt by 8, up to MAX_STEP. If MAX_HALVINGS halvings find no
+    acceptable step, the flow stops unconverged at the last accepted point.
+    A step_size that is not positive, or a negative residual_tol or
+    max_steps, is a ValueError.
     """
     if not step_size > 0 or residual_tol < 0 or max_steps < 0:
         raise ValueError("flow needs step_size > 0, residual_tol >= 0 and max_steps >= 0")
@@ -206,6 +209,7 @@ def flow(
     x = arr * (1.0 / nrm)
     mu_norm, mu, lam, residual = _evaluate(x)
     trajectory = [mu_norm]
+    least = mu_norm
     # The damping 2 / dt itself is kept: halving a subnormal dt would reach zero.
     delta = 2.0 / step_size
 
@@ -223,13 +227,17 @@ def flow(
                 if 0.0 < y_norm < math.inf:
                     candidate = y * (1.0 / y_norm)
                     evaluation = _evaluate(candidate)
-                    if evaluation[0] <= mu_norm + MONOTONICITY_SLACK:
+                    new_norm, _, _, new_residual = evaluation
+                    if new_norm <= least + MONOTONICITY_SLACK and (
+                        new_norm < mu_norm or new_residual < residual
+                    ):
                         break
                 delta *= 2.0
             else:
                 break  # no step down to dt / 2**MAX_HALVINGS was accepted: stop unconverged
             x = candidate
             mu_norm, mu, lam, residual = evaluation
+            least = min(least, mu_norm)
             steps += 1
             trajectory.append(mu_norm)
             if not halvings:

@@ -64,9 +64,6 @@ class HermTriple:
     def dims(self) -> tuple[int, int, int]:
         return tuple(m.shape[0] for m in self.components)  # type: ignore[return-value]
 
-    def frobenius_norm(self) -> float:
-        return _frobenius_norm(self.components)
-
 
 def _frobenius_norm(components) -> float:
     return math.sqrt(sum(_norm(m) ** 2 for m in components))
@@ -122,16 +119,6 @@ def moment_map(t: Tensor3) -> HermTriple:
     arr, nrm, _ = _normal_range(t.entries)
     f = _flattenings(arr)
     return HermTriple(*_grams(f, _adjoints(f), _squared_norm(nrm)))
-
-
-def off_diagonal_mass(m: HermTriple) -> float:
-    """Largest off-diagonal magnitude over all three components."""
-    worst = 0.0
-    for c in m.components:
-        od = c - np.diag(np.diag(c))
-        if od.size:
-            worst = max(worst, float(np.abs(od).max()))
-    return worst
 
 
 def _flattenings(arr: np.ndarray) -> np.ndarray | list[np.ndarray]:

@@ -2,13 +2,13 @@
 
 Supports are `SupportSet` masks of the tensor box. Outer bounds: a halfspace
 containing the downward closure of the support contains the whole polytope.
-Inner bounds: sorted uniform marginals of free supports. Refutation: sampled
-supports of triangular basis changes whose convex hulls must contain every
-polytope point. The point is read as exact rationals whose components each
-sum to 1. A hull contains it outright when it is the product of its
-components over the support; otherwise a hull excludes it only through an
-exact Farkas certificate (see exactlp), so a "refuted" verdict is sound up
-to the genericity of the sampled upper-triangular change, which is reported.
+Refutation: sampled supports of triangular basis changes whose convex hulls
+must contain every polytope point. The point is read as exact rationals
+whose components each sum to 1. A hull contains it outright when it is the
+product of its components over the support; otherwise a hull excludes it
+only through an exact Farkas certificate (see exactlp), so a "refuted"
+verdict is sound up to the genericity of the sampled upper-triangular
+change, which is reported.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .exactlp import in_convex_hull
 from .moment import WeylPoint
-from .supports import downward_closure, sjamaar_inner_points, vertex_matrix
+from .supports import downward_closure, vertex_matrix
 from .tensor import DimensionMismatchError, GroupTriple, SupportSet, Tensor3, apply, support
 
 RATIONALIZE_DENOMINATOR = 10**12
@@ -120,23 +120,13 @@ def outer_halfspace(supp: SupportSet, h, c) -> HalfspaceCert:
     )
 
 
-def inner_points(t: Tensor3) -> list[WeylPoint]:
-    """Inner points of a free-support tensor: sorted uniform marginals of its support."""
-    return sjamaar_inner_points(support(t))
-
-
 @dataclass(frozen=True)
 class HullRefutation:
     outcome: str  # "refuted" | "inconclusive"
     refuting_sample: int | None
     samples_checked: int
-    seed: int
     upper_triple: GroupTriple
     support_sizes: list[int]
-
-    @property
-    def refuted(self) -> bool:
-        return self.outcome == "refuted"
 
 
 def _unit_triangular(gen: np.random.Generator, n: int, upper: bool) -> np.ndarray:
@@ -246,5 +236,5 @@ def hull_refute(
         supp = support(moved)
         sizes.append(len(supp))
         if not _hull_contains(supp, target):
-            return HullRefutation("refuted", index, index + 1, seed, u, sizes)
-    return HullRefutation("inconclusive", None, samples + 1, seed, u, sizes)
+            return HullRefutation("refuted", index, index + 1, u, sizes)
+    return HullRefutation("inconclusive", None, samples + 1, u, sizes)

@@ -1,4 +1,4 @@
-"""Combinatorics of free supports and Sjamaar-type inner points.
+"""Combinatorics of free supports.
 
 A support is free when any two distinct triples in it differ in at least two
 coordinates; equivalently, distinct slices, rows and columns of the tensor
@@ -9,11 +9,9 @@ have disjoint support. Every function here works on the boolean mask of a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .moment import WeylPoint
 from .tensor import SupportSet, Triple
 
 
@@ -67,24 +65,3 @@ def vertex_matrix(s: SupportSet) -> np.ndarray:
     rows = np.zeros((len(columns), sum(s.dims)), dtype=int)
     rows[np.arange(len(columns))[:, None], columns] = 1
     return rows
-
-
-def sjamaar_inner_points(s: SupportSet) -> list[WeylPoint]:
-    """The sorted marginals of the uniform distribution on a free support.
-
-    For a free support every sorted marginal triple of a distribution on the
-    support lies in the moment polytope (Sjamaar 1998, Franz 2002). Each
-    marginal is exact: the triple counts of the mask per index of an axis,
-    over the support size. An empty support has no point.
-    """
-    witness = is_free_support(s)
-    if not witness.verdict:
-        raise ValueError(f"support is not free: {witness.offending_pair}")
-    size = len(s)
-    if not size:
-        return []
-    components = []
-    for axis in range(3):
-        counts = s.mask.sum(axis=tuple(other for other in range(3) if other != axis))
-        components.append(sorted((Fraction(count, size) for count in counts.tolist()), reverse=True))
-    return [WeylPoint(*components)]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -19,7 +19,6 @@ Triple = tuple[int, int, int]
 SUPPORT_TOL = 1e-9  # relative cutoff for support extraction of float tensors
 INVERTIBILITY_TOL = 1e-12  # smallest/largest singular value ratio
 MAX_ENTRIES = 2**20  # largest tensor a JSON document may declare
-RANK_CUTOFF = 1e-8  # relative singular-value cutoff for numerical ranks
 
 
 class DimensionMismatchError(ValueError):
@@ -125,22 +124,6 @@ def _flattening(arr: np.ndarray, axis: int) -> np.ndarray:
     return arr.transpose(_FLATTENING_ORDERS[axis]).reshape(arr.shape[axis], -1)
 
 
-def flattening(t: Tensor3, factor: int) -> np.ndarray:
-    """Matrix whose i-th row is the vectorized i-th slice along `factor`."""
-    if factor not in (1, 2, 3):
-        raise ValueError("factor must be 1, 2 or 3")
-    return _flattening(t.entries, factor - 1)
-
-
-def flattening_ranks(t: Tensor3) -> tuple[int, int, int]:
-    """Numerical ranks of the three flattenings at the relative cutoff RANK_CUTOFF."""
-    ranks = []
-    for factor in (1, 2, 3):
-        s = np.linalg.svd(flattening(t, factor), compute_uv=False)
-        ranks.append(int(np.sum(s > RANK_CUTOFF * s[0])) if s.size and s[0] > 0 else 0)
-    return tuple(ranks)  # type: ignore[return-value]
-
-
 @dataclass(frozen=True, eq=False)
 class SupportSet:
     """Set of 1-based index triples inside the box [n1]x[n2]x[n3], held as a
@@ -177,21 +160,6 @@ class SupportSet:
         return bool(np.array_equal(self.mask, other.mask))  # False for other dims
 
 
-def support_set(dims: Triple, triples: Iterable[Triple]) -> SupportSet:
-    """The support of the given 1-based triples; a triple that is not three
-    integers, or lies outside the box, is a ValueError."""
-    n1, n2, n3 = dims = tuple(int(n) for n in dims)
-    mask = np.zeros(dims, dtype=bool)
-    for triple in triples:
-        i, j, k = index = tuple(int(x) for x in triple)
-        if index != tuple(triple):
-            raise ValueError(f"triple {tuple(triple)} is not three integers")
-        if not (1 <= i <= n1 and 1 <= j <= n2 and 1 <= k <= n3):
-            raise ValueError(f"triple {index} outside [{n1}]x[{n2}]x[{n3}]")
-        mask[i - 1, j - 1, k - 1] = True
-    return SupportSet(mask)
-
-
 def support(t: Tensor3, tol: float = SUPPORT_TOL) -> SupportSet:
     """Triples where |T_ijk| exceeds tol times the largest entry magnitude."""
     if tol < 0:
@@ -207,10 +175,6 @@ def _norm(a: np.ndarray) -> float:
     v = a.ravel(order="K")
     re, im = v.real, v.imag
     return math.sqrt(re.dot(re) + im.dot(im))
-
-
-def norm(t: Tensor3) -> float:
-    return _norm(t.entries)
 
 
 def _normal_range(arr: np.ndarray) -> tuple[np.ndarray, float, int]:

@@ -1,13 +1,20 @@
 """Shared helpers for the test suite: seeded random inputs, unitary and
-permutation triples, and support inclusion."""
+permutation triples, supports from triples and support inclusion, and
+reference oracles the library does not need: norms, flattening ranks,
+off-diagonal mass and the Sjamaar inner points of a free support."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
-from nonfree.tensor import GroupTriple, SupportSet, Tensor3, support_set
+from nonfree.moment import HermTriple, WeylPoint
+from nonfree.supports import is_free_support
+from nonfree.tensor import GroupTriple, SupportSet, Tensor3, _flattening, _norm, support
 
 UNITARITY_TOL = 1e-12
+RANK_CUTOFF = 1e-8  # relative singular-value cutoff for numerical ranks
 
 
 class UnitaryTriple(GroupTriple):
@@ -17,6 +24,14 @@ class UnitaryTriple(GroupTriple):
         defect = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))
         if defect > UNITARITY_TOL:
             raise ValueError(f"factor {name} is not unitary (defect {defect:.3e})")
+
+
+def support_set(dims, triples) -> SupportSet:
+    """The support of the given 1-based triples, all inside the box dims."""
+    mask = np.zeros(dims, dtype=bool)
+    for i, j, k in triples:
+        mask[i - 1, j - 1, k - 1] = True
+    return SupportSet(mask)
 
 
 def issubset(s: SupportSet, other: SupportSet) -> bool:
@@ -90,3 +105,45 @@ def tensor_on_support(gen: np.random.Generator, supp: SupportSet) -> Tensor3:
     for (i, j, k) in supp:
         arr[i - 1, j - 1, k - 1] = gen.standard_normal() + 1j * gen.standard_normal()
     return Tensor3(arr)
+
+
+def norm(t: Tensor3) -> float:
+    """|T|, with the bits of the library's own norm."""
+    return _norm(t.entries)
+
+
+def flattening_ranks(t: Tensor3) -> tuple[int, int, int]:
+    """Numerical ranks of the three flattenings at the relative cutoff RANK_CUTOFF."""
+    ranks = []
+    for axis in range(3):
+        s = np.linalg.svd(_flattening(t.entries, axis), compute_uv=False)
+        ranks.append(int(np.sum(s > RANK_CUTOFF * s[0])) if s.size and s[0] > 0 else 0)
+    return tuple(ranks)  # type: ignore[return-value]
+
+
+def off_diagonal_mass(m: HermTriple) -> float:
+    """Largest off-diagonal magnitude over all three components."""
+    return max(float(np.abs(c - np.diag(np.diag(c))).max()) for c in m.components)
+
+
+def inner_points(t: Tensor3) -> list[WeylPoint]:
+    """The sorted marginals of the uniform distribution on the free support of t.
+
+    For a free support every sorted marginal triple of a distribution on the
+    support lies in the moment polytope (Sjamaar 1998, Franz 2002). Each
+    marginal is exact: the triple counts of the mask per index of an axis,
+    over the support size. An empty support has no point, and a support that
+    is not free is a ValueError.
+    """
+    s = support(t)
+    witness = is_free_support(s)
+    if not witness.verdict:
+        raise ValueError(f"support is not free: {witness.offending_pair}")
+    size = len(s)
+    if not size:
+        return []
+    components = []
+    for axis in range(3):
+        counts = s.mask.sum(axis=tuple(other for other in range(3) if other != axis))
+        components.append(sorted((Fraction(c, size) for c in counts.tolist()), reverse=True))
+    return [WeylPoint(*components)]

@@ -12,17 +12,22 @@ from fractions import Fraction as F
 import numpy as np
 
 from conftest import (
+    flattening_ranks,
+    inner_points,
+    norm,
+    off_diagonal_mass,
     random_free_support,
     random_tensor,
     random_unitary_triple,
     rng,
+    support_set,
     tensor_on_support,
 )
 from nonfree.certify import certify_family, certify_named
 from nonfree.construct import build_W, build_family_tensor, s0_tensor
 from nonfree.family import family_data, gamma_support, halfspace_check
 from nonfree.flow import flow, ness_minimality
-from nonfree.moment import moment_map, off_diagonal_mass
+from nonfree.moment import _frobenius_norm, moment_map
 from nonfree.named import (
     MU_S2_DIAGONALS,
     MU_S5_DIAGONALS,
@@ -32,18 +37,10 @@ from nonfree.named import (
     tensor_t2,
     tensor_t5,
 )
-from nonfree.polytope import hull_refute, inner_points
+from nonfree.polytope import hull_refute
 from nonfree.reduction import ReductionError, reduce_to_s0
 from nonfree.supports import is_free_support
-from nonfree.tensor import (
-    GroupTriple,
-    Tensor3,
-    apply,
-    flattening_ranks,
-    norm,
-    support,
-    support_set,
-)
+from nonfree.tensor import GroupTriple, Tensor3, apply, support
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -88,7 +85,7 @@ def test_criterion_2_t5_pipeline():
     start = time.perf_counter()
     result = flow(tensor_t5())
     elapsed = time.perf_counter() - start
-    gap = abs(result.mu_norm_trajectory[-1] - mu.frobenius_norm())
+    gap = abs(result.mu_norm_trajectory[-1] - _frobenius_norm(mu.components))
     ok = (
         mu_defect <= 1e-12
         and abs(cert.lam - 16 / 15) <= 1e-10

@@ -119,7 +119,7 @@ def test_blocks_reject_float_vectors():
 
 
 def test_obstruction_on_s2_lists_the_three_vectors():
-    witness = two_column_obstruction(ness_form_t2(), 3, (1, 2))
+    witness = two_column_obstruction(ness_form_t2())
     assert witness.kind == "pairwise-nonparallel-triple"
     got = sorted(
         (round(v[0].real, 6), round(v[1].real, 6))
@@ -141,38 +141,24 @@ def test_obstruction_single_parallel_class_has_no_obstruction():
     t = from_coefficients(
         (2, 2, 2), {(1, 1, 1): 1.0, (1, 1, 2): 1.0, (2, 2, 1): 0.5, (2, 2, 2): 0.5}
     )
-    assert two_column_obstruction(t, 3, (1, 2)) is None
+    assert two_column_obstruction(t) is None
 
 
 def test_obstruction_two_orthogonal_classes_has_no_obstruction():
     t = from_coefficients((2, 2, 2), {(1, 1, 1): 1.0, (2, 2, 2): 2.0})
-    assert two_column_obstruction(t, 3, (1, 2)) is None
+    assert two_column_obstruction(t) is None
 
 
 def test_obstruction_two_nonorthogonal_classes():
     t = from_coefficients(
         (2, 2, 2), {(1, 1, 1): 1.0, (2, 2, 1): 1.0, (2, 2, 2): 1.0}
     )
-    assert two_column_obstruction(t, 3, (1, 2)).kind == "nonorthogonal-pair"
-
-
-def test_obstruction_block_size_validation():
-    with pytest.raises(ValueError):
-        two_column_obstruction(ness_form_t2(), 3, (1, 2, 3))  # type: ignore[arg-type]
-
-
-@pytest.mark.parametrize(
-    "factor, block",
-    [(0, (1, 2)), (4, (1, 2)), (3, (0, 1)), (3, (1, 1)), (3, (2, 4)), (1, (3, 4))],
-)
-def test_obstruction_rejects_bad_factor_and_block(factor, block):
-    with pytest.raises(ValueError):
-        two_column_obstruction(ness_form_t2(), factor, block)
+    assert two_column_obstruction(t).kind == "nonorthogonal-pair"
 
 
 @pytest.mark.parametrize("scale", [1e-20, 1e-5, 1.0, 1e6])
 def test_obstruction_on_s2_does_not_depend_on_scale(scale):
-    witness = two_column_obstruction(Tensor3(scale * ness_form_t2().entries), 3, (1, 2))
+    witness = two_column_obstruction(Tensor3(scale * ness_form_t2().entries))
     assert witness.kind == "pairwise-nonparallel-triple"
 
 
@@ -191,7 +177,7 @@ def test_obstruction_verdict_stable_under_local_permutations_and_phases():
             phases, permutation_triple((3, 3, 3), sigma, tau, rho).factors
         )))
         moved = apply(g, s2)
-        assert two_column_obstruction(moved, 3, (1, 2)) is not None
+        assert two_column_obstruction(moved) is not None
 
 
 def test_right_unitary_closure_keeps_a_doubly_occupied_row():
@@ -294,7 +280,7 @@ def _t2_with_swapped_diagonal(monkeypatch):
 
 
 def _t2_with_free_decision(monkeypatch):
-    monkeypatch.setattr(certify, "two_column_obstruction", lambda s, factor, block: None)
+    monkeypatch.setattr(certify, "two_column_obstruction", lambda s: None)
     return certify_named("T2")
 
 

@@ -701,6 +701,25 @@ def test_non_finite_halfspace_value_is_input_error(tmp_path, capsys, key, value)
     error = json.loads(out)["error"]
     assert code == 2
     assert error["kind"] == "input" and "halfspace values must be finite" in error["message"]
+    assert ("for c" if key == "c" else "at position 3 of h1") in error["message"]
+
+
+@pytest.mark.parametrize(
+    "key, value, named",
+    [
+        ("h1", [None, 0, -1], "position 1 of h1"),
+        ("h3", ["1/3", True, "-2/3"], "position 2 of h3"),
+        ("h2", [1, "1/0", -1], "position 2 of h2"),
+        ("c", None, "for c"),
+        ("c", True, "for c"),
+    ],
+    ids=["h1-null", "h3-true", "h2-zero-denominator", "c-null", "c-true"],
+)
+def test_a_bad_halfspace_value_names_its_key_and_position(tmp_path, capsys, key, value, named):
+    code, out = run(capsys, *_polytope_argv(tmp_path, "--halfspace", dict(HALFSPACE_3, **{key: value})))
+    error = json.loads(out)["error"]
+    assert code == 2
+    assert error["kind"] == "input" and named in error["message"]
 
 
 @pytest.mark.parametrize(

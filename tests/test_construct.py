@@ -5,12 +5,12 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import issubset, random_unitary, rng
+from conftest import flattening_ranks, issubset, norm, off_diagonal_mass, random_unitary, rng
 from nonfree.construct import WMatrix, build_W, build_family_tensor, s0_tensor
 from nonfree.family import family_data, gamma_support
-from nonfree.moment import moment_map, off_diagonal_mass
+from nonfree.moment import moment_map
 from nonfree.named import MU_S2_DIAGONALS
-from nonfree.tensor import flattening_ranks, norm, support
+from nonfree.tensor import support
 
 NS = range(3, 13)
 

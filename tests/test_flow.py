@@ -9,6 +9,7 @@ import scipy.linalg
 
 from conftest import (
     issubset,
+    norm,
     random_free_support,
     random_tensor,
     random_unitary_triple,
@@ -18,14 +19,14 @@ from conftest import (
 from nonfree.construct import build_family_tensor, s0_tensor
 from nonfree.family import family_data
 from nonfree.flow import MONOTONICITY_SLACK, flow, ness_minimality
-from nonfree.moment import moment_map
+from nonfree.moment import _frobenius_norm, moment_map
 from nonfree.named import (
     ness_form_t2,
     ness_form_t5,
     tensor_t2,
     tensor_t5,
 )
-from nonfree.tensor import GroupTriple, Tensor3, apply, from_coefficients, norm, support
+from nonfree.tensor import GroupTriple, Tensor3, apply, from_coefficients, support
 
 
 def test_ness_certificate_of_s2():
@@ -53,7 +54,7 @@ def test_lambda_is_the_squared_norm_of_mu(dims):
     gen = rng(31)
     for _ in range(20):
         t = random_tensor(gen, dims)
-        assert ness_minimality(t).lam == pytest.approx(moment_map(t).frobenius_norm() ** 2, abs=1e-12)
+        assert ness_minimality(t).lam == pytest.approx(_frobenius_norm(moment_map(t).components) ** 2, abs=1e-12)
 
 
 def test_ness_rejects_zero_tensor():
@@ -160,7 +161,7 @@ def test_flow_kernel_agrees_exactly_with_the_public_boundary(monkeypatch, make, 
     assert (len(evaluations) > result.steps + 1) == halves
     ness = ness_minimality(result.limit)
     assert (result.lam, result.final_residual) == (ness.lam, ness.residual)
-    assert result.mu_norm_trajectory[-1] == moment_map(result.limit).frobenius_norm()
+    assert result.mu_norm_trajectory[-1] == _frobenius_norm(moment_map(result.limit).components)
 
 
 @pytest.mark.parametrize("dt", [0.05, 1.0, -1.0])
@@ -217,6 +218,35 @@ def test_newton_steps_reach_a_residual_of_1e_14(make):
     # T2 and S0(4) stalled near 1e-13 until max_steps ran out.
     result = flow(make(), step_size=1.0, residual_tol=1e-14, max_steps=400)
     assert result.converged
+
+
+FLAT_ENDS = [((2, 5, 7), seed) for seed in range(5)] + [((2, 3, 9), seed) for seed in (0, 2, 4)]
+
+
+@pytest.mark.parametrize(
+    "dims, seed", FLAT_ENDS, ids=["x".join(map(str, dims)) + f"-{seed}" for dims, seed in FLAT_ENDS]
+)
+def test_a_generic_non_cubic_flow_converges_where_mu_is_flat(dims, seed):
+    # Near the limit a step lowers |mu| by about r^2, below its rounding; when
+    # steps were accepted on |mu| alone, these stalled at residuals of 4e-8 to
+    # 7e-7 after 300 steps. The residual still resolves progress, and |mu|
+    # never rises more than the slack above the least value accepted before.
+    gen = np.random.default_rng([11, seed, *dims])
+    t = Tensor3(gen.standard_normal(dims) + 1j * gen.standard_normal(dims))
+    result = flow(t, step_size=1.0, max_steps=300)
+    assert result.converged and result.steps <= 40
+    trajectory = np.array(result.mu_norm_trajectory)
+    assert (trajectory[1:] - np.minimum.accumulate(trajectory)[:-1]).max() <= MONOTONICITY_SLACK
+
+
+@pytest.mark.parametrize("make", [tensor_t2, lambda: s0_tensor(4)], ids=["t2", "s0-4"])
+def test_a_flow_past_the_float_floor_stops_once_no_step_improves(make):
+    # At residual_tol 0 no residual converges. Once neither |mu| nor the
+    # residual can fall, the flow stops, unconverged; it ran all 500 steps
+    # when a step was accepted on |mu| alone, at up to 0.8 s for S0(4).
+    result = flow(make(), residual_tol=0.0, max_steps=500)
+    assert not result.converged and result.steps < 100
+    assert result.final_residual <= 1e-15
 
 
 def test_flow_from_t5_at_step_one_converges():

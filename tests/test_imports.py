@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and every
+public name a module defines is used by the package."""
 
 from __future__ import annotations
 
@@ -37,3 +38,44 @@ def test_the_check_sees_an_unused_import():
 def test_a_module_uses_every_name_it_imports(module):
     names = unused_imports((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     assert [name for name in names if (module, name) not in ALLOWED] == []
+
+
+def public_names(source: str) -> set[str]:
+    """Top-level functions, classes and constants not starting with an underscore."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def unreached(sources: dict[str, str]) -> list[str]:
+    """The public names of the modules that no module reads as a name or
+    imports; `np.linalg.norm` is an attribute and reads no `norm`."""
+    used = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return sorted(set().union(*map(public_names, sources.values())) - used)
+
+
+def test_the_check_sees_an_unreached_name():
+    sources = {
+        "tensor": "import numpy as np\nLIMIT = 3\ndef norm(t):\n    return np.linalg.norm(t)\n"
+                  "def size(t):\n    return min(t.size, LIMIT)\nclass Box:\n    pass\n",
+        "cli": "from .tensor import size\nprint(size)\n",
+    }
+    assert unreached(sources) == ["Box", "norm"]
+
+
+def test_the_package_uses_every_public_name_it_defines():
+    sources = {
+        p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py") if p.stem != "__init__"
+    }
+    assert unreached(sources) == []

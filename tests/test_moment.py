@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    norm,
+    off_diagonal_mass,
     random_complex,
     random_free_support,
     random_tensor,
@@ -27,11 +29,10 @@ from nonfree.moment import (
     _products,
     infinitesimal_action,
     moment_map,
-    off_diagonal_mass,
     spec_point,
 )
 from nonfree.named import MU_S2_DIAGONALS, MU_S5_DIAGONALS, ness_form_t2, ness_form_t5
-from nonfree.tensor import Tensor3, _flattening, _norm, apply, flattening, from_coefficients, norm
+from nonfree.tensor import Tensor3, _flattening, _norm, apply, from_coefficients
 
 
 def assert_diagonals(m: HermTriple, expected, atol=1e-12):
@@ -94,9 +95,9 @@ def test_moment_kernel_matches_moveaxis_reference_bit_for_bit(dims, kind):
         assert all(same_bits(got, exp) for got, exp in zip(parts, expected))
         assert _frobenius_norm(parts) == float(np.sqrt(sum(np.linalg.norm(m) ** 2 for m in expected)))
         t = Tensor3(arr)
-        for factor in (1, 2, 3):
-            moved = np.moveaxis(t.entries, factor - 1, 0)
-            assert same_bits(flattening(t, factor), moved.reshape(dims[factor - 1], -1))
+        for axis in range(3):
+            moved = np.moveaxis(t.entries, axis, 0)
+            assert same_bits(_flattening(t.entries, axis), moved.reshape(dims[axis], -1))
 
 
 def reference_action(h, arr):

@@ -6,7 +6,17 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from conftest import issubset, random_complex, random_free_support, random_tensor, rng, tensor_on_support
+from conftest import (
+    inner_points,
+    issubset,
+    norm,
+    random_complex,
+    random_free_support,
+    random_tensor,
+    rng,
+    support_set,
+    tensor_on_support,
+)
 from nonfree.construct import build_family_tensor
 from nonfree.exactlp import in_convex_hull
 from nonfree.family import family_data, gamma_support
@@ -17,7 +27,6 @@ from nonfree.polytope import (
     _product_witness,
     _rational_target,
     hull_refute,
-    inner_points,
     outer_halfspace,
 )
 from nonfree.supports import downward_closure
@@ -27,9 +36,7 @@ from nonfree.tensor import (
     Tensor3,
     apply,
     from_coefficients,
-    norm,
     support,
-    support_set,
 )
 
 
@@ -209,7 +216,7 @@ def test_inner_points_reject_non_free_tensor():
 def test_hull_refute_uniform_point_on_family_tensor():
     u3 = (1 / 3, 1 / 3, 1 / 3)
     result = hull_refute(build_family_tensor(family_data(3)).tensor, WeylPoint(u3, u3, u3), samples=10, seed=0)
-    assert result.refuted
+    assert result.outcome == "refuted"
     assert result.refuting_sample == 0  # the identity sample realizes the outer bound
 
 
@@ -226,14 +233,14 @@ def test_a_point_refuted_at_sample_0_draws_no_lower_triple(monkeypatch):
     monkeypatch.setattr(polytope, "GroupTriple", Counting)
     u3 = (1 / 3, 1 / 3, 1 / 3)
     result = hull_refute(build_family_tensor(family_data(3)).tensor, WeylPoint(u3, u3, u3))
-    assert result.refuted and result.refuting_sample == 0
+    assert result.outcome == "refuted" and result.refuting_sample == 0
     assert len(built) == 1  # the upper triple U; sample 0 is U . t itself
 
 
 def test_hull_refute_rejects_a_point_of_other_lengths():
     # Uniform components of lengths (3, 2, 4) on a 2 x 3 x 4 tensor came back refuted.
     t = random_tensor(rng(3), (2, 3, 4))
-    assert not hull_refute(t, WeylPoint(*([1 / n] * n for n in (2, 3, 4))), samples=2).refuted
+    assert hull_refute(t, WeylPoint(*([1 / n] * n for n in (2, 3, 4))), samples=2).outcome != "refuted"
     with pytest.raises(DimensionMismatchError):
         hull_refute(t, WeylPoint(*([1 / n] * n for n in (3, 2, 4))), samples=2)
 
@@ -340,7 +347,7 @@ def test_the_uniform_point_on_t2_needs_exactly_one_lp(monkeypatch):
     monkeypatch.setattr(polytope, "in_convex_hull", recording)
     u3 = (1 / 3, 1 / 3, 1 / 3)
     result = hull_refute(tensor_t2(), WeylPoint(u3, u3, u3))
-    assert result.refuted and result.refuting_sample == 0
+    assert result.outcome == "refuted" and result.refuting_sample == 0
     assert len(calls) == 1
 
 
@@ -358,7 +365,7 @@ def test_refutation_above_600_vertices_is_exact(monkeypatch):
     arr[:, :, 8] = 0  # 648 vertices, none with weight on the last third-factor index
     u9 = (1 / 9,) * 9
     result = hull_refute(Tensor3(arr), WeylPoint(u9, u9, u9), samples=10, seed=0)
-    assert result.refuted and result.refuting_sample == 0
+    assert result.outcome == "refuted" and result.refuting_sample == 0
     assert answers == [(648, False)]
 
 

@@ -5,12 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import issubset, rng
+from conftest import issubset, norm, rng
 from nonfree.construct import build_family_tensor, s0_tensor
 from nonfree.family import family_data, gamma_support, staircase_index
 from nonfree.reduction import DEFAULT_TOL, ReductionError, extract_Wa, reduce_to_s0
 from nonfree.supports import vertex_matrix
-from nonfree.tensor import GroupTriple, Tensor3, apply, norm, support
+from nonfree.tensor import GroupTriple, Tensor3, apply, support
 
 
 def staircase_tensor(gen, n):

@@ -4,10 +4,9 @@ import time
 
 import pytest
 
-from conftest import issubset, random_free_support, rng
+from conftest import issubset, random_free_support, rng, support_set
 from nonfree.family import gamma_support
-from nonfree.supports import downward_closure, is_free_support, sjamaar_inner_points
-from nonfree.tensor import support_set
+from nonfree.supports import downward_closure, is_free_support
 
 
 def test_gamma_2_is_free():
@@ -164,24 +163,3 @@ def test_downward_closure_of_gamma_has_the_closed_form_size():
     for n in range(2, 33):
         assert len(downward_closure(gamma_support(n))) == n * (n - 1) * (n + 2) // 2
 
-
-def test_sjamaar_points_of_singleton():
-    pts = sjamaar_inner_points(support_set((3, 3, 3), [(1, 1, 1)]))
-    assert len(pts) == 1
-    assert pts[0].p1 == (1.0, 0.0, 0.0)
-
-
-def test_sjamaar_points_of_w_state_support():
-    # The uniform distribution on the three triples has marginals (2/3, 1/3) on every factor.
-    pts = sjamaar_inner_points(gamma_support(2))
-    assert len(pts) == 1
-    assert pts[0].components == ((2 / 3, 1 / 3), (2 / 3, 1 / 3), (2 / 3, 1 / 3))
-
-
-def test_sjamaar_points_of_empty_support():
-    assert sjamaar_inner_points(support_set((2, 2, 2), [])) == []
-
-
-def test_sjamaar_rejects_non_free_support():
-    with pytest.raises(ValueError):
-        sjamaar_inner_points(gamma_support(3))
