@@ -11,11 +11,11 @@ from .certify import (
     stabilizer_blocks,
     two_column_obstruction,
 )
-from .construct import FamilyTensor, WMatrix, build_W, build_family_tensor, s0_tensor
+from .construct import build_W, build_family_tensor, gram_defects, s0_tensor
 from .family import FamilyData, family_data, gamma_support, halfspace_check
 from .flow import FlowResult, NessCertificate, flow, ness_minimality
 from .moment import HermTriple, WeylPoint, infinitesimal_action, moment_map, spec_point
-from .named import ness_form_t2, ness_form_t5, tensor_t2, tensor_t5
+from .named import mu_diagonals, named_tensor, ness_form, scaling_triple
 from .polytope import HalfspaceCert, HullRefutation, hull_refute, outer_halfspace
 from .reduction import ReductionResult, extract_Wa, reduce_to_s0
 from .supports import FreeSupportWitness, downward_closure, is_free_support

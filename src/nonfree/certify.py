@@ -14,25 +14,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import sqrt
 from typing import Sequence
 
 import numpy as np
 
 from .construct import build_family_tensor
-from .family import family_data
+from .family import family_data, staircase_index
 # flow is unused here but stays bound: perfbench's tracer test reads certify.flow.
 from .flow import NessCertificate, flow, ness_minimality  # noqa: F401
 from .moment import _frobenius_norm, moment_map
-from .named import (
-    MU_S2_DIAGONALS,
-    MU_S5_DIAGONALS,
-    ness_form_t2,
-    ness_form_t5,
-    t2_scaling_triple,
-    t5_scaling_triple,
-    tensor_t2,
-    tensor_t5,
-)
+from .named import NAMED, mu_diagonals, named_tensor, ness_form, scaling_triple
 from .tensor import GroupTriple, Tensor3, _norm, apply
 
 DEFAULT_TOL = 1e-10  # Ness residual (and family mu defect) a certificate accepts
@@ -185,24 +177,19 @@ def certify_family(n: int, tol: float = DEFAULT_TOL) -> NonFreenessReport:
         raise ValueError("certify_family requires n >= 3 (the n = 2 support is free)")
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    ft = build_family_tensor(family_data(n))
-    gram = ft.W.entries @ ft.W.entries.conj().T
+    data = family_data(n)
+    t = build_family_tensor(data)
+    W = t.entries[staircase_index(n)[0]]
+    gram = W @ W.conj().T
     min_off = float(np.abs(gram)[~np.eye(n, dtype=bool)].min())
     witness = ObstructionWitness(
-        "ww-star-offdiagonal", {"n": n, "min_offdiagonal": min_off, "w": [float(x) for x in ft.W.w]}
+        "ww-star-offdiagonal",
+        {"n": n, "min_offdiagonal": min_off, "w": [sqrt(float(x)) for x in data.w_sq]},
     )
     return _certify(
-        f"family-{n}", {"n": n, "tol": tol}, ft.tensor, tol, tol, ft.data.q,
+        f"family-{n}", {"n": n, "tol": tol}, t, tol, tol, data.q,
         ({"min_offdiagonal": min_off}, witness if min_off >= PARALLEL_TOL else None),
     )
-
-
-# Per named tensor T: T, its basis change g and its minimum-norm representative S,
-# generated from the signed squares of named, and the diagonals of mu(S), derived there.
-_NAMED = {
-    "T2": (tensor_t2, t2_scaling_triple, ness_form_t2, MU_S2_DIAGONALS),
-    "T5": (tensor_t5, t5_scaling_triple, ness_form_t5, MU_S5_DIAGONALS),
-}
 
 
 def certify_named(
@@ -213,8 +200,8 @@ def certify_named(
     """Certificates for the two named 3x3x3 tensors, T2 and T5.
 
     Each is carried onto its minimum-norm representative S by its basis
-    change g (injectable for negative controls), both generated from the
-    signed squares of named; the coefficient stage, s2_coefficients or
+    change g (injectable for negative controls), both generated from its
+    row of named.NAMED; the coefficient stage, s2_coefficients or
     s5_coefficients, holds g . T to S within VALUE_TOL before the shared
     stages run on S. A vanishing Ness residual on that GL-orbit point makes
     its mu the minimum-norm point of the moment polytope (Kempf-Ness), so no
@@ -222,20 +209,19 @@ def certify_named(
     of mu(S), derived exactly from the squares of S, as certify_family does from q.
     """
     which = which.upper()
-    if which not in _NAMED:
+    if which not in NAMED:
         raise ValueError(f"unknown named tensor {which!r}")
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    tensor, default_g, stored, diagonals = _NAMED[which]
     details: dict = {"tol": tol, "value_tol": VALUE_TOL}
 
-    g = group_element if group_element is not None else default_g()
-    s = stored()
-    coeff_defect = _norm(apply(g, tensor()).entries - s.entries)
+    g = group_element if group_element is not None else scaling_triple(which)
+    s = ness_form(which)
+    coeff_defect = _norm(apply(g, named_tensor(which)).entries - s.entries)
     details[f"s{which[1]}_coefficient_defect"] = coeff_defect
     if coeff_defect > VALUE_TOL:
         return NonFreenessReport(which, False, f"s{which[1]}_coefficients", None, None, None, details)
 
     witness = two_column_obstruction(s)
     found = {} if witness is None else {"obstruction_vectors": witness.data["vectors"]}
-    return _certify(which, details, s, tol, VALUE_TOL, diagonals, (found, witness))
+    return _certify(which, details, s, tol, VALUE_TOL, mu_diagonals(which), (found, witness))

@@ -18,11 +18,12 @@ from fractions import Fraction
 from . import __version__
 from .certify import DEFAULT_TOL as DEFAULT_CERTIFY_TOL
 from .certify import NonFreenessReport, certify_family, certify_named, mu_defect
-from .construct import build_family_tensor, s0_tensor
+from .construct import build_family_tensor, gram_defects, s0_tensor
 from .family import family_data, family_to_doc, gamma_support, halfspace_check
 from .flow import DEFAULT_MAX_STEPS, DEFAULT_RESIDUAL_TOL, DEFAULT_STEP, flow, ness_minimality
 from .jsonio import dumps
 from .moment import WeylPoint, moment_map, spec_point
+from .named import NAMED
 from .polytope import DEFAULT_SAMPLES, hull_refute, outer_halfspace, rational
 from .reduction import DEFAULT_TOL as DEFAULT_REDUCTION_TOL
 from .reduction import ReductionError, reduce_to_s0
@@ -108,16 +109,16 @@ def cmd_family(args) -> tuple[dict, int]:
         raise InputError("--verify needs n >= 3")
     doc = {"family_data": family_to_doc(data), "s0": tensor_to_doc(s0_tensor(args.n))}
     if args.n >= 3:
-        ft = build_family_tensor(data)
-        doc["family_tensor"] = tensor_to_doc(ft.tensor)
+        t = build_family_tensor(data)
+        doc["family_tensor"] = tensor_to_doc(t)
         if args.verify:
-            left, right = ft.W.gram_defects()
-            ness = ness_minimality(ft.tensor)
+            left, right = gram_defects(t, data)
+            ness = ness_minimality(t)
             half = halfspace_check(data)
             doc["verification"] = {
                 "gram_defect_wsw": left,
                 "gram_defect_wws": right,
-                "mu_defect": mu_defect(ft.tensor, data.q),
+                "mu_defect": mu_defect(t, data.q),
                 "ness_lambda": ness.lam,
                 "ness_residual": ness.residual,
                 "halfspace_valid": half.valid,
@@ -178,7 +179,7 @@ def _report_doc(report: NonFreenessReport) -> dict:
 
 def cmd_certify(args) -> tuple[dict, int]:
     if (args.family is None) == (args.named is None):
-        raise InputError("choose exactly one of --family N or --named T2|T5")
+        raise InputError(f"choose exactly one of --family N or --named {'|'.join(NAMED)}")
     if args.family is not None:
         report = certify_family(_family_size(args.family), tol=args.tol)
     else:
@@ -274,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify-nonfree", help="emit a non-freeness certificate")
     p.add_argument("--family", type=int)
-    p.add_argument("--named", choices=["T2", "T5", "t2", "t5"])
+    p.add_argument("--named", choices=[*NAMED, *map(str.lower, NAMED)])
     p.add_argument("--tol", type=float, default=DEFAULT_CERTIFY_TOL)
     p.set_defaults(func=cmd_certify)
 

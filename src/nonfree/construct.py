@@ -1,5 +1,6 @@
 """Construction of the coefficient matrix W, the family tensor, and the 0/1
-representative.
+representative, as plain arrays and tensors; gram_defects checks the W-part
+of a family tensor against its two Gram equations.
 
 W is built Schur-Horn style: the target Gram matrix lambda*I - w w* has
 spectrum (lambda, ..., lambda, 0) with kernel spanned by w, so its columns can
@@ -11,42 +12,12 @@ deterministic across runs and platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import sqrt
 
 import numpy as np
 
 from .family import FamilyData, staircase_index
 from .tensor import Tensor3
-
-
-@dataclass(frozen=True, eq=False)
-class WMatrix:
-    """n x (n-1) complex matrix satisfying the two Gram equations of the family."""
-
-    entries: np.ndarray
-    lambda_W: Fraction
-    w: np.ndarray
-
-    def gram_defects(self) -> tuple[float, float]:
-        """Frobenius defects of W*W = lambda I and WW* = lambda I - w w*."""
-        lam = float(self.lambda_W)
-        m = self.entries
-        rows, cols = m.shape
-        left = np.linalg.norm(m.conj().T @ m - lam * np.eye(cols))
-        right = np.linalg.norm(m @ m.conj().T - (lam * np.eye(rows) - np.outer(self.w, self.w)))
-        return (float(left), float(right))
-
-
-@dataclass(frozen=True, eq=False)
-class FamilyTensor:
-    """The unit-norm tensor carrying W on the anti-diagonal slices and a on the last."""
-
-    W: WMatrix
-    a: np.ndarray
-    tensor: Tensor3
-    data: FamilyData
 
 
 def _householder_basis_of_orthogonal_complement(unit: np.ndarray) -> np.ndarray:
@@ -60,14 +31,28 @@ def _householder_basis_of_orthogonal_complement(unit: np.ndarray) -> np.ndarray:
     return reflector[:, : n - 1]
 
 
-def build_W(data: FamilyData) -> WMatrix:
+def _roots(values) -> np.ndarray:
+    return np.array([sqrt(float(x)) for x in values])
+
+
+def build_W(data: FamilyData) -> np.ndarray:
+    """The n x (n-1) complex W with W*W = lambda I and WW* = lambda I - w w*, w = sqrt(w_sq)."""
     if data.n < 3:
         raise ValueError("build_W requires n >= 3")
-    lam = float(data.lambda_W)
-    w = np.array([sqrt(float(x)) for x in data.w_sq])
+    w = _roots(data.w_sq)
     basis = _householder_basis_of_orthogonal_complement(w / np.linalg.norm(w))
-    entries = (sqrt(lam) * basis).astype(np.complex128)
-    return WMatrix(entries=entries, lambda_W=data.lambda_W, w=w)
+    return (sqrt(float(data.lambda_W)) * basis).astype(np.complex128)
+
+
+def gram_defects(t: Tensor3, data: FamilyData) -> tuple[float, float]:
+    """Frobenius defects of W*W = lambda I and WW* = lambda I - w w* for the W-part of t."""
+    lam = float(data.lambda_W)
+    m = t.entries[staircase_index(data.n)[0]]
+    w = _roots(data.w_sq)
+    rows, cols = m.shape
+    left = np.linalg.norm(m.conj().T @ m - lam * np.eye(cols))
+    right = np.linalg.norm(m @ m.conj().T - (lam * np.eye(rows) - np.outer(w, w)))
+    return (float(left), float(right))
 
 
 def _staircase(W: np.ndarray, a: np.ndarray) -> Tensor3:
@@ -80,10 +65,9 @@ def _staircase(W: np.ndarray, a: np.ndarray) -> Tensor3:
     return Tensor3(arr)
 
 
-def build_family_tensor(data: FamilyData) -> FamilyTensor:
-    wm = build_W(data)
-    a = np.array([sqrt(float(bj)) for bj in data.b[: data.n - 1]])
-    return FamilyTensor(W=wm, a=a, tensor=_staircase(wm.entries, a), data=data)
+def build_family_tensor(data: FamilyData) -> Tensor3:
+    """The unit-norm tensor with W-part build_W(data) and a-part sqrt(b_j), j < n."""
+    return _staircase(build_W(data), _roots(data.b[: data.n - 1]))
 
 
 def s0_tensor(n: int) -> Tensor3:

@@ -1,12 +1,13 @@
 """The two named non-free 3x3x3 tensors, T2 and T5, stored once and exactly.
 
-Each is its support (all coefficients 1), the signed squares of its
-unit-norm minimum-norm representative S, and the signed squares of the
-diagonal/triangular basis change g carrying it onto S, factor by factor and
-row by row. A signed square r stands for the entry sign(r) sqrt(|r|). The
-floats are generated from these tables, and so are the diagonals of mu(S):
-for a unit-norm S, the diagonal of mu_L(S) is the marginal of |S_ijk|^2 on
-factor L, exactly. The certificates derive the Ness lambda from them as |q|^2.
+NAMED maps each name to one row: its support (all coefficients 1), the signed
+squares of its unit-norm minimum-norm representative S, and the signed
+squares of the diagonal/triangular basis change g carrying it onto S, factor
+by factor and row by row. A signed square r stands for the entry
+sign(r) sqrt(|r|). The four accessors take the name and generate the floats
+from that row, and the diagonals of mu(S): for a unit-norm S, the diagonal of
+mu_L(S) is the marginal of |S_ijk|^2 on factor L, exactly. The certificates
+derive the Ness lambda from them as |q|^2.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ G5_SQUARES = (
     ((1, 0, 0), (Fraction(-1, 6), Fraction(49, 24), 0), (0, 0, Fraction(1, 5))),
 )
 
+# Per named tensor: its support, the signed squares of S and those of g.
+NAMED = {"T2": (T2_SUPPORT, S2_SQUARES, G2_SQUARES), "T5": (T5_SUPPORT, S5_SQUARES, G5_SQUARES)}
+
 
 def _root(r) -> float:
     """The entry sign(r) sqrt(|r|) that the signed square r stands for."""
@@ -60,45 +64,25 @@ def _tensor(squares) -> Tensor3:
     return from_coefficients((3, 3, 3), {triple: _root(r) for triple, r in squares.items()})
 
 
-def _triple(factors) -> GroupTriple:
-    return GroupTriple(*(np.array([[_root(r) for r in row] for row in f]) for f in factors))
+def named_tensor(which: str) -> Tensor3:
+    """The SL-unstable 3x3x3 tensor T2 or T5: unit coefficients on its support."""
+    return _tensor(dict.fromkeys(NAMED[which][0], 1))
 
 
-def _diagonals(squares):
+def ness_form(which: str) -> Tensor3:
+    """Its unit-norm minimum-norm representative S."""
+    return _tensor(NAMED[which][1])
+
+
+def scaling_triple(which: str) -> GroupTriple:
+    """Its basis change g, with g . named_tensor(which) equal to ness_form(which)."""
+    return GroupTriple(*(np.array([[_root(r) for r in row] for row in f]) for f in NAMED[which][2]))
+
+
+def mu_diagonals(which: str):
     """Per factor, the sum of |r| over the triples with each index: diag mu(S), exactly."""
+    squares = NAMED[which][1]
     return tuple(
         tuple(sum(abs(r) for t, r in squares.items() if t[axis] == i) for i in (1, 2, 3))
         for axis in range(3)
     )
-
-
-MU_S2_DIAGONALS = _diagonals(S2_SQUARES)
-MU_S5_DIAGONALS = _diagonals(S5_SQUARES)
-
-
-def tensor_t2() -> Tensor3:
-    """Second SL-unstable 3x3x3 tensor; six unit coefficients."""
-    return _tensor(dict.fromkeys(T2_SUPPORT, 1))
-
-
-def tensor_t5() -> Tensor3:
-    """Fifth SL-unstable 3x3x3 tensor; five unit coefficients."""
-    return _tensor(dict.fromkeys(T5_SUPPORT, 1))
-
-
-def ness_form_t2() -> Tensor3:
-    return _tensor(S2_SQUARES)
-
-
-def ness_form_t5() -> Tensor3:
-    return _tensor(S5_SQUARES)
-
-
-def t2_scaling_triple() -> GroupTriple:
-    """Basis change g with g . T2 equal to ness_form_t2()."""
-    return _triple(G2_SQUARES)
-
-
-def t5_scaling_triple() -> GroupTriple:
-    """Basis change g with g . T5 equal to ness_form_t5()."""
-    return _triple(G5_SQUARES)

@@ -24,19 +24,11 @@ from conftest import (
     tensor_on_support,
 )
 from nonfree.certify import certify_family, certify_named
-from nonfree.construct import build_W, build_family_tensor, s0_tensor
+from nonfree.construct import build_family_tensor, gram_defects, s0_tensor
 from nonfree.family import family_data, gamma_support, halfspace_check
 from nonfree.flow import flow, ness_minimality
 from nonfree.moment import _frobenius_norm, moment_map
-from nonfree.named import (
-    MU_S2_DIAGONALS,
-    MU_S5_DIAGONALS,
-    ness_form_t2,
-    ness_form_t5,
-    t2_scaling_triple,
-    tensor_t2,
-    tensor_t5,
-)
+from nonfree.named import mu_diagonals, named_tensor, ness_form, scaling_triple
 from nonfree.polytope import hull_refute
 from nonfree.reduction import ReductionError, reduce_to_s0
 from nonfree.supports import is_free_support
@@ -53,11 +45,11 @@ def report(criterion: str, ok: bool, detail: str = ""):
 
 def test_criterion_1_t2_pipeline():
     start = time.perf_counter()
-    s2 = apply(t2_scaling_triple(), tensor_t2())
-    coeff_defect = norm(Tensor3(s2.entries - ness_form_t2().entries))
+    s2 = apply(scaling_triple("T2"), named_tensor("T2"))
+    coeff_defect = norm(Tensor3(s2.entries - ness_form("T2").entries))
     mu = moment_map(s2)
     mu_defect = off_diagonal_mass(mu)
-    for comp, expected in zip(mu.components, MU_S2_DIAGONALS):
+    for comp, expected in zip(mu.components, mu_diagonals("T2")):
         mu_defect = max(mu_defect, float(np.abs(np.diag(comp).real - expected).max()))
     cert = ness_minimality(s2)
     elapsed = time.perf_counter() - start
@@ -76,14 +68,14 @@ def test_criterion_1_t2_pipeline():
 
 
 def test_criterion_2_t5_pipeline():
-    s5 = ness_form_t5()
+    s5 = ness_form("T5")
     mu = moment_map(s5)
     mu_defect = off_diagonal_mass(mu)
-    for comp, expected in zip(mu.components, MU_S5_DIAGONALS):
+    for comp, expected in zip(mu.components, mu_diagonals("T5")):
         mu_defect = max(mu_defect, float(np.abs(np.diag(comp).real - expected).max()))
     cert = ness_minimality(s5)
     start = time.perf_counter()
-    result = flow(tensor_t5())
+    result = flow(named_tensor("T5"))
     elapsed = time.perf_counter() - start
     gap = abs(result.mu_norm_trajectory[-1] - _frobenius_norm(mu.components))
     ok = (
@@ -127,19 +119,19 @@ def test_criterion_4_w_construction():
     worst_mu = 0.0
     ranks_ok = True
     for n in range(3, 13):
-        wm = build_W(family_data(n))
-        left, right = wm.gram_defects()
+        data = family_data(n)
+        t = build_family_tensor(data)
+        left, right = gram_defects(t, data)
         worst_gram = max(worst_gram, left, right)
-        ft = build_family_tensor(family_data(n))
-        mu = moment_map(ft.tensor)
-        q_float = [np.diag([float(x) for x in qi]) for qi in ft.data.q]
+        mu = moment_map(t)
+        q_float = [np.diag([float(x) for x in qi]) for qi in data.q]
         worst_mu = max(
             worst_mu,
             float(np.sqrt(sum(
                 np.linalg.norm(c - qd) ** 2 for c, qd in zip(mu.components, q_float)
             ))),
         )
-        ranks_ok &= flattening_ranks(ft.tensor) == (n, n, n)
+        ranks_ok &= flattening_ranks(t) == (n, n, n)
     ok = worst_gram <= 1e-10 and worst_mu <= 1e-10 and ranks_ok
     report(
         "criterion 4: W construction n=3..12",
@@ -152,7 +144,7 @@ def test_criterion_5_certificates():
     ok = all(certify_family(n).verdict for n in range(3, 13))
     ok &= certify_named("T2").verdict
     ok &= certify_named("T5").verdict
-    g = t2_scaling_triple()
+    g = scaling_triple("T2")
     g3 = np.array(g.c)
     g3[1, 0] = -g3[1, 0]
     corrupted = certify_named("T2", group_element=GroupTriple(np.array(g.a), np.array(g.b), g3))
@@ -163,7 +155,7 @@ def test_criterion_5_certificates():
 def test_criterion_6_reduction():
     worst = 0.0
     for n in range(3, 9):
-        result = reduce_to_s0(build_family_tensor(family_data(n)).tensor, tol=1e-8)
+        result = reduce_to_s0(build_family_tensor(family_data(n)), tol=1e-8)
         worst = max(worst, result.residual)
         assert result.success
     gen = rng(600)
@@ -188,7 +180,7 @@ def test_criterion_6_reduction():
 def test_criterion_7_flows():
     ok = True
     details = []
-    result = flow(tensor_t2())
+    result = flow(named_tensor("T2"))
     gap = abs(result.mu_norm_trajectory[-1] ** 2 - 43 / 42)
     ok &= result.converged and gap <= 1e-6
     ok &= float(np.diff(result.mu_norm_trajectory).max(initial=0.0)) <= 1e-8

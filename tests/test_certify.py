@@ -14,19 +14,20 @@ from nonfree.certify import (
     stabilizer_blocks,
     two_column_obstruction,
 )
-from nonfree.construct import build_W
+from nonfree.construct import build_W, build_family_tensor
 from nonfree.family import family_data
 from nonfree.moment import moment_map
 from nonfree.polytope import _pairings
 from nonfree.named import (
-    MU_S2_DIAGONALS,
-    MU_S5_DIAGONALS,
+    NAMED,
     S2_SQUARES,
     S5_SQUARES,
-    ness_form_t2,
-    t2_scaling_triple,
-    t5_scaling_triple,
+    mu_diagonals,
+    named_tensor,
+    ness_form,
+    scaling_triple,
 )
+from nonfree.reduction import reduce_to_s0
 from nonfree.tensor import (
     GroupTriple,
     Tensor3,
@@ -36,8 +37,8 @@ from nonfree.tensor import (
 
 
 def test_blocks_of_exact_named_diagonals():
-    for diagonals in (MU_S2_DIAGONALS, MU_S5_DIAGONALS):
-        assert stabilizer_blocks(diagonals) == family_block_pattern(3)
+    for which in NAMED:
+        assert stabilizer_blocks(mu_diagonals(which)) == family_block_pattern(3)
 
 
 def test_blocks_of_rational_q():
@@ -54,8 +55,8 @@ def _squared_norm(diagonals) -> Fraction:
 
 def test_the_expected_lambda_is_the_exact_squared_norm_of_the_diagonals():
     # lambda(T) = |mu(T)|^2 for every tensor, so the certificates expect |q|^2.
-    assert _squared_norm(MU_S2_DIAGONALS) == Fraction(43, 42)
-    assert _squared_norm(MU_S5_DIAGONALS) == Fraction(16, 15)
+    assert _squared_norm(mu_diagonals("T2")) == Fraction(43, 42)
+    assert _squared_norm(mu_diagonals("T5")) == Fraction(16, 15)
     for n in range(3, 13):
         data = family_data(n)
         assert _squared_norm(data.q) == data.ness_lambda
@@ -80,8 +81,8 @@ HAND_KEPT_DIAGONALS = {
 @pytest.mark.parametrize(
     "name, squares, diagonals, norm_sq",
     [
-        ("S2", S2_SQUARES, MU_S2_DIAGONALS, Fraction(43, 42)),
-        ("S5", S5_SQUARES, MU_S5_DIAGONALS, Fraction(16, 15)),
+        ("S2", S2_SQUARES, mu_diagonals("T2"), Fraction(43, 42)),
+        ("S5", S5_SQUARES, mu_diagonals("T5"), Fraction(16, 15)),
     ],
 )
 def test_named_diagonals_are_derived_exactly_from_the_squares(name, squares, diagonals, norm_sq):
@@ -96,6 +97,22 @@ def test_named_diagonals_are_derived_exactly_from_the_squares(name, squares, dia
     assert len(pairings) == len(squares) and (pairings == scaled_norm_sq).all()
 
 
+@pytest.mark.parametrize("which", NAMED)
+def test_the_scaling_triple_carries_the_named_tensor_onto_its_ness_form(which):
+    moved = apply(scaling_triple(which), named_tensor(which))
+    assert np.linalg.norm(moved.entries - ness_form(which).entries) <= certify.VALUE_TOL
+
+
+@pytest.mark.parametrize("which", NAMED)
+def test_mu_diagonals_are_the_diagonals_of_mu_of_the_ness_form(which):
+    mu = moment_map(ness_form(which))
+    for comp, exact in zip(mu.components, mu_diagonals(which)):
+        assert sum(exact) == 1
+        np.testing.assert_allclose(
+            np.diag(comp).real, [float(x) for x in exact], rtol=0, atol=1e-15
+        )
+
+
 def test_blocks_of_uniform_rational_triple():
     n = 4
     blocks = stabilizer_blocks([[Fraction(1, n)] * n] * 3)
@@ -105,7 +122,7 @@ def test_blocks_of_uniform_rational_triple():
 
 def test_blocks_reject_herm_triple():
     # A float mu is tied to its exact diagonal by the moment_map stage, not here.
-    mu = moment_map(ness_form_t2())
+    mu = moment_map(ness_form("T2"))
     with pytest.raises(TypeError):
         stabilizer_blocks(mu)
     with pytest.raises(ValueError):
@@ -119,7 +136,7 @@ def test_blocks_reject_float_vectors():
 
 
 def test_obstruction_on_s2_lists_the_three_vectors():
-    witness = two_column_obstruction(ness_form_t2())
+    witness = two_column_obstruction(ness_form("T2"))
     assert witness.kind == "pairwise-nonparallel-triple"
     got = sorted(
         (round(v[0].real, 6), round(v[1].real, 6))
@@ -158,13 +175,13 @@ def test_obstruction_two_nonorthogonal_classes():
 
 @pytest.mark.parametrize("scale", [1e-20, 1e-5, 1.0, 1e6])
 def test_obstruction_on_s2_does_not_depend_on_scale(scale):
-    witness = two_column_obstruction(Tensor3(scale * ness_form_t2().entries))
+    witness = two_column_obstruction(Tensor3(scale * ness_form("T2").entries))
     assert witness.kind == "pairwise-nonparallel-triple"
 
 
 def test_obstruction_verdict_stable_under_local_permutations_and_phases():
     gen = rng(60)
-    s2 = ness_form_t2()
+    s2 = ness_form("T2")
     for _ in range(10):
         sigma = list(gen.permutation(3) + 1)
         tau = list(gen.permutation(3) + 1)
@@ -183,10 +200,10 @@ def test_obstruction_verdict_stable_under_local_permutations_and_phases():
 def test_right_unitary_closure_keeps_a_doubly_occupied_row():
     gen = rng(61)
     for n in (3, 5):
-        wm = build_W(family_data(n))
+        W = build_W(family_data(n))
         for _ in range(20):
             u = random_unitary(gen, n - 1)
-            rotated = wm.entries @ u.T
+            rotated = W @ u.T
             heavy_rows = np.sum(np.abs(rotated) > 1e-8, axis=1)
             assert heavy_rows.max() >= 2
 
@@ -219,9 +236,9 @@ def test_certify_named_t5():
     assert not [key for key in report.details if key.startswith("flow")]
 
 
-@pytest.mark.parametrize("triple", [t2_scaling_triple, t5_scaling_triple])
-def test_scaling_triples_are_triangular_with_square_roots_of_small_rationals(triple):
-    g1, g2, g3 = (np.array(m) for m in triple().factors)
+@pytest.mark.parametrize("which", ["T2", "T5"], ids=["t2_scaling_triple", "t5_scaling_triple"])
+def test_scaling_triples_are_triangular_with_square_roots_of_small_rationals(which):
+    g1, g2, g3 = (np.array(m) for m in scaling_triple(which).factors)
     assert np.array_equal(g1, np.diag(np.diag(g1))) and np.array_equal(g2, np.diag(np.diag(g2)))
     assert np.array_equal(g3, np.tril(g3))
     for entry in np.concatenate([g1.ravel(), g2.ravel(), g3.ravel()]):
@@ -235,15 +252,15 @@ def test_certify_named_rejects_unknown_name():
         certify_named("T7")
 
 
-def _corrupted(which, triple):
-    g = triple()
+def _corrupted(which):
+    g = scaling_triple(which)
     g3 = np.array(g.c)
     g3[1, 0] = -g3[1, 0]  # one sign flipped
     return certify_named(which, group_element=GroupTriple(np.array(g.a), np.array(g.b), g3))
 
 
 def test_corrupted_group_element_fails_certification():
-    report = _corrupted("T2", t2_scaling_triple)
+    report = _corrupted("T2")
     assert not report.verdict
     assert report.failed_stage == "s2_coefficients"
 
@@ -251,12 +268,9 @@ def test_corrupted_group_element_fails_certification():
 def test_nonfreeness_transfers_to_s0_through_reduction():
     # Certificate for the family member plus a successful reduction jointly
     # certify the 0/1 representative as non-free.
-    from nonfree.construct import build_family_tensor
-    from nonfree.reduction import reduce_to_s0
-
     for n in (3, 4):
         assert certify_family(n).verdict
-        assert reduce_to_s0(build_family_tensor(family_data(n)).tensor).success
+        assert reduce_to_s0(build_family_tensor(family_data(n))).success
 
 
 def test_certificate_report_is_rechecable_from_details():
@@ -273,9 +287,9 @@ def _family_with_other_block_pattern(monkeypatch):
 
 
 def _t2_with_swapped_diagonal(monkeypatch):
-    tensor, g, stored, (first, *rest) = certify._NAMED["T2"]
+    first, *rest = mu_diagonals("T2")
     swapped = ((first[1], first[0], first[2]), *rest)
-    monkeypatch.setitem(certify._NAMED, "T2", (tensor, g, stored, swapped))
+    monkeypatch.setattr(certify, "mu_diagonals", lambda which: swapped)
     return certify_named("T2")
 
 
@@ -301,8 +315,8 @@ T5_KEYS = NAMED_KEYS[:2] + ["s5_coefficient_defect"] + NAMED_KEYS[2:]
         (lambda mp: certify_family(3, tol=1e-20), "moment_map", FAMILY_KEYS[:3], ""),
         (_t2_with_swapped_diagonal, "moment_map", T2_KEYS[:4], ""),
         (lambda mp: certify_named("T2", tol=1e-20), "ness", T2_KEYS, "n"),
-        (lambda mp: _corrupted("T2", t2_scaling_triple), "s2_coefficients", T2_KEYS[:3], ""),
-        (lambda mp: _corrupted("T5", t5_scaling_triple), "s5_coefficients", T5_KEYS[:3], ""),
+        (lambda mp: _corrupted("T2"), "s2_coefficients", T2_KEYS[:3], ""),
+        (lambda mp: _corrupted("T5"), "s5_coefficients", T5_KEYS[:3], ""),
         (_family_with_other_block_pattern, "stabilizer_blocks", FAMILY_KEYS + ["blocks"], "nb"),
         (_t2_with_free_decision, "obstruction", T2_KEYS + ["blocks"], "nb"),
         (_family_with_small_offdiagonal, "obstruction",

@@ -132,7 +132,7 @@ def test_free_support_w_state(tmp_path, capsys):
 
 def test_free_support_staircase_is_exit_one(tmp_path, capsys):
     path = tmp_path / "tw.json"
-    write_tensor(build_family_tensor(family_data(3)).tensor, path)
+    write_tensor(build_family_tensor(family_data(3)), path)
     code, out = run(capsys, "free-support", "--input", str(path))
     doc = json.loads(out)
     assert code == 1
@@ -150,7 +150,7 @@ def test_moment_map_command(tmp_path, capsys):
 
 def test_flow_command(tmp_path, capsys):
     path = tmp_path / "t.json"
-    write_tensor(build_family_tensor(family_data(3)).tensor, path)
+    write_tensor(build_family_tensor(family_data(3)), path)
     code, out = run(capsys, "flow", "--input", str(path), "--max-steps", "10")
     doc = json.loads(out)
     assert code == 0
@@ -228,7 +228,7 @@ def test_a_reader_closing_stdout_early_gets_no_traceback():
 
 def test_reduce_s0_command(tmp_path, capsys):
     path = tmp_path / "t.json"
-    write_tensor(build_family_tensor(family_data(4)).tensor, path)
+    write_tensor(build_family_tensor(family_data(4)), path)
     code, out = run(capsys, "reduce-s0", "--input", str(path))
     doc = json.loads(out)
     assert code == 0
@@ -239,7 +239,7 @@ def test_reduce_s0_command(tmp_path, capsys):
 @pytest.mark.parametrize("scale", [1e13, 1e-13, 1e100, 1e-100])
 @pytest.mark.parametrize("name", ["s0-4", "family-5"])
 def test_reduce_s0_accepts_a_scaled_tensor(tmp_path, capsys, name, scale):
-    t = s0_tensor(4) if name == "s0-4" else build_family_tensor(family_data(5)).tensor
+    t = s0_tensor(4) if name == "s0-4" else build_family_tensor(family_data(5))
     path = tmp_path / "t.json"
     write_tensor(Tensor3(t.entries * scale), path)
     code, out = run(capsys, "reduce-s0", "--input", str(path))
@@ -251,7 +251,7 @@ def test_reduce_s0_accepts_a_scaled_tensor(tmp_path, capsys, name, scale):
 def test_reduce_s0_reports_an_ill_conditioned_reduction_as_failed(tmp_path, capsys):
     # The a-entries pass the vanish guard, but the element that scales them back
     # to one is too ill-conditioned: a failed reduction, not an input error.
-    arr = np.array(build_family_tensor(family_data(5)).tensor.entries)
+    arr = np.array(build_family_tensor(family_data(5)).entries)
     arr[staircase_index(5)[1]] *= 1e-13
     path = tmp_path / "t.json"
     write_tensor(Tensor3(arr), path)
@@ -264,7 +264,7 @@ def test_reduce_s0_reports_an_ill_conditioned_reduction_as_failed(tmp_path, caps
 def test_reduce_s0_reports_an_ill_conditioned_straightening_as_failed(tmp_path, capsys):
     # The W-part passes the relative rank check but is so small against the
     # peak that the third factor of g is too ill-conditioned: exit 1, not 2.
-    arr = np.array(build_family_tensor(family_data(3)).tensor.entries)
+    arr = np.array(build_family_tensor(family_data(3)).entries)
     arr[staircase_index(3)[0]] *= 1e-12
     path = tmp_path / "t.json"
     write_tensor(Tensor3(arr), path)
@@ -306,7 +306,7 @@ def test_reduce_s0_of_a_subnormal_peak_prints_one_json_document(tmp_path):
 @pytest.mark.parametrize("command", ["moment-map", "flow"])
 def test_a_tensor_whose_squared_norm_underflows_gets_its_report(tmp_path, capfd, command, scale):
     path = tmp_path / "t.json"
-    write_tensor(Tensor3(build_family_tensor(family_data(5)).tensor.entries * scale), path)
+    write_tensor(Tensor3(build_family_tensor(family_data(5)).entries * scale), path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main([command, "--input", str(path)])
@@ -328,7 +328,7 @@ def test_reduce_s0_rejects_bad_support(tmp_path, capsys):
 
 def test_polytope_halfspace_command(tmp_path, capsys):
     t_path = tmp_path / "t.json"
-    write_tensor(build_family_tensor(family_data(3)).tensor, t_path)
+    write_tensor(build_family_tensor(family_data(3)), t_path)
     data = family_data(3)
     h_path = tmp_path / "h.json"
     h_path.write_text(json.dumps({
@@ -346,7 +346,7 @@ def test_polytope_halfspace_command(tmp_path, capsys):
 
 def test_polytope_refute_command(tmp_path, capsys):
     t_path = tmp_path / "t.json"
-    write_tensor(build_family_tensor(family_data(3)).tensor, t_path)
+    write_tensor(build_family_tensor(family_data(3)), t_path)
     p_path = tmp_path / "p.json"
     third = 1 / 3
     p_path.write_text(json.dumps({"p1": [third] * 3, "p2": [third] * 3, "p3": [third] * 3}))
@@ -532,6 +532,23 @@ def test_usage_errors_print_a_json_error(capsys, argv):
     assert json.loads(out)["error"]["kind"] == "input"
 
 
+def test_the_named_choices_print_as_they_always_did(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage to the terminal width
+    code = main(["certify-nonfree", "--named", "T3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        "usage: nonfree certify-nonfree [-h] [--family FAMILY] [--named {T2,T5,t2,t5}]\n"
+        "                               [--tol TOL]\n"
+    )
+    assert json.loads(captured.out)["error"]["message"] == (
+        "argument --named: invalid choice: 'T3' (choose from 'T2', 'T5', 't2', 't5')"
+    )
+    code, out = run(capsys, "certify-nonfree")
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == "choose exactly one of --family N or --named T2|T5"
+
+
 @pytest.mark.parametrize("argv", [("--help",), ("--version",), ("family", "--help")])
 def test_help_and_version_still_exit_zero(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -558,7 +575,7 @@ def test_a_usage_error_leaves_no_state_behind(capsys):
 )
 def test_negative_tol_is_input_error(tmp_path, capsys, argv):
     tensor = tmp_path / "t.json"
-    write_tensor(build_family_tensor(family_data(4)).tensor, tensor)
+    write_tensor(build_family_tensor(family_data(4)), tensor)
     code, out = run(capsys, *(arg.format(tensor=tensor) for arg in argv))
     assert code == 2
     assert json.loads(out)["error"] == {"kind": "input", "message": "tol must be nonnegative"}
@@ -592,7 +609,7 @@ def test_a_family_command_validates_its_data_once(monkeypatch, capsys, argv):
 
 def _polytope_argv(tmp_path, flag, doc):
     t_path = tmp_path / "t.json"
-    write_tensor(build_family_tensor(family_data(3)).tensor, t_path)
+    write_tensor(build_family_tensor(family_data(3)), t_path)
     d_path = tmp_path / "doc.json"
     d_path.write_text(json.dumps(doc))
     return ("polytope", "--input", str(t_path), flag, str(d_path), "--samples", "0")
@@ -910,7 +927,7 @@ def _assert_one_json_answer(argv):
 @pytest.fixture(scope="module")
 def doc_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("docs")
-    write_tensor(build_family_tensor(family_data(3)).tensor, directory / "family3.json")
+    write_tensor(build_family_tensor(family_data(3)), directory / "family3.json")
     return directory
 
 
@@ -947,8 +964,8 @@ def branch_docs(tmp_path_factory):
     directory = tmp_path_factory.mktemp("branches")
     data = family_data(3)
     docs = {
-        "family3": tensor_to_doc(build_family_tensor(data).tensor),
-        "family4": tensor_to_doc(build_family_tensor(family_data(4)).tensor),
+        "family3": tensor_to_doc(build_family_tensor(data)),
+        "family4": tensor_to_doc(build_family_tensor(family_data(4))),
         "dense": tensor_to_doc(random_tensor(rng(7), (3, 3, 3))),
         "exact_h": {**{f"h{a}": [str(x) for x in data.h[a - 1]] for a in (1, 2, 3)},
                     "c": str(data.c)},

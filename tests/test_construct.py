@@ -1,61 +1,71 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
+from math import sqrt
 
 import numpy as np
 import pytest
 
 from conftest import flattening_ranks, issubset, norm, off_diagonal_mass, random_unitary, rng
-from nonfree.construct import WMatrix, build_W, build_family_tensor, s0_tensor
-from nonfree.family import family_data, gamma_support
+from nonfree.construct import _staircase, build_W, build_family_tensor, gram_defects, s0_tensor
+from nonfree.family import family_data, gamma_support, staircase_index
 from nonfree.moment import moment_map
-from nonfree.named import MU_S2_DIAGONALS
+from nonfree.named import mu_diagonals
 from nonfree.tensor import support
 
 NS = range(3, 13)
 
 
+def w_roots(data) -> np.ndarray:
+    """w = sqrt(w_sq), the kernel vector of WW*."""
+    return np.array([sqrt(float(x)) for x in data.w_sq])
+
+
 def test_gram_equations_hold():
     for n in NS:
-        left, right = build_W(family_data(n)).gram_defects()
+        data = family_data(n)
+        left, right = gram_defects(build_family_tensor(data), data)
         assert left <= 1e-10 and right <= 1e-10
 
 
 def test_wwstar_spectrum_is_flat_with_one_zero():
     for n in NS:
-        wm = build_W(family_data(n))
-        lam = float(wm.lambda_W)
-        eigs = np.linalg.eigvalsh(wm.entries @ wm.entries.conj().T)
+        data = family_data(n)
+        W = build_W(data)
+        lam = float(data.lambda_W)
+        eigs = np.linalg.eigvalsh(W @ W.conj().T)
         assert abs(eigs[0]) <= 1e-12
         np.testing.assert_allclose(eigs[1:], lam, atol=1e-12)
 
 
 def test_wwstar_kernel_is_spanned_by_w():
     for n in (3, 5, 9):
-        wm = build_W(family_data(n))
-        gram = wm.entries @ wm.entries.conj().T
-        assert np.linalg.norm(gram @ wm.w) <= 1e-12
+        data = family_data(n)
+        W = build_W(data)
+        gram = W @ W.conj().T
+        assert np.linalg.norm(gram @ w_roots(data)) <= 1e-12
 
 
 def test_wwstar_diagonal_matches_family_d_for_n3():
-    wm = build_W(family_data(3))
-    gram = (wm.entries @ wm.entries.conj().T).real
+    W = build_W(family_data(3))
+    gram = (W @ W.conj().T).real
     np.testing.assert_allclose(np.diag(gram), [11 / 42, 4 / 21, 11 / 42], atol=1e-14)
 
 
 def test_every_offdiagonal_of_wwstar_is_bounded_below():
     for n in NS:
-        wm = build_W(family_data(n))
-        gram = wm.entries @ wm.entries.conj().T
-        floor = float(min(wm.w)) ** 2 - 1e-10
+        data = family_data(n)
+        W = build_W(data)
+        gram = W @ W.conj().T
+        floor = float(min(w_roots(data))) ** 2 - 1e-10
         off = np.abs(gram[~np.eye(n, dtype=bool)])
         assert off.min() >= floor > 0
 
 
 def test_every_column_of_w_is_nonzero():
     for n in NS:
-        wm = build_W(family_data(n))
-        assert np.linalg.norm(wm.entries, axis=0).min() > 1e-8
+        W = build_W(family_data(n))
+        assert np.linalg.norm(W, axis=0).min() > 1e-8
 
 
 def test_row_deletion_independence_exact():
@@ -67,30 +77,44 @@ def test_row_deletion_independence_exact():
             assert data.d[i] != data.lambda_W
     # And numerically: dropping any row keeps full rank.
     for n in (3, 6, 10):
-        wm = build_W(family_data(n))
+        W = build_W(family_data(n))
         for drop in range(n):
-            sub = np.delete(wm.entries, drop, axis=0)
+            sub = np.delete(W, drop, axis=0)
             sv = np.linalg.svd(sub, compute_uv=False)
             assert sv[-1] > 1e-8 * sv[0]
 
 
-def satisfies_gram_equations(wm: WMatrix, entries) -> bool:
-    left, right = WMatrix(entries, wm.lambda_W, wm.w).gram_defects()
+def satisfies_gram_equations(data, W) -> bool:
+    """gram_defects of the family tensor of data with its W-part replaced by W."""
+    _, a_index = staircase_index(data.n)
+    a = build_family_tensor(data).entries[a_index]
+    left, right = gram_defects(_staircase(W, a), data)
     return left <= 1e-10 and right <= 1e-10
 
 
 def test_membership_accepts_construction_and_right_unitary_closure():
     gen = rng(30)
     for n in (3, 5, 8):
-        wm = build_W(family_data(n))
-        assert satisfies_gram_equations(wm, wm.entries)
+        data = family_data(n)
+        W = build_W(data)
+        assert satisfies_gram_equations(data, W)
         for _ in range(5):
             u = random_unitary(gen, n - 1)
-            assert satisfies_gram_equations(wm, wm.entries @ u.T)
+            assert satisfies_gram_equations(data, W @ u.T)
+
+
+def test_membership_rejects_a_perturbed_w_part():
+    gen = rng(31)
+    for n in range(3, 9):
+        data = family_data(n)
+        W = build_W(data)
+        E = 1e-6 * (gen.standard_normal(W.shape) + 1j * gen.standard_normal(W.shape))
+        assert satisfies_gram_equations(data, W)
+        assert not satisfies_gram_equations(data, W + E)
 
 
 def test_membership_rejects_zero_matrix():
-    assert not satisfies_gram_equations(build_W(family_data(4)), np.zeros((4, 3)))
+    assert not satisfies_gram_equations(family_data(4), np.zeros((4, 3)))
 
 
 def test_build_w_rejects_small_n():
@@ -100,41 +124,44 @@ def test_build_w_rejects_small_n():
 
 def test_family_tensor_has_unit_norm_and_staircase_support():
     for n in NS:
-        ft = build_family_tensor(family_data(n))
-        assert abs(norm(ft.tensor) - 1.0) <= 1e-12
-        assert issubset(support(ft.tensor, 0.0), gamma_support(n))
+        t = build_family_tensor(family_data(n))
+        assert abs(norm(t) - 1.0) <= 1e-12
+        assert issubset(support(t, 0.0), gamma_support(n))
 
 
 def test_family_tensor_entry_placement():
-    ft = build_family_tensor(family_data(4))
-    n = 4
-    for i in range(1, n + 1):
-        for k in range(1, n):
-            assert ft.tensor[n + 1 - i, i, k] == ft.W.entries[i - 1, k - 1]
-    for i in range(1, n):
-        assert ft.tensor[n - i, i, n] == ft.a[i - 1]
+    # Bit for bit: the W-part is build_W(data) and the a-part sqrt(b_i), i < n.
+    for n in NS:
+        data = family_data(n)
+        t = build_family_tensor(data)
+        W = build_W(data)
+        for i in range(1, n + 1):
+            for k in range(1, n):
+                assert t[n + 1 - i, i, k] == W[i - 1, k - 1]
+        for i in range(1, n):
+            assert t[n - i, i, n] == sqrt(float(data.b[i - 1]))
 
 
 def test_family_tensor_moment_map_equals_q():
     for n in NS:
-        ft = build_family_tensor(family_data(n))
-        mu = moment_map(ft.tensor)
+        data = family_data(n)
+        mu = moment_map(build_family_tensor(data))
         assert off_diagonal_mass(mu) <= 1e-10
-        for comp, qi in zip(mu.components, ft.data.q):
+        for comp, qi in zip(mu.components, data.q):
             np.testing.assert_allclose(
                 np.diag(comp).real, [float(x) for x in qi], atol=1e-10
             )
 
 
 def test_family_tensor_n3_cross_checks_named_values():
-    mu = moment_map(build_family_tensor(family_data(3)).tensor)
-    for comp, expected in zip(mu.components, MU_S2_DIAGONALS):
+    mu = moment_map(build_family_tensor(family_data(3)))
+    for comp, expected in zip(mu.components, mu_diagonals("T2")):
         np.testing.assert_allclose(np.diag(comp).real, [float(x) for x in expected], atol=1e-12)
 
 
 def test_family_tensor_is_concise():
     for n in NS:
-        t = build_family_tensor(family_data(n)).tensor
+        t = build_family_tensor(family_data(n))
         assert flattening_ranks(t) == (n, n, n)
 
 

@@ -20,32 +20,27 @@ from nonfree.construct import build_family_tensor, s0_tensor
 from nonfree.family import family_data
 from nonfree.flow import MONOTONICITY_SLACK, flow, ness_minimality
 from nonfree.moment import _frobenius_norm, moment_map
-from nonfree.named import (
-    ness_form_t2,
-    ness_form_t5,
-    tensor_t2,
-    tensor_t5,
-)
+from nonfree.named import named_tensor, ness_form
 from nonfree.tensor import GroupTriple, Tensor3, apply, from_coefficients, support
 
 
 def test_ness_certificate_of_s2():
-    cert = ness_minimality(ness_form_t2())
+    cert = ness_minimality(ness_form("T2"))
     assert cert.lam == pytest.approx(43 / 42, abs=1e-12)
     assert cert.residual <= 1e-10
 
 
 def test_ness_certificate_of_s5():
-    cert = ness_minimality(ness_form_t5())
+    cert = ness_minimality(ness_form("T5"))
     assert cert.lam == pytest.approx(16 / 15, abs=1e-12)
     assert cert.residual <= 1e-10
 
 
 def test_ness_lambda_of_family_tensors():
     for n in range(3, 11):
-        ft = build_family_tensor(family_data(n))
-        cert = ness_minimality(ft.tensor)
-        assert cert.lam == pytest.approx(float(ft.data.ness_lambda), abs=1e-12)
+        data = family_data(n)
+        cert = ness_minimality(build_family_tensor(data))
+        assert cert.lam == pytest.approx(float(data.ness_lambda), abs=1e-12)
         assert cert.residual <= 1e-9
 
 
@@ -63,7 +58,7 @@ def test_ness_rejects_zero_tensor():
 
 
 def test_flow_fixed_at_s2():
-    result = flow(ness_form_t2())
+    result = flow(ness_form("T2"))
     assert result.steps == 0
     assert result.final_residual <= 1e-10
     assert result.converged
@@ -76,7 +71,7 @@ def test_flow_fixed_at_rank_one_tensor():
 
 
 def test_flow_from_t2_reaches_min_norm_point():
-    result = flow(tensor_t2())
+    result = flow(named_tensor("T2"))
     assert result.converged
     assert result.mu_norm_trajectory[-1] ** 2 == pytest.approx(43 / 42, abs=1e-6)
 
@@ -124,9 +119,9 @@ def test_flow_unitary_covariance_of_trajectories():
 
 def test_fixed_point_iff_no_projective_progress():
     # At a Ness point the flow does not move; away from one it must.
-    fixed = flow(ness_form_t2(), max_steps=5)
+    fixed = flow(ness_form("T2"), max_steps=5)
     assert fixed.steps == 0
-    moving = flow(tensor_t2(), max_steps=5)
+    moving = flow(named_tensor("T2"), max_steps=5)
     assert moving.steps == 5
     assert not moving.converged  # flagged, not raised
     assert moving.final_residual > 1e-8
@@ -135,7 +130,7 @@ def test_fixed_point_iff_no_projective_progress():
 @pytest.mark.parametrize(
     "make, kwargs, halves",
     [
-        (tensor_t2, {"max_steps": 3}, False),
+        (lambda: named_tensor("T2"), {"max_steps": 3}, False),
         (lambda: s0_tensor(4), {}, False),
         (lambda: random_tensor(rng(0), (4, 4, 4)), {"step_size": 100.0}, True),
         (lambda: random_tensor(rng(3), (1, 1, 1)), {}, False),
@@ -168,7 +163,7 @@ def test_flow_kernel_agrees_exactly_with_the_public_boundary(monkeypatch, make, 
 @pytest.mark.parametrize(
     "make",
     [
-        tensor_t2,
+        lambda: named_tensor("T2"),
         lambda: s0_tensor(4),
         lambda: random_tensor(rng(1), (4, 4, 4)),
         lambda: random_tensor(rng(2), (2, 3, 4)),
@@ -195,7 +190,8 @@ def seeded_dense_tensor(dims) -> Tensor3:
 @pytest.mark.parametrize("step", [0.05, 1.0, 100.0])
 @pytest.mark.parametrize(
     "make",
-    [tensor_t2, tensor_t5, *(lambda n=n: s0_tensor(n) for n in (3, 4, 5)),
+    [lambda: named_tensor("T2"), lambda: named_tensor("T5"),
+     *(lambda n=n: s0_tensor(n) for n in (3, 4, 5)),
      *(lambda n=n: random_tensor(rng(n), (n, n, n)) for n in (4, 5, 6)),
      *(lambda d=d: seeded_dense_tensor(d) for d in ((2, 2, 8), (2, 3, 9), (3, 3, 12)))],
     ids=["t2", "t5", "s0-3", "s0-4", "s0-5", "dense-4", "dense-5", "dense-6",
@@ -211,7 +207,9 @@ def test_newton_steps_converge_within_twelve_accepted_steps(make, step):
 
 
 @pytest.mark.parametrize(
-    "make", [tensor_t2, tensor_t5, lambda: s0_tensor(4)], ids=["t2", "t5", "s0-4"]
+    "make",
+    [lambda: named_tensor("T2"), lambda: named_tensor("T5"), lambda: s0_tensor(4)],
+    ids=["t2", "t5", "s0-4"],
 )
 def test_newton_steps_reach_a_residual_of_1e_14(make):
     # The error of a Newton step grows with dt; without the MAX_STEP cap on dt
@@ -239,7 +237,9 @@ def test_a_generic_non_cubic_flow_converges_where_mu_is_flat(dims, seed):
     assert (trajectory[1:] - np.minimum.accumulate(trajectory)[:-1]).max() <= MONOTONICITY_SLACK
 
 
-@pytest.mark.parametrize("make", [tensor_t2, lambda: s0_tensor(4)], ids=["t2", "s0-4"])
+@pytest.mark.parametrize(
+    "make", [lambda: named_tensor("T2"), lambda: s0_tensor(4)], ids=["t2", "s0-4"]
+)
 def test_a_flow_past_the_float_floor_stops_once_no_step_improves(make):
     # At residual_tol 0 no residual converges. Once neither |mu| nor the
     # residual can fall, the flow stops, unconverged; it ran all 500 steps
@@ -251,7 +251,7 @@ def test_a_flow_past_the_float_floor_stops_once_no_step_improves(make):
 
 def test_flow_from_t5_at_step_one_converges():
     # Without the drift test, geodesic steps from 1.0 stall here at residual 5e-3.
-    result = flow(tensor_t5(), step_size=1.0)
+    result = flow(named_tensor("T5"), step_size=1.0)
     assert result.converged
     assert result.mu_norm_trajectory[-1] ** 2 == pytest.approx(16 / 15, abs=1e-6)
 
@@ -282,7 +282,7 @@ def test_a_step_no_halving_can_save_stops_the_flow_where_it_was(step):
 
 
 def test_flow_norm_stays_one():
-    result = flow(tensor_t2(), max_steps=50)
+    result = flow(named_tensor("T2"), max_steps=50)
     assert norm(result.limit) == pytest.approx(1.0, abs=1e-12)
 
 

@@ -108,7 +108,7 @@ def test_reports_encode_as_the_reference_encoder_does(tmp_path, monkeypatch, cap
     # Flow, family and refutation reports: every number, string, rational and
     # nesting the CLI prints, with real and complex tensors.
     family = tmp_path / "family.json"
-    family.write_text(json.dumps(tensor_to_doc(build_family_tensor(family_data(4)).tensor)))
+    family.write_text(json.dumps(tensor_to_doc(build_family_tensor(family_data(4)))))
     dense = tmp_path / "dense.json"
     dense.write_text(json.dumps(tensor_to_doc(random_tensor(rng(6), (2, 3, 4)))))
     point = tmp_path / "point.json"

@@ -31,7 +31,7 @@ from nonfree.moment import (
     moment_map,
     spec_point,
 )
-from nonfree.named import MU_S2_DIAGONALS, MU_S5_DIAGONALS, ness_form_t2, ness_form_t5
+from nonfree.named import mu_diagonals, ness_form
 from nonfree.tensor import Tensor3, _flattening, _norm, apply, from_coefficients
 
 
@@ -43,16 +43,16 @@ def assert_diagonals(m: HermTriple, expected, atol=1e-12):
 
 def test_ness_representatives_have_unit_norm():
     # Sums of the stored squared coefficients telescope to one exactly.
-    assert norm(ness_form_t2()) == pytest.approx(1.0, abs=1e-15)
-    assert norm(ness_form_t5()) == pytest.approx(1.0, abs=1e-15)
+    assert norm(ness_form("T2")) == pytest.approx(1.0, abs=1e-15)
+    assert norm(ness_form("T5")) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_moment_map_of_s2_matches_stored_diagonals():
-    assert_diagonals(moment_map(ness_form_t2()), MU_S2_DIAGONALS)
+    assert_diagonals(moment_map(ness_form("T2")), mu_diagonals("T2"))
 
 
 def test_moment_map_of_s5_matches_stored_diagonals():
-    assert_diagonals(moment_map(ness_form_t5()), MU_S5_DIAGONALS)
+    assert_diagonals(moment_map(ness_form("T5")), mu_diagonals("T5"))
 
 
 def test_moment_map_of_uniform_diagonal_tensor():
@@ -217,7 +217,7 @@ def test_moment_map_scale_invariance():
 @pytest.mark.parametrize("scale", [1e-155, 1e-170])
 def test_a_tensor_whose_squared_norm_underflows_keeps_its_moment_map(scale):
     # At 1e-155 |T|^2 is subnormal, at 1e-170 it underflows to zero.
-    t = build_family_tensor(family_data(5)).tensor
+    t = build_family_tensor(family_data(5))
     tiny = Tensor3(t.entries * scale)
     for c, c0 in zip(moment_map(tiny).components, moment_map(t).components):
         assert np.abs(c - c0).max() <= 1e-15
@@ -260,7 +260,7 @@ def test_infinitesimal_action_rank_one_projector():
 
 
 def test_infinitesimal_action_of_mu_fixes_s2():
-    s2 = ness_form_t2()
+    s2 = ness_form("T2")
     out = infinitesimal_action(moment_map(s2), s2)
     np.testing.assert_allclose(out.entries, (43 / 42) * s2.entries, atol=1e-10)
 
@@ -298,8 +298,8 @@ def test_spec_point_invariant_under_unitary_action():
 
 
 def test_spec_point_of_mu_s5():
-    p = spec_point(moment_map(ness_form_t5()))
-    for got, exp in zip(p.components, MU_S5_DIAGONALS):
+    p = spec_point(moment_map(ness_form("T5")))
+    for got, exp in zip(p.components, mu_diagonals("T5")):
         np.testing.assert_allclose(got, [float(x) for x in sorted(exp, reverse=True)], atol=1e-12)
 
 

@@ -21,7 +21,7 @@ from nonfree.construct import build_family_tensor
 from nonfree.exactlp import in_convex_hull
 from nonfree.family import family_data, gamma_support
 from nonfree.moment import WeylPoint, moment_map, spec_point
-from nonfree.named import MU_S2_DIAGONALS, tensor_t2
+from nonfree.named import mu_diagonals, named_tensor
 from nonfree.polytope import (
     _hull_contains,
     _product_witness,
@@ -59,7 +59,7 @@ def test_exact_hull_membership_boundary_point():
 def test_outer_halfspace_family_is_tight():
     for n in (3, 4, 6):
         data = family_data(n)
-        cert = outer_halfspace(support(build_family_tensor(family_data(n)).tensor), data.h, data.c)
+        cert = outer_halfspace(support(build_family_tensor(family_data(n))), data.h, data.c)
         assert cert.valid
         assert cert.min_support_value == data.c  # exact rationals throughout
 
@@ -71,16 +71,16 @@ def test_outer_halfspace_agrees_with_ness_certificate():
 
     for n in (3, 5):
         data = family_data(n)
-        ft = build_family_tensor(family_data(n))
-        cert = outer_halfspace(support(ft.tensor), data.h, data.c)
-        ness = ness_minimality(ft.tensor)
+        t = build_family_tensor(family_data(n))
+        cert = outer_halfspace(support(t), data.h, data.c)
+        ness = ness_minimality(t)
         assert cert.valid and cert.min_support_value == data.c
         assert ness.lam == pytest.approx(float(data.q_norm_sq), abs=1e-12)
 
 
 def test_outer_halfspace_strengthened_fails():
     data = family_data(3)
-    cert = outer_halfspace(support(build_family_tensor(family_data(3)).tensor), data.h, data.c + 1)
+    cert = outer_halfspace(support(build_family_tensor(family_data(3))), data.h, data.c + 1)
     assert not cert.valid
 
 
@@ -172,7 +172,7 @@ def _check_outer_halfspace_against_a_fraction_reference(gen, kind):
 
 def free_moment_twin() -> Tensor3:
     """Free-support tensor whose moment map image coincides with that of
-    ness_form_t2(); shows the family spectrum also arises from a free tensor."""
+    ness_form("T2"); shows the family spectrum also arises from a free tensor."""
     return from_coefficients(
         (3, 3, 3),
         {
@@ -204,18 +204,18 @@ def test_inner_points_of_free_twin_and_its_moment_image():
     first = (2 / 5, 2 / 5, 1 / 5)
     assert point.components == (first, first, (3 / 5, 1 / 5, 1 / 5))
     mu = moment_map(twin)
-    for comp, expected in zip(mu.components, MU_S2_DIAGONALS):
+    for comp, expected in zip(mu.components, mu_diagonals("T2")):
         np.testing.assert_allclose(np.diag(comp).real, [float(x) for x in expected], atol=1e-12)
 
 
 def test_inner_points_reject_non_free_tensor():
     with pytest.raises(ValueError):
-        inner_points(build_family_tensor(family_data(3)).tensor)
+        inner_points(build_family_tensor(family_data(3)))
 
 
 def test_hull_refute_uniform_point_on_family_tensor():
     u3 = (1 / 3, 1 / 3, 1 / 3)
-    result = hull_refute(build_family_tensor(family_data(3)).tensor, WeylPoint(u3, u3, u3), samples=10, seed=0)
+    result = hull_refute(build_family_tensor(family_data(3)), WeylPoint(u3, u3, u3), samples=10, seed=0)
     assert result.outcome == "refuted"
     assert result.refuting_sample == 0  # the identity sample realizes the outer bound
 
@@ -232,7 +232,7 @@ def test_a_point_refuted_at_sample_0_draws_no_lower_triple(monkeypatch):
 
     monkeypatch.setattr(polytope, "GroupTriple", Counting)
     u3 = (1 / 3, 1 / 3, 1 / 3)
-    result = hull_refute(build_family_tensor(family_data(3)).tensor, WeylPoint(u3, u3, u3))
+    result = hull_refute(build_family_tensor(family_data(3)), WeylPoint(u3, u3, u3))
     assert result.outcome == "refuted" and result.refuting_sample == 0
     assert len(built) == 1  # the upper triple U; sample 0 is U . t itself
 
@@ -246,7 +246,7 @@ def test_hull_refute_rejects_a_point_of_other_lengths():
 
 
 def test_hull_refute_moment_point_is_inconclusive():
-    t = build_family_tensor(family_data(3)).tensor
+    t = build_family_tensor(family_data(3))
     result = hull_refute(t, spec_point(moment_map(t)), samples=10, seed=0)
     assert result.outcome == "inconclusive"
 
@@ -346,7 +346,7 @@ def test_the_uniform_point_on_t2_needs_exactly_one_lp(monkeypatch):
 
     monkeypatch.setattr(polytope, "in_convex_hull", recording)
     u3 = (1 / 3, 1 / 3, 1 / 3)
-    result = hull_refute(tensor_t2(), WeylPoint(u3, u3, u3))
+    result = hull_refute(named_tensor("T2"), WeylPoint(u3, u3, u3))
     assert result.outcome == "refuted" and result.refuting_sample == 0
     assert len(calls) == 1
 
@@ -413,7 +413,7 @@ def test_triangular_actions_move_supports_along_the_order():
 
 def test_upper_triangular_keeps_staircase_inside_its_closure():
     gen = rng(72)
-    t = build_family_tensor(family_data(3)).tensor
+    t = build_family_tensor(family_data(3))
     closure = downward_closure(gamma_support(3))
     for _ in range(10):
         u = GroupTriple(*(_unit_triangular(gen, 3, True) for _ in range(3)))

@@ -31,4 +31,4 @@ def test_the_readme_quick_tour_runs_and_gives_the_values_it_states():
     assert abs(values['certify_named("T2").ness.lam'] - 43 / 42) <= 1e-12
     # 3/4 + c^2/|h|^2 with c = 1/4 and |h|^2 = 43/4.
     assert abs(values["flow(s0_tensor(4), step_size=1.0).lam"] - 65 / 86) <= 1e-6
-    assert values["reduce_to_s0(ft.tensor).residual"] < 1e-13
+    assert values["reduce_to_s0(t).residual"] < 1e-13

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import warnings
+from math import sqrt
 
 import numpy as np
 import pytest
 
 from conftest import issubset, norm, rng
-from nonfree.construct import build_family_tensor, s0_tensor
+from nonfree.construct import build_W, build_family_tensor, s0_tensor
 from nonfree.family import family_data, gamma_support, staircase_index
 from nonfree.reduction import DEFAULT_TOL, ReductionError, extract_Wa, reduce_to_s0
 from nonfree.supports import vertex_matrix
@@ -29,10 +30,10 @@ def test_extract_on_s0():
 
 
 def test_extract_inverts_family_construction():
-    ft = build_family_tensor(family_data(4))
-    w, a = extract_Wa(ft.tensor)
-    np.testing.assert_allclose(w, ft.W.entries, atol=1e-15)
-    np.testing.assert_allclose(a, ft.a, atol=1e-15)
+    data = family_data(4)
+    w, a = extract_Wa(build_family_tensor(data))
+    np.testing.assert_allclose(w, build_W(data), atol=1e-15)
+    np.testing.assert_allclose(a, [sqrt(float(bj)) for bj in data.b[:3]], atol=1e-15)
 
 
 def test_extract_respects_diagonal_scaling():
@@ -72,7 +73,7 @@ def test_reduce_s0_is_identity():
 
 def test_reduce_family_tensors():
     for n in range(3, 9):
-        result = reduce_to_s0(build_family_tensor(family_data(n)).tensor)
+        result = reduce_to_s0(build_family_tensor(family_data(n)))
         assert result.success
         assert result.residual <= 1e-8
 
@@ -112,7 +113,7 @@ def test_the_log_space_system_has_full_row_rank():
 
 
 def test_tol_bounds_only_the_final_residual():
-    result = reduce_to_s0(build_family_tensor(family_data(4)).tensor, tol=0.0)
+    result = reduce_to_s0(build_family_tensor(family_data(4)), tol=0.0)
     assert not result.success and 0.0 < result.residual <= DEFAULT_TOL
     assert len(result.log) == 2
 
@@ -120,7 +121,7 @@ def test_tol_bounds_only_the_final_residual():
 @pytest.mark.parametrize("scale", [1e13, 1e-13, 1e100, 1e-100])
 @pytest.mark.parametrize("name", ["s0-4", "family-5"])
 def test_the_reduction_is_scale_invariant(name, scale):
-    t = s0_tensor(4) if name == "s0-4" else build_family_tensor(family_data(5)).tensor
+    t = s0_tensor(4) if name == "s0-4" else build_family_tensor(family_data(5))
     s = Tensor3(t.entries * scale)
     result = reduce_to_s0(s)
     assert result.success and result.residual <= 1e-12
@@ -130,7 +131,7 @@ def test_the_reduction_is_scale_invariant(name, scale):
 
 @pytest.mark.parametrize("name", ["s0-4", "family-5"])
 def test_a_subnormal_peak_reduces_with_its_scale_in_g(name):
-    t = s0_tensor(4) if name == "s0-4" else build_family_tensor(family_data(5)).tensor
+    t = s0_tensor(4) if name == "s0-4" else build_family_tensor(family_data(5))
     s = Tensor3(t.entries * 1e-310)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -144,7 +145,7 @@ def test_a_subnormal_peak_reduces_with_its_scale_in_g(name):
 def test_an_ill_conditioned_reducing_element_is_a_reduction_error():
     # The a-entries stay above the vanish guard, but the torus factor that scales
     # them back to one has a condition number above 1/INVERTIBILITY_TOL.
-    arr = np.array(build_family_tensor(family_data(5)).tensor.entries)
+    arr = np.array(build_family_tensor(family_data(5)).entries)
     arr[staircase_index(5)[1]] *= 1e-13
     with pytest.raises(ReductionError, match="ill-conditioned: factor [abc] is numerically singular"):
         reduce_to_s0(Tensor3(arr))
@@ -182,8 +183,7 @@ def test_only_the_returned_element_is_checked_for_conditioning(a_scale):
 
 def test_reduce_rejects_vanishing_a_entry():
     n = 3
-    ft = build_family_tensor(family_data(n))
-    arr = np.array(ft.tensor.entries)
+    arr = np.array(build_family_tensor(family_data(n)).entries)
     arr[n - 2, 0, n - 1] = 0.0  # kill a_1
     with pytest.raises(ReductionError):
         reduce_to_s0(Tensor3(arr))

@@ -113,9 +113,9 @@ def test_flattening_of_diagonal_tensor_has_orthogonal_rows():
 
 
 def test_support_of_t2_lists_its_six_triples():
-    from nonfree.named import tensor_t2
+    from nonfree.named import named_tensor
 
-    assert set(support(tensor_t2(), 0.0)) == {
+    assert set(support(named_tensor("T2"), 0.0)) == {
         (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 2, 1), (2, 2, 2), (3, 1, 1),
     }
 

@@ -11,6 +11,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_stdout_hashes_prints_one_digest_per_workload_seed_and_command(tmp_path):
+    # Plus the path_free group, once: the named certificates and the family sizes
+    # the benchmark skips.
     result = subprocess.run(
         [sys.executable, "tools/stdout_hashes.py", "--seeds", "0", "--directory", str(tmp_path)],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
@@ -19,9 +21,14 @@ def test_stdout_hashes_prints_one_digest_per_workload_seed_and_command(tmp_path)
     lines = result.stdout.splitlines()
     assert lines
     workloads = set()
+    path_free = {}
     for line in lines:
-        workload, seed, _command, ops, digest = line.split("\t")
-        assert seed == "seed 0" and re.fullmatch(r"\d+ ops", ops)
+        workload, seed, command, ops, digest = line.split("\t")
+        assert seed == ("no seed" if workload == "path_free" else "seed 0")
+        assert re.fullmatch(r"\d+ ops", ops)
         assert re.fullmatch(r"[0-9a-f]{64}", digest)
         workloads.add(workload)
-    assert workloads == set(BUILDERS)
+        if workload == "path_free":
+            path_free[command] = ops
+    assert workloads == {*BUILDERS, "path_free"}
+    assert path_free == {"certify-nonfree": "11 ops", "family": "7 ops"}

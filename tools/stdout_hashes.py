@@ -8,6 +8,11 @@ Run from the root of a checkout. The ops are the ones perfbench runs, built by
 pinned to one thread before numpy loads, as perfbench pins them. The input
 paths appear in the reports, so two checkouts compare equal only with the same
 DIR; the default is one fixed directory under the system's temporary directory.
+
+One more group, `path_free`, hashes reports the benchmark does not print:
+every spelling of `certify-nonfree --named`, and `certify-nonfree --family N`
+and `family --n N --verify` at sizes the benchmark skips, n = 2 included. These
+ops read no file and draw nothing, so the group is hashed once, with no seed.
 """
 
 import argparse
@@ -17,6 +22,26 @@ import io
 import os
 import sys
 import tempfile
+
+PATH_FREE = "path_free"
+PATH_FREE_OPS = [("certify-nonfree", "--named", name) for name in ("T2", "T5", "t2", "t5")] + [
+    argv
+    for n in ("2", "5", "7", "9", "10", "17", "20")
+    for argv in (("certify-nonfree", "--family", n), ("family", "--n", n, "--verify"))
+]
+
+
+def print_digests(cli, label: str, ops: list[tuple[str, ...]]) -> None:
+    """One line per command: the sha256 of its ops' argv, exit code and stdout, in order."""
+    records = {}
+    for argv in ops:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(list(argv))
+        records.setdefault(argv[0], []).append(repr((list(argv), code, out.getvalue())))
+    for command, reprs in records.items():
+        digest = hashlib.sha256("".join(reprs).encode("utf-8")).hexdigest()
+        print(f"{label}\t{command}\t{len(reprs)} ops\t{digest}")
 
 
 def main(argv=None) -> int:
@@ -34,16 +59,8 @@ def main(argv=None) -> int:
     for workload in BUILDERS:
         for seed in args.seeds:
             ops = build(workload, os.path.join(args.directory, f"{workload}-{seed}"), seed)
-            records = {}
-            for op in ops:
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out):
-                    code = cli.main(list(op.argv))
-                record = repr((list(op.argv), code, out.getvalue()))
-                records.setdefault(op.argv[0], []).append(record)
-            for command, reprs in records.items():
-                digest = hashlib.sha256("".join(reprs).encode("utf-8")).hexdigest()
-                print(f"{workload}\tseed {seed}\t{command}\t{len(reprs)} ops\t{digest}")
+            print_digests(cli, f"{workload}\tseed {seed}", [op.argv for op in ops])
+    print_digests(cli, f"{PATH_FREE}\tno seed", PATH_FREE_OPS)
     return 0
 
 
