@@ -1,11 +1,12 @@
 """Convex hull membership whose refutations are exact.
 
-HiGHS searches in floating point for a linear functional y that separates the
-point from the vertices; the functional is then checked in exact rational
-arithmetic, following Applegate, Cook, Dash and Espinoza, "Exact solutions to
-linear programming problems" (Oper. Res. Lett. 2007). "Not in the hull" is
-therefore an exact statement about the rational data, never a rounding
-artifact; a solver failure only leaves membership unrefuted.
+HiGHS, called directly through the solver core bundled with scipy, searches in
+floating point for a linear functional y that separates the point from the
+vertices; the functional is then checked in exact rational arithmetic,
+following Applegate, Cook, Dash and Espinoza, "Exact solutions to linear
+programming problems" (Oper. Res. Lett. 2007). "Not in the hull" is therefore
+an exact statement about the rational data, never a rounding artifact; a
+solver failure only leaves membership unrefuted.
 """
 
 from __future__ import annotations
@@ -35,14 +36,32 @@ def in_convex_hull(vertices: Sequence[Sequence[Rational]], point: Sequence[Ratio
     if any(len(v) != dim for v in vertices):
         raise ValueError("vertex dimension does not match point dimension")
     # Imported here so that commands which never test membership skip scipy's import.
-    from scipy.optimize import linprog
+    from scipy.optimize._highspy import _core as highs
 
-    # Boxed separation LP over (y, s): minimize y.p + s subject to y.v + s >= 0.
-    a_ub = -np.hstack([np.array(vertices, dtype=float), np.ones((len(vertices), 1))])
-    cost = [float(x) for x in point] + [1.0]
-    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(len(vertices)), bounds=(-1, 1), method="highs")
-    if res.status != 0 or res.fun >= 0:
+    # Boxed separation LP over (y, s): minimize y.p + s subject to -(y.v + s) <= 0.
+    # The nonzeros of -[V | 1] column by column and the options (output off, dual
+    # simplex) are those of scipy's own LP front end, whose solutions tests compare.
+    columns = -np.vstack([np.array(vertices, dtype=float).T, np.ones(len(vertices))])
+    nonzero = columns != 0
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = dim + 1
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(vertices)
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1))))
+    lp.a_matrix_.index_ = np.nonzero(nonzero)[1]
+    lp.a_matrix_.value_ = columns[nonzero]
+    lp.col_cost_ = [float(x) for x in point] + [1.0]
+    lp.col_lower_ = np.full(dim + 1, -1.0)
+    lp.col_upper_ = np.ones(dim + 1)
+    lp.row_lower_ = np.full(len(vertices), -np.inf)
+    lp.row_upper_ = np.zeros(len(vertices))
+    solver = highs._Highs()
+    solver.setOptionValue("output_flag", False)
+    solver.setOptionValue("simplex_strategy", 1)  # dual simplex
+    solver.passModel(lp)
+    solver.run()
+    if solver.getModelStatus() != highs.HighsModelStatus.kOptimal or solver.getObjectiveValue() >= 0:
         return True
     # Floats convert to rationals exactly; the best offset s is -min_v y.v.
-    y = [Fraction(x) for x in res.x[:dim]]
+    y = [Fraction(x) for x in solver.getSolution().col_value[:dim]]
     return _pairing(y, point) >= min(_pairing(y, v) for v in vertices)

@@ -1,14 +1,18 @@
 """Shared helpers for the test suite: seeded random inputs, unitary and
 permutation triples, supports from triples and support inclusion, and
 reference oracles the library does not need: norms, flattening ranks,
-off-diagonal mass and the Sjamaar inner points of a free support."""
+off-diagonal mass, the Sjamaar inner points of a free support and hull
+membership through scipy's linprog."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Rational
+from typing import Sequence
 
 import numpy as np
 
+from nonfree.exactlp import _pairing
 from nonfree.moment import HermTriple, WeylPoint
 from nonfree.supports import is_free_support
 from nonfree.tensor import GroupTriple, SupportSet, Tensor3, _flattening, _norm, support
@@ -147,3 +151,19 @@ def inner_points(t: Tensor3) -> list[WeylPoint]:
         counts = s.mask.sum(axis=tuple(other for other in range(3) if other != axis))
         components.append(sorted((Fraction(c, size) for c in counts.tolist()), reverse=True))
     return [WeylPoint(*components)]
+
+
+def linprog_in_convex_hull(vertices: Sequence[Sequence[Rational]], point: Sequence[Rational]) -> bool:
+    """The reference for exactlp.in_convex_hull: its boxed separation LP
+    solved by scipy.optimize.linprog(method="highs"), with the same exact
+    Farkas check."""
+    from scipy.optimize import linprog
+
+    dim = len(point)
+    a_ub = -np.hstack([np.array(vertices, dtype=float), np.ones((len(vertices), 1))])
+    cost = [float(x) for x in point] + [1.0]
+    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(len(vertices)), bounds=(-1, 1), method="highs")
+    if res.status != 0 or res.fun >= 0:
+        return True
+    y = [Fraction(x) for x in res.x[:dim]]
+    return _pairing(y, point) >= min(_pairing(y, v) for v in vertices)

@@ -22,6 +22,7 @@ from nonfree.cli import _decimate, main
 from nonfree.construct import build_family_tensor, s0_tensor
 from nonfree.family import family_data, staircase_index
 from nonfree.flow import DEFAULT_RESIDUAL_TOL, DEFAULT_STEP
+from nonfree.named import named_tensor
 from nonfree.polytope import MAX_SAMPLES
 from nonfree.reduction import DEFAULT_TOL as DEFAULT_REDUCTION_TOL
 from nonfree.tensor import Tensor3, tensor_to_doc
@@ -300,6 +301,43 @@ def test_reduce_s0_of_a_subnormal_peak_prints_one_json_document(tmp_path):
     )
     assert done.stderr == "" and done.stdout.count("\n") == 1
     assert done.returncode == 0 and json.loads(done.stdout)["success"] is True
+
+
+@pytest.mark.parametrize(
+    "point, outcome",
+    [
+        ({key: [1 / 3] * 3 for key in ("p1", "p2", "p3")}, "refuted"),
+        # The sorted marginals of the uniform distribution on the support of T2.
+        ({"p1": [1 / 2, 1 / 3, 1 / 6], "p2": [1 / 2, 1 / 3, 1 / 6], "p3": [1 / 3] * 3}, "inconclusive"),
+    ],
+)
+def test_the_hull_lp_leaves_stdout_to_the_report(tmp_path, capsys, monkeypatch, point, outcome):
+    # HiGHS writes its banner and log to stdout from C unless its output flag is
+    # off, so the command runs in a process of its own.
+    import nonfree.polytope as polytope
+
+    t_path, p_path = tmp_path / "t.json", tmp_path / "p.json"
+    write_tensor(named_tensor("T2"), t_path)
+    p_path.write_text(json.dumps(point))
+    argv = ["polytope", "--input", str(t_path), "--refute", str(p_path), "--samples", "3"]
+    src = os.path.dirname(os.path.dirname(nonfree.__file__))
+    code = "import sys; from nonfree.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert done.stderr == "" and done.stdout.count("\n") == 1
+    assert done.returncode == 0 and json.loads(done.stdout)["refutation"]["outcome"] == outcome
+    # In-process, the same report comes from exactly one LP: infeasible, then feasible.
+    answers, lp = [], polytope.in_convex_hull
+
+    def recording(vertices, p):
+        answers.append(lp(vertices, p))
+        return answers[-1]
+
+    monkeypatch.setattr(polytope, "in_convex_hull", recording)
+    assert run(capsys, *argv) == (0, done.stdout)
+    assert answers == [outcome == "inconclusive"]
 
 
 @pytest.mark.parametrize("scale", [1e-155, 1e-170])

@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     inner_points,
     issubset,
+    linprog_in_convex_hull,
     norm,
     random_complex,
     random_free_support,
@@ -17,7 +18,7 @@ from conftest import (
     support_set,
     tensor_on_support,
 )
-from nonfree.construct import build_family_tensor
+from nonfree.construct import build_family_tensor, s0_tensor
 from nonfree.exactlp import in_convex_hull
 from nonfree.family import family_data, gamma_support
 from nonfree.moment import WeylPoint, moment_map, spec_point
@@ -29,7 +30,7 @@ from nonfree.polytope import (
     hull_refute,
     outer_halfspace,
 )
-from nonfree.supports import downward_closure
+from nonfree.supports import downward_closure, vertex_matrix
 from nonfree.tensor import (
     DimensionMismatchError,
     GroupTriple,
@@ -297,15 +298,19 @@ def _random_block(gen, n):
     return [1 - sum(rest, F(0))] + rest + [F(0)] * (n - nonzero)
 
 
+def _random_case(gen, dims):
+    """Random cells that keep (1, 1, 1), and a target of `_random_block`s."""
+    box = _cells(dims)
+    keep = gen.random(len(box)) < gen.choice([0.5, 0.8, 1.0])
+    keep[0] = True
+    return [c for c, take in zip(box, keep) if take], [x for n in dims for x in _random_block(gen, n)]
+
+
 def test_the_product_witness_agrees_with_the_lp():
     gen = rng(75)
     fired = refuted = 0
     for dims in [(2, 3, 3), (3, 3, 3)] * 60:
-        box = _cells(dims)
-        keep = gen.random(len(box)) < gen.choice([0.5, 0.8, 1.0])
-        keep[0] = True  # (1, 1, 1)
-        cells = [c for c, take in zip(box, keep) if take]
-        target = [x for n in dims for x in _random_block(gen, n)]
+        cells, target = _random_case(gen, dims)
         supp = support_set(dims, cells)
         lp = in_convex_hull(_vertices(dims, cells), target)
         assert _hull_contains(supp, target) == lp
@@ -319,6 +324,54 @@ def test_the_product_witness_agrees_with_the_lp():
     half = [F(1, 4), F(1, 4)] + [F(1, 3)] * 6
     assert not _product_witness(support_set(dims, _cells(dims)), half)
     assert not in_convex_hull(_vertices(dims, _cells(dims)), half)
+
+
+def _latin_square_cases(gen, n):
+    """The closure of a seeded Latin square on n^3 with the marginals of random
+    weights on the square, sorted down and up."""
+    row, col, sym = (gen.permutation(n) for _ in range(3))
+    cells = [(i + 1, j + 1, int(sym[(row[i] + col[j]) % n]) + 1) for i in range(n) for j in range(n)]
+    vertices = vertex_matrix(downward_closure(support_set((n, n, n), cells))).tolist()
+    weights = [int(w) for w in gen.integers(1, 6, len(cells))]
+    total = sum(weights)
+    marginals = []
+    for axis in range(3):
+        sums = [0] * n
+        for cell, w in zip(cells, weights):
+            sums[cell[axis] - 1] += w
+        marginals.append([F(x, total) for x in sums])
+    for reverse in (True, False):
+        yield vertices, [x for m in marginals for x in sorted(m, reverse=reverse)]
+
+
+def _oracle_cases():
+    """Seeded (vertices, point) pairs with refuted and feasible answers."""
+    gen = rng(77)
+    for n in (3, 4) * 4:
+        yield from _latin_square_cases(gen, n)
+    for t in (named_tensor("T2"), named_tensor("T5"), s0_tensor(3), s0_tensor(4)):
+        uniform = [F(1, n) for n in t.dims for _ in range(n)]
+        for supp in (support(t), downward_closure(support(t))):
+            yield vertex_matrix(supp).tolist(), uniform
+    for n in (3, 4):
+        data = family_data(n)
+        supp = support(build_family_tensor(data))
+        yield vertex_matrix(downward_closure(supp)).tolist(), [x for q in data.q for x in q]
+    gen = rng(75)
+    for dims in [(2, 3, 3), (3, 3, 3)] * 20:
+        cells, target = _random_case(gen, dims)
+        yield _vertices(dims, cells), target
+    dims = (9, 9, 9)
+    yield _vertices(dims, [c for c in _cells(dims) if c[2] < 9]), [F(1, 9)] * 27
+
+
+def test_the_direct_highs_call_agrees_with_linprog():
+    answers = [
+        (in_convex_hull(vertices, point), linprog_in_convex_hull(vertices, point))
+        for vertices, point in _oracle_cases()
+    ]
+    assert [new for new, _ in answers] == [old for _, old in answers]
+    assert 20 < sum(new for new, _ in answers) < len(answers) - 20
 
 
 def test_full_supports_are_answered_without_an_lp(monkeypatch):
