@@ -215,10 +215,11 @@ def cmd_polytope(args) -> tuple[dict, int]:
         )
         if "c" not in halfspace_doc:
             raise InputError(f"{args.halfspace} is missing the bound c")
-        cert = outer_halfspace(support(t), h, _parse_number(halfspace_doc["c"], "for c"))
+        c = _parse_number(halfspace_doc["c"], "for c")
+        cert = outer_halfspace(support(t), h, c)
         doc = {
             "valid": cert.valid,
-            "c": cert.c,
+            "c": c,
             "min_support_value": cert.min_support_value,
             "vertices_checked": cert.vertex_count,
         }

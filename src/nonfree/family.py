@@ -13,7 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polytope import HalfspaceCert, _pairings, outer_halfspace
+from .exactlp import _pairings
+from .polytope import HalfspaceCert, outer_halfspace
 from .tensor import SupportSet
 
 RationalVec = tuple[Fraction, ...]

@@ -50,7 +50,7 @@ def _encode_list(obj) -> str:
 
 
 # The literals and the string escaping json.dumps(obj, ensure_ascii=False) writes,
-# keyed by exact type; `_encode` looks a subclass up by its base.
+# keyed by exact type: a subclass, even of str or tuple, is a TypeError.
 _ENCODERS = {
     type(None): lambda obj: "null",
     bool: lambda obj: "true" if obj else "false",
@@ -63,7 +63,6 @@ _ENCODERS = {
     list: _encode_list,
     tuple: _encode_list,
 }
-_BASES = (str, Fraction, dict, list, tuple)
 # Encoded object keys with their colon, by key; reports use a few dozen.
 _KEYS: dict[str, str] = {}
 
@@ -71,10 +70,7 @@ _KEYS: dict[str, str] = {}
 def _encode(obj) -> str:
     encoder = _ENCODERS.get(type(obj))
     if encoder is None:
-        base = next((base for base in _BASES if isinstance(obj, base)), None)
-        if base is None:
-            raise TypeError(f"cannot serialize {type(obj).__name__}")
-        encoder = _ENCODERS[base]
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
     return encoder(obj)
 
 

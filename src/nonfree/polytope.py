@@ -5,34 +5,31 @@ containing the downward closure of the support contains the whole polytope.
 Refutation: sampled supports of triangular basis changes whose convex hulls
 must contain every polytope point. The point is read as exact rationals
 whose components each sum to 1. A hull contains it outright when it is the
-product of its components over the support; otherwise a hull excludes it
-only through an exact Farkas certificate (see exactlp), so a "refuted"
+product of its components over the support; otherwise exactlp answers for
+the support, and a hull excludes the point only through an exact Farkas
+certificate, checked by the pairing kernel the halfspaces use. A "refuted"
 verdict is sound up to the genericity of the sampled upper-triangular
 change, which is reported.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .exactlp import in_convex_hull
+from .exactlp import _DIGIT_LIMIT, MAX_DIGITS, _pairings, in_convex_hull
 from .moment import WeylPoint
-from .supports import downward_closure, vertex_matrix
+from .supports import downward_closure
 from .tensor import DimensionMismatchError, GroupTriple, SupportSet, Tensor3, apply, support
 
 RATIONALIZE_DENOMINATOR = 10**12
 DEFAULT_SAMPLES = 100
 MAX_SAMPLES = 10**4  # most lower-triangular samples one refutation may draw
-# Most digits of a halfspace string's decimal exponent, of the common denominator of
-# (h, c), and of the parts of a printed c or minimum: Python's default int-string limit,
-# which bounds every JSON integer. Fraction("1e-N") builds 10**N, in time superlinear in N.
-MAX_DIGITS = 4300
-_DIGIT_LIMIT = 10**MAX_DIGITS
+# A halfspace string's decimal exponent is at most MAX_DIGITS too: Fraction("1e-N")
+# builds 10**N, in time superlinear in N.
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
@@ -40,12 +37,11 @@ _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 class HalfspaceCert:
     """Certified outer bound <p, h> >= c on every polytope point, or its failure.
 
-    `c` is the bound as given; `min_support_value` is the exact minimum of the
-    pairings over the closure, a Fraction; `equality_set` holds the closure
-    triples whose pairing equals c exactly.
+    `min_support_value` is the exact minimum of the pairings over the
+    closure, a Fraction; `equality_set` holds the closure triples whose
+    pairing equals c exactly.
     """
 
-    c: object
     min_support_value: Fraction
     valid: bool
     vertex_count: int
@@ -60,49 +56,27 @@ def rational(x) -> Fraction:
     return Fraction(x)
 
 
-def _pairings(mask: np.ndarray, h, c) -> tuple[int, np.ndarray, int]:
-    """(D, D times the pairings <(e_i|e_j|e_k), h> at the triples of mask in C
-    order, D * c), with D the common denominator of h and c.
-
-    Every value is read as the exact rational `rational(x)`, floats included,
-    so the pairings are an object array of Python ints. A non-finite value, or
-    a D of more than MAX_DIGITS digits, is a ValueError, and an h whose lengths
-    are not mask.shape a DimensionMismatchError.
-    """
-    try:
-        h, c = tuple(tuple(map(rational, component)) for component in h), rational(c)
-    except OverflowError as exc:  # Fraction(inf); Fraction(nan) is a ValueError
-        raise ValueError(f"halfspace values must be finite: {exc}") from exc
-    if (lengths := tuple(map(len, h))) != mask.shape:
-        raise DimensionMismatchError(f"halfspace lengths {lengths} do not match dims {mask.shape}")
-    scale = 1
-    for x in sum(h, (c,)):  # one step at a time, so that a growing lcm fails early
-        scale = math.lcm(scale, int(x.denominator))
-        if scale >= _DIGIT_LIMIT:
-            raise ValueError(f"the halfspace's common denominator has more than {MAX_DIGITS} digits")
-
-    def scaled(x: Fraction) -> int:
-        return int(x.numerator) * (scale // int(x.denominator))
-
-    h1, h2, h3 = (np.array([scaled(x) for x in component], dtype=object) for component in h)
-    i, j, k = np.nonzero(mask)
-    return scale, h1[i] + h2[j] + h3[k], scaled(c)
-
-
 def outer_halfspace(supp: SupportSet, h, c) -> HalfspaceCert:
     """Check <(e_i|e_j|e_k), h> >= c on the downward closure of supp.
 
-    Exact for every input: h and c are read as rationals, floats included,
-    and put over one common denominator, so every pairing is an int and the
-    minimum is reported as a Fraction. The closure is a mask, paired in C
-    order, and the equality set is built as a mask. An empty support, a
-    non-finite value, or a component of h whose length is not its side of
-    the box, is a ValueError, and so is a c or a minimum whose numerator or
-    denominator has more than MAX_DIGITS digits, which no report could print.
+    The boundary for outside values: h and c are read here as rationals,
+    floats included, and exactlp._pairings puts them over one common
+    denominator, so every pairing is an int and the minimum is reported as a
+    Fraction. The closure is a mask, paired in C order, and the equality set
+    is built as a mask. An empty support, a non-finite value, or a component
+    of h whose length is not its side of the box, is a ValueError, and so is
+    a D, a c or a minimum whose numerator or denominator has more than
+    MAX_DIGITS digits, which no report could print.
     """
     closure = downward_closure(supp).mask
     if not closure.any():
         raise ValueError("outer halfspace check needs a nonempty support; the support is empty")
+    try:
+        h, c = tuple(tuple(map(rational, component)) for component in h), rational(c)
+    except OverflowError as exc:  # Fraction(inf); Fraction(nan) is a ValueError
+        raise ValueError(f"halfspace values must be finite: {exc}") from exc
+    if (lengths := tuple(map(len, h))) != closure.shape:
+        raise DimensionMismatchError(f"halfspace lengths {lengths} do not match dims {closure.shape}")
     scale, values, bound = _pairings(closure, h, c)
     min_value = values.min()
     minimum = Fraction(min_value, scale)
@@ -112,7 +86,6 @@ def outer_halfspace(supp: SupportSet, h, c) -> HalfspaceCert:
     equality = np.zeros_like(closure)
     equality[closure] = values == bound
     return HalfspaceCert(
-        c=c,
         min_support_value=minimum,
         valid=min_value >= bound,
         vertex_count=len(values),
@@ -179,16 +152,6 @@ def _product_witness(supp: SupportSet, target: list[Fraction]) -> bool:
     return bool(supp.mask[index].all())
 
 
-def _hull_contains(supp: SupportSet, target: list[Fraction]) -> bool:
-    """Whether target may lie in the hull of the support vertices (e_i|e_j|e_k).
-
-    True at once on a product witness; otherwise the exact LP answers.
-    """
-    if _product_witness(supp, target):
-        return True
-    return in_convex_hull(vertex_matrix(supp).tolist(), target)
-
-
 def hull_refute(
     t: Tensor3, p: WeylPoint, samples: int = DEFAULT_SAMPLES, seed: int = 0
 ) -> HullRefutation:
@@ -205,11 +168,11 @@ def hull_refute(
     Its hull is then the whole product of simplices, which contains p. So
     each membership is first tried as a product witness, p = sum of
     p1_i p2_j p3_k (e_i|e_j|e_k) over the support, which answers only "in
-    the hull"; the LP runs only when that fails and stays the one source of
-    refutations. `samples` outside 0..MAX_SAMPLES, a negative seed, the
-    zero tensor, whose polytope is empty, a p whose component lengths are
-    not t.dims, or a drawn change too ill-conditioned to apply (see _draw),
-    is a ValueError.
+    the hull"; only when that fails does exactlp.in_convex_hull take the
+    support, and its LP stays the one source of refutations. `samples`
+    outside 0..MAX_SAMPLES, a negative seed, the zero tensor, whose polytope
+    is empty, a p whose component lengths are not t.dims, or a drawn change
+    too ill-conditioned to apply (see _draw), is a ValueError.
     """
     lengths = tuple(map(len, p.components))
     if lengths != t.dims:
@@ -235,6 +198,6 @@ def hull_refute(
             moved = apply(_draw(gen, dims, False, index, seed), ut)
         supp = support(moved)
         sizes.append(len(supp))
-        if not _hull_contains(supp, target):
+        if not (_product_witness(supp, target) or in_convex_hull(supp, target)):
             return HullRefutation("refuted", index, index + 1, u, sizes)
     return HullRefutation("inconclusive", None, samples + 1, u, sizes)

@@ -12,7 +12,6 @@ from typing import Sequence
 
 import numpy as np
 
-from nonfree.exactlp import _pairing
 from nonfree.moment import HermTriple, WeylPoint
 from nonfree.supports import is_free_support
 from nonfree.tensor import GroupTriple, SupportSet, Tensor3, _flattening, _norm, support
@@ -153,10 +152,14 @@ def inner_points(t: Tensor3) -> list[WeylPoint]:
     return [WeylPoint(*components)]
 
 
+def _pairing(y: Sequence[Fraction], v: Sequence[Rational]) -> Fraction:
+    return sum((yi * x for yi, x in zip(y, v) if x), Fraction(0))
+
+
 def linprog_in_convex_hull(vertices: Sequence[Sequence[Rational]], point: Sequence[Rational]) -> bool:
-    """The reference for exactlp.in_convex_hull: its boxed separation LP
-    solved by scipy.optimize.linprog(method="highs"), with the same exact
-    Farkas check."""
+    """The reference for exactlp.in_convex_hull, on a generic vertex list: its
+    boxed separation LP solved by scipy.optimize.linprog(method="highs"), with
+    the Farkas check as a Fraction dot product per vertex."""
     from scipy.optimize import linprog
 
     dim = len(point)

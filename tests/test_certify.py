@@ -17,7 +17,7 @@ from nonfree.certify import (
 from nonfree.construct import build_W, build_family_tensor
 from nonfree.family import family_data
 from nonfree.moment import moment_map
-from nonfree.polytope import _pairings
+from nonfree.exactlp import _pairings
 from nonfree.named import (
     NAMED,
     S2_SQUARES,

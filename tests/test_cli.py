@@ -331,8 +331,8 @@ def test_the_hull_lp_leaves_stdout_to_the_report(tmp_path, capsys, monkeypatch, 
     # In-process, the same report comes from exactly one LP: infeasible, then feasible.
     answers, lp = [], polytope.in_convex_hull
 
-    def recording(vertices, p):
-        answers.append(lp(vertices, p))
+    def recording(supp, p):
+        answers.append(lp(supp, p))
         return answers[-1]
 
     monkeypatch.setattr(polytope, "in_convex_hull", recording)
@@ -738,6 +738,25 @@ def test_refuting_a_point_for_the_zero_tensor_is_input_error(tmp_path, capsys):
     error = json.loads(out)["error"]
     assert code == 2
     assert error["kind"] == "input" and "zero tensor" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "p1, message",
+    [
+        ([0.25, 0.75, 0.0], "component p1 is not non-increasing: (0.25, 0.75, 0.0)"),
+        ([0.5, 0.3, 0.1], "component p1 sums to 0.9, expected 1"),
+        ([1.0, 0.5, -0.5], "component p1 has a negative entry: (1.0, 0.5, -0.5)"),
+        ([10**400, 0, 0], "int too large to convert to float"),
+    ],
+    ids=["increasing", "sum", "negative", "overflow"],
+)
+def test_a_point_the_weyl_chamber_refuses_is_input_error(tmp_path, capsys, p1, message):
+    t_path, p_path = tmp_path / "t.json", tmp_path / "p.json"
+    write_tensor(named_tensor("T2"), t_path)
+    p_path.write_text(json.dumps({"p1": p1, "p2": [1 / 3] * 3, "p3": [1 / 3] * 3}))
+    code, out = run(capsys, "polytope", "--input", str(t_path), "--refute", str(p_path))
+    assert code == 2
+    assert json.loads(out)["error"] == {"kind": "input", "message": f"invalid Weyl point: {message}"}
 
 
 def test_a_halfspace_without_a_bound_is_named(tmp_path, capsys):

@@ -81,9 +81,10 @@ def test_halfspace_vertex_examples_n3():
 
 def test_halfspace_equality_set_is_gamma():
     for n in range(2, 11):
-        report = halfspace_check(family_data(n))
+        data = family_data(n)
+        report = halfspace_check(data)
         assert report.valid
-        assert report.min_support_value == report.c
+        assert report.min_support_value == data.c
         assert report.equality_set == gamma_support(n)
         assert set(report.equality_set) == set(gamma_support(n))
 

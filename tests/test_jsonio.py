@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 from json.encoder import encode_basestring
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -52,6 +53,22 @@ def test_dumps_matches_json_dumps_on_strings_literals_and_numeric_types():
 def test_dumps_refuses_numpy_values(value):
     # Reports hold Python values only; a numpy value that leaks into one is a bug, not data.
     with pytest.raises(TypeError):
+        dumps({"leaked": [value]})
+
+
+class Text(str):
+    pass
+
+
+class Pair(NamedTuple):
+    first: int
+    second: int
+
+
+@pytest.mark.parametrize("value", [Text("key"), Pair(1, 2)], ids=["str-subclass", "namedtuple"])
+def test_dumps_refuses_subclasses_of_the_types_it_encodes(value):
+    # The encoder looks each value's exact type up; a subclass may carry a meaning JSON would lose.
+    with pytest.raises(TypeError, match=f"cannot serialize {type(value).__name__}"):
         dumps({"leaked": [value]})
 
 

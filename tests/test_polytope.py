@@ -19,21 +19,21 @@ from conftest import (
     tensor_on_support,
 )
 from nonfree.construct import build_family_tensor, s0_tensor
-from nonfree.exactlp import in_convex_hull
+from nonfree.exactlp import MAX_DIGITS, in_convex_hull
 from nonfree.family import family_data, gamma_support
 from nonfree.moment import WeylPoint, moment_map, spec_point
 from nonfree.named import mu_diagonals, named_tensor
 from nonfree.polytope import (
-    _hull_contains,
     _product_witness,
     _rational_target,
     hull_refute,
     outer_halfspace,
 )
-from nonfree.supports import downward_closure, vertex_matrix
+from nonfree.supports import downward_closure
 from nonfree.tensor import (
     DimensionMismatchError,
     GroupTriple,
+    SupportSet,
     Tensor3,
     apply,
     from_coefficients,
@@ -41,20 +41,41 @@ from nonfree.tensor import (
 )
 
 
+def _box_point(a, b):
+    """The point (a, 1 - a | b, 1 - b | 1) of a 2 x 2 x 1 box: its first
+    coordinates a and b range over the unit square of the four box triples."""
+    return [F(a), 1 - F(a), F(b), 1 - F(b), F(1)]
+
+
 def test_exact_hull_membership_basics():
-    square = [[F(0), F(0)], [F(1), F(0)], [F(0), F(1)], [F(1), F(1)]]
-    assert in_convex_hull(square, [F(1, 2), F(1, 2)])
-    assert in_convex_hull(square, [F(1), F(1)])
-    assert not in_convex_hull(square, [F(3, 2), F(1, 2)])
-    assert not in_convex_hull(square, [F(1, 2), F(-1, 100)])
+    box = support_set((2, 2, 1), _cells((2, 2, 1)))
+    assert in_convex_hull(box, _box_point(F(1, 2), F(1, 2)))
+    assert in_convex_hull(box, _box_point(1, 1))  # the vertex of the triple (1, 1, 1)
+    assert not in_convex_hull(box, _box_point(F(3, 2), F(1, 2)))
+    assert not in_convex_hull(box, _box_point(F(1, 2), F(-1, 100)))
     with pytest.raises(ValueError):  # no vertices, so no Farkas certificate either way
-        in_convex_hull([], [F(1, 2), F(1, 2)])
+        in_convex_hull(SupportSet(np.zeros((2, 2, 1), dtype=bool)), _box_point(F(1, 2), F(1, 2)))
+    with pytest.raises(ValueError):  # a point of other length than the columns 2 + 2 + 1
+        in_convex_hull(box, _box_point(F(1, 2), F(1, 2))[:4])
 
 
 def test_exact_hull_membership_boundary_point():
-    simplex = [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]]
-    assert in_convex_hull(simplex, [F(1, 2), F(1, 2), F(0)])
-    assert not in_convex_hull(simplex, [F(1, 2), F(1, 2), F(1, 100)])
+    # The segment of the triples (1, 1, 1) and (2, 2, 1) holds the points with a = b.
+    segment = support_set((2, 2, 1), [(1, 1, 1), (2, 2, 1)])
+    assert in_convex_hull(segment, _box_point(F(1, 2), F(1, 2)))
+    assert not in_convex_hull(segment, _box_point(F(1, 2), F(51, 100)))
+    # Weights of the third component sum to 101/100, so no convex combination reaches it.
+    assert not in_convex_hull(segment, _box_point(F(1, 2), F(1, 2))[:4] + [F(101, 100)])
+
+
+def test_a_refutation_is_exact_at_any_denominator_of_the_point():
+    # The point's common denominator has more digits than a halfspace may have; the
+    # Farkas check still compares D * y.p with the pairings over the float y's D.
+    a = F(1, 3) + F(1, 10 ** (MAX_DIGITS + 100) + 1)
+    triangle = support_set((2, 2, 1), [(1, 1, 1), (2, 1, 1), (1, 2, 1)])
+    # The hull is a + b >= 1 in the unit square.
+    assert not in_convex_hull(triangle, _box_point(a, F(1, 2)))
+    assert in_convex_hull(triangle, _box_point(a, 1 - a))  # on its boundary
 
 
 def test_outer_halfspace_family_is_tight():
@@ -99,12 +120,11 @@ def test_outer_halfspace_compares_a_float_h_exactly():
     supp = support_set((2, 2, 2), [(2, 1, 1)])
     h = ((1 / 3, 0.0), (0.0, 0.0), (0.0, 0.0))
     cert = outer_halfspace(supp, h, F(1, 3))
-    assert cert.c == F(1, 3)  # reported as given
     assert cert.min_support_value == 0 and isinstance(cert.min_support_value, F)
     assert not cert.valid and cert.vertex_count == 2
     assert len(cert.equality_set) == 0
     cert = outer_halfspace(supp, h, 1 / 3)
-    assert cert.c == 1 / 3 and not cert.valid
+    assert not cert.valid
     assert cert.equality_set == support_set((2, 2, 2), [(1, 1, 1)])
 
 
@@ -162,7 +182,6 @@ def _check_outer_halfspace_against_a_fraction_reference(gen, kind):
             bounds += [float(c) for c in bounds]
         for c in bounds:
             cert = outer_halfspace(supp, h, c)
-            assert cert.c is c
             assert isinstance(cert.min_support_value, F) and cert.min_support_value == low
             assert cert.valid == (F(c) <= low)
             assert cert.vertex_count == len(pairings)
@@ -270,7 +289,7 @@ def test_float_points_inside_a_full_support_are_never_refuted():
         assert result.outcome == "inconclusive"
         assert result.support_sizes == [27]
         # The product witness answers the refuter above, so ask the LP directly too.
-        assert in_convex_hull(_vertices((3, 3, 3), _cells((3, 3, 3))), _rational_target(p))
+        assert in_convex_hull(support_set((3, 3, 3), _cells((3, 3, 3))), _rational_target(p))
 
 
 def _cells(dims):
@@ -279,7 +298,7 @@ def _cells(dims):
 
 
 def _vertices(dims, cells):
-    """The hull vertices (e_i|e_j|e_k) of the cells, built apart from polytope._hull_contains."""
+    """The hull vertices (e_i|e_j|e_k) of the cells, built apart from supports.vertex_matrix."""
     return [
         [int(a == i) for a in range(1, dims[0] + 1)]
         + [int(b == j) for b in range(1, dims[1] + 1)]
@@ -312,8 +331,7 @@ def test_the_product_witness_agrees_with_the_lp():
     for dims in [(2, 3, 3), (3, 3, 3)] * 60:
         cells, target = _random_case(gen, dims)
         supp = support_set(dims, cells)
-        lp = in_convex_hull(_vertices(dims, cells), target)
-        assert _hull_contains(supp, target) == lp
+        lp = in_convex_hull(supp, target)
         if _product_witness(supp, target):
             fired += 1
             assert lp
@@ -323,7 +341,7 @@ def test_the_product_witness_agrees_with_the_lp():
     dims = (2, 3, 3)
     half = [F(1, 4), F(1, 4)] + [F(1, 3)] * 6
     assert not _product_witness(support_set(dims, _cells(dims)), half)
-    assert not in_convex_hull(_vertices(dims, _cells(dims)), half)
+    assert not in_convex_hull(support_set(dims, _cells(dims)), half)
 
 
 def _latin_square_cases(gen, n):
@@ -331,7 +349,7 @@ def _latin_square_cases(gen, n):
     weights on the square, sorted down and up."""
     row, col, sym = (gen.permutation(n) for _ in range(3))
     cells = [(i + 1, j + 1, int(sym[(row[i] + col[j]) % n]) + 1) for i in range(n) for j in range(n)]
-    vertices = vertex_matrix(downward_closure(support_set((n, n, n), cells))).tolist()
+    closure = list(downward_closure(support_set((n, n, n), cells)))
     weights = [int(w) for w in gen.integers(1, 6, len(cells))]
     total = sum(weights)
     marginals = []
@@ -341,35 +359,38 @@ def _latin_square_cases(gen, n):
             sums[cell[axis] - 1] += w
         marginals.append([F(x, total) for x in sums])
     for reverse in (True, False):
-        yield vertices, [x for m in marginals for x in sorted(m, reverse=reverse)]
+        yield (n, n, n), closure, [x for m in marginals for x in sorted(m, reverse=reverse)]
 
 
 def _oracle_cases():
-    """Seeded (vertices, point) pairs with refuted and feasible answers."""
+    """Seeded (dims, cells, point) cases with refuted and feasible answers."""
     gen = rng(77)
     for n in (3, 4) * 4:
         yield from _latin_square_cases(gen, n)
     for t in (named_tensor("T2"), named_tensor("T5"), s0_tensor(3), s0_tensor(4)):
         uniform = [F(1, n) for n in t.dims for _ in range(n)]
         for supp in (support(t), downward_closure(support(t))):
-            yield vertex_matrix(supp).tolist(), uniform
+            yield t.dims, list(supp), uniform
     for n in (3, 4):
         data = family_data(n)
         supp = support(build_family_tensor(data))
-        yield vertex_matrix(downward_closure(supp)).tolist(), [x for q in data.q for x in q]
+        yield supp.dims, list(downward_closure(supp)), [x for q in data.q for x in q]
     gen = rng(75)
     for dims in [(2, 3, 3), (3, 3, 3)] * 20:
         cells, target = _random_case(gen, dims)
-        yield _vertices(dims, cells), target
+        yield dims, cells, target
     dims = (9, 9, 9)
-    yield _vertices(dims, [c for c in _cells(dims) if c[2] < 9]), [F(1, 9)] * 27
+    yield dims, [c for c in _cells(dims) if c[2] < 9], [F(1, 9)] * 27
 
 
 def test_the_direct_highs_call_agrees_with_linprog():
+    # The support goes to in_convex_hull, the rows of its cells to the vertex-list oracle.
     answers = [
-        (in_convex_hull(vertices, point), linprog_in_convex_hull(vertices, point))
-        for vertices, point in _oracle_cases()
+        (in_convex_hull(support_set(dims, cells), point),
+         linprog_in_convex_hull(_vertices(dims, cells), point))
+        for dims, cells, point in _oracle_cases()
     ]
+    assert len(answers) == 67
     assert [new for new, _ in answers] == [old for _, old in answers]
     assert 20 < sum(new for new, _ in answers) < len(answers) - 20
 
@@ -377,7 +398,7 @@ def test_the_direct_highs_call_agrees_with_linprog():
 def test_full_supports_are_answered_without_an_lp(monkeypatch):
     import nonfree.polytope as polytope
 
-    def no_lp(vertices, point):
+    def no_lp(supp, point):
         raise AssertionError("the product witness should have answered")
 
     monkeypatch.setattr(polytope, "in_convex_hull", no_lp)
@@ -393,9 +414,9 @@ def test_the_uniform_point_on_t2_needs_exactly_one_lp(monkeypatch):
 
     calls = []
 
-    def recording(vertices, point):
-        calls.append(len(vertices))
-        return in_convex_hull(vertices, point)
+    def recording(supp, point):
+        calls.append(len(supp))
+        return in_convex_hull(supp, point)
 
     monkeypatch.setattr(polytope, "in_convex_hull", recording)
     u3 = (1 / 3, 1 / 3, 1 / 3)
@@ -409,8 +430,8 @@ def test_refutation_above_600_vertices_is_exact(monkeypatch):
 
     answers = []
 
-    def recording(vertices, point):
-        answers.append((len(vertices), in_convex_hull(vertices, point)))
+    def recording(supp, point):
+        answers.append((len(supp), in_convex_hull(supp, point)))
         return answers[-1][1]
 
     monkeypatch.setattr(polytope, "in_convex_hull", recording)

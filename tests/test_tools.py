@@ -12,7 +12,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_stdout_hashes_prints_one_digest_per_workload_seed_and_command(tmp_path):
     # Plus the path_free group, once: the named certificates and the family sizes
-    # the benchmark skips.
+    # the benchmark skips; and per seed the refute_samples group: the 38 refute ops
+    # of polytope_refute at --samples 0 and 20.
     result = subprocess.run(
         [sys.executable, "tools/stdout_hashes.py", "--seeds", "0", "--directory", str(tmp_path)],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
@@ -21,7 +22,7 @@ def test_stdout_hashes_prints_one_digest_per_workload_seed_and_command(tmp_path)
     lines = result.stdout.splitlines()
     assert lines
     workloads = set()
-    path_free = {}
+    path_free, refute_samples = {}, {}
     for line in lines:
         workload, seed, command, ops, digest = line.split("\t")
         assert seed == ("no seed" if workload == "path_free" else "seed 0")
@@ -30,5 +31,8 @@ def test_stdout_hashes_prints_one_digest_per_workload_seed_and_command(tmp_path)
         workloads.add(workload)
         if workload == "path_free":
             path_free[command] = ops
-    assert workloads == {*BUILDERS, "path_free"}
+        if workload == "refute_samples":
+            refute_samples[command] = ops
+    assert workloads == {*BUILDERS, "path_free", "refute_samples"}
     assert path_free == {"certify-nonfree": "11 ops", "family": "7 ops"}
+    assert refute_samples == {"polytope": "76 ops"}

@@ -13,6 +13,11 @@ One more group, `path_free`, hashes reports the benchmark does not print:
 every spelling of `certify-nonfree --named`, and `certify-nonfree --family N`
 and `family --n N --verify` at sizes the benchmark skips, n = 2 included. These
 ops read no file and draw nothing, so the group is hashed once, with no seed.
+
+And for each seed, the group `refute_samples` hashes every `polytope --refute`
+op of polytope_refute again at `--samples 0` and at `--samples 20`, where the
+benchmark draws one sample: the sample 0 alone, and refutations that go on
+drawing lower triples.
 """
 
 import argparse
@@ -29,6 +34,15 @@ PATH_FREE_OPS = [("certify-nonfree", "--named", name) for name in ("T2", "T5", "
     for n in ("2", "5", "7", "9", "10", "17", "20")
     for argv in (("certify-nonfree", "--family", n), ("family", "--n", n, "--verify"))
 ]
+
+REFUTE_GROUP = "refute_samples"
+REFUTE_SAMPLES = ("0", "20")
+
+
+def with_samples(argv: tuple[str, ...], samples: str) -> tuple[str, ...]:
+    """argv with the value of its --samples option replaced."""
+    at = argv.index("--samples") + 1
+    return argv[:at] + (samples,) + argv[at + 1 :]
 
 
 def print_digests(cli, label: str, ops: list[tuple[str, ...]]) -> None:
@@ -60,6 +74,10 @@ def main(argv=None) -> int:
         for seed in args.seeds:
             ops = build(workload, os.path.join(args.directory, f"{workload}-{seed}"), seed)
             print_digests(cli, f"{workload}\tseed {seed}", [op.argv for op in ops])
+            if workload == "polytope_refute":
+                refutes = [with_samples(op.argv, samples) for samples in REFUTE_SAMPLES
+                           for op in ops if op.kind == "refute"]
+                print_digests(cli, f"{REFUTE_GROUP}\tseed {seed}", refutes)
     print_digests(cli, f"{PATH_FREE}\tno seed", PATH_FREE_OPS)
     return 0
 
