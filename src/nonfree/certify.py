@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import sqrt
+from math import frexp, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ from .family import family_data, staircase_index
 from .flow import NessCertificate, flow, ness_minimality  # noqa: F401
 from .moment import _frobenius_norm, moment_map
 from .named import NAMED, mu_diagonals, named_tensor, ness_form, scaling_triple
-from .tensor import GroupTriple, Tensor3, _norm, apply
+from .tensor import Tensor3, _norm, apply
 
 DEFAULT_TOL = 1e-10  # Ness residual (and family mu defect) a certificate accepts
 PARALLEL_TOL = 1e-10
@@ -83,30 +83,38 @@ def two_column_obstruction(s: Tensor3) -> ObstructionWitness | None:
     when such a unitary exists.
 
     It exists exactly when the nonzero vectors fall into at most two
-    parallel classes which, if there are two, are orthogonal.
+    parallel classes which, if there are two, are orthogonal. The decisions
+    are made on s times the exact power of two that brings its peak entry
+    into [1/2, 1), so that no product of two entries above the cutoff
+    underflows and they do not depend on the scale of s; the witness
+    vectors are rows of s itself.
     """
-    rows = s.entries[:, :, :2].reshape(-1, 2)
-    cutoff = 1e-12 * max(float(np.abs(s.entries).max()), 1e-300)
-    vectors = [v for v in rows if np.linalg.norm(v) > cutoff]
+    peak = float(np.abs(s.entries).max())
+    scaled = np.ldexp(s.entries.view(np.float64), -frexp(peak)[1]).view(np.complex128)
+    rows = scaled[:, :, :2].reshape(-1, 2)
+    norms = [np.linalg.norm(v) for v in rows]
+    cutoff = 1e-12 * float(np.abs(scaled).max())
+    vectors = [i for i, r in enumerate(norms) if r > cutoff]
 
-    classes: list[list[np.ndarray]] = []
-    for v in vectors:
+    classes: list[list[int]] = []
+    for i in vectors:
         for members in classes:
-            if _parallel(v, members[0]):
-                members.append(v)
+            if _parallel(rows[i], rows[members[0]]):
+                members.append(i)
                 break
         else:
-            classes.append([v])
-    reps = [max(members, key=np.linalg.norm) for members in classes]
+            classes.append([i])
+    reps = [max(members, key=lambda i: norms[i]) for members in classes]
 
     if len(reps) < 2:
         return None
     if len(reps) == 2:
-        a, b = (r / np.linalg.norm(r) for r in reps)
+        a, b = (rows[i] / norms[i] for i in reps)
         if abs(np.vdot(a, b)) <= PARALLEL_TOL:
             return None
     kind = "nonorthogonal-pair" if len(reps) == 2 else "pairwise-nonparallel-triple"
-    return ObstructionWitness(kind, {"vectors": [tuple(map(complex, r)) for r in reps[:3]]})
+    own = s.entries[:, :, :2].reshape(-1, 2)
+    return ObstructionWitness(kind, {"vectors": [tuple(map(complex, own[i])) for i in reps[:3]]})
 
 
 @dataclass(frozen=True)
@@ -192,20 +200,16 @@ def certify_family(n: int, tol: float = DEFAULT_TOL) -> NonFreenessReport:
     )
 
 
-def certify_named(
-    which: str,
-    tol: float = DEFAULT_TOL,
-    group_element: GroupTriple | None = None,
-) -> NonFreenessReport:
+def certify_named(which: str, tol: float = DEFAULT_TOL) -> NonFreenessReport:
     """Certificates for the two named 3x3x3 tensors, T2 and T5.
 
     Each is carried onto its minimum-norm representative S by its basis
-    change g (injectable for negative controls), both generated from its
-    row of named.NAMED; the coefficient stage, s2_coefficients or
-    s5_coefficients, holds g . T to S within VALUE_TOL before the shared
-    stages run on S. A vanishing Ness residual on that GL-orbit point makes
-    its mu the minimum-norm point of the moment polytope (Kempf-Ness), so no
-    flow is needed. The stages read everything they expect from the diagonals
+    change g = scaling_triple(which), both generated from its row of
+    named.NAMED; the coefficient stage, s2_coefficients or s5_coefficients,
+    holds g . T to S within VALUE_TOL before the shared stages run on S. A
+    vanishing Ness residual on that GL-orbit point makes its mu the
+    minimum-norm point of the moment polytope (Kempf-Ness), so no flow is
+    needed. The stages read everything they expect from the diagonals
     of mu(S), derived exactly from the squares of S, as certify_family does from q.
     """
     which = which.upper()
@@ -215,9 +219,8 @@ def certify_named(
         raise ValueError("tol must be nonnegative")
     details: dict = {"tol": tol, "value_tol": VALUE_TOL}
 
-    g = group_element if group_element is not None else scaling_triple(which)
     s = ness_form(which)
-    coeff_defect = _norm(apply(g, named_tensor(which)).entries - s.entries)
+    coeff_defect = _norm(apply(scaling_triple(which), named_tensor(which)).entries - s.entries)
     details[f"s{which[1]}_coefficient_defect"] = coeff_defect
     if coeff_defect > VALUE_TOL:
         return NonFreenessReport(which, False, f"s{which[1]}_coefficients", None, None, None, details)

@@ -31,16 +31,12 @@ from .supports import is_free_support
 from .tensor import MAX_ENTRIES, SUPPORT_TOL, support, tensor_from_doc, tensor_to_doc
 
 
-class InputError(ValueError):
-    """Anything wrong with the files or flags the user handed us."""
-
-
 class _Parser(argparse.ArgumentParser):
-    """Turns usage errors into input errors, so they also answer with a JSON error."""
+    """Turns usage errors into ValueErrors, so they also answer with a JSON error."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise InputError(message)
+        raise ValueError(message)
 
 
 def _load_json(path: str) -> dict:
@@ -48,9 +44,9 @@ def _load_json(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
-        raise InputError(f"malformed JSON in {path}: {exc}") from exc
+        raise ValueError(f"malformed JSON in {path}: {exc}") from exc
 
 
 def _load_tensor(path: str):
@@ -63,29 +59,29 @@ def _parse_number(value, where: str) -> Fraction | float:
         try:
             return rational(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"cannot parse rational {value!r} {where}: {exc}") from exc
+            raise ValueError(f"cannot parse rational {value!r} {where}: {exc}") from exc
     if type(value) is int:  # json.load reads true and false as bools, which are ints
         return Fraction(value)
     if isinstance(value, float):  # json.load also reads NaN, Infinity and -Infinity
         if not math.isfinite(value):
-            raise InputError(f"halfspace values must be finite, got {value} {where}")
+            raise ValueError(f"halfspace values must be finite, got {value} {where}")
         return value
-    raise InputError(f"expected a number or 'p/q' string {where}, got {value!r}")
+    raise ValueError(f"expected a number or 'p/q' string {where}, got {value!r}")
 
 
 def _vectors(doc, keys: tuple[str, str, str], dims) -> list[list]:
     """The fields `keys` of a JSON object: lists with one entry per index of each factor."""
     if not isinstance(doc, dict) or not all(isinstance(doc.get(key), list) for key in keys):
-        raise InputError(f"expected a JSON object with lists {', '.join(keys)}")
+        raise ValueError(f"expected a JSON object with lists {', '.join(keys)}")
     vectors = [doc[key] for key in keys]
     if tuple(map(len, vectors)) != dims:
-        raise InputError(f"lengths of {', '.join(keys)} do not match the tensor dims {dims}")
+        raise ValueError(f"lengths of {', '.join(keys)} do not match the tensor dims {dims}")
     return vectors
 
 
 def _family_size(n: int) -> int:
     if n**3 > MAX_ENTRIES:
-        raise InputError(f"n = {n} needs {n**3} tensor entries, above the limit of {MAX_ENTRIES}")
+        raise ValueError(f"n = {n} needs {n**3} tensor entries, above the limit of {MAX_ENTRIES}")
     return n
 
 
@@ -106,7 +102,7 @@ def _decimate(values: list[float]) -> list[float]:
 def cmd_family(args) -> tuple[dict, int]:
     data = family_data(_family_size(args.n))
     if args.verify and args.n < 3:  # the n = 2 support is free: nothing to verify
-        raise InputError("--verify needs n >= 3")
+        raise ValueError("--verify needs n >= 3")
     doc = {"family_data": family_to_doc(data), "s0": tensor_to_doc(s0_tensor(args.n))}
     if args.n >= 3:
         t = build_family_tensor(data)
@@ -179,7 +175,7 @@ def _report_doc(report: NonFreenessReport) -> dict:
 
 def cmd_certify(args) -> tuple[dict, int]:
     if (args.family is None) == (args.named is None):
-        raise InputError(f"choose exactly one of --family N or --named {'|'.join(NAMED)}")
+        raise ValueError(f"choose exactly one of --family N or --named {'|'.join(NAMED)}")
     if args.family is not None:
         report = certify_family(_family_size(args.family), tol=args.tol)
     else:
@@ -204,7 +200,7 @@ def cmd_reduce_s0(args) -> tuple[dict, int]:
 def cmd_polytope(args) -> tuple[dict, int]:
     t = _load_tensor(args.input)
     if (args.halfspace is None) == (args.refute is None):
-        raise InputError("choose exactly one of --halfspace or --refute")
+        raise ValueError("choose exactly one of --halfspace or --refute")
     if args.halfspace is not None:
         del args.samples, args.seed  # a halfspace check draws nothing
         halfspace_doc = _load_json(args.halfspace)
@@ -214,7 +210,7 @@ def cmd_polytope(args) -> tuple[dict, int]:
             for factor, vec in enumerate(vectors, 1)
         )
         if "c" not in halfspace_doc:
-            raise InputError(f"{args.halfspace} is missing the bound c")
+            raise ValueError(f"{args.halfspace} is missing the bound c")
         c = _parse_number(halfspace_doc["c"], "for c")
         cert = outer_halfspace(support(t), h, c)
         doc = {
@@ -226,11 +222,11 @@ def cmd_polytope(args) -> tuple[dict, int]:
         return {"halfspace": doc}, 0 if cert.valid else 1
     vectors = _vectors(_load_json(args.refute), ("p1", "p2", "p3"), t.dims)
     if not all(type(x) in (int, float) for vec in vectors for x in vec):  # bool is an int subclass
-        raise InputError("invalid Weyl point: values must be JSON numbers, not strings or booleans")
+        raise ValueError("invalid Weyl point: values must be JSON numbers, not strings or booleans")
     try:
         point = WeylPoint(*(tuple(float(x) for x in vec) for vec in vectors))
     except (ValueError, OverflowError) as exc:
-        raise InputError(f"invalid Weyl point: {exc}") from exc
+        raise ValueError(f"invalid Weyl point: {exc}") from exc
     result = hull_refute(t, point, samples=args.samples, seed=args.seed)
     doc = {
         "outcome": result.outcome,
@@ -305,7 +301,7 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv)
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
-                raise InputError(f"--{name.replace('_', '-')} must be finite, got {value}")
+                raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
         body, code = args.func(args)
         # The options as parsed, in flag order; a command may delete those it did not use.
         config = {

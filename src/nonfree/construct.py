@@ -21,13 +21,11 @@ from .tensor import Tensor3
 
 
 def _householder_basis_of_orthogonal_complement(unit: np.ndarray) -> np.ndarray:
-    """Columns: an orthonormal basis of unit^perp, for a real unit vector."""
+    """Columns: an orthonormal basis of unit^perp, for a real unit vector
+    other than the last standard basis vector (build_W's w is positive)."""
     n = unit.shape[0]
     v = unit - np.eye(n)[:, n - 1]
-    vv = float(v @ v)
-    if vv < 1e-30:
-        return np.eye(n)[:, : n - 1]
-    reflector = np.eye(n) - 2.0 * np.outer(v, v) / vv
+    reflector = np.eye(n) - 2.0 * np.outer(v, v) / float(v @ v)
     return reflector[:, : n - 1]
 
 

@@ -21,9 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (
-    _FLATTENING_ORDERS, DimensionMismatchError, Tensor3, _flattening, _freeze, _norm, _normal_range,
-)
+from .tensor import _FLATTENING_ORDERS, Tensor3, _flattening, _freeze, _norm, _normal_range
 
 HERMITICITY_TOL = 1e-12
 WEYL_TOL = 1e-12
@@ -174,7 +172,7 @@ def _action(h, f, dims) -> np.ndarray:
 def infinitesimal_action(x: HermTriple, t: Tensor3) -> Tensor3:
     """Lie-algebra action (A,B,C) * T, the sum of the three one-factor actions."""
     if x.dims != t.dims:
-        raise DimensionMismatchError(f"component dims {x.dims} vs tensor dims {t.dims}")
+        raise ValueError(f"component dims {x.dims} vs tensor dims {t.dims}")
     return Tensor3(_action(x.components, _flattenings(t.entries), t.dims))
 
 

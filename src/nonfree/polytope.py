@@ -23,7 +23,7 @@ import numpy as np
 from .exactlp import _DIGIT_LIMIT, MAX_DIGITS, _pairings, in_convex_hull
 from .moment import WeylPoint
 from .supports import downward_closure
-from .tensor import DimensionMismatchError, GroupTriple, SupportSet, Tensor3, apply, support
+from .tensor import GroupTriple, SupportSet, Tensor3, apply, support
 
 RATIONALIZE_DENOMINATOR = 10**12
 DEFAULT_SAMPLES = 100
@@ -76,7 +76,7 @@ def outer_halfspace(supp: SupportSet, h, c) -> HalfspaceCert:
     except OverflowError as exc:  # Fraction(inf); Fraction(nan) is a ValueError
         raise ValueError(f"halfspace values must be finite: {exc}") from exc
     if (lengths := tuple(map(len, h))) != closure.shape:
-        raise DimensionMismatchError(f"halfspace lengths {lengths} do not match dims {closure.shape}")
+        raise ValueError(f"halfspace lengths {lengths} do not match dims {closure.shape}")
     scale, values, bound = _pairings(closure, h, c)
     min_value = values.min()
     minimum = Fraction(min_value, scale)
@@ -176,7 +176,7 @@ def hull_refute(
     """
     lengths = tuple(map(len, p.components))
     if lengths != t.dims:
-        raise DimensionMismatchError(f"point lengths {lengths} do not match tensor dims {t.dims}")
+        raise ValueError(f"point lengths {lengths} do not match tensor dims {t.dims}")
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     if samples > MAX_SAMPLES:

@@ -21,14 +21,6 @@ INVERTIBILITY_TOL = 1e-12  # smallest/largest singular value ratio
 MAX_ENTRIES = 2**20  # largest tensor a JSON document may declare
 
 
-class DimensionMismatchError(ValueError):
-    """Shapes of the operands do not line up."""
-
-
-class TensorFormatError(ValueError):
-    """Malformed JSON tensor document."""
-
-
 def _freeze(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -55,11 +47,6 @@ class Tensor3:
     def dims(self) -> Triple:
         return self.entries.shape  # type: ignore[return-value]
 
-    def __getitem__(self, ijk: Triple) -> complex:
-        """Entry at a 1-based index triple."""
-        i, j, k = ijk
-        return complex(self.entries[i - 1, j - 1, k - 1])
-
 
 def from_coefficients(dims: Triple, coeffs: dict[Triple, complex]) -> Tensor3:
     """Build a tensor from {(i, j, k): value} with 1-based triples."""
@@ -82,13 +69,10 @@ class GroupTriple:
             m = np.ascontiguousarray(getattr(self, name), dtype=np.complex128)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"factor {name} must be a square matrix")
-            self._check(name, m)
+            s = np.linalg.svd(m, compute_uv=False)
+            if s[-1] <= INVERTIBILITY_TOL * s[0]:
+                raise ValueError(f"factor {name} is numerically singular")
             object.__setattr__(self, name, _freeze(m))
-
-    def _check(self, name: str, m: np.ndarray):
-        s = np.linalg.svd(m, compute_uv=False)
-        if s[-1] <= INVERTIBILITY_TOL * s[0]:
-            raise ValueError(f"factor {name} is numerically singular")
 
     @property
     def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -99,7 +83,7 @@ def apply(g: GroupTriple, t: Tensor3) -> Tensor3:
     """Trilinear basis change (A, B, C) . T = (A x B x C) T."""
     n1, n2, n3 = t.dims
     if g.a.shape[0] != n1 or g.b.shape[0] != n2 or g.c.shape[0] != n3:
-        raise DimensionMismatchError(
+        raise ValueError(
             f"group factor sizes {(g.a.shape[0], g.b.shape[0], g.c.shape[0])} "
             f"do not match tensor dims {t.dims}"
         )
@@ -143,10 +127,6 @@ class SupportSet:
     @property
     def dims(self) -> Triple:
         return self.mask.shape  # type: ignore[return-value]
-
-    def __contains__(self, triple: Triple) -> bool:
-        index = tuple(x - 1 for x in triple)
-        return all(0 <= x < n for x, n in zip(index, self.dims)) and bool(self.mask[index])
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.mask))
@@ -209,16 +189,16 @@ def tensor_to_doc(t: Tensor3) -> dict:
 def tensor_from_doc(doc: dict) -> Tensor3:
     if not (isinstance(doc, dict) and isinstance(doc.get("dims"), list)
             and isinstance(doc.get("entries", []), list)):
-        raise TensorFormatError("a tensor document is a JSON object with 'dims' and 'entries' lists")
+        raise ValueError("a tensor document is a JSON object with 'dims' and 'entries' lists")
     # Types are compared exactly: json.load reads true and false as bools, an int subclass.
     dims = tuple(doc["dims"])
     if not all(type(n) is int for n in dims):
-        raise TensorFormatError(f"bad dims {doc['dims']!r}: each must be a JSON integer "
-                                "(true and false are not numbers)")
+        raise ValueError(f"bad dims {doc['dims']!r}: each must be a JSON integer "
+                         "(true and false are not numbers)")
     if len(dims) != 3 or any(n < 1 for n in dims):
-        raise TensorFormatError(f"dims must be three positive integers, got {dims}")
+        raise ValueError(f"dims must be three positive integers, got {dims}")
     if dims[0] * dims[1] * dims[2] > MAX_ENTRIES:
-        raise TensorFormatError(f"dims {dims} exceed the limit of {MAX_ENTRIES} entries")
+        raise ValueError(f"dims {dims} exceed the limit of {MAX_ENTRIES} entries")
     arr = np.zeros(dims, dtype=np.complex128)
     seen = set()
     for entry in doc.get("entries", []):
@@ -231,11 +211,11 @@ def tensor_from_doc(doc: dict) -> Tensor3:
                                 "(true and false are not numbers)")
             value = float(re) + 1j * float(im)
         except (KeyError, TypeError, OverflowError) as exc:
-            raise TensorFormatError(f"bad entry {entry!r}: {exc}") from exc
+            raise ValueError(f"bad entry {entry!r}: {exc}") from exc
         if not (1 <= i <= dims[0] and 1 <= j <= dims[1] and 1 <= k <= dims[2]):
-            raise TensorFormatError(f"index ({i},{j},{k}) outside dims {dims}")
+            raise ValueError(f"index ({i},{j},{k}) outside dims {dims}")
         if (i, j, k) in seen:
-            raise TensorFormatError(f"duplicate entry at ({i},{j},{k})")
+            raise ValueError(f"duplicate entry at ({i},{j},{k})")
         seen.add((i, j, k))
         arr[i - 1, j - 1, k - 1] = value
     return Tensor3(arr)

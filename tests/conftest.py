@@ -23,10 +23,12 @@ RANK_CUTOFF = 1e-8  # relative singular-value cutoff for numerical ranks
 class UnitaryTriple(GroupTriple):
     """GroupTriple whose factors are unitary within UNITARITY_TOL."""
 
-    def _check(self, name: str, m: np.ndarray):
-        defect = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))
-        if defect > UNITARITY_TOL:
-            raise ValueError(f"factor {name} is not unitary (defect {defect:.3e})")
+    def __post_init__(self):
+        super().__post_init__()
+        for name, m in zip("abc", self.factors):
+            defect = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))
+            if defect > UNITARITY_TOL:
+                raise ValueError(f"factor {name} is not unitary (defect {defect:.3e})")
 
 
 def support_set(dims, triples) -> SupportSet:

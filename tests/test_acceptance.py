@@ -140,14 +140,16 @@ def test_criterion_4_w_construction():
     )
 
 
-def test_criterion_5_certificates():
+def test_criterion_5_certificates(monkeypatch):
     ok = all(certify_family(n).verdict for n in range(3, 13))
     ok &= certify_named("T2").verdict
     ok &= certify_named("T5").verdict
     g = scaling_triple("T2")
     g3 = np.array(g.c)
     g3[1, 0] = -g3[1, 0]
-    corrupted = certify_named("T2", group_element=GroupTriple(np.array(g.a), np.array(g.b), g3))
+    wrong = GroupTriple(np.array(g.a), np.array(g.b), g3)
+    monkeypatch.setattr("nonfree.certify.scaling_triple", lambda which: wrong)
+    corrupted = certify_named("T2")
     ok &= not corrupted.verdict
     report("criterion 5: certificates", ok, f"negative control stage {corrupted.failed_stage}")
 

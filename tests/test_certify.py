@@ -179,6 +179,29 @@ def test_obstruction_on_s2_does_not_depend_on_scale(scale):
     assert witness.kind == "pairwise-nonparallel-triple"
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-165, 1e-300, 1e-310, 1e-318])
+@pytest.mark.parametrize("which", ["T2", "T5"])
+def test_obstruction_of_a_named_form_does_not_depend_on_its_scale(which, scale):
+    # Below about 1e-154 the parallel test's determinant and bound both underflow
+    # to 0; the witness is the rows of the scaled tensor at the unscaled positions.
+    rows = [tuple(map(complex, v)) for v in ness_form(which).entries[:, :, :2].reshape(-1, 2)]
+    positions = [rows.index(v) for v in two_column_obstruction(ness_form(which)).data["vectors"]]
+    s = Tensor3(scale * ness_form(which).entries)
+    witness = two_column_obstruction(s)
+    assert witness.kind == "pairwise-nonparallel-triple"
+    scaled_rows = [tuple(map(complex, v)) for v in s.entries[:, :, :2].reshape(-1, 2)]
+    assert witness.data["vectors"] == [scaled_rows[p] for p in positions]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-152, 1e-160])
+def test_obstruction_separates_rows_near_the_cutoff_at_every_scale(scale):
+    # Rows about 1e-12 times the peak: at 1e-150 their products underflow, though |S|^2 does not.
+    t = from_coefficients((2, 2, 2), {(1, 1, 1): 1.0, (1, 2, 1): 2e-12, (1, 2, 2): 1e-12,
+                                      (2, 1, 1): 1e-12, (2, 1, 2): 1e-12})
+    witness = two_column_obstruction(Tensor3(scale * t.entries))
+    assert witness.kind == "pairwise-nonparallel-triple"
+
+
 def test_obstruction_verdict_stable_under_local_permutations_and_phases():
     gen = rng(60)
     s2 = ness_form("T2")
@@ -252,15 +275,17 @@ def test_certify_named_rejects_unknown_name():
         certify_named("T7")
 
 
-def _corrupted(which):
+def _corrupted(monkeypatch, which):
     g = scaling_triple(which)
     g3 = np.array(g.c)
     g3[1, 0] = -g3[1, 0]  # one sign flipped
-    return certify_named(which, group_element=GroupTriple(np.array(g.a), np.array(g.b), g3))
+    wrong = GroupTriple(np.array(g.a), np.array(g.b), g3)
+    monkeypatch.setattr(certify, "scaling_triple", lambda name: wrong)
+    return certify_named(which)
 
 
-def test_corrupted_group_element_fails_certification():
-    report = _corrupted("T2")
+def test_corrupted_group_element_fails_certification(monkeypatch):
+    report = _corrupted(monkeypatch, "T2")
     assert not report.verdict
     assert report.failed_stage == "s2_coefficients"
 
@@ -315,8 +340,8 @@ T5_KEYS = NAMED_KEYS[:2] + ["s5_coefficient_defect"] + NAMED_KEYS[2:]
         (lambda mp: certify_family(3, tol=1e-20), "moment_map", FAMILY_KEYS[:3], ""),
         (_t2_with_swapped_diagonal, "moment_map", T2_KEYS[:4], ""),
         (lambda mp: certify_named("T2", tol=1e-20), "ness", T2_KEYS, "n"),
-        (lambda mp: _corrupted("T2"), "s2_coefficients", T2_KEYS[:3], ""),
-        (lambda mp: _corrupted("T5"), "s5_coefficients", T5_KEYS[:3], ""),
+        (lambda mp: _corrupted(mp, "T2"), "s2_coefficients", T2_KEYS[:3], ""),
+        (lambda mp: _corrupted(mp, "T5"), "s5_coefficients", T5_KEYS[:3], ""),
         (_family_with_other_block_pattern, "stabilizer_blocks", FAMILY_KEYS + ["blocks"], "nb"),
         (_t2_with_free_decision, "obstruction", T2_KEYS + ["blocks"], "nb"),
         (_family_with_small_offdiagonal, "obstruction",

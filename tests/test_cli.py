@@ -418,6 +418,17 @@ def test_duplicate_entry_is_input_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", [{"re": float("nan")}, {"im": float("-inf")}], ids=["nan", "minus-infinity"])
+def test_a_non_finite_tensor_entry_is_input_error(tmp_path, capsys, value):
+    # json.dumps writes NaN and -Infinity, and json.load reads them back as floats.
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"dims": [2, 2, 2], "entries": [{"i": 1, "j": 1, "k": 1, **value}]}))
+    assert "NaN" in path.read_text() or "-Infinity" in path.read_text()
+    code, out = run(capsys, "moment-map", "--input", str(path))
+    assert code == 2
+    assert json.loads(out) == {"error": {"kind": "input", "message": "tensor entries must be finite"}}
+
+
 @pytest.mark.parametrize(
     "argv",
     [

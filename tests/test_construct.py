@@ -137,9 +137,9 @@ def test_family_tensor_entry_placement():
         W = build_W(data)
         for i in range(1, n + 1):
             for k in range(1, n):
-                assert t[n + 1 - i, i, k] == W[i - 1, k - 1]
+                assert t.entries[n - i, i - 1, k - 1] == W[i - 1, k - 1]
         for i in range(1, n):
-            assert t[n - i, i, n] == sqrt(float(data.b[i - 1]))
+            assert t.entries[n - i - 1, i - 1, n - 1] == sqrt(float(data.b[i - 1]))
 
 
 def test_family_tensor_moment_map_equals_q():
@@ -169,7 +169,7 @@ def test_s0_n3_matches_displayed_slices():
     t = s0_tensor(3)
     expected = {(1, 3, 1), (1, 3, 2), (1, 2, 3), (2, 2, 2), (2, 1, 3), (3, 1, 1)}
     assert set(support(t, 0.0)) == expected
-    assert all(t[i, j, k] == 1.0 for (i, j, k) in expected)
+    assert all(t.entries[i - 1, j - 1, k - 1] == 1.0 for (i, j, k) in expected)
 
 
 def test_s0_n4_matches_displayed_slices():
@@ -180,7 +180,7 @@ def test_s0_n4_matches_displayed_slices():
         (1, 3, 4), (2, 2, 4), (3, 1, 4),
     }
     assert set(support(t, 0.0)) == expected
-    assert all(t[i, j, k] == 1.0 for (i, j, k) in expected)
+    assert all(t.entries[i - 1, j - 1, k - 1] == 1.0 for (i, j, k) in expected)
 
 
 def test_s0_support_size_and_containment():

@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-public name a module defines is used by the package."""
+"""Every name a library module imports is used in that module, every
+public name a module defines is used by the package, and every ValueError
+subclass the package defines is named in one of its except clauses."""
 
 from __future__ import annotations
 
@@ -79,3 +80,35 @@ def test_the_package_uses_every_public_name_it_defines():
         p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py") if p.stem != "__init__"
     }
     assert unreached(sources) == []
+
+
+def uncaught_value_errors(sources: dict[str, str]) -> list[str]:
+    """The ValueError subclasses, direct or not, that the modules define and
+    no except clause of theirs names: a ValueError alone already gives exit 2."""
+    bases, caught = {}, set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {b.id for b in node.bases if isinstance(b, ast.Name)}
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught.update(t.id for t in types if isinstance(t, ast.Name))
+    subclasses, grown = set(), {"ValueError"}
+    while grown:
+        grown = {name for name, parents in bases.items() if parents & grown} - subclasses
+        subclasses |= grown
+    return sorted(subclasses - caught)
+
+
+def test_the_check_sees_an_uncaught_value_error_subclass():
+    sources = {
+        "tensor": "class FormatError(ValueError):\n    pass\nclass DimsError(FormatError):\n    pass\n"
+                  "class Mismatch(KeyError):\n    pass\n",
+        "cli": "class Stop(ValueError):\n    pass\ntry:\n    run()\nexcept (Stop, Mismatch):\n    pass\n",
+    }
+    assert uncaught_value_errors(sources) == ["DimsError", "FormatError"]
+
+
+def test_every_value_error_subclass_is_caught_somewhere():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert uncaught_value_errors(sources) == []

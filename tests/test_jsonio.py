@@ -72,6 +72,11 @@ def test_dumps_refuses_subclasses_of_the_types_it_encodes(value):
         dumps({"leaked": [value]})
 
 
+def test_dumps_refuses_a_key_that_is_not_a_string():
+    with pytest.raises(TypeError, match="^JSON object keys must be strings, got 1$"):
+        dumps({1: "one"})
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("wrap", [lambda v: v, lambda v: [v], lambda v: {"re": v}], ids=["bare", "list", "dict"])
 def test_dumps_refuses_non_finite_floats(value, wrap):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -306,6 +307,17 @@ def test_spec_point_of_mu_s5():
 def test_herm_triple_rejects_non_hermitian():
     with pytest.raises(ValueError):
         HermTriple(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2), np.eye(2))
+
+
+def test_herm_triple_rejects_a_non_square_component():
+    with pytest.raises(ValueError, match="^component h2 must be a square matrix$"):
+        HermTriple(np.eye(2), np.ones((2, 3)), np.eye(2))
+
+
+def test_infinitesimal_action_rejects_components_of_other_dims():
+    message = "component dims (2, 2, 2) vs tensor dims (3, 3, 3)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        infinitesimal_action(HermTriple(np.eye(2), np.eye(2), np.eye(2)), Tensor3(np.ones((3, 3, 3))))
 
 
 def test_herm_triple_rejects_non_finite_components():

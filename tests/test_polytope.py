@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction as F
 from math import sqrt
 
@@ -31,7 +32,6 @@ from nonfree.polytope import (
 )
 from nonfree.supports import downward_closure
 from nonfree.tensor import (
-    DimensionMismatchError,
     GroupTriple,
     SupportSet,
     Tensor3,
@@ -131,7 +131,8 @@ def test_outer_halfspace_compares_a_float_h_exactly():
 @pytest.mark.parametrize("lengths", [(2, 3, 2), (2, 1, 2), (2, 2)], ids=["long", "short", "two"])
 def test_outer_halfspace_rejects_h_of_other_lengths(lengths):
     h = tuple((0,) * n for n in lengths)
-    with pytest.raises(DimensionMismatchError):
+    message = f"halfspace lengths {lengths} do not match dims (2, 2, 2)"
+    with pytest.raises(ValueError, match=re.escape(message)):
         outer_halfspace(support_set((2, 2, 2), [(1, 1, 1)]), h, 0)
 
 
@@ -261,7 +262,8 @@ def test_hull_refute_rejects_a_point_of_other_lengths():
     # Uniform components of lengths (3, 2, 4) on a 2 x 3 x 4 tensor came back refuted.
     t = random_tensor(rng(3), (2, 3, 4))
     assert hull_refute(t, WeylPoint(*([1 / n] * n for n in (2, 3, 4))), samples=2).outcome != "refuted"
-    with pytest.raises(DimensionMismatchError):
+    message = "point lengths (3, 2, 4) do not match tensor dims (2, 3, 4)"
+    with pytest.raises(ValueError, match=re.escape(message)):
         hull_refute(t, WeylPoint(*([1 / n] * n for n in (3, 2, 4))), samples=2)
 
 

@@ -1,19 +1,22 @@
 from __future__ import annotations
 
+import json
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+from nonfree.cli import main
 from perfbench.workloads import BUILDERS
+from tools.stdout_hashes import input_error_ops
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_stdout_hashes_prints_one_digest_per_workload_seed_and_command(tmp_path):
-    # Plus the path_free group, once: the named certificates and the family sizes
-    # the benchmark skips; and per seed the refute_samples group: the 38 refute ops
-    # of polytope_refute at --samples 0 and 20.
+    # Plus, once each, the path_free group, the named certificates and the family
+    # sizes the benchmark skips, and the input_errors group; and per seed the
+    # refute_samples group: the 38 refute ops of polytope_refute at --samples 0 and 20.
     result = subprocess.run(
         [sys.executable, "tools/stdout_hashes.py", "--seeds", "0", "--directory", str(tmp_path)],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
@@ -22,10 +25,10 @@ def test_stdout_hashes_prints_one_digest_per_workload_seed_and_command(tmp_path)
     lines = result.stdout.splitlines()
     assert lines
     workloads = set()
-    path_free, refute_samples = {}, {}
+    path_free, refute_samples, input_errors = {}, {}, {}
     for line in lines:
         workload, seed, command, ops, digest = line.split("\t")
-        assert seed == ("no seed" if workload == "path_free" else "seed 0")
+        assert seed == ("no seed" if workload in ("path_free", "input_errors") else "seed 0")
         assert re.fullmatch(r"\d+ ops", ops)
         assert re.fullmatch(r"[0-9a-f]{64}", digest)
         workloads.add(workload)
@@ -33,6 +36,19 @@ def test_stdout_hashes_prints_one_digest_per_workload_seed_and_command(tmp_path)
             path_free[command] = ops
         if workload == "refute_samples":
             refute_samples[command] = ops
-    assert workloads == {*BUILDERS, "path_free", "refute_samples"}
+        if workload == "input_errors":
+            input_errors[command] = ops
+    assert workloads == {*BUILDERS, "path_free", "refute_samples", "input_errors"}
     assert path_free == {"certify-nonfree": "11 ops", "family": "7 ops"}
     assert refute_samples == {"polytope": "76 ops"}
+    assert input_errors == {
+        "moment-map": "6 ops", "polytope": "4 ops", "flow": "1 ops",
+        "certify-nonfree": "3 ops", "family": "1 ops", "reduce-s0": "1 ops",
+    }
+
+
+def test_every_input_errors_op_answers_with_a_json_input_error(tmp_path, capsys):
+    for argv in input_error_ops(str(tmp_path)):
+        code = main(list(argv))
+        assert code == 2, argv
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == "input", argv

@@ -14,6 +14,11 @@ every spelling of `certify-nonfree --named`, and `certify-nonfree --family N`
 and `family --n N --verify` at sizes the benchmark skips, n = 2 included. These
 ops read no file and draw nothing, so the group is hashed once, with no seed.
 
+Another, `input_errors`, hashes error documents: one op or more per family of
+input errors (bad tensor documents, bad halfspace and refutation documents,
+bad flags, sizes and paths), with the files they read written into
+DIR/input_errors. It is hashed once, with no seed.
+
 And for each seed, the group `refute_samples` hashes every `polytope --refute`
 op of polytope_refute again at `--samples 0` and at `--samples 20`, where the
 benchmark draws one sample: the sample 0 alone, and refutations that go on
@@ -24,6 +29,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -34,6 +40,46 @@ PATH_FREE_OPS = [("certify-nonfree", "--named", name) for name in ("T2", "T5", "
     for n in ("2", "5", "7", "9", "10", "17", "20")
     for argv in (("certify-nonfree", "--family", n), ("family", "--n", n, "--verify"))
 ]
+
+INPUT_ERRORS = "input_errors"
+_ENTRY = {"i": 1, "j": 1, "k": 1, "re": 1.0}
+INPUT_ERROR_FILES = {
+    "tensor.json": {"dims": [2, 2, 2], "entries": [_ENTRY, {"i": 2, "j": 2, "k": 2, "re": 1.0}]},
+    "nan.json": {"dims": [2, 2, 2], "entries": [{**_ENTRY, "re": float("nan")}]},
+    "duplicate.json": {"dims": [2, 2, 2], "entries": [_ENTRY, _ENTRY]},
+    "outside.json": {"dims": [2, 2, 2], "entries": [{**_ENTRY, "i": 3}]},
+    "bool_dims.json": {"dims": [True, 2, 2], "entries": []},
+    "non_cubic.json": {"dims": [2, 2, 3], "entries": [_ENTRY]},
+    "one_over_zero.json": {"h1": ["1/0", 0], "h2": [0, 0], "h3": [0, 0], "c": 0},
+    "no_c.json": {"h1": [0, 0], "h2": [0, 0], "h3": [0, 0]},
+    "short_h.json": {"h1": [0], "h2": [0, 0], "h3": [0, 0], "c": 0},
+    "increasing.json": {"p1": [0.25, 0.75], "p2": [0.5, 0.5], "p3": [0.5, 0.5]},
+}
+
+
+def input_error_ops(directory: str) -> list[tuple[str, ...]]:
+    """Ops that each answer with a JSON error and exit 2; their files are written into directory."""
+    os.makedirs(directory, exist_ok=True)
+    for name, doc in INPUT_ERROR_FILES.items():
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+    path = {name: os.path.join(directory, name) for name in [*INPUT_ERROR_FILES, "missing.json"]}
+    tensor = path["tensor.json"]
+    return [
+        *(("moment-map", "--input", path[name])
+          for name in ("nan.json", "duplicate.json", "outside.json", "bool_dims.json", "missing.json")),
+        ("moment-map", "--input", tensor, "--bogus"),
+        *(("polytope", "--input", tensor, "--halfspace", path[name])
+          for name in ("one_over_zero.json", "no_c.json", "short_h.json")),
+        ("polytope", "--input", tensor, "--refute", path["increasing.json"]),
+        ("flow", "--input", tensor, "--step", "0"),
+        ("certify-nonfree", "--family", "2"),
+        ("certify-nonfree", "--family", "102"),
+        ("certify-nonfree",),
+        ("family", "--n", "2", "--verify"),
+        ("reduce-s0", "--input", path["non_cubic.json"]),
+    ]
+
 
 REFUTE_GROUP = "refute_samples"
 REFUTE_SAMPLES = ("0", "20")
@@ -79,6 +125,8 @@ def main(argv=None) -> int:
                            for op in ops if op.kind == "refute"]
                 print_digests(cli, f"{REFUTE_GROUP}\tseed {seed}", refutes)
     print_digests(cli, f"{PATH_FREE}\tno seed", PATH_FREE_OPS)
+    ops = input_error_ops(os.path.join(args.directory, INPUT_ERRORS))
+    print_digests(cli, f"{INPUT_ERRORS}\tno seed", ops)
     return 0
 
 
