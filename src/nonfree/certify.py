@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import frexp, sqrt
+from math import sqrt
 from typing import Sequence
 
 import numpy as np
@@ -23,9 +23,9 @@ from .construct import build_family_tensor
 from .family import family_data, staircase_index
 # flow is unused here but stays bound: perfbench's tracer test reads certify.flow.
 from .flow import NessCertificate, flow, ness_minimality  # noqa: F401
-from .moment import _frobenius_norm, moment_map
+from .moment import HermTriple, _frobenius_norm
 from .named import NAMED, mu_diagonals, named_tensor, ness_form, scaling_triple
-from .tensor import Tensor3, _norm, apply
+from .tensor import Tensor3, _norm, _unit_peak, apply
 
 DEFAULT_TOL = 1e-10  # Ness residual (and family mu defect) a certificate accepts
 PARALLEL_TOL = 1e-10
@@ -89,8 +89,7 @@ def two_column_obstruction(s: Tensor3) -> ObstructionWitness | None:
     underflows and they do not depend on the scale of s; the witness
     vectors are rows of s itself.
     """
-    peak = float(np.abs(s.entries).max())
-    scaled = np.ldexp(s.entries.view(np.float64), -frexp(peak)[1]).view(np.complex128)
+    scaled, _ = _unit_peak(s.entries)
     rows = scaled[:, :, :2].reshape(-1, 2)
     norms = [np.linalg.norm(v) for v in rows]
     cutoff = 1e-12 * float(np.abs(scaled).max())
@@ -128,10 +127,10 @@ class NonFreenessReport:
     details: dict = field(default_factory=dict)
 
 
-def mu_defect(t: Tensor3, diagonals) -> float:
-    """Frobenius distance of mu(t) from the diagonal triple diag(diagonals)."""
+def mu_defect(mu: HermTriple, diagonals) -> float:
+    """Frobenius distance of the moment map mu from the diagonal triple diag(diagonals)."""
     expected = [np.diag([float(x) for x in d]) for d in diagonals]
-    return _frobenius_norm([c - e for c, e in zip(moment_map(t).components, expected)])
+    return _frobenius_norm([c - e for c, e in zip(mu.components, expected)])
 
 
 def _certify(
@@ -157,11 +156,13 @@ def _certify(
     def report(stage: str | None) -> NonFreenessReport:
         return NonFreenessReport(input_id, stage is None, stage, ness, blocks, witness, details)
 
-    details["mu_defect"] = defect = mu_defect(s, diagonals)
+    # The Ness test's mu(s) is the one moment map; ness joins the report at its own stage.
+    test = ness_minimality(s)
+    details["mu_defect"] = defect = mu_defect(test.mu, diagonals)
     if defect > value_tol:
         return report("moment_map")
 
-    ness = ness_minimality(s)
+    ness = test
     lam = float(sum(x * x for d in diagonals for x in d))
     details["lambda"] = ness.lam
     details["lambda_expected"] = lam
@@ -183,7 +184,7 @@ def certify_family(n: int, tol: float = DEFAULT_TOL) -> NonFreenessReport:
     """Full certificate for the staircase family member of size n >= 3."""
     if n < 3:
         raise ValueError("certify_family requires n >= 3 (the n = 2 support is free)")
-    if tol < 0:
+    if not tol >= 0:  # negated so that a NaN is refused too
         raise ValueError("tol must be nonnegative")
     data = family_data(n)
     t = build_family_tensor(data)
@@ -215,7 +216,7 @@ def certify_named(which: str, tol: float = DEFAULT_TOL) -> NonFreenessReport:
     which = which.upper()
     if which not in NAMED:
         raise ValueError(f"unknown named tensor {which!r}")
-    if tol < 0:
+    if not tol >= 0:  # negated so that a NaN is refused too
         raise ValueError("tol must be nonnegative")
     details: dict = {"tol": tol, "value_tol": VALUE_TOL}
 

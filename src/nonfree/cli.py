@@ -114,7 +114,7 @@ def cmd_family(args) -> tuple[dict, int]:
             doc["verification"] = {
                 "gram_defect_wsw": left,
                 "gram_defect_wws": right,
-                "mu_defect": mu_defect(t, data.q),
+                "mu_defect": mu_defect(ness.mu, data.q),
                 "ness_lambda": ness.lam,
                 "ness_residual": ness.residual,
                 "halfspace_valid": half.valid,

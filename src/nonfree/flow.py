@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moment import (
-    _action, _adjoints, _flattenings, _frobenius_norm, _grams, _products, _squared_norm,
-    infinitesimal_action, moment_map,
+    HermTriple, _action, _adjoints, _flattenings, _frobenius_norm, _grams, _products,
+    _squared_norm, infinitesimal_action, moment_map,
 )
 from .tensor import Tensor3, _apply_array, _norm, _normal_range
 
@@ -45,7 +45,7 @@ MAX_STEP = 1024.0
 
 @dataclass(frozen=True)
 class NessCertificate:
-    """Fixed-point data: lambda and the scaled gradient residual.
+    """Fixed-point data: lambda, the scaled gradient residual and the mu(T) they rest on.
 
     A residual below tolerance certifies exp(t mu(T)) . T = e^{lambda t} T,
     hence that |mu(T)| is minimal over the moment polytope of T.
@@ -53,6 +53,7 @@ class NessCertificate:
 
     lam: float
     residual: float
+    mu: HermTriple
 
 
 @dataclass(frozen=True)
@@ -72,14 +73,16 @@ def _lam_residual(arr: np.ndarray, action: np.ndarray, nrm: float) -> tuple[floa
 
 
 def ness_minimality(t: Tensor3) -> NessCertificate:
-    """lambda and the residual at t, scaled first by a power of two if |t|^2 underflows."""
+    """lambda, the residual and mu at t, scaled first by a power of two if
+    |t|^2 underflows; mu has the bits moment_map(t) gives."""
     arr, nrm, k = _normal_range(t.entries)
     if nrm == 0.0:
         raise ValueError("ness_minimality requires a nonzero tensor")
     if k:
         t = Tensor3(arr)
-    action = infinitesimal_action(moment_map(t), t).entries
-    return NessCertificate(*_lam_residual(arr, action, nrm))
+    mu = moment_map(t)
+    action = infinitesimal_action(mu, t).entries
+    return NessCertificate(*_lam_residual(arr, action, nrm), mu)
 
 
 def _evaluate(x: np.ndarray):
@@ -197,10 +200,10 @@ def flow(
     the finite nonzero tensors, dt is halved. A step accepted at once
     multiplies dt by 8, up to MAX_STEP. If MAX_HALVINGS halvings find no
     acceptable step, the flow stops unconverged at the last accepted point.
-    A step_size that is not positive, or a negative residual_tol or
-    max_steps, is a ValueError.
+    A step_size that is not positive, or a residual_tol or max_steps that is
+    negative or NaN, is a ValueError.
     """
-    if not step_size > 0 or residual_tol < 0 or max_steps < 0:
+    if not (step_size > 0 and residual_tol >= 0 and max_steps >= 0):
         raise ValueError("flow needs step_size > 0, residual_tol >= 0 and max_steps >= 0")
     arr, nrm, _ = _normal_range(t.entries)
     if nrm == 0.0:

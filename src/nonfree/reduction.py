@@ -68,7 +68,7 @@ def reduce_to_s0(s: Tensor3, tol: float = DEFAULT_TOL) -> ReductionResult:
     A tensor so small that |s|^2 underflows is first scaled by an exact power
     of two 2**k, which g then carries, spread over its three factors.
     """
-    if tol < 0:
+    if not tol >= 0:  # negated so that a NaN is refused too
         raise ValueError("tol must be nonnegative")
     n = s.dims[0]
     entries, _, k = _normal_range(s.entries)
@@ -103,7 +103,7 @@ def reduce_to_s0(s: Tensor3, tol: float = DEFAULT_TOL) -> ReductionResult:
     powers = [k // 3 + (i < k % 3) for i in range(3)]
     try:
         g = GroupTriple(*(np.diag(d) @ f * 2.0**m for d, f, m in zip(torus, straighten, powers)))
-    except ValueError as exc:  # a factor's condition number is above 1/INVERTIBILITY_TOL
+    except ValueError as exc:  # a factor not finite, or of condition above 1/INVERTIBILITY_TOL
         raise ReductionError(f"the reducing element is ill-conditioned: {exc}") from exc
     log.append("diagonal log-space normalization sets every entry to one")
 

@@ -69,6 +69,8 @@ class GroupTriple:
             m = np.ascontiguousarray(getattr(self, name), dtype=np.complex128)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"factor {name} must be a square matrix")
+            if not np.isfinite(m).all():  # the SVD would fail on a NaN and pass an inf
+                raise ValueError(f"factor {name} entries must be finite")
             s = np.linalg.svd(m, compute_uv=False)
             if s[-1] <= INVERTIBILITY_TOL * s[0]:
                 raise ValueError(f"factor {name} is numerically singular")
@@ -142,7 +144,7 @@ class SupportSet:
 
 def support(t: Tensor3, tol: float = SUPPORT_TOL) -> SupportSet:
     """Triples where |T_ijk| exceeds tol times the largest entry magnitude."""
-    if tol < 0:
+    if not tol >= 0:  # negated so that a NaN is refused too
         raise ValueError("tol must be nonnegative")
     mags = np.abs(t.entries)
     peak = mags.max() if mags.size else 0.0
@@ -166,9 +168,14 @@ def _normal_range(arr: np.ndarray) -> tuple[np.ndarray, float, int]:
     nrm = _norm(arr)
     if nrm * nrm >= sys.float_info.min or not arr.any():
         return arr, nrm, 0
-    k = -math.frexp(float(np.abs(arr).max()))[1]
-    scaled = np.ldexp(arr.view(np.float64), k).view(np.complex128)
+    scaled, k = _unit_peak(arr)
     return scaled, _norm(scaled), k
+
+
+def _unit_peak(arr: np.ndarray) -> tuple[np.ndarray, int]:
+    """(arr * 2**k, k), for the exact power of two that puts the peak entry in [1/2, 1)."""
+    k = -math.frexp(float(np.abs(arr).max()))[1]
+    return np.ldexp(arr.view(np.float64), k).view(np.complex128), k
 
 
 # --- JSON interchange -------------------------------------------------------

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +16,7 @@ from nonfree.certify import (
     stabilizer_blocks,
     two_column_obstruction,
 )
-from nonfree.construct import build_W, build_family_tensor
+from nonfree.construct import build_W, build_family_tensor, s0_tensor
 from nonfree.family import family_data
 from nonfree.moment import moment_map
 from nonfree.exactlp import _pairings
@@ -364,3 +366,46 @@ def test_each_stage_reports_its_failure_and_details_in_order(monkeypatch, make, 
         if value is not None
     )
     assert carried == present
+
+
+def test_a_corrupted_family_fails_at_the_moment_map_and_refuses_a_nan_tolerance(monkeypatch):
+    # The third factor scaled by linspace(1, 2, n): mu(S) is no longer diag(q).
+    monkeypatch.setattr(certify, "build_family_tensor", lambda data: Tensor3(
+        build_family_tensor(data).entries * np.linspace(1.0, 2.0, data.n)))
+    report = certify_family(4)
+    assert report.failed_stage == "moment_map" and report.ness is None
+    assert report.details["mu_defect"] > 0.1
+    with pytest.raises(ValueError, match="^tol must be nonnegative$"):
+        certify_family(4, tol=math.nan)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: certify_family(3, tol=math.nan),
+        lambda: certify_named("T2", tol=math.nan),
+        lambda: reduce_to_s0(s0_tensor(4), tol=math.nan),
+    ],
+    ids=["certify_family", "certify_named", "reduce_to_s0"],
+)
+def test_a_nan_tolerance_is_refused(call):
+    with pytest.raises(ValueError, match="^tol must be nonnegative$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: certify_named("T2"), lambda: certify_named("T5"),
+     *(lambda n=n: certify_family(n) for n in (3, 14, 17))],
+    ids=["T2", "T5", "family-3", "family-14", "family-17"],
+)
+def test_a_certificate_evaluates_one_moment_map(monkeypatch, call):
+    # The moment_map stage reads the Ness test's mu. The attribute nonfree.flow
+    # is the flow function, so the module is looked up by name.
+    flow_module, calls = importlib.import_module("nonfree.flow"), []
+    original = flow_module.moment_map
+    monkeypatch.setattr(flow_module, "moment_map", lambda t: calls.append(t.dims) or original(t))
+    report = call()
+    assert report.verdict
+    assert len(calls) == 1
+    assert not hasattr(certify, "moment_map")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -17,7 +18,7 @@ from conftest import random_tensor, rng
 import nonfree
 import nonfree.family
 
-from nonfree.certify import DEFAULT_TOL as DEFAULT_CERTIFY_TOL
+from nonfree.certify import DEFAULT_TOL as DEFAULT_CERTIFY_TOL, certify_family
 from nonfree.cli import _decimate, main
 from nonfree.construct import build_family_tensor, s0_tensor
 from nonfree.family import family_data, staircase_index
@@ -121,6 +122,26 @@ def test_family_verify_reports_rationals(capsys):
     assert code == 0
     assert doc["family_data"]["q"][0][0] == {"num": "17", "den": "42"}
     assert doc["verification"]["halfspace_equality_is_gamma"] is True
+
+
+def test_family_verify_evaluates_one_moment_map(monkeypatch, capsys):
+    flow_module, calls = importlib.import_module("nonfree.flow"), []
+    original = flow_module.moment_map
+    monkeypatch.setattr(flow_module, "moment_map", lambda t: calls.append(t.dims) or original(t))
+    code, _ = run(capsys, "family", "--n", "5", "--verify")
+    assert code == 0
+    assert calls == [(5, 5, 5)]
+
+
+@pytest.mark.parametrize("n", [5, 13, 14, 17])
+def test_family_verify_prints_the_certificate_evidence(capsys, n):
+    code, out = run(capsys, "family", "--n", str(n), "--verify")
+    assert code == 0
+    verification = json.loads(out)["verification"]
+    details = certify_family(n).details
+    assert verification["mu_defect"] == details["mu_defect"]
+    assert verification["ness_lambda"] == details["lambda"]
+    assert verification["ness_residual"] == details["ness_residual"]
 
 
 def test_free_support_w_state(tmp_path, capsys):

@@ -289,3 +289,24 @@ def test_flow_norm_stays_one():
 def test_flow_rejects_zero_tensor():
     with pytest.raises(ValueError):
         flow(Tensor3(np.zeros((2, 2, 2))))
+
+
+@pytest.mark.parametrize("kwargs", [{"residual_tol": math.nan}, {"max_steps": math.nan}],
+                         ids=["residual_tol", "max_steps"])
+def test_flow_refuses_a_nan_bound(kwargs):
+    message = "flow needs step_size > 0, residual_tol >= 0 and max_steps >= 0"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        flow(ness_form("T2"), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: ness_form("T2"), lambda: Tensor3(1e-170 * ness_form("T2").entries),
+     *(lambda n=n: build_family_tensor(family_data(n)) for n in range(3, 18))],
+    ids=["S2", "S2-1e-170", *(f"family-{n}" for n in range(3, 18))],
+)
+def test_the_ness_test_carries_the_moment_map_bit_for_bit(make):
+    # Family sizes up to 13 take the stacked layout of the moment kernels, 14 up the per-axis one.
+    t = make()
+    mu = ness_minimality(t).mu
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(mu.components, moment_map(t).components))

@@ -207,6 +207,19 @@ def test_support_rejects_negative_tolerance():
         support(Tensor3(np.zeros((2, 2, 2))), -1.0)
 
 
+def test_support_rejects_a_nan_tolerance():
+    with pytest.raises(ValueError, match="^tol must be nonnegative$"):
+        support(Tensor3(np.ones((2, 2, 2))), float("nan"))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), complex(0.0, -float("inf"))])
+def test_a_group_factor_that_is_not_finite_is_a_value_error(value):
+    c = np.eye(2, dtype=complex)
+    c[0, 1] = value
+    with pytest.raises(ValueError, match="^factor c entries must be finite$"):
+        GroupTriple(np.eye(2), np.eye(2), c)
+
+
 @pytest.mark.parametrize(
     "make, message",
     [

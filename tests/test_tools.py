@@ -43,7 +43,8 @@ def test_stdout_hashes_prints_one_digest_per_workload_seed_and_command(tmp_path)
     assert refute_samples == {"polytope": "76 ops"}
     assert input_errors == {
         "moment-map": "6 ops", "polytope": "4 ops", "flow": "1 ops",
-        "certify-nonfree": "3 ops", "family": "1 ops", "reduce-s0": "1 ops",
+        "certify-nonfree": "4 ops", "free-support": "1 ops", "family": "1 ops",
+        "reduce-s0": "1 ops",
     }
 
 

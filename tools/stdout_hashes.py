@@ -76,6 +76,8 @@ def input_error_ops(directory: str) -> list[tuple[str, ...]]:
         ("certify-nonfree", "--family", "2"),
         ("certify-nonfree", "--family", "102"),
         ("certify-nonfree",),
+        ("certify-nonfree", "--family", "3", "--tol", "nan"),
+        ("free-support", "--input", tensor, "--tol", "nan"),
         ("family", "--n", "2", "--verify"),
         ("reduce-s0", "--input", path["non_cubic.json"]),
     ]
