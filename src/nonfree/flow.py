@@ -14,7 +14,10 @@ limit. One evaluation per candidate, `_evaluate`, runs the moment kernels on
 one set of flattenings and gives |mu| and the residual for the acceptance
 test, mu for the next Newton system, and lambda and the residual for the
 convergence test; the Newton system at an accepted point is set up once, and
-every halving only solves it again with a larger damping.
+every halving only solves it again with a larger damping. The system fixes
+the layout of its vectors, (3, n, n) stacks for a cubic tensor and one packed
+vector otherwise, so the conjugate-gradient loop that solves it is the same
+for both and tests no layout as it iterates.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .moment import (
     HermTriple, _action, _adjoints, _flattenings, _frobenius_norm, _grams, _products,
-    _squared_norm, infinitesimal_action, moment_map,
+    _squared_norm, _stack_index, _summand_index, infinitesimal_action, moment_map,
 )
 from .tensor import Tensor3, _apply_array, _norm, _normal_range
 
@@ -97,7 +100,7 @@ def _evaluate(x: np.ndarray):
 def _spectra(mu) -> list[tuple[np.ndarray, np.ndarray]]:
     """Pairs (w, v) with mu_L = v diag(w) v^*, one batched pair for three equal sizes."""
     cubic = mu[0].shape == mu[1].shape == mu[2].shape
-    return [np.linalg.eigh(np.stack(mu))] if cubic else [np.linalg.eigh(m) for m in mu]
+    return [np.linalg.eigh(np.asarray(mu))] if cubic else [np.linalg.eigh(m) for m in mu]
 
 
 def _geodesic_step(arr: np.ndarray, spectra) -> np.ndarray:
@@ -107,61 +110,98 @@ def _geodesic_step(arr: np.ndarray, spectra) -> np.ndarray:
     return _apply_array(f[0] if len(f) == 1 else f, arr)
 
 
+def _newton_system(x: np.ndarray, mu):
+    """The damped Newton system at a unit-norm x with moment map mu, as
+    (g, hessian, preconditioner, blocks): the gradient, p -> H p, delta -> the
+    preconditioner at the damping delta, and the view of a vector as a triple.
+
+    For the Kempf-Ness function log |e^X x|^2 over Hermitian triples X,
+    g_L = 2 (mu_L - I / n_L), without the scaling directions (I on one
+    factor), which the renormalization undoes, and H X = 4 (herm(F_L(X x)
+    F_L(x)^*) - <X, mu> mu_L). H is never formed: a product takes one action
+    X x and three Grams. The preconditioner is diagonal in the eigenbasis of
+    each mu_L, with entries 2 (w_a + w_b) + delta. X lives in the basis of x,
+    where the zero entries the steps keep stay exactly zero. A vector is a
+    (3, n, n) stack for a cubic x, as the spectra are, and the three blocks
+    packed into one otherwise. In the stacked layout of `moment._flattenings`
+    a product gathers the flattenings of X x straight from the products
+    h_L F_L (`moment._summand_index`), with the bits of
+    `_flattenings(_action(...))`. Every layout does the same arithmetic,
+    entry for entry.
+    """
+    dims = x.shape
+    spectra = _spectra(mu)
+    if len(spectra) == 1:
+        [(w, v)] = spectra
+        blocks = vector = np.asarray
+        g = 2.0 * (vector(mu) - np.eye(dims[0]) / dims[0])
+        weights = 2.0 * (w[:, :, None] + w[:, None, :])
+
+        def rotated(a, p: np.ndarray, b) -> np.ndarray:
+            return a @ p @ b
+
+    else:
+        w, v = zip(*spectra)
+        ends = np.cumsum([n * n for n in dims])
+
+        def blocks(p: np.ndarray) -> list[np.ndarray]:
+            return [p[e - n * n : e].reshape(n, n) for e, n in zip(ends, dims)]
+
+        def vector(m) -> np.ndarray:
+            return np.concatenate([b.ravel() for b in m])
+
+        g = vector([2.0 * (u - np.eye(len(u)) / len(u)) for u in mu])
+        weights = vector([2.0 * (u[:, None] + u) for u in w])
+
+        def rotated(a, p: np.ndarray, b) -> np.ndarray:
+            return vector(_products(_products(a, blocks(p)), b))
+
+    vh = _adjoints(v)
+    fx = _flattenings(x)
+    fxh = _adjoints(fx)
+    m = vector(mu)
+    if isinstance(fx, np.ndarray):
+        summands, stack = _summand_index(dims[0]), _stack_index(dims[0])
+
+        def flattened_action(p: np.ndarray) -> np.ndarray:
+            return np.matmul(p, fx).take(summands).sum(axis=0).take(stack)
+
+    else:
+
+        def flattened_action(p: np.ndarray) -> list[np.ndarray]:
+            return _flattenings(_action(blocks(p), fx, dims))
+
+    def hessian(p: np.ndarray) -> np.ndarray:
+        # 4 herm(F_L(X x) F_L(x)^*): dividing by 0.25 scales by 4 without rounding.
+        c = vector(_grams(flattened_action(p), fxh, 0.25))
+        c -= (4.0 * np.vdot(m, p).real) * m
+        return c
+
+    def preconditioner(delta: float):
+        scale = 1.0 / (weights + delta)
+        return lambda r: rotated(v, rotated(vh, r, v) * scale, vh)
+
+    return g, hessian, preconditioner, blocks
+
+
 def _newton_step(x: np.ndarray, mu):
     """The damped Newton step at a unit-norm x with moment map mu, as a function
     (delta, tol) -> e^X x, unnormalized, or None for a non-finite X.
 
-    X solves (H + delta I) X = -g over Hermitian triples, for the gradient
-    g_L = 2 (mu_L - I / n_L) and the Hessian H X = 4 (herm(F_L(X x) F_L(x)^*)
-    - <X, mu> mu_L) of the Kempf-Ness function log |e^X x|^2. The scaling
-    directions (I on one factor) are dropped from g, since the renormalization
-    undoes them. H is never formed: preconditioned conjugate gradients take
-    one product per iteration, one action X x and three Grams, and stop once
-    the residual is at most tol, or after as many iterations as X has complex
-    entries. The preconditioner is diagonal in the eigenbasis of each mu_L,
-    with entries 2 (w_a + w_b) + delta. X lives in the basis of x, where the
-    zero entries the steps keep stay exactly zero. The triples are packed into
-    one vector for the iteration and seen as a (3, n, n) stack for a cubic x.
+    X solves (H + delta I) X = -g for the system of `_newton_system`, set up
+    once per step. Preconditioned conjugate gradients take one Hessian
+    product and one preconditioning per iteration, and stop once the residual
+    is at most tol, or after as many iterations as X has complex entries.
     """
-    dims = x.shape
-    spectra = _spectra(mu)
-    cubic = len(spectra) == 1
-    w, v = spectra[0] if cubic else zip(*spectra)
-    vh = _adjoints(v)
-    ends = np.cumsum([n * n for n in dims])
-
-    def blocks(p: np.ndarray):
-        if cubic:
-            return p.reshape(3, *dims[1:])
-        return [p[e - n * n : e].reshape(n, n) for e, n in zip(ends, dims)]
-
-    def packed(m) -> np.ndarray:
-        return m.ravel() if isinstance(m, np.ndarray) else np.concatenate([b.ravel() for b in m])
-
-    fx = _flattenings(x)
-    fxh = _adjoints(fx)
-    m = packed(mu)
-    g = packed([2.0 * (u - np.eye(len(u)) / len(u)) for u in mu])
-    weights = packed([2.0 * (u[:, None] + u) for u in w])
-
-    def hessian(p: np.ndarray) -> np.ndarray:
-        # 4 herm(F_L(X x) F_L(x)^*): dividing by 0.25 scales by 4 without rounding.
-        c = packed(_grams(_flattenings(_action(blocks(p), fx, dims)), fxh, 0.25))
-        c -= (4.0 * np.vdot(m, p).real) * m
-        return c
+    g, hessian, preconditioner, blocks = _newton_system(x, mu)
 
     def step(delta: float, tol: float) -> np.ndarray | None:
-        scale = 1.0 / (weights + delta)
-
-        def precondition(r: np.ndarray) -> np.ndarray:
-            z = packed(_products(_products(vh, blocks(r)), v)) * scale
-            return packed(_products(_products(v, blocks(z)), vh))
-
+        precondition = preconditioner(delta)
         step_x = np.zeros_like(g)
         r = -g
         z = precondition(r)
         p, rz = z, np.vdot(r, z).real
-        for _ in range(len(g)):
+        for _ in range(g.size):
             if _norm(r) <= tol:
                 break
             q = hessian(p)

@@ -10,7 +10,9 @@ that `_flattenings` returns: `_grams` gives every Hermitian Gram and `_action`
 gives X * T, and every caller goes through them, the public functions, the
 flow's evaluation and the Newton step's Hessian products alike. For a small
 cubic tensor the flattenings are one stack, and each kernel is one batched
-matmul with the bits of the three per-axis products.
+matmul with the bits of the three per-axis products; there the Hessian
+products gather the flattenings of X * T straight from the products through
+`_summand_index`, with the bits of `_flattenings(_action(...))`.
 """
 
 from __future__ import annotations
@@ -105,6 +107,18 @@ def _stack_index(n: int) -> np.ndarray:
     """Flat indices into an n x n x n array of its three stacked flattenings."""
     flat = np.arange(n**3).reshape(n, n, n)
     index = np.concatenate([flat.transpose(order) for order in _FLATTENING_ORDERS]).reshape(3, n, -1)
+    index.flags.writeable = False
+    return index
+
+
+@functools.lru_cache(maxsize=None)
+def _summand_index(n: int) -> np.ndarray:
+    """Flat indices into the (3, n, n^2) stack of the products h_L F_L for an
+    n x n x n array T: entry L is the L-th summand h_L *_L T of X * T. A sum
+    over the first axis of the gathered summands adds them in the order
+    `_action` does, with its bits."""
+    parts = np.arange(3 * n**3).reshape(3, n, n, n)
+    index = np.stack([p.transpose(inverse) for p, inverse in zip(parts, _UNFLATTENING_ORDERS)])
     index.flags.writeable = False
     return index
 

@@ -103,9 +103,14 @@ class HullRefutation:
 
 
 def _unit_triangular(gen: np.random.Generator, n: int, upper: bool) -> np.ndarray:
-    strict = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
-    mask = np.triu(np.ones((n, n)), 1) if upper else np.tril(np.ones((n, n)), -1)
-    return np.eye(n, dtype=np.complex128) + strict * mask
+    """A unit-diagonal n x n matrix whose strict upper (or lower) triangle is
+    drawn as complex Gaussians, from n^2 real parts and then n^2 imaginary
+    parts of gen."""
+    re, im = gen.standard_normal((2, n, n))
+    strict = re + 1j * im
+    u = np.triu(strict, 1) if upper else np.tril(strict, -1)
+    np.fill_diagonal(u, 1.0)
+    return u
 
 
 def _draw(gen: np.random.Generator, dims, upper: bool, index: int, seed: int) -> GroupTriple:
@@ -137,19 +142,19 @@ def _rational_target(point: WeylPoint) -> list[Fraction]:
     return target
 
 
-def _product_witness(supp: SupportSet, target: list[Fraction]) -> bool:
-    """Whether target is, exactly, a convex combination of the support vertices
-    with the product weights p1_i * p2_j * p3_k.
+def _product_cells(dims, target: list[Fraction]):
+    """The cells supp(p1) x supp(p2) x supp(p3) of the box, as an np.ix_
+    index, when target has nonnegative components that each sum to 1; else None.
 
-    That needs nonnegative components that each sum to 1, and every triple of
-    supp(p1) x supp(p2) x supp(p3) in the support.
+    Then target is, exactly, the convex combination of the vertices of a
+    support with the product weights p1_i * p2_j * p3_k if every one of these
+    cells is in the support.
     """
-    n1, n2, _ = supp.dims
+    n1, n2, _ = dims
     blocks = (target[:n1], target[n1 : n1 + n2], target[n1 + n2 :])
     if any(x < 0 for x in target) or any(sum(block) != 1 for block in blocks):
-        return False
-    index = np.ix_(*([i for i, x in enumerate(block) if x] for block in blocks))
-    return bool(supp.mask[index].all())
+        return None
+    return np.ix_(*([i for i, x in enumerate(block) if x] for block in blocks))
 
 
 def hull_refute(
@@ -167,8 +172,9 @@ def hull_refute(
     coefficient of L1_{i1} L2_{j1} L3_{k1} in every entry is (U . t)_{111}.
     Its hull is then the whole product of simplices, which contains p. So
     each membership is first tried as a product witness, p = sum of
-    p1_i p2_j p3_k (e_i|e_j|e_k) over the support, which answers only "in
-    the hull"; only when that fails does exactlp.in_convex_hull take the
+    p1_i p2_j p3_k (e_i|e_j|e_k) over the support, whose cells are found
+    once for p (`_product_cells`), and which answers only "in the hull";
+    only when that fails does exactlp.in_convex_hull take the
     support, and its LP stays the one source of refutations. `samples`
     outside 0..MAX_SAMPLES, a negative seed, the zero tensor, whose polytope
     is empty, a p whose component lengths are not t.dims, or a drawn change
@@ -191,6 +197,7 @@ def hull_refute(
     ut = apply(u, t)
 
     target = _rational_target(p)
+    cells = _product_cells(dims, target)
     sizes = []
     for index in range(samples + 1):
         moved = ut
@@ -198,6 +205,7 @@ def hull_refute(
             moved = apply(_draw(gen, dims, False, index, seed), ut)
         supp = support(moved)
         sizes.append(len(supp))
-        if not (_product_witness(supp, target) or in_convex_hull(supp, target)):
+        product = cells is not None and supp.mask[cells].all()
+        if not (product or in_convex_hull(supp, target)):
             return HullRefutation("refuted", index, index + 1, u, sizes)
     return HullRefutation("inconclusive", None, samples + 1, u, sizes)

@@ -1,20 +1,23 @@
 """Shared helpers for the test suite: seeded random inputs, unitary and
 permutation triples, supports from triples and support inclusion, and
 reference oracles the library does not need: norms, flattening ranks,
-off-diagonal mass, the Sjamaar inner points of a free support and hull
-membership through scipy's linprog."""
+off-diagonal mass, the Sjamaar inner points of a free support, hull
+membership through scipy's linprog and the packed Newton step."""
 
 from __future__ import annotations
 
+import importlib
 from fractions import Fraction
 from numbers import Rational
 from typing import Sequence
 
 import numpy as np
 
-from nonfree.moment import HermTriple, WeylPoint
+from nonfree.moment import HermTriple, WeylPoint, _action, _adjoints, _flattenings, _grams, _products
 from nonfree.supports import is_free_support
 from nonfree.tensor import GroupTriple, SupportSet, Tensor3, _flattening, _norm, support
+
+FLOW_MODULE = importlib.import_module("nonfree.flow")  # the attribute nonfree.flow is the function
 
 UNITARITY_TOL = 1e-12
 RANK_CUTOFF = 1e-8  # relative singular-value cutoff for numerical ranks
@@ -172,3 +175,62 @@ def linprog_in_convex_hull(vertices: Sequence[Sequence[Rational]], point: Sequen
         return True
     y = [Fraction(x) for x in res.x[:dim]]
     return _pairing(y, point) >= min(_pairing(y, v) for v in vertices)
+
+
+def packed_newton_step(x: np.ndarray, mu):
+    """The reference for flow._newton_step: the same preconditioned CG on
+    triples packed into one vector in every layout, each Hessian product
+    through `moment._action` and `moment._flattenings` of X x."""
+    spectra = FLOW_MODULE._spectra(mu)
+    dims = x.shape
+    cubic = len(spectra) == 1
+    w, v = spectra[0] if cubic else zip(*spectra)
+    vh = _adjoints(v)
+    ends = np.cumsum([n * n for n in dims])
+
+    def blocks(p: np.ndarray):
+        if cubic:
+            return p.reshape(3, *dims[1:])
+        return [p[e - n * n : e].reshape(n, n) for e, n in zip(ends, dims)]
+
+    def packed(m) -> np.ndarray:
+        return m.ravel() if isinstance(m, np.ndarray) else np.concatenate([b.ravel() for b in m])
+
+    fx = _flattenings(x)
+    fxh = _adjoints(fx)
+    m = packed(mu)
+    g = packed([2.0 * (u - np.eye(len(u)) / len(u)) for u in mu])
+    weights = packed([2.0 * (u[:, None] + u) for u in w])
+
+    def hessian(p: np.ndarray) -> np.ndarray:
+        c = packed(_grams(_flattenings(_action(blocks(p), fx, dims)), fxh, 0.25))
+        c -= (4.0 * np.vdot(m, p).real) * m
+        return c
+
+    def step(delta: float, tol: float) -> np.ndarray | None:
+        scale = 1.0 / (weights + delta)
+
+        def precondition(r: np.ndarray) -> np.ndarray:
+            z = packed(_products(_products(vh, blocks(r)), v)) * scale
+            return packed(_products(_products(v, blocks(z)), vh))
+
+        step_x = np.zeros_like(g)
+        r = -g
+        z = precondition(r)
+        p, rz = z, np.vdot(r, z).real
+        for _ in range(len(g)):
+            if _norm(r) <= tol:
+                break
+            q = hessian(p)
+            q += delta * p
+            alpha = rz / np.vdot(p, q).real
+            step_x += alpha * p
+            r -= alpha * q
+            z = precondition(r)
+            rz, previous = np.vdot(r, z).real, rz
+            p = z + (rz / previous) * p
+        if not np.isfinite(step_x).all():
+            return None
+        return FLOW_MODULE._geodesic_step(x, FLOW_MODULE._spectra(blocks(step_x)))
+
+    return step

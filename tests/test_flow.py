@@ -8,8 +8,11 @@ import pytest
 import scipy.linalg
 
 from conftest import (
+    FLOW_MODULE,
     issubset,
     norm,
+    packed_newton_step,
+    random_complex,
     random_free_support,
     random_tensor,
     random_unitary_triple,
@@ -19,7 +22,7 @@ from conftest import (
 from nonfree.construct import build_family_tensor, s0_tensor
 from nonfree.family import family_data
 from nonfree.flow import MONOTONICITY_SLACK, flow, ness_minimality
-from nonfree.moment import _frobenius_norm, moment_map
+from nonfree.moment import _action, _adjoints, _flattenings, _frobenius_norm, _grams, moment_map
 from nonfree.named import named_tensor, ness_form
 from nonfree.tensor import GroupTriple, Tensor3, apply, from_coefficients, support
 
@@ -204,6 +207,55 @@ def test_newton_steps_converge_within_twelve_accepted_steps(make, step):
     # 1.0 stopped unconverged after 300 steps, at a residual of 3.5e-8.
     result = flow(make(), step_size=step, max_steps=12)
     assert result.converged
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_the_stacked_hessian_product_has_the_bits_of_the_packed_one(n):
+    # Cubes up to 13 take the stacked layout, where the product gathers the
+    # flattenings of X x from the products h_L F_L instead of going through
+    # _action and _flattenings.
+    cases = [random_tensor(rng(n), (n, n, n))]
+    cases += [s0_tensor(n)] if n >= 2 else []
+    cases += [named_tensor("T2")] if n == 3 else []
+    gen = rng(40 + n)
+    for t in cases:
+        x = t.entries * (1.0 / norm(t))
+        _, mu, _, _ = FLOW_MODULE._evaluate(x)
+        assert isinstance(mu, np.ndarray)
+        g, hessian, preconditioner, _ = FLOW_MODULE._newton_system(x, mu)
+        fx = _flattenings(x)
+        directions = [mu, preconditioner(2.0)(-g)]
+        directions += [a + a.conj().swapaxes(-1, -2) for a in random_complex(gen, (2, 3, n, n))]
+        for p in directions:
+            want = _grams(_flattenings(_action(p, fx, x.shape)), _adjoints(fx), 0.25).ravel()
+            want -= (4.0 * np.vdot(mu, p).real) * mu.ravel()
+            assert hessian(p).tobytes() == want.tobytes()
+
+
+ORACLE_CASES = {
+    "t2": lambda: named_tensor("T2"),
+    "s0-4": lambda: s0_tensor(4),
+    "s0-12": lambda: s0_tensor(12),
+    "dense-5": lambda: seeded_dense_tensor((5, 5, 5)),
+    "dense-13": lambda: seeded_dense_tensor((13, 13, 13)),
+    "dense-14": lambda: seeded_dense_tensor((14, 14, 14)),
+    "dense-2x5x7": lambda: seeded_dense_tensor((2, 5, 7)),
+}
+
+
+@pytest.mark.parametrize("step", [0.05, 1.0, 100.0])
+@pytest.mark.parametrize("make", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+def test_the_newton_step_flows_as_the_packed_oracle_does(make, step, monkeypatch):
+    # Both kernel layouts of a cube (13 is the largest stacked, 14 the first per
+    # axis) and a non-cubic shape, bit for bit.
+    t = make()
+    got = flow(t, step_size=step)
+    monkeypatch.setattr(FLOW_MODULE, "_newton_step", packed_newton_step)
+    want = flow(t, step_size=step)
+    assert got.converged and want.converged and got.steps == want.steps
+    assert got.limit.entries.tobytes() == want.limit.entries.tobytes()
+    assert np.array(got.mu_norm_trajectory).tobytes() == np.array(want.mu_norm_trajectory).tobytes()
+    assert np.array([got.lam, got.final_residual]).tobytes() == np.array([want.lam, want.final_residual]).tobytes()
 
 
 @pytest.mark.parametrize(

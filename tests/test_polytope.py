@@ -25,8 +25,9 @@ from nonfree.family import family_data, gamma_support
 from nonfree.moment import WeylPoint, moment_map, spec_point
 from nonfree.named import mu_diagonals, named_tensor
 from nonfree.polytope import (
-    _product_witness,
+    _product_cells,
     _rational_target,
+    _unit_triangular as library_unit_triangular,
     hull_refute,
     outer_halfspace,
 )
@@ -334,7 +335,8 @@ def test_the_product_witness_agrees_with_the_lp():
         cells, target = _random_case(gen, dims)
         supp = support_set(dims, cells)
         lp = in_convex_hull(supp, target)
-        if _product_witness(supp, target):
+        cells = _product_cells(dims, target)
+        if cells is not None and supp.mask[cells].all():
             fired += 1
             assert lp
         refuted += not lp
@@ -342,7 +344,7 @@ def test_the_product_witness_agrees_with_the_lp():
     # Weights summing to 1/2 in one component are no convex combination, full support or not.
     dims = (2, 3, 3)
     half = [F(1, 4), F(1, 4)] + [F(1, 3)] * 6
-    assert not _product_witness(support_set(dims, _cells(dims)), half)
+    assert _product_cells(dims, half) is None
     assert not in_convex_hull(support_set(dims, _cells(dims)), half)
 
 
@@ -458,9 +460,21 @@ def test_inner_points_never_refuted():
 
 
 def _unit_triangular(gen, n, upper):
+    """The reference for polytope._unit_triangular: two (n, n) draws, masked."""
     strict = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
     mask = np.triu(np.ones((n, n)), 1) if upper else np.tril(np.ones((n, n)), -1)
     return np.eye(n, dtype=np.complex128) + strict * mask
+
+
+@pytest.mark.parametrize("upper", [True, False], ids=["upper", "lower"])
+def test_the_unit_triangular_draw_keeps_the_stream_and_the_bits(upper):
+    # One (2, n, n) draw takes the same values from the generator as two (n, n)
+    # draws, and the triangle keeps the masked sum's bits, signed zeros included.
+    for n in range(1, 10):
+        gen, ref = rng(90 + n), rng(90 + n)
+        got, want = library_unit_triangular(gen, n, upper), _unit_triangular(ref, n, upper)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert gen.bit_generator.state == ref.bit_generator.state
 
 
 def _reflect(supp):

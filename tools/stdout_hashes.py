@@ -23,6 +23,12 @@ And for each seed, the group `refute_samples` hashes every `polytope --refute`
 op of polytope_refute again at `--samples 0` and at `--samples 20`, where the
 benchmark draws one sample: the sample 0 alone, and refutations that go on
 drawing lower triples.
+
+The group `flow_shapes` hashes, for each seed, `flow` on seeded dense tensors
+of shapes the benchmark skips, at its `--step 1.0`: 7^3, 13^3 (the largest
+cube the moment kernels stack), 14^3 (the first they take axis by axis) and
+(2, 5, 7); and 13^3 again at the default step. Their files are written into
+DIR/flow_shapes-SEED.
 """
 
 import argparse
@@ -83,6 +89,24 @@ def input_error_ops(directory: str) -> list[tuple[str, ...]]:
     ]
 
 
+FLOW_SHAPES = "flow_shapes"
+FLOW_SHAPE_DIMS = ((7, 7, 7), (13, 13, 13), (14, 14, 14), (2, 5, 7))
+
+
+def flow_shape_ops(directory: str, seed: int) -> list[tuple[str, ...]]:
+    """The flow_shapes ops for one seed; their tensor files are written into directory."""
+    from perfbench.workloads import Inputs
+
+    inputs = Inputs(directory, seed)
+    paths = {}
+    for index, dims in enumerate(FLOW_SHAPE_DIMS):
+        gen = inputs.rng(3, index)
+        arr = gen.standard_normal(dims) + 1j * gen.standard_normal(dims)
+        paths[dims] = inputs.tensor("dense" + "x".join(map(str, dims)), arr)
+    ops = [("flow", "--input", path, "--step", "1.0") for path in paths.values()]
+    return ops + [("flow", "--input", paths[(13, 13, 13)])]
+
+
 REFUTE_GROUP = "refute_samples"
 REFUTE_SAMPLES = ("0", "20")
 
@@ -126,6 +150,9 @@ def main(argv=None) -> int:
                 refutes = [with_samples(op.argv, samples) for samples in REFUTE_SAMPLES
                            for op in ops if op.kind == "refute"]
                 print_digests(cli, f"{REFUTE_GROUP}\tseed {seed}", refutes)
+    for seed in args.seeds:
+        ops = flow_shape_ops(os.path.join(args.directory, f"{FLOW_SHAPES}-{seed}"), seed)
+        print_digests(cli, f"{FLOW_SHAPES}\tseed {seed}", ops)
     print_digests(cli, f"{PATH_FREE}\tno seed", PATH_FREE_OPS)
     ops = input_error_ops(os.path.join(args.directory, INPUT_ERRORS))
     print_digests(cli, f"{INPUT_ERRORS}\tno seed", ops)
