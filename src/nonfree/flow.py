@@ -29,7 +29,7 @@ import numpy as np
 
 from .moment import (
     HermTriple, _action, _adjoints, _flattenings, _frobenius_norm, _grams, _products,
-    _squared_norm, _stack_index, _summand_index, infinitesimal_action, moment_map,
+    _squared_norm, infinitesimal_action, moment_map,
 )
 from .tensor import Tensor3, _apply_array, _norm, _normal_range
 
@@ -123,11 +123,8 @@ def _newton_system(x: np.ndarray, mu):
     each mu_L, with entries 2 (w_a + w_b) + delta. X lives in the basis of x,
     where the zero entries the steps keep stay exactly zero. A vector is a
     (3, n, n) stack for a cubic x, as the spectra are, and the three blocks
-    packed into one otherwise. In the stacked layout of `moment._flattenings`
-    a product gathers the flattenings of X x straight from the products
-    h_L F_L (`moment._summand_index`), with the bits of
-    `_flattenings(_action(...))`. Every layout does the same arithmetic,
-    entry for entry.
+    packed into one otherwise. Every layout does the same arithmetic, entry
+    for entry.
     """
     dims = x.shape
     spectra = _spectra(mu)
@@ -160,20 +157,10 @@ def _newton_system(x: np.ndarray, mu):
     fx = _flattenings(x)
     fxh = _adjoints(fx)
     m = vector(mu)
-    if isinstance(fx, np.ndarray):
-        summands, stack = _summand_index(dims[0]), _stack_index(dims[0])
-
-        def flattened_action(p: np.ndarray) -> np.ndarray:
-            return np.matmul(p, fx).take(summands).sum(axis=0).take(stack)
-
-    else:
-
-        def flattened_action(p: np.ndarray) -> list[np.ndarray]:
-            return _flattenings(_action(blocks(p), fx, dims))
 
     def hessian(p: np.ndarray) -> np.ndarray:
         # 4 herm(F_L(X x) F_L(x)^*): dividing by 0.25 scales by 4 without rounding.
-        c = vector(_grams(flattened_action(p), fxh, 0.25))
+        c = vector(_grams(_flattenings(_action(blocks(p), fx, dims)), fxh, 0.25))
         c -= (4.0 * np.vdot(m, p).real) * m
         return c
 

@@ -10,9 +10,8 @@ that `_flattenings` returns: `_grams` gives every Hermitian Gram and `_action`
 gives X * T, and every caller goes through them, the public functions, the
 flow's evaluation and the Newton step's Hessian products alike. For a small
 cubic tensor the flattenings are one stack, and each kernel is one batched
-matmul with the bits of the three per-axis products; there the Hessian
-products gather the flattenings of X * T straight from the products through
-`_summand_index`, with the bits of `_flattenings(_action(...))`.
+matmul with the bits of the three per-axis products, and `_action`
+unflattens the stack of products by one gather (`_summand_index`).
 """
 
 from __future__ import annotations
@@ -175,8 +174,12 @@ def _grams(f, fh, sq: float):
 
 def _action(h, f, dims) -> np.ndarray:
     """X * T = sum_L h_L *_L T for the flattenings f of T, of shape dims: each
-    h_L F_L unflattened, summed into the first in the axis order."""
+    h_L F_L unflattened, summed into the first in the axis order. A stack of
+    products is unflattened by one gather (`_summand_index`) and summed over
+    its first axis, which adds in the same order, with the same bits."""
     parts = _products(h, f)
+    if isinstance(parts, np.ndarray):
+        return parts.take(_summand_index(dims[0])).sum(axis=0)
     out = parts[0].reshape(dims)
     for m, order, inverse in zip(parts[1:], _FLATTENING_ORDERS[1:], _UNFLATTENING_ORDERS[1:]):
         out += m.reshape([dims[i] for i in order]).transpose(inverse)

@@ -157,6 +157,11 @@ def _product_cells(dims, target: list[Fraction]):
     return np.ix_(*([i for i, x in enumerate(block) if x] for block in blocks))
 
 
+def _product_witness(supp: SupportSet, cells) -> bool:
+    """Whether the cells of `_product_cells` exist and all lie in supp."""
+    return cells is not None and bool(supp.mask[cells].all())
+
+
 def hull_refute(
     t: Tensor3, p: WeylPoint, samples: int = DEFAULT_SAMPLES, seed: int = 0
 ) -> HullRefutation:
@@ -205,7 +210,6 @@ def hull_refute(
             moved = apply(_draw(gen, dims, False, index, seed), ut)
         supp = support(moved)
         sizes.append(len(supp))
-        product = cells is not None and supp.mask[cells].all()
-        if not (product or in_convex_hull(supp, target)):
+        if not (_product_witness(supp, cells) or in_convex_hull(supp, target)):
             return HullRefutation("refuted", index, index + 1, u, sizes)
     return HullRefutation("inconclusive", None, samples + 1, u, sizes)

@@ -22,9 +22,9 @@ from conftest import (
 from nonfree.construct import build_family_tensor, s0_tensor
 from nonfree.family import family_data
 from nonfree.flow import MONOTONICITY_SLACK, flow, ness_minimality
-from nonfree.moment import _action, _adjoints, _flattenings, _frobenius_norm, _grams, moment_map
+from nonfree.moment import _action, _adjoints, _frobenius_norm, _grams, moment_map
 from nonfree.named import named_tensor, ness_form
-from nonfree.tensor import GroupTriple, Tensor3, apply, from_coefficients, support
+from nonfree.tensor import GroupTriple, Tensor3, _flattening, apply, from_coefficients, support
 
 
 def test_ness_certificate_of_s2():
@@ -211,9 +211,9 @@ def test_newton_steps_converge_within_twelve_accepted_steps(make, step):
 
 @pytest.mark.parametrize("n", range(1, 14))
 def test_the_stacked_hessian_product_has_the_bits_of_the_packed_one(n):
-    # Cubes up to 13 take the stacked layout, where the product gathers the
-    # flattenings of X x from the products h_L F_L instead of going through
-    # _action and _flattenings.
+    # Cubes up to 13 take the stacked layout, where a product runs on (3, n, n)
+    # vectors and stacked flattenings; the reference packs the per-axis
+    # flattenings' products, _action's transposes and Grams.
     cases = [random_tensor(rng(n), (n, n, n))]
     cases += [s0_tensor(n)] if n >= 2 else []
     cases += [named_tensor("T2")] if n == 3 else []
@@ -223,11 +223,13 @@ def test_the_stacked_hessian_product_has_the_bits_of_the_packed_one(n):
         _, mu, _, _ = FLOW_MODULE._evaluate(x)
         assert isinstance(mu, np.ndarray)
         g, hessian, preconditioner, _ = FLOW_MODULE._newton_system(x, mu)
-        fx = _flattenings(x)
+        fx = [_flattening(x, axis) for axis in range(3)]
         directions = [mu, preconditioner(2.0)(-g)]
         directions += [a + a.conj().swapaxes(-1, -2) for a in random_complex(gen, (2, 3, n, n))]
         for p in directions:
-            want = _grams(_flattenings(_action(p, fx, x.shape)), _adjoints(fx), 0.25).ravel()
+            y = _action(list(p), fx, x.shape)
+            fy = [_flattening(y, axis) for axis in range(3)]
+            want = np.concatenate([b.ravel() for b in _grams(fy, _adjoints(fx), 0.25)])
             want -= (4.0 * np.vdot(mu, p).real) * mu.ravel()
             assert hessian(p).tobytes() == want.tobytes()
 

@@ -130,11 +130,15 @@ def test_moment_action_kernel_matches_the_two_kernels_bit_for_bit(dims, kind):
         layouts = [per_axis, np.stack(per_axis)] if len(set(dims)) == 1 else [per_axis]
         mu_norm, mu, lam, residual = _evaluate(arr)
         assert len(mu) == 3 and mu_norm == _frobenius_norm(mu)
+        actions = []
         for f in layouts:
             grams = _grams(f, _adjoints(f), nrm**2)
             assert all(same_bits(got, exp) for got, exp in zip(grams, mu))
             action = _action(grams, f, dims)
             assert _lam_residual(arr, action, nrm) == (lam, residual)
+            actions.append(action)
+        # The stack's gathered sum has the bits of the per-axis transposes.
+        assert all(same_bits(action, actions[0]) for action in actions)
         assert _norm(action - reference_action(mu, arr)) <= 1e-13 * _norm(action)
 
 
