@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import sqrt
+from math import lcm, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -163,7 +163,11 @@ def _certify(
         return report("moment_map")
 
     ness = test
-    lam = float(sum(x * x for d in diagonals for x in d))
+    # |q|^2 as one integer sum over the lcm of the denominators, divided once:
+    # int / int rounds correctly, so this is float of the exact Fraction.
+    values = [x for d in diagonals for x in d]
+    scale = lcm(*(x.denominator for x in values))
+    lam = sum((x.numerator * (scale // x.denominator)) ** 2 for x in values) / (scale * scale)
     details["lambda"] = ness.lam
     details["lambda_expected"] = lam
     details["ness_residual"] = ness.residual

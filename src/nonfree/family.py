@@ -1,15 +1,19 @@
 """Exact rational data of the staircase family: the support Gamma_n, the
 halfspace (h, c), the target spectrum q, and the coefficient data b, w^2.
 
-Everything in this module is computed over the rationals and every identity
-is checked without tolerance; square roots are taken only when tensors are
-actually built (see construct).
+Everything in this module is exact: family_data computes in integers over one
+common denominator and builds each public Fraction once, at the FamilyData
+boundary, whose construction checks every identity without tolerance, again in
+integers. Square roots are taken only when tensors are actually built (see
+construct).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -78,68 +82,78 @@ class FamilyData:
 
 
 def family_data(n: int) -> FamilyData:
+    """The family data of size n >= 2, in integers over one common denominator.
+
+    With A = n^4 - n^2 + 6n - 6, |h|^2 = A / 6n, so q_i = 1/n + c x_i / |h|^2 =
+    (A + 6n x_i) / nA for the entries x_i of h, and 6n x_i is an integer on h12
+    and on h3. So q, its prefix sums b, lambda_W and w^2 are integers over D = nA,
+    and each becomes a Fraction once, here.
+    """
     if n < 2:
         raise ValueError("family_data requires n >= 2")
-    half = Fraction(n - 1, 2)
-    h12 = tuple(half - i for i in range(n))
-    h3 = tuple(Fraction(1, n) - (1 if i == n - 1 else 0) for i in range(n))
-    h = (h12, h12, h3)
-    c = Fraction(1, n)
-    norm_h_sq = 2 * sum(x * x for x in h12) + sum(x * x for x in h3)
+    a = n**4 - n**2 + 6 * n - 6
+    den = n * a
+    # Numerators over D: (q1)_i = (q2)_i, b_j, lambda_W (each (q3)_i, i < n) and w_j^2.
+    q12 = [a + 3 * n * (n - 1 - 2 * i) for i in range(n)]
+    b = list(accumulate(q12[j] - q12[n - 1 - j] for j in range(n)))
+    lam = a + 6  # (1 - (q3)_n) / (n - 1)
+    w_sq = [lam - q2j + bj for q2j, bj in zip(q12, b)]
 
-    u = Fraction(1, n)
-    q = tuple(tuple(u + c * x / norm_h_sq for x in hi) for hi in h)
-    q1, q2, q3 = q
+    def over(nums: list[int]) -> RationalVec:
+        return tuple(Fraction(x, den) for x in nums)
 
-    b = []
-    acc = Fraction(0)
-    for j in range(1, n + 1):
-        acc += q2[j - 1] - q1[n - j]
-        b.append(acc)
-    b = tuple(b)
-
-    lambda_w = (1 - q3[n - 1]) / (n - 1)
-    w_sq = tuple(lambda_w - q2j + bj for q2j, bj in zip(q2, b))
-
-    return FamilyData(n, h, c, norm_h_sq, q, b, w_sq, lambda_w)
+    h12 = tuple(Fraction(n - 1 - 2 * i, 2) for i in range(n))
+    h3 = (Fraction(1, n),) * (n - 1) + (Fraction(1 - n, n),)
+    lambda_w = Fraction(lam, den)
+    q = (over(q12),) * 2 + ((lambda_w,) * (n - 1) + (Fraction(lam - 6 * n, den),),)
+    return FamilyData(
+        n, (h12, h12, h3), Fraction(1, n), Fraction(a, 6 * n), q, over(b), over(w_sq), lambda_w
+    )
 
 
 def _validate(data: FamilyData) -> None:
-    n = data.n
-    q1, q2, q3 = data.q
-    b, w_sq = data.b, data.w_sq
-    q_norm_sq = data.q_norm_sq
-    checks: list[tuple[str, bool]] = []
+    """Every identity of the family data, checked exactly on its rational fields.
 
-    checks.append(("norm_h_sq closed form",
-                   data.norm_h_sq == Fraction(n * (n * n - 1), 6) + Fraction(n - 1, n)))
-    checks.append(("b_n = 0", b[n - 1] == 0))
-    checks.append(("b_j > 0 for j < n", all(bj > 0 for bj in b[: n - 1])))
-    checks.append(("sum b = (q3)_n", sum(b[: n - 1], Fraction(0)) == q3[n - 1]))
-    shift_ok = all(
-        q2[j - 1] - b[j - 1] == q1[n - j] - (b[j - 2] if j >= 2 else Fraction(0))
-        for j in range(1, n + 1)
-    )
-    checks.append(("shift identity", shift_ok))
-    checks.append(("0 <= q2_j - b_j < lambda",
-                   all(0 <= dj < data.lambda_W for dj in data.d)))
-    checks.append(("w_sq = lambda - q2 + b >= 0",
-                   all(wj == data.lambda_W - dj and wj >= 0 for wj, dj in zip(w_sq, data.d))))
-    checks.append(("q components sum to 1",
-                   all(sum(qi, Fraction(0)) == 1 for qi in data.q)))
-    checks.append(("q nonnegative non-increasing",
-                   all(all(x >= 0 for x in qi)
-                       and all(qi[i] >= qi[i + 1] for i in range(n - 1))
-                       for qi in data.q)))
-    checks.append(("q1 = q2 strictly decreasing",
-                   q1 == q2 and all(q1[i] > q1[i + 1] for i in range(n - 1))))
-    checks.append(("q3 flat then small",
-                   all(x == data.lambda_W for x in q3[: n - 1]) and q3[n - 1] < Fraction(1, n)))
-    checks.append(("<q, h> = c", sum(
-        (hx * qx for hi, qi in zip(data.h, data.q) for hx, qx in zip(hi, qi)),
-        Fraction(0)) == data.c))
-    checks.append(("|q|^2 = 3/n + c^2/|h|^2", q_norm_sq == data.ness_lambda))
-    _, pairings, scaled_norm_sq = _pairings(gamma_support(n).mask, data.q, q_norm_sq)
+    The fields are read once, as integers over the lcm s of all their
+    denominators, so no check trusts the denominator family_data chose and each
+    compares integers; the Ness pairing on Gamma_n goes through
+    exactlp._pairings. A failed check is a FamilyInvariantError naming it.
+    """
+    n = data.n
+    vectors = (*data.h, *data.q, data.b, data.w_sq)
+    scalars = (data.c, data.norm_h_sq, data.lambda_W)
+    s = math.lcm(*(x.denominator for x in chain(scalars, *vectors)))
+    c, norm_h_sq, lam = (x.numerator * (s // x.denominator) for x in scalars)
+    h1, h2, h3, q1, q2, q3, b, w_sq = ([x.numerator * (s // x.denominator) for x in v] for v in vectors)
+    q = (q1, q2, q3)
+    d = [q2j - bj for q2j, bj in zip(q2, b)]
+    q_norm_sq = sum(x * x for qi in q for x in qi)  # s^2 |q|^2
+
+    checks = [
+        ("norm_h_sq closed form", 6 * n * norm_h_sq == (n * n * (n * n - 1) + 6 * (n - 1)) * s),
+        ("b_n = 0", b[n - 1] == 0),
+        ("b_j > 0 for j < n", all(bj > 0 for bj in b[: n - 1])),
+        ("sum b = (q3)_n", sum(b[: n - 1]) == q3[n - 1]),
+        ("shift identity", all(
+            q2[j] - b[j] == q1[n - 1 - j] - (b[j - 1] if j else 0) for j in range(n))),
+        ("0 <= q2_j - b_j < lambda", all(0 <= dj < lam for dj in d)),
+        ("w_sq = lambda - q2 + b >= 0",
+         all(wj == lam - dj and wj >= 0 for wj, dj in zip(w_sq, d))),
+        ("q components sum to 1", all(sum(qi) == s for qi in q)),
+        ("q nonnegative non-increasing",
+         all(all(x >= 0 for x in qi) and all(qi[i] >= qi[i + 1] for i in range(n - 1))
+             for qi in q)),
+        ("q1 = q2 strictly decreasing",
+         q1 == q2 and all(q1[i] > q1[i + 1] for i in range(n - 1))),
+        ("q3 flat then small", all(x == lam for x in q3[: n - 1]) and n * q3[n - 1] < s),
+        ("<q, h> = c",
+         sum(hx * qx for hi, qi in zip((h1, h2, h3), q) for hx, qx in zip(hi, qi)) == c * s),
+        # |q|^2 = 3/n + c^2/|h|^2, times n s^2 |h|^2.
+        ("|q|^2 = 3/n + c^2/|h|^2",
+         n * norm_h_sq * q_norm_sq == 3 * s * s * norm_h_sq + n * s * c * c),
+    ]
+    # s q pairs to s |q|^2 with every vertex of Gamma_n.
+    _, pairings, scaled_norm_sq = _pairings(gamma_support(n).mask, q, Fraction(q_norm_sq, s))
     checks.append(("<(e_i|e_j|e_k), q> constant on Gamma_n", (pairings == scaled_norm_sq).all()))
 
     failed = [name for name, ok in checks if not ok]
@@ -156,4 +170,5 @@ def halfspace_check(data: FamilyData) -> HalfspaceCert:
 
 
 def family_to_doc(data: FamilyData) -> dict:
-    return {**asdict(data), "ness_lambda": data.ness_lambda}
+    # The fields in their order (a dataclass sets them in __init__ in that order), then ness_lambda.
+    return {**vars(data), "ness_lambda": data.ness_lambda}

@@ -12,9 +12,10 @@ geodesic step e^{-dt mu} x of the gradient flow dT/dt = -mu(T) * T.
 The loop steps a plain entries array and builds a `Tensor3` only for the
 limit. One evaluation per candidate, `_evaluate`, runs the moment kernels on
 one set of flattenings and gives |mu| and the residual for the acceptance
-test, mu for the next Newton system, and lambda and the residual for the
-convergence test; the Newton system at an accepted point is set up once, and
-every halving only solves it again with a larger damping. The system fixes
+test, mu and the flattenings with their adjoints for the next Newton system,
+and lambda and the residual for the convergence test; the Newton system at an
+accepted point is set up once, from them, and every halving only solves it
+again with a larger damping. The system fixes
 the layout of its vectors, (3, n, n) stacks for a cubic tensor and one packed
 vector otherwise, so the conjugate-gradient loop that solves it is the same
 for both and tests no layout as it iterates.
@@ -90,11 +91,13 @@ def ness_minimality(t: Tensor3) -> NessCertificate:
 
 def _evaluate(x: np.ndarray):
     """|mu(x)|, mu(x) in the layout of `moment._flattenings`, lambda and the
-    projective residual at x, from one set of flattenings."""
+    projective residual at x, from one set of flattenings, and those
+    flattenings with their adjoints, for the Newton system at x."""
     nrm = _norm(x)
     f = _flattenings(x)
-    mu = _grams(f, _adjoints(f), _squared_norm(nrm))
-    return _frobenius_norm(mu), mu, *_lam_residual(x, _action(mu, f, x.shape), nrm)
+    fh = _adjoints(f)
+    mu = _grams(f, fh, _squared_norm(nrm))
+    return _frobenius_norm(mu), mu, *_lam_residual(x, _action(mu, f, x.shape), nrm), (f, fh)
 
 
 def _spectra(mu) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -110,8 +113,9 @@ def _geodesic_step(arr: np.ndarray, spectra) -> np.ndarray:
     return _apply_array(f[0] if len(f) == 1 else f, arr)
 
 
-def _newton_system(x: np.ndarray, mu):
-    """The damped Newton system at a unit-norm x with moment map mu, as
+def _newton_system(x: np.ndarray, mu, flattenings):
+    """The damped Newton system at a unit-norm x with moment map mu and the
+    flattenings of x with their adjoints, as `_evaluate` gives them, as
     (g, hessian, preconditioner, blocks): the gradient, p -> H p, delta -> the
     preconditioner at the damping delta, and the view of a vector as a triple.
 
@@ -154,8 +158,7 @@ def _newton_system(x: np.ndarray, mu):
             return vector(_products(_products(a, blocks(p)), b))
 
     vh = _adjoints(v)
-    fx = _flattenings(x)
-    fxh = _adjoints(fx)
+    fx, fxh = flattenings
     m = vector(mu)
 
     def hessian(p: np.ndarray) -> np.ndarray:
@@ -171,16 +174,17 @@ def _newton_system(x: np.ndarray, mu):
     return g, hessian, preconditioner, blocks
 
 
-def _newton_step(x: np.ndarray, mu):
-    """The damped Newton step at a unit-norm x with moment map mu, as a function
-    (delta, tol) -> e^X x, unnormalized, or None for a non-finite X.
+def _newton_step(x: np.ndarray, mu, flattenings):
+    """The damped Newton step at a unit-norm x with moment map mu and
+    flattenings as `_evaluate` gives them, as a function (delta, tol) -> e^X x,
+    unnormalized, or None for a non-finite X.
 
     X solves (H + delta I) X = -g for the system of `_newton_system`, set up
     once per step. Preconditioned conjugate gradients take one Hessian
     product and one preconditioning per iteration, and stop once the residual
     is at most tol, or after as many iterations as X has complex entries.
     """
-    g, hessian, preconditioner, blocks = _newton_system(x, mu)
+    g, hessian, preconditioner, blocks = _newton_system(x, mu, flattenings)
 
     def step(delta: float, tol: float) -> np.ndarray | None:
         precondition = preconditioner(delta)
@@ -237,7 +241,7 @@ def flow(
         raise ValueError("flow requires a nonzero tensor")
     # Scale by the reciprocal of the norm: dividing by it would round differently.
     x = arr * (1.0 / nrm)
-    mu_norm, mu, lam, residual = _evaluate(x)
+    mu_norm, mu, lam, residual, flattenings = _evaluate(x)
     trajectory = [mu_norm]
     least = mu_norm
     # The damping 2 / dt itself is kept: halving a subnormal dt would reach zero.
@@ -248,7 +252,7 @@ def flow(
     # numpy's warnings would only name internals on stderr.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while residual > residual_tol and steps < max_steps:
-            newton = _newton_step(x, mu)
+            newton = _newton_step(x, mu, flattenings)
             tol = min(0.5, math.sqrt(residual)) * residual
             for halvings in range(MAX_HALVINGS + 1):
                 y = newton(delta, tol)
@@ -257,7 +261,7 @@ def flow(
                 if 0.0 < y_norm < math.inf:
                     candidate = y * (1.0 / y_norm)
                     evaluation = _evaluate(candidate)
-                    new_norm, _, _, new_residual = evaluation
+                    new_norm, _, _, new_residual, _ = evaluation
                     if new_norm <= least + MONOTONICITY_SLACK and (
                         new_norm < mu_norm or new_residual < residual
                     ):
@@ -266,7 +270,7 @@ def flow(
             else:
                 break  # no step down to dt / 2**MAX_HALVINGS was accepted: stop unconverged
             x = candidate
-            mu_norm, mu, lam, residual = evaluation
+            mu_norm, mu, lam, residual, flattenings = evaluation
             least = min(least, mu_norm)
             steps += 1
             trajectory.append(mu_norm)

@@ -57,7 +57,7 @@ _ENCODERS = {
     str: encode_basestring,
     int: str,
     float: _format_float,
-    Fraction: lambda obj: _encode_dict({"num": str(obj.numerator), "den": str(obj.denominator)}),
+    Fraction: lambda obj: f'{{"num":"{obj.numerator}","den":"{obj.denominator}"}}',
     complex: lambda obj: _encode_dict({"re": obj.real, "im": obj.imag}),
     dict: _encode_dict,
     list: _encode_list,

@@ -2,7 +2,8 @@
 permutation triples, supports from triples and support inclusion, and
 reference oracles the library does not need: norms, flattening ranks,
 off-diagonal mass, the Sjamaar inner points of a free support, hull
-membership through scipy's linprog and the packed Newton step."""
+membership through scipy's linprog, the packed Newton step and the family
+data computed one Fraction at a time."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from nonfree.family import FamilyData
 from nonfree.moment import HermTriple, WeylPoint, _action, _adjoints, _flattenings, _grams, _products
 from nonfree.supports import is_free_support
 from nonfree.tensor import GroupTriple, SupportSet, Tensor3, _flattening, _norm, support
@@ -177,10 +179,11 @@ def linprog_in_convex_hull(vertices: Sequence[Sequence[Rational]], point: Sequen
     return _pairing(y, point) >= min(_pairing(y, v) for v in vertices)
 
 
-def packed_newton_step(x: np.ndarray, mu):
+def packed_newton_step(x: np.ndarray, mu, _flattenings_of_x):
     """The reference for flow._newton_step: the same preconditioned CG on
     triples packed into one vector in every layout, each Hessian product
-    through `moment._action` and `moment._flattenings` of X x."""
+    through `moment._action` and `moment._flattenings` of X x. It builds the
+    flattenings of x itself and ignores the ones the flow hands on."""
     spectra = FLOW_MODULE._spectra(mu)
     dims = x.shape
     cubic = len(spectra) == 1
@@ -234,3 +237,30 @@ def packed_newton_step(x: np.ndarray, mu):
         return FLOW_MODULE._geodesic_step(x, FLOW_MODULE._spectra(blocks(step_x)))
 
     return step
+
+
+def fraction_family_data(n: int) -> FamilyData:
+    """The reference for family.family_data: every field computed from h and c
+    one Fraction operation at a time."""
+    half = Fraction(n - 1, 2)
+    h12 = tuple(half - i for i in range(n))
+    h3 = tuple(Fraction(1, n) - (1 if i == n - 1 else 0) for i in range(n))
+    h = (h12, h12, h3)
+    c = Fraction(1, n)
+    norm_h_sq = 2 * sum(x * x for x in h12) + sum(x * x for x in h3)
+
+    u = Fraction(1, n)
+    q = tuple(tuple(u + c * x / norm_h_sq for x in hi) for hi in h)
+    q1, q2, q3 = q
+
+    b = []
+    acc = Fraction(0)
+    for j in range(1, n + 1):
+        acc += q2[j - 1] - q1[n - j]
+        b.append(acc)
+    b = tuple(b)
+
+    lambda_w = (1 - q3[n - 1]) / (n - 1)
+    w_sq = tuple(lambda_w - q2j + bj for q2j, bj in zip(q2, b))
+
+    return FamilyData(n, h, c, norm_h_sq, q, b, w_sq, lambda_w)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import permutation_triple, random_unitary, rng
+from conftest import fraction_family_data, permutation_triple, random_unitary, rng
 from nonfree import certify
 from nonfree.certify import (
     certify_family,
@@ -62,6 +62,12 @@ def test_the_expected_lambda_is_the_exact_squared_norm_of_the_diagonals():
     for n in range(3, 13):
         data = family_data(n)
         assert _squared_norm(data.q) == data.ness_lambda
+
+
+def test_the_expected_family_lambda_has_the_bits_of_the_exact_squared_norm():
+    for n in range(3, 41):
+        got = certify_family(n).details["lambda_expected"]
+        assert np.float64(got).tobytes() == np.float64(float(fraction_family_data(n).q_norm_sq)).tobytes()
 
 
 # The diagonals of mu(S2) and mu(S5) as they were once stored by hand: the oracle

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import fraction_family_data
 from nonfree.family import (
     FamilyInvariantError,
     family_data,
@@ -98,6 +99,57 @@ def test_a_nudged_q_breaks_the_gamma_pairing_identity():
     with pytest.raises(FamilyInvariantError) as excinfo:
         dataclasses.replace(data, q=nudged)
     assert "<(e_i|e_j|e_k), q> constant on Gamma_n" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("n", range(2, 102))
+def test_family_data_equals_the_fraction_oracle_at_every_cli_size(n):
+    data, oracle = family_data(n), fraction_family_data(n)
+    for field in dataclasses.fields(data):
+        assert getattr(data, field.name) == getattr(oracle, field.name), field.name
+    scalars = (data.c, data.norm_h_sq, data.lambda_W)
+    vectors = (*data.h, *data.q, data.b, data.w_sq)
+    assert all(type(x) is F for x in (*scalars, *(x for v in vectors for x in v)))
+    assert type(data.n) is int and all(type(v) is tuple and len(v) == n for v in vectors)
+
+
+EPS = F(1, 5**6)
+
+
+def _moved(vec, i, by=EPS):
+    """vec with by added to its entry i."""
+    return vec[:i] + (vec[i] + by,) + vec[i + 1 :]
+
+
+def _swapped_mass(vec):
+    """vec with EPS moved from its second entry to its first: the same sum."""
+    return _moved(_moved(vec, 0), 1, -EPS)
+
+
+# For each named check but the Gamma_n pairing (tested above), one corrupted
+# field of family_data(5) that breaks it; other checks may fail too.
+NEGATIVE_CONTROLS = {
+    "norm_h_sq closed form": lambda d: {"norm_h_sq": d.norm_h_sq + EPS},
+    "b_n = 0": lambda d: {"b": _moved(d.b, d.n - 1)},
+    "b_j > 0 for j < n": lambda d: {"b": _moved(d.b, 0, -d.b[0])},
+    "sum b = (q3)_n": lambda d: {"b": _moved(d.b, 1)},
+    "shift identity": lambda d: {"b": _swapped_mass(d.b)},
+    "0 <= q2_j - b_j < lambda": lambda d: {"lambda_W": d.d[0]},
+    "w_sq = lambda - q2 + b >= 0": lambda d: {"w_sq": _moved(d.w_sq, 0)},
+    "q components sum to 1": lambda d: {"q": (d.q[0], d.q[1], _moved(d.q[2], 0))},
+    "q nonnegative non-increasing": lambda d: {"q": (d.q[0], d.q[1], d.q[2][::-1])},
+    "q1 = q2 strictly decreasing": lambda d: {"q": (d.q[0], _swapped_mass(d.q[1]), d.q[2])},
+    "q3 flat then small": lambda d: {"q": (d.q[0], d.q[1], _swapped_mass(d.q[2]))},
+    "<q, h> = c": lambda d: {"c": d.c + EPS},
+    "|q|^2 = 3/n + c^2/|h|^2": lambda d: {"norm_h_sq": d.norm_h_sq + EPS},
+}
+
+
+@pytest.mark.parametrize("check", NEGATIVE_CONTROLS)
+def test_a_corrupted_field_fails_its_named_check(check):
+    data = family_data(5)
+    with pytest.raises(FamilyInvariantError) as excinfo:
+        dataclasses.replace(data, **NEGATIVE_CONTROLS[check](data))
+    assert repr(check) in str(excinfo.value)
 
 
 def test_gamma_freeness_transition():

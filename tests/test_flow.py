@@ -220,9 +220,9 @@ def test_the_stacked_hessian_product_has_the_bits_of_the_packed_one(n):
     gen = rng(40 + n)
     for t in cases:
         x = t.entries * (1.0 / norm(t))
-        _, mu, _, _ = FLOW_MODULE._evaluate(x)
+        _, mu, _, _, flattenings = FLOW_MODULE._evaluate(x)
         assert isinstance(mu, np.ndarray)
-        g, hessian, preconditioner, _ = FLOW_MODULE._newton_system(x, mu)
+        g, hessian, preconditioner, _ = FLOW_MODULE._newton_system(x, mu, flattenings)
         fx = [_flattening(x, axis) for axis in range(3)]
         directions = [mu, preconditioner(2.0)(-g)]
         directions += [a + a.conj().swapaxes(-1, -2) for a in random_complex(gen, (2, 3, n, n))]

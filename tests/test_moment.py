@@ -128,7 +128,7 @@ def test_moment_action_kernel_matches_the_two_kernels_bit_for_bit(dims, kind):
         nrm = _norm(arr)
         per_axis = [_flattening(arr, axis) for axis in range(3)]
         layouts = [per_axis, np.stack(per_axis)] if len(set(dims)) == 1 else [per_axis]
-        mu_norm, mu, lam, residual = _evaluate(arr)
+        mu_norm, mu, lam, residual, _ = _evaluate(arr)
         assert len(mu) == 3 and mu_norm == _frobenius_norm(mu)
         actions = []
         for f in layouts:

@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_stdout_hashes_prints_one_digest_per_workload_seed_and_command(tmp_path):
     # Plus, once each, the path_free group, the named certificates and the family
-    # sizes the benchmark skips, and the input_errors group; and per seed the
+    # sizes the benchmark skips or passes (n = 45 and 101), and the input_errors group; and per seed the
     # refute_samples group, the 38 refute ops of polytope_refute at --samples 0
     # and 20, and the flow_shapes group, five flows at shapes the benchmark skips.
     result = subprocess.run(
@@ -42,7 +42,7 @@ def test_stdout_hashes_prints_one_digest_per_workload_seed_and_command(tmp_path)
         if workload == "flow_shapes":
             flow_shapes[command] = ops
     assert workloads == {*BUILDERS, "path_free", "refute_samples", "input_errors", "flow_shapes"}
-    assert path_free == {"certify-nonfree": "11 ops", "family": "7 ops"}
+    assert path_free == {"certify-nonfree": "12 ops", "family": "9 ops"}
     assert refute_samples == {"polytope": "76 ops"}
     assert flow_shapes == {"flow": "5 ops"}
     assert input_errors == {

@@ -11,8 +11,10 @@ DIR; the default is one fixed directory under the system's temporary directory.
 
 One more group, `path_free`, hashes reports the benchmark does not print:
 every spelling of `certify-nonfree --named`, and `certify-nonfree --family N`
-and `family --n N --verify` at sizes the benchmark skips, n = 2 included. These
-ops read no file and draw nothing, so the group is hashed once, with no seed.
+and `family --n N --verify` at sizes the benchmark skips, n = 2 included, and
+n = 45 past its largest, 32; and `family --n 101`, the largest size the CLI
+takes. These ops read no file and draw nothing, so the group is hashed once,
+with no seed.
 
 Another, `input_errors`, hashes error documents: one op or more per family of
 input errors (bad tensor documents, bad halfspace and refutation documents,
@@ -43,9 +45,9 @@ import tempfile
 PATH_FREE = "path_free"
 PATH_FREE_OPS = [("certify-nonfree", "--named", name) for name in ("T2", "T5", "t2", "t5")] + [
     argv
-    for n in ("2", "5", "7", "9", "10", "17", "20")
+    for n in ("2", "5", "7", "9", "10", "17", "20", "45")
     for argv in (("certify-nonfree", "--family", n), ("family", "--n", n, "--verify"))
-]
+] + [("family", "--n", "101")]
 
 INPUT_ERRORS = "input_errors"
 _ENTRY = {"i": 1, "j": 1, "k": 1, "re": 1.0}
