@@ -124,7 +124,9 @@ def _validate(data: FamilyData) -> None:
     scalars = (data.c, data.norm_h_sq, data.lambda_W)
     s = math.lcm(*(x.denominator for x in chain(scalars, *vectors)))
     c, norm_h_sq, lam = (x.numerator * (s // x.denominator) for x in scalars)
-    h1, h2, h3, q1, q2, q3, b, w_sq = ([x.numerator * (s // x.denominator) for x in v] for v in vectors)
+    h1, h2, h3, q1, q2, q3, b, w_sq = (
+        [x.numerator * (s // x.denominator) for x in v] for v in vectors
+    )
     q = (q1, q2, q3)
     d = [q2j - bj for q2j, bj in zip(q2, b)]
     q_norm_sq = sum(x * x for qi in q for x in qi)  # s^2 |q|^2
@@ -148,7 +150,7 @@ def _validate(data: FamilyData) -> None:
         ("q3 flat then small", all(x == lam for x in q3[: n - 1]) and n * q3[n - 1] < s),
         ("<q, h> = c",
          sum(hx * qx for hi, qi in zip((h1, h2, h3), q) for hx, qx in zip(hi, qi)) == c * s),
-        # |q|^2 = 3/n + c^2/|h|^2, times n s^2 |h|^2.
+        # q_norm_sq / s^2 = 3/n + (c/s)^2 / (norm_h_sq/s), times n s^2 norm_h_sq.
         ("|q|^2 = 3/n + c^2/|h|^2",
          n * norm_h_sq * q_norm_sq == 3 * s * s * norm_h_sq + n * s * c * c),
     ]
