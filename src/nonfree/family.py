@@ -67,15 +67,6 @@ class FamilyData:
         _validate(self)
 
     @property
-    def d(self) -> RationalVec:
-        """Diagonal entries q2_j - b_j of the Gram matrix W W*."""
-        return tuple(q2j - bj for q2j, bj in zip(self.q[1], self.b))
-
-    @property
-    def q_norm_sq(self) -> Fraction:
-        return sum((x * x for qi in self.q for x in qi), Fraction(0))
-
-    @property
     def ness_lambda(self) -> Fraction:
         """Constant weight pairing over Gamma_n, equal to 3/n + c^2/|h|^2."""
         return Fraction(3, self.n) + self.c * self.c / self.norm_h_sq

@@ -104,11 +104,11 @@ def test_criterion_3_family_exactness():
             q2[j - 1] - data.b[j - 1] == q1[n - j] - (data.b[j - 2] if j >= 2 else F(0))
             for j in range(1, n + 1)
         )
-        ok &= all(F(0) <= dj < data.lambda_W for dj in data.d)
+        ok &= all(F(0) <= q2j - bj < data.lambda_W for q2j, bj in zip(q2, data.b))
         ok &= sum(
             (hx * qx for hi, qi in zip(data.h, data.q) for hx, qx in zip(hi, qi)), F(0)
         ) == data.c
-        ok &= data.q_norm_sq == F(3, n) + data.c ** 2 / data.norm_h_sq
+        ok &= sum(x * x for qi in data.q for x in qi) == F(3, n) + data.c ** 2 / data.norm_h_sq
     q12 = (F(17, 42), F(1, 3), F(11, 42))
     ok &= family_data(3).q == (q12, q12, (F(5, 14), F(5, 14), F(2, 7)))
     report("criterion 3: family exactness n=3..12", ok)

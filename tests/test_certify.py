@@ -67,7 +67,8 @@ def test_the_expected_lambda_is_the_exact_squared_norm_of_the_diagonals():
 def test_the_expected_family_lambda_has_the_bits_of_the_exact_squared_norm():
     for n in range(3, 41):
         got = certify_family(n).details["lambda_expected"]
-        assert np.float64(got).tobytes() == np.float64(float(fraction_family_data(n).q_norm_sq)).tobytes()
+        want = float(_squared_norm(fraction_family_data(n).q))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 # The diagonals of mu(S2) and mu(S5) as they were once stored by hand: the oracle

@@ -110,6 +110,12 @@ def test_certify_family_n2_is_input_error(capsys):
     assert "error" in json.loads(out)
 
 
+def test_family_below_n_2_is_input_error(capsys):
+    code, out = run(capsys, "family", "--n", "1")
+    assert code == 2
+    assert out == '{"error":{"kind":"input","message":"family_data requires n >= 2"}}\n'
+
+
 def test_family_verify_needs_n_at_least_3(capsys):
     code, out = run(capsys, "family", "--n", "2", "--verify")
     assert code == 2

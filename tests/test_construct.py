@@ -72,9 +72,10 @@ def test_row_deletion_independence_exact():
     # |v^i|^2 = d_i differs from lambda exactly in the rationals.
     for n in NS:
         data = family_data(n)
+        d = [q2i - bi for q2i, bi in zip(data.q[1], data.b)]
         for i in range(n):
-            assert sum(data.w_sq, F(0)) - data.w_sq[i] == data.d[i]
-            assert data.d[i] != data.lambda_W
+            assert sum(data.w_sq, F(0)) - data.w_sq[i] == d[i]
+            assert d[i] != data.lambda_W
     # And numerically: dropping any row keeps full rank.
     for n in (3, 6, 10):
         W = build_W(family_data(n))
@@ -120,6 +121,11 @@ def test_membership_rejects_zero_matrix():
 def test_build_w_rejects_small_n():
     with pytest.raises(ValueError):
         build_W(family_data(2))
+
+
+def test_s0_tensor_rejects_small_n():
+    with pytest.raises(ValueError, match="^s0_tensor requires n >= 2$"):
+        s0_tensor(1)
 
 
 def test_family_tensor_has_unit_norm_and_staircase_support():

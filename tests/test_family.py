@@ -37,6 +37,11 @@ def test_gamma_rejects_small_n():
         gamma_support(1)
 
 
+def test_family_data_rejects_small_n():
+    with pytest.raises(ValueError, match="^family_data requires n >= 2$"):
+        family_data(1)
+
+
 def test_family_data_n3_exact_values():
     data = family_data(3)
     assert data.c == F(1, 3)
@@ -46,8 +51,8 @@ def test_family_data_n3_exact_values():
     assert data.b == (F(1, 7), F(1, 7), F(0))
     assert data.lambda_W == F(5, 14)
     assert data.w_sq == (F(2, 21), F(1, 6), F(2, 21))
-    assert data.d == (F(11, 42), F(4, 21), F(11, 42))
-    assert data.q_norm_sq == F(43, 42)
+    assert tuple(q2j - bj for q2j, bj in zip(data.q[1], data.b)) == (F(11, 42), F(4, 21), F(11, 42))
+    assert sum(x * x for qi in data.q for x in qi) == F(43, 42)
     assert data.ness_lambda == F(43, 42)
 
 
@@ -57,7 +62,7 @@ def test_family_identities_hold_exactly_for_all_desk_sizes():
         data = family_data(n)
         assert data.b[n - 1] == 0
         assert sum(data.b, F(0)) == data.q[2][n - 1]
-        assert data.q_norm_sq == F(3, n) + data.c ** 2 / data.norm_h_sq
+        assert sum(x * x for qi in data.q for x in qi) == F(3, n) + data.c ** 2 / data.norm_h_sq
 
 
 def test_q_is_orthogonal_projection_onto_halfspace_boundary():
@@ -133,7 +138,7 @@ NEGATIVE_CONTROLS = {
     "b_j > 0 for j < n": lambda d: {"b": _moved(d.b, 0, -d.b[0])},
     "sum b = (q3)_n": lambda d: {"b": _moved(d.b, 1)},
     "shift identity": lambda d: {"b": _swapped_mass(d.b)},
-    "0 <= q2_j - b_j < lambda": lambda d: {"lambda_W": d.d[0]},
+    "0 <= q2_j - b_j < lambda": lambda d: {"lambda_W": d.q[1][0] - d.b[0]},
     "w_sq = lambda - q2 + b >= 0": lambda d: {"w_sq": _moved(d.w_sq, 0)},
     "q components sum to 1": lambda d: {"q": (d.q[0], d.q[1], _moved(d.q[2], 0))},
     "q nonnegative non-increasing": lambda d: {"q": (d.q[0], d.q[1], d.q[2][::-1])},

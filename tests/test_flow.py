@@ -234,6 +234,21 @@ def test_the_stacked_hessian_product_has_the_bits_of_the_packed_one(n):
             assert hessian(p).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("dims", [(14, 14, 14), (16, 16, 16), (20, 20, 20), (2, 5, 7)])
+def test_newton_vectors_of_a_cube_stay_stacked_past_the_stacked_moment_kernels(dims):
+    # Past 13^3 the moment kernels run axis by axis and give mu as a list, but
+    # _spectra stacks it, so a cube's Newton-CG vectors are (3, n, n) stacks,
+    # the faster layout there; the packed oracle cannot see this, as both
+    # layouts give the same bits. A non-cubic shape packs its vectors.
+    t = random_tensor(rng(sum(dims)), dims)
+    x = t.entries * (1.0 / norm(t))
+    _, mu, _, _, flattenings = FLOW_MODULE._evaluate(x)
+    g = FLOW_MODULE._newton_system(x, mu, flattenings)[0]
+    assert isinstance(mu, list)
+    n = dims[0]
+    assert g.shape == ((3, n, n) if dims == (n, n, n) else (sum(m * m for m in dims),))
+
+
 ORACLE_CASES = {
     "t2": lambda: named_tensor("T2"),
     "s0-4": lambda: s0_tensor(4),

@@ -99,7 +99,7 @@ def test_outer_halfspace_agrees_with_ness_certificate():
         cert = outer_halfspace(support(t), data.h, data.c)
         ness = ness_minimality(t)
         assert cert.valid and cert.min_support_value == data.c
-        assert ness.lam == pytest.approx(float(data.q_norm_sq), abs=1e-12)
+        assert ness.lam == pytest.approx(float(data.ness_lambda), abs=1e-12)
 
 
 def test_outer_halfspace_strengthened_fails():

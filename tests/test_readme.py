@@ -26,7 +26,7 @@ def quick_tour_values() -> dict[str, object]:
 
 def test_the_readme_quick_tour_runs_and_gives_the_values_it_states():
     values = quick_tour_values()
-    assert values["data.q_norm_sq"] == Fraction(313, 520)
+    assert values["data.ness_lambda"] == Fraction(313, 520)
     assert values["certify_family(5).verdict"] is True
     assert abs(values['certify_named("T2").ness.lam'] - 43 / 42) <= 1e-12
     # 3/4 + c^2/|h|^2 with c = 1/4 and |h|^2 = 43/4.

@@ -202,6 +202,12 @@ def test_support_set_is_its_mask():
         assert issubset(s, s) and issubset(SupportSet(np.zeros(s.dims, dtype=bool)), s)
 
 
+def test_a_support_set_is_unequal_to_any_other_type():
+    s = SupportSet(np.ones((1, 1, 1), dtype=bool))
+    assert s.__eq__(((1, 1, 1),)) is NotImplemented
+    assert s != ((1, 1, 1),) and s != [(1, 1, 1)]
+
+
 def test_support_rejects_negative_tolerance():
     with pytest.raises(ValueError):
         support(Tensor3(np.zeros((2, 2, 2))), -1.0)

@@ -17,7 +17,7 @@ def test_stdout_hashes_prints_one_digest_per_workload_seed_and_command(tmp_path)
     # Plus, once each, the path_free group, the named certificates and the family
     # sizes the benchmark skips or passes (n = 45 and 101), and the input_errors group; and per seed the
     # refute_samples group, the 38 refute ops of polytope_refute at --samples 0
-    # and 20, and the flow_shapes group, five flows at shapes the benchmark skips.
+    # and 20, and the flow_shapes group, seven flows at shapes the benchmark skips.
     result = subprocess.run(
         [sys.executable, "tools/stdout_hashes.py", "--seeds", "0", "--directory", str(tmp_path)],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
@@ -44,7 +44,7 @@ def test_stdout_hashes_prints_one_digest_per_workload_seed_and_command(tmp_path)
     assert workloads == {*BUILDERS, "path_free", "refute_samples", "input_errors", "flow_shapes"}
     assert path_free == {"certify-nonfree": "12 ops", "family": "9 ops"}
     assert refute_samples == {"polytope": "76 ops"}
-    assert flow_shapes == {"flow": "5 ops"}
+    assert flow_shapes == {"flow": "7 ops"}
     assert input_errors == {
         "moment-map": "6 ops", "polytope": "4 ops", "flow": "1 ops",
         "certify-nonfree": "4 ops", "free-support": "1 ops", "family": "1 ops",

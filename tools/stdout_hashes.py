@@ -28,8 +28,9 @@ drawing lower triples.
 
 The group `flow_shapes` hashes, for each seed, `flow` on seeded dense tensors
 of shapes the benchmark skips, at its `--step 1.0`: 7^3, 13^3 (the largest
-cube the moment kernels stack), 14^3 (the first they take axis by axis) and
-(2, 5, 7); and 13^3 again at the default step. Their files are written into
+cube the moment kernels stack), 14^3 (the first they take axis by axis),
+(2, 5, 7), and 16^3 and 20^3 (per-axis moment kernels with stacked Newton-CG
+vectors); and 13^3 again at the default step. Their files are written into
 DIR/flow_shapes-SEED.
 """
 
@@ -92,7 +93,8 @@ def input_error_ops(directory: str) -> list[tuple[str, ...]]:
 
 
 FLOW_SHAPES = "flow_shapes"
-FLOW_SHAPE_DIMS = ((7, 7, 7), (13, 13, 13), (14, 14, 14), (2, 5, 7))
+# Appended shapes keep the inputs of the earlier ones: each draws from its index.
+FLOW_SHAPE_DIMS = ((7, 7, 7), (13, 13, 13), (14, 14, 14), (2, 5, 7), (16, 16, 16), (20, 20, 20))
 
 
 def flow_shape_ops(directory: str, seed: int) -> list[tuple[str, ...]]:
