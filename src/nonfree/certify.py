@@ -71,11 +71,6 @@ class ObstructionWitness:
     data: dict
 
 
-def _parallel(v: np.ndarray, w: np.ndarray) -> bool:
-    det = v[0] * w[1] - v[1] * w[0]
-    return abs(det) <= PARALLEL_TOL * np.linalg.norm(v) * np.linalg.norm(w)
-
-
 def two_column_obstruction(s: Tensor3) -> ObstructionWitness | None:
     """The obstruction to a 2x2 unitary on the eigenvalue block (1, 2) of
     factor 3, the one block of two of family_block_pattern(3), that makes
@@ -91,14 +86,16 @@ def two_column_obstruction(s: Tensor3) -> ObstructionWitness | None:
     """
     scaled, _ = _unit_peak(s.entries)
     rows = scaled[:, :, :2].reshape(-1, 2)
-    norms = [np.linalg.norm(v) for v in rows]
+    norms = [_norm(v) for v in rows]
     cutoff = 1e-12 * float(np.abs(scaled).max())
     vectors = [i for i, r in enumerate(norms) if r > cutoff]
 
     classes: list[list[int]] = []
     for i in vectors:
         for members in classes:
-            if _parallel(rows[i], rows[members[0]]):
+            j = members[0]
+            det = rows[i, 0] * rows[j, 1] - rows[i, 1] * rows[j, 0]
+            if abs(det) <= PARALLEL_TOL * norms[i] * norms[j]:
                 members.append(i)
                 break
         else:

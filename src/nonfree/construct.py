@@ -17,7 +17,7 @@ from math import sqrt
 import numpy as np
 
 from .family import FamilyData, staircase_index
-from .tensor import Tensor3
+from .tensor import Tensor3, _norm
 
 
 def _householder_basis_of_orthogonal_complement(unit: np.ndarray) -> np.ndarray:
@@ -38,7 +38,7 @@ def build_W(data: FamilyData) -> np.ndarray:
     if data.n < 3:
         raise ValueError("build_W requires n >= 3")
     w = _roots(data.w_sq)
-    basis = _householder_basis_of_orthogonal_complement(w / np.linalg.norm(w))
+    basis = _householder_basis_of_orthogonal_complement(w / _norm(w))
     return (sqrt(float(data.lambda_W)) * basis).astype(np.complex128)
 
 
@@ -48,9 +48,8 @@ def gram_defects(t: Tensor3, data: FamilyData) -> tuple[float, float]:
     m = t.entries[staircase_index(data.n)[0]]
     w = _roots(data.w_sq)
     rows, cols = m.shape
-    left = np.linalg.norm(m.conj().T @ m - lam * np.eye(cols))
-    right = np.linalg.norm(m @ m.conj().T - (lam * np.eye(rows) - np.outer(w, w)))
-    return (float(left), float(right))
+    return (_norm(m.conj().T @ m - lam * np.eye(cols)),
+            _norm(m @ m.conj().T - (lam * np.eye(rows) - np.outer(w, w))))
 
 
 def _staircase(W: np.ndarray, a: np.ndarray) -> Tensor3:

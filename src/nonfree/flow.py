@@ -45,6 +45,10 @@ MAX_HALVINGS = 60
 # condition of the Newton system, so the rounding error of a step grows with dt:
 # without this cap, T2 and S0(4) stalled at residuals of 6e-14 and 1.4e-13.
 MAX_STEP = 1024.0
+# Least initial dt. Below it, e^X x rounds to x, no step is accepted, and every
+# halving makes the next try smaller still: a dense 5^3 tensor stalled at step 0
+# from dt = 1e-16, and S0(4) and T2 from 1e-20.
+MIN_STEP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -227,7 +231,8 @@ def flow(
     `_newton_step`) to a CG tolerance of min(1/2, sqrt(r)) r at the current
     projective residual r, and moves x to e^X x, renormalized. The damping is
     delta = 2 / dt, so as dt -> 0 the step tends to the geodesic step
-    e^{-dt mu} x of the gradient flow; step_size is the initial dt. A candidate
+    e^{-dt mu} x of the gradient flow. The initial dt is step_size, or MIN_STEP
+    if step_size is smaller, since steps below it cannot move x. A candidate
     is accepted only if its |mu| is at most the least accepted |mu| plus
     MONOTONICITY_SLACK, and its |mu| or its residual is below the current
     point's: near the limit the gain in |mu| falls below rounding, while the
@@ -249,7 +254,7 @@ def flow(
     trajectory = [mu_norm]
     least = mu_norm
     # The damping 2 / dt itself is kept: halving a subnormal dt would reach zero.
-    delta = 2.0 / step_size
+    delta = 2.0 / max(step_size, MIN_STEP)
 
     steps = 0
     # A step that overflows is rejected below by its non-finite norm, so

@@ -216,23 +216,36 @@ def test_flow_passes_a_flat_stretch_that_monotonicity_alone_accepts(tmp_path, ca
 
 
 def test_an_overflowing_flow_step_leaves_stderr_empty(tmp_path, capsys):
-    # The last eigenvalue of mu_3 of this 2x2x5 tensor rounds to -3e-17, so
-    # neither the Hessian nor the preconditioner damps the Newton step along its
-    # eigenvector, and e^X overflows or underflows at every halving of a 1e40
-    # step; the flow rejects the step by its norm, and numpy must not report
-    # the overflow on stderr.
-    path = tmp_path / "t.json"
-    write_tensor(random_tensor(rng(0), (2, 2, 5)), path)
-    argv = ["flow", "--input", str(path), "--step", "1e40", "--max-steps", "5"]
+    # The last eigenvalue of mu_3 of the rng(0) 2x2x5 tensor rounds to -3e-17,
+    # so neither the Hessian nor the preconditioner damps the Newton step along
+    # its eigenvector, and e^X overflows or underflows at every halving of a
+    # 1e40 step; the flow rejects the step by its norm. From the rng(12) tensor
+    # at 1e300, the CG solve of every try gives a non-finite X, and the flow
+    # rejects the step before any e^X. numpy must not report either on stderr.
     src = os.path.dirname(os.path.dirname(nonfree.__file__))
     code = "import sys; from nonfree.cli import main; sys.exit(main(sys.argv[1:]))"
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert done.stderr == ""
-    assert (done.returncode, done.stdout) == run(capsys, *argv)
-    assert done.returncode == 1 and json.loads(done.stdout)["result"]["steps"] == 0
+    for seed, step, max_steps in [(0, "1e40", "5"), (12, "1e300", "20")]:
+        path = tmp_path / f"t{seed}.json"
+        write_tensor(random_tensor(rng(seed), (2, 2, 5)), path)
+        argv = ["flow", "--input", str(path), "--step", step, "--max-steps", max_steps]
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.stderr == ""
+        assert (done.returncode, done.stdout) == run(capsys, *argv)
+        assert done.returncode == 1 and json.loads(done.stdout)["result"]["steps"] == 0
+
+
+def test_a_flow_from_a_tiny_step_converges(tmp_path, capsys):
+    # From --step 1e-16 the flow stopped unconverged at step 0; it now starts from flow.MIN_STEP.
+    gen = np.random.default_rng([79, 0, 5, 5, 5])
+    path = tmp_path / "dense5.json"
+    write_tensor(Tensor3(gen.standard_normal((5, 5, 5)) + 1j * gen.standard_normal((5, 5, 5))), path)
+    code, out = run(capsys, "flow", "--input", str(path), "--step", "1e-16")
+    result = json.loads(out)["result"]
+    assert code == 0 and result["converged"] is True
+    assert result["lambda"] == pytest.approx(3 / 5, abs=1e-9)
 
 
 def test_a_reader_closing_stdout_early_gets_no_traceback():

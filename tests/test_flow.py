@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from conftest import (
 )
 from nonfree.construct import build_family_tensor, s0_tensor
 from nonfree.family import family_data
-from nonfree.flow import MONOTONICITY_SLACK, flow, ness_minimality
+from nonfree.flow import MIN_STEP, MONOTONICITY_SLACK, flow, ness_minimality
 from nonfree.moment import _action, _adjoints, _frobenius_norm, _grams, moment_map
 from nonfree.named import named_tensor, ness_form
 from nonfree.tensor import GroupTriple, Tensor3, _flattening, apply, from_coefficients, support
@@ -348,6 +349,58 @@ def test_a_step_no_halving_can_save_stops_the_flow_where_it_was(step):
     assert result.steps == 0 and len(result.mu_norm_trajectory) == 1
     assert result.limit.entries.tobytes() == (t.entries * (1.0 / norm(t))).tobytes()
     assert np.diff(result.mu_norm_trajectory).max(initial=0.0) <= MONOTONICITY_SLACK
+
+
+def dense_cube(n: int) -> Tensor3:
+    gen = np.random.default_rng([79, 0, n, n, n])
+    return Tensor3(random_complex(gen, (n, n, n)))
+
+
+@pytest.mark.parametrize(
+    "make, step, lam",
+    [(lambda: dense_cube(5), 1e-16, 3 / 5), (lambda: dense_cube(5), 1e-320, 3 / 5),
+     (lambda: s0_tensor(4), 1e-20, float(family_data(4).ness_lambda)),
+     (lambda: named_tensor("T2"), 1e-20, 43 / 42)],
+    ids=["dense-5-1e-16", "dense-5-subnormal", "S0(4)-1e-20", "T2-1e-20"],
+)
+def test_a_tiny_first_step_starts_from_the_least_step(make, step, lam):
+    # Below MIN_STEP, e^X x rounds to x and every halving makes the next try
+    # smaller still: these flows stopped unconverged at step 0 (T2 after 3
+    # steps; from 1e-320 the damping 2 / dt was inf). They start from MIN_STEP now.
+    assert step < MIN_STEP
+    result = flow(make(), step_size=step)
+    assert result.converged
+    assert result.lam == pytest.approx(lam, abs=1e-9)
+    fixed = flow(make(), step_size=MIN_STEP)
+    assert result.limit.entries.tobytes() == fixed.limit.entries.tobytes()
+    assert result.mu_norm_trajectory == fixed.mu_norm_trajectory
+
+
+def test_a_non_finite_newton_step_is_rejected_without_a_warning(monkeypatch):
+    # From a first step of 1e300 the damping 2 / dt is about 2e-300, and the
+    # CG solve of every try, down to 1e300 / 2**MAX_HALVINGS, gives a
+    # non-finite X; _newton_step returns None, and the flow stops where it started.
+    gen = np.random.default_rng(12)
+    t = Tensor3(random_complex(gen, (2, 2, 5)))
+    tries = []
+    newton_step = FLOW_MODULE._newton_step
+
+    def counted(*args):
+        step = newton_step(*args)
+
+        def counted_step(delta, tol):
+            tries.append(step(delta, tol))
+            return tries[-1]
+
+        return counted_step
+
+    monkeypatch.setattr(FLOW_MODULE, "_newton_step", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = flow(t, step_size=1e300, max_steps=20)
+    assert len(tries) == FLOW_MODULE.MAX_HALVINGS + 1 and all(y is None for y in tries)
+    assert not result.converged and result.steps == 0
+    assert result.limit.entries.tobytes() == (t.entries * (1.0 / norm(t))).tobytes()
 
 
 def test_flow_norm_stays_one():

@@ -1,9 +1,9 @@
 """Every name a library module imports is used in that module, every
 public name a module defines is used by the package, every private
 module-level name is referenced by the package, every public property or
-dataclass field of a library class is read by the package, and every
+dataclass field of a library class is read by the package, every
 ValueError subclass the package defines is named in one of its except
-clauses."""
+clauses, and every norm the package takes goes through `tensor._norm`."""
 
 from __future__ import annotations
 
@@ -204,3 +204,34 @@ def test_the_check_sees_an_uncaught_value_error_subclass():
 def test_every_value_error_subclass_is_caught_somewhere():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert uncaught_value_errors(sources) == []
+
+
+def linalg_norm_references(sources: dict[str, str]) -> list[str]:
+    """module.py:line for each reference to numpy.linalg.norm (or any
+    linalg.norm), as an attribute (`np.linalg.norm`, `linalg.norm`) or
+    imported by name: every norm goes through `tensor._norm`, the one kernel,
+    with np.linalg.norm's bits, so one change to its reduction reaches them all."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and node.attr == "norm":
+                owner = node.value
+                if getattr(owner, "attr", getattr(owner, "id", None)) == "linalg":
+                    found.append((module, node.lineno))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                found.extend((module, node.lineno) for a in node.names if a.name == "norm")
+    return [f"{module}.py:{line}" for module, line in sorted(found)]
+
+
+def test_the_check_sees_a_linalg_norm():
+    sources = {
+        "tensor": "import numpy as np\nfrom numpy import linalg\n"
+                  "def size(t):\n    return np.linalg.norm(t) + linalg.norm(t)\n"
+                  "def _norm(t):\n    return np.sqrt(t.dot(t))\n",
+        "cli": "from numpy.linalg import norm, svd\nfrom .tensor import _norm\nprint(norm, svd, _norm)\n",
+    }
+    assert linalg_norm_references(sources) == ["cli.py:1", "tensor.py:4", "tensor.py:4"]
+
+
+def test_every_norm_goes_through_the_one_kernel():
+    assert linalg_norm_references(library_sources()) == []

@@ -109,6 +109,19 @@ def reference_action(h, arr):
     return out
 
 
+# The operands of the norms in construct and certify: vectors and matrices,
+# real and complex, contiguous and strided, up to 101 x 101, past the 10 000
+# elements above which BLAS may split a dot product over threads.
+@pytest.mark.parametrize("shape", [(1,), (2,), (7,), (101,), (1, 1), (2, 3), (13, 8), (101, 101)])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_norm_has_the_bits_of_linalg_norm_on_vectors_and_matrices(shape, kind):
+    gen = rng(100 * len(shape) + shape[-1] + len(kind))
+    for _ in range(25):
+        arr = random_complex(gen, shape) if kind == "complex" else gen.standard_normal(shape)
+        for view in (arr, arr.T, arr[::-1], arr[..., ::-1], arr[::2], arr[..., ::2], arr[::2, ...].T):
+            assert _norm(view) == float(np.linalg.norm(view))
+
+
 @pytest.mark.parametrize("dims", [(n, n, n) for n in range(1, 15)] + [(2, 3, 4)])
 @pytest.mark.parametrize("kind", ["dense", "sparse", "tiny"])
 def test_moment_action_kernel_matches_the_two_kernels_bit_for_bit(dims, kind):
