@@ -28,7 +28,7 @@ from .polytope import DEFAULT_SAMPLES, hull_refute, outer_halfspace, rational
 from .reduction import DEFAULT_TOL as DEFAULT_REDUCTION_TOL
 from .reduction import ReductionError, reduce_to_s0
 from .supports import is_free_support
-from .tensor import MAX_ENTRIES, SUPPORT_TOL, support, tensor_from_doc, tensor_to_doc
+from .tensor import MAX_ENTRIES, SUPPORT_TOL, support, tensor_from_doc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,10 +103,10 @@ def cmd_family(args) -> tuple[dict, int]:
     data = family_data(_family_size(args.n))
     if args.verify and args.n < 3:  # the n = 2 support is free: nothing to verify
         raise ValueError("--verify needs n >= 3")
-    doc = {"family_data": family_to_doc(data), "s0": tensor_to_doc(s0_tensor(args.n))}
+    doc = {"family_data": family_to_doc(data), "s0": s0_tensor(args.n)}
     if args.n >= 3:
         t = build_family_tensor(data)
-        doc["family_tensor"] = tensor_to_doc(t)
+        doc["family_tensor"] = t
         if args.verify:
             left, right = gram_defects(t, data)
             ness = ness_minimality(t)
@@ -145,7 +145,7 @@ def cmd_flow(args) -> tuple[dict, int]:
         "final_residual": result.final_residual,
         "lambda": result.lam,
         "mu_norm_trajectory": _decimate(result.mu_norm_trajectory),
-        "limit": tensor_to_doc(result.limit),
+        "limit": result.limit,
     }
     return {"result": doc}, 0 if result.converged else 1
 

@@ -2,13 +2,20 @@
 
 Floats are printed with 17 significant digits so values round-trip exactly
 and reports are reproducible across runs and platforms. Reports hold Python
-values only: a numpy scalar or array, float64 included, is a TypeError.
+values and tensors only: a numpy scalar or array, float64 included, is a
+TypeError. A `Tensor3` is written as the document `tensor.tensor_from_doc`
+reads: its dims and its nonzero entries in C order, 1-based, each formatted
+from one template over whole-array index and value lists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from json.encoder import encode_basestring
+
+import numpy as np
+
+from .tensor import Tensor3, support
 
 
 def _format_float(x: float) -> str:
@@ -34,19 +41,33 @@ def _encode_dict(obj: dict) -> str:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             prefix = _KEYS[key] = encode_basestring(key) + ":"
-        # The floats of a tensor entry, its most common values, skip the dispatch.
-        if type(value) is float:
-            text = format(value, ".17g")
-            if "." not in text and "e" not in text:
-                text = _integral(text)
-            parts.append(prefix + text)
-        else:
-            parts.append(prefix + _encode(value))
+        parts.append(prefix + _encode(value))
     return "{" + ",".join(parts) + "}"
 
 
 def _encode_list(obj) -> str:
+    # The rows of a matrix and a trajectory hold floats alone: skip the dispatch.
+    if set(map(type, obj)) == {float}:
+        return "[" + ",".join(map(_format_float, obj)) + "]"
     return "[" + ",".join(map(_encode, obj)) + "]"
+
+
+_ENTRY = '{"i":%d,"j":%d,"k":%d,"re":%s,"im":%s}'
+
+
+def _encode_tensor(t: Tensor3) -> str:
+    """The dims and the nonzero entries of t, at the triples of `support(t, 0.0)`."""
+    mask = support(t, 0.0).mask
+    values = t.entries[mask]
+    entries = [
+        _ENTRY % (i, j, k, re, im)
+        for (i, j, k), re, im in zip(
+            (np.argwhere(mask) + 1).tolist(),
+            map(_format_float, values.real.tolist()),
+            map(_format_float, values.imag.tolist()),
+        )
+    ]
+    return '{"dims":[%d,%d,%d],"entries":[%s]}' % (*t.dims, ",".join(entries))
 
 
 # The literals and the string escaping json.dumps(obj, ensure_ascii=False) writes,
@@ -62,6 +83,7 @@ _ENCODERS = {
     dict: _encode_dict,
     list: _encode_list,
     tuple: _encode_list,
+    Tensor3: _encode_tensor,
 }
 # Encoded object keys with their colon, by key; reports use a few dozen.
 _KEYS: dict[str, str] = {}

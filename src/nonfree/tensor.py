@@ -3,6 +3,10 @@
 All indices in public interfaces (supports, JSON) are 1-based; storage is a
 numpy array indexed from 0. Values are immutable after construction, so
 everything here is safe to share across threads.
+
+`tensor_from_doc` reads a JSON tensor document, which `jsonio` writes. It
+checks the entries' types, bounds and duplicates as whole arrays; at any bad
+entry it reads the entries again one at a time, to name the first bad one.
 """
 
 from __future__ import annotations
@@ -184,15 +188,6 @@ def _unit_peak(arr: np.ndarray) -> tuple[np.ndarray, int]:
 # Omitted entries are zero; indices are 1-based; a duplicated (i, j, k) is an error.
 
 
-def tensor_to_doc(t: Tensor3) -> dict:
-    supp = support(t, 0.0)
-    entries = [
-        {"i": i, "j": j, "k": k, "re": value.real, "im": value.imag}
-        for (i, j, k), value in zip(supp, t.entries[supp.mask].tolist())
-    ]
-    return {"dims": list(t.dims), "entries": entries}
-
-
 def tensor_from_doc(doc: dict) -> Tensor3:
     if not (isinstance(doc, dict) and isinstance(doc.get("dims"), list)
             and isinstance(doc.get("entries", []), list)):
@@ -206,9 +201,47 @@ def tensor_from_doc(doc: dict) -> Tensor3:
         raise ValueError(f"dims must be three positive integers, got {dims}")
     if dims[0] * dims[1] * dims[2] > MAX_ENTRIES:
         raise ValueError(f"dims {dims} exceed the limit of {MAX_ENTRIES} entries")
+    entries = doc.get("entries", [])
+    arr = _read_entries(dims, entries)
+    if arr is None:
+        arr = _read_entries_one_by_one(dims, entries)
+    return Tensor3(arr)
+
+
+def _read_entries(dims: Triple, entries: list) -> np.ndarray | None:
+    """The entries array, read field by field and checked as whole arrays; None
+    at any bad entry, which `_read_entries_one_by_one` then names."""
+    try:
+        i, j, k = ([entry[key] for entry in entries] for key in "ijk")
+        re = [entry.get("re", 0.0) for entry in entries]
+        im = [entry.get("im", 0.0) for entry in entries]
+        if not (set(map(type, i + j + k)) <= {int} and set(map(type, re + im)) <= {int, float}):
+            return None
+        # Raises a ValueError for an index outside the box.
+        linear = np.ravel_multi_index(np.array([i, j, k], dtype=np.int64) - 1, dims)
+        # float(re) + 1j * float(im), bit for bit; an infinite im gives a NaN, which
+        # Tensor3 refuses, as Python does without a warning.
+        with np.errstate(invalid="ignore"):
+            values = np.array(re, dtype=np.float64) + 1j * np.array(im, dtype=np.float64)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    # A duplicate leaves fewer cells set than entries. Sorting would find it too,
+    # but the first sort of a process pages in 0.25-1.6 MB.
+    size = dims[0] * dims[1] * dims[2]
+    seen = np.zeros(size, dtype=bool)
+    seen[linear] = True
+    if np.count_nonzero(seen) != len(linear):
+        return None
+    arr = np.zeros(size, dtype=np.complex128)
+    arr[linear] = values
+    return arr.reshape(dims)
+
+
+def _read_entries_one_by_one(dims: Triple, entries: list) -> np.ndarray:
+    """The entries array, read one entry at a time; the first bad entry is a ValueError."""
     arr = np.zeros(dims, dtype=np.complex128)
     seen = set()
-    for entry in doc.get("entries", []):
+    for entry in entries:
         try:
             i, j, k = entry["i"], entry["j"], entry["k"]
             re, im = entry.get("re", 0.0), entry.get("im", 0.0)
@@ -225,4 +258,4 @@ def tensor_from_doc(doc: dict) -> Tensor3:
             raise ValueError(f"duplicate entry at ({i},{j},{k})")
         seen.add((i, j, k))
         arr[i - 1, j - 1, k - 1] = value
-    return Tensor3(arr)
+    return arr

@@ -2,8 +2,9 @@
 permutation triples, supports from triples and support inclusion, and
 reference oracles the library does not need: norms, flattening ranks,
 off-diagonal mass, the Sjamaar inner points of a free support, hull
-membership through scipy's linprog, the packed Newton step and the family
-data computed one Fraction at a time."""
+membership through scipy's linprog, the packed Newton step, the family
+data computed one Fraction at a time, and the tensor document written as a
+dict of entry dicts and read one entry at a time."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 from nonfree.family import FamilyData
 from nonfree.moment import HermTriple, WeylPoint, _action, _adjoints, _flattenings, _grams, _products
 from nonfree.supports import is_free_support
-from nonfree.tensor import GroupTriple, SupportSet, Tensor3, _flattening, _norm, support
+from nonfree.tensor import MAX_ENTRIES, GroupTriple, SupportSet, Tensor3, _flattening, _norm, support
 
 FLOW_MODULE = importlib.import_module("nonfree.flow")  # the attribute nonfree.flow is the function
 
@@ -264,3 +265,50 @@ def fraction_family_data(n: int) -> FamilyData:
     w_sq = tuple(lambda_w - q2j + bj for q2j, bj in zip(q2, b))
 
     return FamilyData(n, h, c, norm_h_sq, q, b, w_sq, lambda_w)
+
+
+def tensor_to_doc(t: Tensor3) -> dict:
+    """The reference for jsonio's tensor writer: the document as a dict, one
+    dict per entry of support(t, 0.0), in its sorted order."""
+    supp = support(t, 0.0)
+    entries = [
+        {"i": i, "j": j, "k": k, "re": value.real, "im": value.imag}
+        for (i, j, k), value in zip(supp, t.entries[supp.mask].tolist())
+    ]
+    return {"dims": list(t.dims), "entries": entries}
+
+
+def loop_tensor_from_doc(doc: dict) -> Tensor3:
+    """The reference for tensor.tensor_from_doc: every entry checked and
+    stored one at a time, and the first bad one named."""
+    if not (isinstance(doc, dict) and isinstance(doc.get("dims"), list)
+            and isinstance(doc.get("entries", []), list)):
+        raise ValueError("a tensor document is a JSON object with 'dims' and 'entries' lists")
+    dims = tuple(doc["dims"])
+    if not all(type(n) is int for n in dims):
+        raise ValueError(f"bad dims {doc['dims']!r}: each must be a JSON integer "
+                         "(true and false are not numbers)")
+    if len(dims) != 3 or any(n < 1 for n in dims):
+        raise ValueError(f"dims must be three positive integers, got {dims}")
+    if dims[0] * dims[1] * dims[2] > MAX_ENTRIES:
+        raise ValueError(f"dims {dims} exceed the limit of {MAX_ENTRIES} entries")
+    arr = np.zeros(dims, dtype=np.complex128)
+    seen = set()
+    for entry in doc.get("entries", []):
+        try:
+            i, j, k = entry["i"], entry["j"], entry["k"]
+            re, im = entry.get("re", 0.0), entry.get("im", 0.0)
+            if not (all(type(x) is int for x in (i, j, k))
+                    and all(type(x) in (int, float) for x in (re, im))):
+                raise TypeError("i, j and k must be JSON integers and re and im JSON numbers "
+                                "(true and false are not numbers)")
+            value = float(re) + 1j * float(im)
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(f"bad entry {entry!r}: {exc}") from exc
+        if not (1 <= i <= dims[0] and 1 <= j <= dims[1] and 1 <= k <= dims[2]):
+            raise ValueError(f"index ({i},{j},{k}) outside dims {dims}")
+        if (i, j, k) in seen:
+            raise ValueError(f"duplicate entry at ({i},{j},{k})")
+        seen.add((i, j, k))
+        arr[i - 1, j - 1, k - 1] = value
+    return Tensor3(arr)

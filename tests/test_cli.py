@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_tensor, rng
+from conftest import random_tensor, rng, tensor_to_doc
 import nonfree
 import nonfree.family
 
@@ -26,7 +26,7 @@ from nonfree.flow import DEFAULT_RESIDUAL_TOL, DEFAULT_STEP
 from nonfree.named import named_tensor
 from nonfree.polytope import MAX_SAMPLES
 from nonfree.reduction import DEFAULT_TOL as DEFAULT_REDUCTION_TOL
-from nonfree.tensor import Tensor3, tensor_to_doc
+from nonfree.tensor import Tensor3
 
 
 def write_tensor(t, path):

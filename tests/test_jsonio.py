@@ -8,13 +8,14 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_tensor, rng
+from conftest import random_tensor, rng, tensor_to_doc
 from nonfree import cli
 from nonfree.construct import build_family_tensor
 from nonfree.family import family_data
 from nonfree.jsonio import dumps
-from nonfree.tensor import tensor_to_doc
+from nonfree.tensor import Tensor3
 
 AWKWARD = 'quote " backslash \\ control \x01 separator \u2028 non-ASCII \u03bc'
 
@@ -39,6 +40,8 @@ def test_dumps_matches_json_dumps_on_strings_literals_and_numeric_types():
         "été": ["λ", None, True, False],
         "numbers": [Fraction(-3, 7), complex(1.5, -2.0), 0.25, 7, 3.0],
         "array": [[1.0, -0.5], [2.0, 0.125]],
+        "floats": [-0.0, 3.0, -0.75, 1024.0],
+        "mixed": [0.5, 2, -0.0, None],
     }
     expected = json.dumps(plain(doc), ensure_ascii=False, separators=(",", ":"), allow_nan=False)
     assert dumps(doc) == expected
@@ -104,6 +107,8 @@ def reference_dumps(obj) -> str:
             emit({"num": str(obj.numerator), "den": str(obj.denominator)})
         elif type(obj) is complex:
             emit({"re": obj.real, "im": obj.imag})
+        elif type(obj) is Tensor3:
+            emit(tensor_to_doc(obj))
         elif isinstance(obj, dict):
             out.append("{")
             for pos, (key, value) in enumerate(obj.items()):
@@ -150,3 +155,33 @@ def test_reports_encode_as_the_reference_encoder_does(tmp_path, monkeypatch, cap
     assert len(docs) == 6
     for doc in docs:
         assert dumps(doc) == reference_dumps(doc)
+
+
+# Parts whose 17-digit forms need care: signed zeros, subnormals, integral
+# values that print with a ".0" and values near 1e16 and 1e17, where .17g
+# switches to an exponent.
+AWKWARD_PARTS = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.0, -3.0, 2.0**53,
+    9999999999999998.0, 1e16, -1e16, 1e16 + 2, 99999999999999984.0, 1e17, -1e17,
+    1.0000000000000002e17,
+])
+PARTS = AWKWARD_PARTS | st.floats(-1e150, 1e150, allow_nan=False)
+
+
+@st.composite
+def tensors(draw):
+    """A complex tensor of any dims up to 4 on a side, on a random support."""
+    dims = tuple(draw(st.lists(st.integers(1, 4), min_size=3, max_size=3)))
+    flat = np.zeros(math.prod(dims), dtype=np.complex128)
+    for cell in draw(st.sets(st.integers(0, flat.size - 1))):
+        flat[cell] = complex(draw(PARTS), draw(PARTS))
+    return Tensor3(flat.reshape(dims))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(t=tensors())
+@example(t=Tensor3(np.zeros((2, 3, 1))))
+def test_a_tensor_is_written_as_its_reference_document(t):
+    doc = tensor_to_doc(t)
+    assert dumps(t) == dumps(doc) == reference_dumps(doc)
+    assert dumps(t).endswith('"entries":[]}') == (not t.entries.any())

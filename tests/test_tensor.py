@@ -5,11 +5,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     UnitaryTriple,
     flattening_ranks,
     issubset,
+    loop_tensor_from_doc,
     norm,
     permutation_triple,
     random_group_triple,
@@ -17,6 +19,7 @@ from conftest import (
     random_unitary_triple,
     rng,
     support_set,
+    tensor_to_doc,
 )
 from nonfree.tensor import (
     MAX_ENTRIES,
@@ -28,7 +31,6 @@ from nonfree.tensor import (
     from_coefficients,
     support,
     tensor_from_doc,
-    tensor_to_doc,
 )
 
 
@@ -166,6 +168,90 @@ def test_json_out_of_range_index_rejected():
     doc = {"dims": [2, 2, 2], "entries": [{"i": 3, "j": 1, "k": 1, "re": 1.0, "im": 0.0}]}
     with pytest.raises(ValueError, match=re.escape("index (3,1,1) outside dims (2, 2, 2)")):
         tensor_from_doc(doc)
+
+
+# JSON numbers as json.load reads them, with the values whose conversion needs
+# care: signed zeros, subnormals, integers past 2**53 and past int64, and
+# values near 1e16 and 1e17.
+ENTRY_VALUES = st.sampled_from([
+    0, 1, -7, 2**53 + 1, 2**64 + 3, -(2**70) - 1, 0.0, -0.0, 5e-324, -5e-324,
+    2.2250738585072009e-308, 1e16, 1e16 + 2, 1e17, -1e17, 0.1,
+]) | st.integers(-(2**80), 2**80) | st.floats(-1e100, 1e100, allow_nan=False)
+
+# Each kind of bad entry the reader names, made from a good one.
+BAD_ENTRIES = {
+    "no k": lambda e: {key: value for key, value in e.items() if key != "k"},
+    "string index": lambda e: {**e, "j": str(e["j"])},
+    "bool index": lambda e: {**e, "i": True},
+    "float index": lambda e: {**e, "i": float(e["i"])},
+    "bool value": lambda e: {**e, "re": True},
+    "null value": lambda e: {**e, "im": None},
+    "string value": lambda e: {**e, "re": "1.0"},
+    "int too large for a float": lambda e: {**e, "re": 10**400},
+    "infinite value": lambda e: {**e, "im": math.inf},
+    "list entry": lambda e: list(e.values()),
+    "index 0": lambda e: {**e, "k": 0},
+    "negative index": lambda e: {**e, "i": -1},
+    "index past dims": lambda e: {**e, "j": 5},
+    "index past int64": lambda e: {**e, "k": 2**64},
+    "duplicate": lambda e: {**e, "re": 2.0},
+}
+
+
+@st.composite
+def tensor_docs(draw):
+    """A tensor document with dims up to 4 on a side, its entries in any order,
+    some re and im omitted, and none, one or two bad entries among them."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=3, max_size=3))
+    cells = draw(st.lists(st.tuples(*(st.integers(1, n) for n in dims)), unique=True, max_size=12))
+    entries = []
+    for i, j, k in cells:
+        entry = {"i": i, "j": j, "k": k}
+        entry.update({part: draw(ENTRY_VALUES) for part in ("re", "im") if draw(st.booleans())})
+        entries.append(entry)
+    for kind in draw(st.lists(st.sampled_from(sorted(BAD_ENTRIES)), max_size=2)) if entries else ():
+        at = draw(st.integers(0, len(entries) - 1))
+        if not isinstance(entries[at], dict):  # already a list entry
+            continue
+        if kind == "duplicate":
+            entries.insert(draw(st.integers(at + 1, len(entries))), BAD_ENTRIES[kind](entries[at]))
+        else:
+            entries[at] = BAD_ENTRIES[kind](entries[at])
+    if entries or draw(st.booleans()):
+        return {"dims": dims, "entries": entries}
+    return {"dims": dims}
+
+
+def _read(read, doc):
+    """The bytes of the entries read, or the message of the ValueError."""
+    try:
+        return read(doc).entries.tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+LATE_DUPLICATE = {"dims": [10, 10, 10], "entries": [
+    {"i": i, "j": j, "k": k, "re": 1.0}
+    for i in range(1, 11) for j in range(1, 11) for k in range(1, 11)
+] + [{"i": 7, "j": 3, "k": 9, "im": -1.0}]}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(doc=tensor_docs())
+@example(doc=LATE_DUPLICATE)
+@example(doc={"dims": [1, 2, 1], "entries": [{"i": 1, "j": 2, "k": 1, "re": -0.0, "im": -0.0}]})
+def test_a_tensor_document_reads_as_the_entry_by_entry_loop_reads_it(doc):
+    # Bytes, so a -0.0 part must read as the +0.0 the loop's float(re) + 1j * float(im) gives.
+    assert _read(tensor_from_doc, doc) == _read(loop_tensor_from_doc, doc)
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_ENTRIES))
+def test_each_bad_entry_gets_the_message_the_loop_gives(kind):
+    good = [{"i": 1, "j": 1, "k": 1, "re": 1.0}, {"i": 2, "j": 1, "k": 2, "im": -0.5}]
+    doc = {"dims": [2, 2, 2], "entries": good + [BAD_ENTRIES[kind](good[0])]}
+    message = _read(loop_tensor_from_doc, doc)
+    assert isinstance(message, str)
+    assert _read(tensor_from_doc, doc) == message
 
 
 def test_json_tensor_above_the_entry_limit_rejected():

@@ -19,7 +19,10 @@ with no seed.
 Another, `input_errors`, hashes error documents: one op or more per family of
 input errors (bad tensor documents, bad halfspace and refutation documents,
 bad flags, sizes and paths), with the files they read written into
-DIR/input_errors. It is hashed once, with no seed.
+DIR/input_errors. Its bad tensor entries cover every kind the reader names:
+a missing index, a string index, a boolean value, an integer too large for a
+float, an entry that is not an object, an index of 0 and a duplicate after
+1 000 good entries. It is hashed once, with no seed.
 
 And for each seed, the group `refute_samples` hashes every `polytope --refute`
 op of polytope_refute again at `--samples 0` and at `--samples 20`, where the
@@ -59,11 +62,27 @@ INPUT_ERROR_FILES = {
     "outside.json": {"dims": [2, 2, 2], "entries": [{**_ENTRY, "i": 3}]},
     "bool_dims.json": {"dims": [True, 2, 2], "entries": []},
     "non_cubic.json": {"dims": [2, 2, 3], "entries": [_ENTRY]},
+    "no_k.json": {"dims": [2, 2, 2], "entries": [{"i": 1, "j": 1, "re": 1.0}]},
+    "string_index.json": {"dims": [2, 2, 2], "entries": [{**_ENTRY, "j": "1"}]},
+    "bool_re.json": {"dims": [2, 2, 2], "entries": [{**_ENTRY, "re": True}]},
+    "huge_re.json": {"dims": [2, 2, 2], "entries": [{**_ENTRY, "re": 10**400}]},
+    "list_entry.json": {"dims": [2, 2, 2], "entries": [[1, 1, 1, 1.0]]},
+    "index_zero.json": {"dims": [2, 2, 2], "entries": [{**_ENTRY, "k": 0}]},
+    "late_duplicate.json": {"dims": [10, 10, 10], "entries": [
+        {"i": i, "j": j, "k": k, "re": 1.0} for i in range(1, 11) for j in range(1, 11)
+        for k in range(1, 11)
+    ] + [{"i": 7, "j": 3, "k": 9, "im": -1.0}]},
     "one_over_zero.json": {"h1": ["1/0", 0], "h2": [0, 0], "h3": [0, 0], "c": 0},
     "no_c.json": {"h1": [0, 0], "h2": [0, 0], "h3": [0, 0]},
     "short_h.json": {"h1": [0], "h2": [0, 0], "h3": [0, 0], "c": 0},
     "increasing.json": {"p1": [0.25, 0.75], "p2": [0.5, 0.5], "p3": [0.5, 0.5]},
 }
+
+
+# Bad entries in an otherwise well-formed document, one of each kind: each
+# must get the message of the first bad entry.
+BAD_ENTRY_FILES = ("no_k.json", "string_index.json", "bool_re.json", "huge_re.json",
+                   "list_entry.json", "index_zero.json", "late_duplicate.json")
 
 
 def input_error_ops(directory: str) -> list[tuple[str, ...]]:
@@ -77,6 +96,7 @@ def input_error_ops(directory: str) -> list[tuple[str, ...]]:
     return [
         *(("moment-map", "--input", path[name])
           for name in ("nan.json", "duplicate.json", "outside.json", "bool_dims.json", "missing.json")),
+        *(("moment-map", "--input", path[name]) for name in BAD_ENTRY_FILES),
         ("moment-map", "--input", tensor, "--bogus"),
         *(("polytope", "--input", tensor, "--halfspace", path[name])
           for name in ("one_over_zero.json", "no_c.json", "short_h.json")),
