@@ -22,8 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .supports import vertex_matrix
-from .tensor import SupportSet
+from .tensor import _FLATTENING_ORDERS, SupportSet
 
 # Most digits of a common denominator of pairings, and of a printed halfspace bound or
 # minimum: Python's default int-string limit, which bounds every JSON integer.
@@ -58,7 +57,9 @@ def in_convex_hull(supp: SupportSet, point: Sequence[Rational]) -> bool:
     y.p < y.v for every vertex v. A point in the hull, a point too close to
     its boundary for the float solve, or a solver failure returns True. An
     empty support, whose hull has no Farkas certificate, and a point whose
-    length is not n1 + n2 + n3, are ValueErrors.
+    length is not n1 + n2 + n3, are ValueErrors. A model that HiGHS does not
+    accept is a RuntimeError, a defect here: as an empty LP it would answer
+    True every time.
     """
     if not len(supp):
         raise ValueError("convex hull membership needs at least one vertex")
@@ -68,28 +69,35 @@ def in_convex_hull(supp: SupportSet, point: Sequence[Rational]) -> bool:
     # Imported here so that commands which never test membership skip scipy's import.
     from scipy.optimize._highspy import _core as highs
 
-    # Boxed separation LP over (y, s): minimize y.p + s subject to -(y.v + s) <= 0.
-    # The nonzeros of -[V | 1] column by column and the options (output off, dual
-    # simplex) are those of scipy's own LP front end, whose solutions tests compare.
-    vertices = vertex_matrix(supp)
-    columns = -np.vstack([vertices.T.astype(float), np.ones(len(vertices))])
-    nonzero = columns != 0
-    lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = dim + 1
-    lp.num_row_ = lp.a_matrix_.num_row_ = len(vertices)
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1))))
-    lp.a_matrix_.index_ = np.nonzero(nonzero)[1]
-    lp.a_matrix_.value_ = columns[nonzero]
-    lp.col_cost_ = [float(x) for x in point] + [1.0]
-    lp.col_lower_ = np.full(dim + 1, -1.0)
-    lp.col_upper_ = np.ones(dim + 1)
-    lp.row_lower_ = np.full(len(vertices), -np.inf)
-    lp.row_upper_ = np.zeros(len(vertices))
+    # Boxed separation LP over (y, s): minimize y.p + s subject to -(y.v + s) <= 0,
+    # passed as arrays, column by column. The rows are the triples of supp in C order,
+    # and the nonzeros of -[V | 1] are -1s: the column of y at index a of a factor has
+    # the rows whose index along that factor's axis is a, in row order, and the column
+    # of s has every row. `start` holds the first nonzero of each column. The options
+    # (output off, dual simplex) are those of scipy's own LP front end, whose
+    # solutions tests compare.
+    mask = supp.mask
+    rows = len(supp)
+    position = np.empty(mask.shape, dtype=np.int32)
+    position[mask] = np.arange(rows, dtype=np.int32)
+    index = np.concatenate(
+        [position.transpose(order)[mask.transpose(order)] for order in _FLATTENING_ORDERS]
+        + [np.arange(rows, dtype=np.int32)]
+    )
+    counts = np.concatenate([mask.sum(axis=order[1:]) for order in _FLATTENING_ORDERS])
+    start = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+    cols = dim + 1
     solver = highs._Highs()
     solver.setOptionValue("output_flag", False)
     solver.setOptionValue("simplex_strategy", 1)  # dual simplex
-    solver.passModel(lp)
+    status = solver.passModel(
+        cols, rows, len(index), highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
+        np.array([float(x) for x in point] + [1.0]), np.full(cols, -1.0), np.ones(cols),
+        np.full(rows, -np.inf), np.zeros(rows), start, index, np.full(len(index), -1.0),
+        np.zeros(cols, dtype=np.int32),  # all continuous; an empty array is a kError
+    )
+    if status != highs.HighsStatus.kOk:
+        raise RuntimeError(f"HiGHS rejected the separation LP: {status}")
     solver.run()
     if solver.getModelStatus() != highs.HighsModelStatus.kOptimal or solver.getObjectiveValue() >= 0:
         return True

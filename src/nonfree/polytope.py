@@ -14,6 +14,7 @@ change, which is reported.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -102,21 +103,25 @@ class HullRefutation:
     support_sizes: list[int]
 
 
-def _unit_triangular(gen: np.random.Generator, n: int, upper: bool) -> np.ndarray:
-    """A unit-diagonal n x n matrix whose strict upper (or lower) triangle is
-    drawn as complex Gaussians, from n^2 real parts and then n^2 imaginary
-    parts of gen."""
-    re, im = gen.standard_normal((2, n, n))
-    strict = re + 1j * im
-    u = np.triu(strict, 1) if upper else np.tril(strict, -1)
-    np.fill_diagonal(u, 1.0)
-    return u
-
-
 def _draw(gen: np.random.Generator, dims, upper: bool, index: int, seed: int) -> GroupTriple:
-    """A random unit-triangular triple for sample `index`, or a ValueError naming it."""
+    """A random unit-triangular triple for sample `index`, or a ValueError naming it.
+
+    Each factor's strict upper (or lower) triangle is drawn as complex
+    Gaussians, from n^2 real parts and then n^2 imaginary parts, in one draw
+    for the triple: the stream of one (2, n, n) draw per factor.
+    """
+    values = gen.standard_normal(2 * sum(n * n for n in dims))
+    factors, start = [], 0
+    for n in dims:
+        real, imag = values[start : start + 2 * n * n].reshape(2, n, n)
+        start += 2 * n * n
+        u = real + 1j * imag
+        r = np.arange(n)
+        u[r[:, None] >= r if upper else r[:, None] <= r] = 0.0
+        u.flat[:: n + 1] = 1.0
+        factors.append(u)
     try:
-        return GroupTriple(*(_unit_triangular(gen, n, upper) for n in dims))
+        return GroupTriple(*factors)
     except ValueError as exc:  # det 1, but the condition number grows with the side
         raise ValueError(
             f"the unit-triangular change drawn for sample {index} at seed {seed} is too "
@@ -125,9 +130,34 @@ def _draw(gen: np.random.Generator, dims, upper: bool, index: int, seed: int) ->
 
 
 def _rationalize(x: float) -> Fraction:
+    """Fraction(x).limit_denominator(RATIONALIZE_DENOMINATOR), or 0 near 0:
+    limit_denominator's continued fraction, run on x.as_integer_ratio() in ints."""
     if abs(x) <= 1e-12:
         return Fraction(0)
-    return Fraction(x).limit_denominator(RATIONALIZE_DENOMINATOR)
+    n, den = x.as_integer_ratio()
+    if den <= RATIONALIZE_DENOMINATOR:
+        return Fraction(n, den)
+    p0, q0, p1, q1, d = 0, 1, 1, 0, den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > RATIONALIZE_DENOMINATOR:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (RATIONALIZE_DENOMINATOR - q0) // q1
+    # CPython 3.12's test for the nearer candidate: p1/q1 lies d/(q1*den) from x,
+    # and (p0+k*p1)/(q0+k*q1) lies 1/(q1*(q0+k*q1)) from p1/q1, on x's other side.
+    if 2 * d * (q0 + k * q1) <= den:
+        return Fraction(p1, q1)
+    return Fraction(p0 + k * p1, q0 + k * q1)
+
+
+def _lcm_sum(values) -> tuple[int, int]:
+    """(D times the sum of the rationals, D), summed in ints over D, the lcm of
+    their denominators."""
+    scale = math.lcm(*(x.denominator for x in values))
+    return sum(x.numerator * (scale // x.denominator) for x in values), scale
 
 
 def _rational_target(point: WeylPoint) -> list[Fraction]:
@@ -138,7 +168,8 @@ def _rational_target(point: WeylPoint) -> list[Fraction]:
     target = []
     for comp in point.components:
         rest = [_rationalize(x) for x in comp[1:]]
-        target += [1 - sum(rest, Fraction(0))] + rest
+        total, scale = _lcm_sum(rest)
+        target += [Fraction(scale - total, scale)] + rest
     return target
 
 
@@ -152,7 +183,7 @@ def _product_cells(dims, target: list[Fraction]):
     """
     n1, n2, _ = dims
     blocks = (target[:n1], target[n1 : n1 + n2], target[n1 + n2 :])
-    if any(x < 0 for x in target) or any(sum(block) != 1 for block in blocks):
+    if any(x < 0 for x in target) or any(total != scale for total, scale in map(_lcm_sum, blocks)):
         return None
     return np.ix_(*([i for i, x in enumerate(block) if x] for block in blocks))
 

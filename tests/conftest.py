@@ -2,9 +2,11 @@
 permutation triples, supports from triples and support inclusion, and
 reference oracles the library does not need: norms, flattening ranks,
 off-diagonal mass, the Sjamaar inner points of a free support, hull
-membership through scipy's linprog, the packed Newton step, the family
-data computed one Fraction at a time, and the tensor document written as a
-dict of entry dicts and read one entry at a time."""
+membership through scipy's linprog and the separation LP's matrix built
+dense, unit-triangular draws one factor at a time, the refuter's rational
+target and product cells summed as Fractions, the packed Newton step, the
+family data computed one Fraction at a time, and the tensor document
+written as a dict of entry dicts and read one entry at a time."""
 
 from __future__ import annotations
 
@@ -17,7 +19,8 @@ import numpy as np
 
 from nonfree.family import FamilyData
 from nonfree.moment import HermTriple, WeylPoint, _action, _adjoints, _flattenings, _grams, _products
-from nonfree.supports import is_free_support
+from nonfree.polytope import RATIONALIZE_DENOMINATOR
+from nonfree.supports import is_free_support, vertex_matrix
 from nonfree.tensor import MAX_ENTRIES, GroupTriple, SupportSet, Tensor3, _flattening, _norm, support
 
 FLOW_MODULE = importlib.import_module("nonfree.flow")  # the attribute nonfree.flow is the function
@@ -178,6 +181,53 @@ def linprog_in_convex_hull(vertices: Sequence[Sequence[Rational]], point: Sequen
         return True
     y = [Fraction(x) for x in res.x[:dim]]
     return _pairing(y, point) >= min(_pairing(y, v) for v in vertices)
+
+
+def dense_lp_columns(supp: SupportSet) -> tuple[np.ndarray, np.ndarray]:
+    """The reference for the matrix exactlp.in_convex_hull passes: the column
+    starts (num_col + 1 of them) and row indices of the nonzeros of the dense
+    -[V | 1], V the vertex rows of supp, taken column by column."""
+    vertices = vertex_matrix(supp)
+    columns = -np.vstack([vertices.T.astype(float), np.ones(len(vertices))])
+    nonzero = columns != 0
+    return np.concatenate(([0], np.cumsum(nonzero.sum(axis=1)))), np.nonzero(nonzero)[1]
+
+
+def unit_triangular_factors(gen: np.random.Generator, dims, upper: bool) -> list[np.ndarray]:
+    """The reference for polytope._draw: per factor, one (2, n, n) draw of real
+    and imaginary parts, masked to the strict triangle and added to the identity."""
+    factors = []
+    for n in dims:
+        re, im = gen.standard_normal((2, n, n))
+        mask = np.triu(np.ones((n, n)), 1) if upper else np.tril(np.ones((n, n)), -1)
+        factors.append(np.eye(n, dtype=np.complex128) + (re + 1j * im) * mask)
+    return factors
+
+
+def fraction_rationalize(x: float) -> Fraction:
+    """The reference for polytope._rationalize: Fraction's own limit_denominator."""
+    return Fraction(0) if abs(x) <= 1e-12 else Fraction(x).limit_denominator(RATIONALIZE_DENOMINATOR)
+
+
+def fraction_rational_target(point: WeylPoint) -> list[Fraction]:
+    """The reference for polytope._rational_target: each leading coordinate is
+    1 minus a Fraction sum of the rest."""
+    target = []
+    for comp in point.components:
+        rest = [fraction_rationalize(x) for x in comp[1:]]
+        target += [1 - sum(rest, Fraction(0))] + rest
+    return target
+
+
+def fraction_product_cells(dims, target: Sequence[Rational]):
+    """The reference for polytope._product_cells, with Fraction sums: the
+    nonzero positions of each component, or None when a coordinate is negative
+    or a component does not sum to 1."""
+    n1, n2, _ = dims
+    blocks = (target[:n1], target[n1 : n1 + n2], target[n1 + n2 :])
+    if any(x < 0 for x in target) or any(sum(block, Fraction(0)) != 1 for block in blocks):
+        return None
+    return [[i for i, x in enumerate(block) if x] for block in blocks]
 
 
 def packed_newton_step(x: np.ndarray, mu, _flattenings_of_x):

@@ -6,8 +6,12 @@ from math import sqrt
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
+    dense_lp_columns,
+    fraction_product_cells,
+    fraction_rational_target,
     inner_points,
     issubset,
     linprog_in_convex_hull,
@@ -18,6 +22,7 @@ from conftest import (
     rng,
     support_set,
     tensor_on_support,
+    unit_triangular_factors,
 )
 from nonfree.construct import build_family_tensor, s0_tensor
 from nonfree.exactlp import MAX_DIGITS, in_convex_hull
@@ -25,10 +30,12 @@ from nonfree.family import family_data, gamma_support
 from nonfree.moment import WeylPoint, moment_map, spec_point
 from nonfree.named import mu_diagonals, named_tensor
 from nonfree.polytope import (
+    RATIONALIZE_DENOMINATOR,
+    _draw,
     _product_cells,
     _product_witness,
     _rational_target,
-    _unit_triangular as library_unit_triangular,
+    _rationalize,
     hull_refute,
     outer_halfspace,
 )
@@ -348,6 +355,74 @@ def test_the_product_witness_agrees_with_the_lp():
     assert not in_convex_hull(support_set(dims, _cells(dims)), half)
 
 
+def test_the_product_cells_are_those_of_the_fraction_sums():
+    gen = rng(77)
+    for dims in [(1, 2, 3), (2, 3, 3), (3, 3, 3), (4, 2, 5)] * 40:
+        _, target = _random_case(gen, dims)
+        if gen.random() < 0.3:  # a component that sums to 1 + 1/7, or to 1 - 1/7
+            target[int(gen.integers(len(target)))] += F(int(gen.choice([-1, 1])), 7)
+        cells = _product_cells(dims, target)
+        want = fraction_product_cells(dims, target)
+        assert (None if cells is None else [a.ravel().tolist() for a in cells]) == want
+
+
+_NEAR_CUTOFF = [float(np.nextafter(1e-12, 1.0)), 1e-12 * (1 + 2**-40), 1.0000001e-12, 2e-12]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(x=st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.builds(lambda a, b: a / b, st.integers(-10**6, 10**6), st.integers(1, 60)),
+    st.floats(min_value=1e12, max_value=1e308),
+    st.floats(min_value=1e-12, max_value=1e-11),
+    st.sampled_from(_NEAR_CUTOFF),
+).flatmap(lambda x: st.sampled_from([x, -x])))
+@example(x=1 / 3)
+@example(x=-2 / 7)
+@example(x=0.1)
+@example(x=1e-12)  # at the cutoff: 0
+@example(x=1.7976931348623157e308)
+@example(x=5e-324)
+@example(x=float(2**53 + 1))
+def test_rationalize_is_limit_denominator(x):
+    got = _rationalize(x)
+    assert type(got) is F
+    if abs(x) <= 1e-12:
+        assert got == 0
+    else:
+        assert got == F(x).limit_denominator(RATIONALIZE_DENOMINATOR)
+
+
+def _weyl_components():
+    """A non-increasing component of 1 to 5 coordinates: integer weights over
+    their sum, small ones (a/b with a small b) or large ones, or a random split of 1."""
+    small = st.lists(st.integers(0, 12), min_size=1, max_size=5).filter(any)
+    weights = st.lists(st.integers(0, 10**6), min_size=1, max_size=5).filter(any)
+    floats = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=5).filter(
+        lambda v: sum(v) > 1e-6
+    )
+    return st.one_of(weights, small, floats).map(lambda v: sorted((x / sum(v) for x in v), reverse=True))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(components=st.tuples(_weyl_components(), _weyl_components(), _weyl_components()))
+@example(components=([1 / 9] * 9, [1.0], [0.5, 0.5]))
+@example(components=([0.7, 0.3 - 1e-13, 1e-13], [1.0], [1 / 3] * 3))
+def test_the_rational_target_and_its_cells_are_those_of_the_fraction_sums(components):
+    try:
+        p = WeylPoint(*components)
+    except ValueError:  # a float sum more than WEYL_TOL off 1
+        return
+    target = _rational_target(p)
+    assert target == fraction_rational_target(p)
+    assert all(type(x) is F for x in target)
+    dims = tuple(map(len, components))
+    cells = _product_cells(dims, target)
+    assert cells is not None
+    assert [a.ravel().tolist() for a in cells] == fraction_product_cells(dims, target)
+
+
 def _latin_square_cases(gen, n):
     """The closure of a seeded Latin square on n^3 with the marginals of random
     weights on the square, sorted down and up."""
@@ -447,6 +522,66 @@ def test_refutation_above_600_vertices_is_exact(monkeypatch):
     assert answers == [(648, False)]
 
 
+def _recording_solver(monkeypatch, drop_integrality=False):
+    """Swap HiGHS's solver class for one that records the arguments of each
+    passModel and the matrix HiGHS then holds; with drop_integrality, it passes
+    an empty integrality array instead."""
+    from scipy.optimize._highspy import _core as highs
+
+    passed = []
+
+    class Recording(highs._Highs):
+        def passModel(self, *args):
+            if drop_integrality:
+                args = args[:-1] + (np.zeros(0, dtype=np.int32),)
+            status = super().passModel(*args)
+            matrix = self.getLp().a_matrix_
+            passed.append((args, status, matrix.start_, matrix.index_, matrix.value_))
+            return status
+
+    monkeypatch.setattr(highs, "_Highs", Recording)
+    return passed
+
+
+def test_the_lp_holds_the_nonzeros_of_the_dense_matrix(monkeypatch):
+    passed = _recording_solver(monkeypatch)
+    gen = rng(78)
+    masks = []
+    for _ in range(80):
+        dims = tuple(int(n) for n in gen.integers(1, 7, 3))
+        mask = gen.random(dims) < gen.choice([0.1, 0.5, 0.9, 1.0])
+        mask.flat[int(gen.integers(mask.size))] = True
+        masks.append(mask)
+    single = np.zeros((2, 5, 7), dtype=bool)
+    single[1, 3, 2] = True  # one vertex
+    masks += [single, np.ones((1, 1, 1), dtype=bool)]
+    for mask in masks:
+        supp = SupportSet(mask)
+        in_convex_hull(supp, [F(1, n) for n in supp.dims for _ in range(n)])
+        args, status, held_start, held_index, held_value = passed.pop()
+        start, index = dense_lp_columns(supp)
+        assert args[:3] == (sum(supp.dims) + 1, len(supp), len(index))
+        assert args[11].tolist() == start[:-1].tolist() and args[12].tolist() == index.tolist()
+        assert args[13].tolist() == [-1.0] * len(index)
+        assert held_start == start.tolist() and held_index == index.tolist()
+        assert held_value == [-1.0] * len(index)
+    assert not passed
+
+
+def test_a_model_highs_rejects_is_a_runtime_error(monkeypatch):
+    # Left unchecked, the rejected model runs as an empty LP and answers "in
+    # the hull": this point, outside the box's hull, would not be refuted.
+    box = support_set((2, 2, 1), _cells((2, 2, 1)))
+    outside = _box_point(F(3, 2), F(1, 2))
+    assert not in_convex_hull(box, outside)
+    passed = _recording_solver(monkeypatch, drop_integrality=True)
+    with pytest.raises(RuntimeError, match="HiGHS rejected the separation LP"):
+        in_convex_hull(box, outside)
+    from scipy.optimize._highspy import _core as highs
+
+    assert [status for _, status, *_ in passed] == [highs.HighsStatus.kError]
+
+
 def test_inner_points_never_refuted():
     gen = rng(70)
     for seed in range(4):
@@ -459,22 +594,21 @@ def test_inner_points_never_refuted():
             assert result.outcome == "inconclusive"
 
 
-def _unit_triangular(gen, n, upper):
-    """The reference for polytope._unit_triangular: two (n, n) draws, masked."""
-    strict = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
-    mask = np.triu(np.ones((n, n)), 1) if upper else np.tril(np.ones((n, n)), -1)
-    return np.eye(n, dtype=np.complex128) + strict * mask
-
-
 @pytest.mark.parametrize("upper", [True, False], ids=["upper", "lower"])
 def test_the_unit_triangular_draw_keeps_the_stream_and_the_bits(upper):
-    # One (2, n, n) draw takes the same values from the generator as two (n, n)
-    # draws, and the triangle keeps the masked sum's bits, signed zeros included.
-    for n in range(1, 10):
-        gen, ref = rng(90 + n), rng(90 + n)
-        got, want = library_unit_triangular(gen, n, upper), _unit_triangular(ref, n, upper)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # One draw for the triple takes the same values from the generator as one
+    # (2, n, n) draw per factor, and each triangle keeps the masked sum's bits,
+    # signed zeros included, on cubic and unequal sides.
+    for case, dims in enumerate([(n, n, n) for n in range(1, 10)] + [(2, 5, 7), (1, 3, 2)]):
+        gen, ref = rng(90 + case), rng(90 + case)
+        got = _draw(gen, dims, upper, 0, 0).factors
+        for mine, want in zip(got, unit_triangular_factors(ref, dims, upper), strict=True):
+            assert mine.dtype == want.dtype and mine.tobytes() == want.tobytes()
         assert gen.bit_generator.state == ref.bit_generator.state
+
+
+def _unit_triangular_triple(gen, n, upper):
+    return GroupTriple(*unit_triangular_factors(gen, (n, n, n), upper))
 
 
 def _reflect(supp):
@@ -492,8 +626,8 @@ def test_triangular_actions_move_supports_along_the_order():
         t = tensor_on_support(gen, random_free_support(gen, (3, 3, 3), max_size=4))
         if norm(t) == 0:
             continue
-        u = GroupTriple(*(_unit_triangular(gen, 3, True) for _ in range(3)))
-        lo = GroupTriple(*(_unit_triangular(gen, 3, False) for _ in range(3)))
+        u = _unit_triangular_triple(gen, 3, True)
+        lo = _unit_triangular_triple(gen, 3, False)
         ut = apply(u, t)
         assert issubset(support(ut, 1e-9), downward_closure(support(t, 0.0)))
         lut = apply(lo, ut)
@@ -506,5 +640,5 @@ def test_upper_triangular_keeps_staircase_inside_its_closure():
     t = build_family_tensor(family_data(3))
     closure = downward_closure(gamma_support(3))
     for _ in range(10):
-        u = GroupTriple(*(_unit_triangular(gen, 3, True) for _ in range(3)))
+        u = _unit_triangular_triple(gen, 3, True)
         assert issubset(support(apply(u, t), 1e-9), closure)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 from nonfree.cli import main
 from perfbench.workloads import BUILDERS
-from tools.stdout_hashes import flow_shape_ops, input_error_ops
+from tools.stdout_hashes import flow_shape_ops, input_error_ops, refute_shape_ops
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -17,7 +18,8 @@ def test_stdout_hashes_prints_one_digest_per_workload_seed_and_command(tmp_path)
     # Plus, once each, the path_free group, the named certificates and the family
     # sizes the benchmark skips or passes (n = 45 and 101), and the input_errors group; and per seed the
     # refute_samples group, the 38 refute ops of polytope_refute at --samples 0
-    # and 20, and the flow_shapes group, seven flows at shapes the benchmark skips.
+    # and 20, the refute_shapes group, six tensors with unequal sides at --samples
+    # 0 and 20, and the flow_shapes group, seven flows at shapes the benchmark skips.
     result = subprocess.run(
         [sys.executable, "tools/stdout_hashes.py", "--seeds", "0", "--directory", str(tmp_path)],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
@@ -26,7 +28,7 @@ def test_stdout_hashes_prints_one_digest_per_workload_seed_and_command(tmp_path)
     lines = result.stdout.splitlines()
     assert lines
     workloads = set()
-    path_free, refute_samples, input_errors, flow_shapes = {}, {}, {}, {}
+    path_free, refute_samples, input_errors, flow_shapes, refute_shapes = {}, {}, {}, {}, {}
     for line in lines:
         workload, seed, command, ops, digest = line.split("\t")
         assert seed == ("no seed" if workload in ("path_free", "input_errors") else "seed 0")
@@ -41,10 +43,15 @@ def test_stdout_hashes_prints_one_digest_per_workload_seed_and_command(tmp_path)
             input_errors[command] = ops
         if workload == "flow_shapes":
             flow_shapes[command] = ops
-    assert workloads == {*BUILDERS, "path_free", "refute_samples", "input_errors", "flow_shapes"}
+        if workload == "refute_shapes":
+            refute_shapes[command] = ops
+    assert workloads == {
+        *BUILDERS, "path_free", "refute_samples", "input_errors", "flow_shapes", "refute_shapes"
+    }
     assert path_free == {"certify-nonfree": "12 ops", "family": "9 ops"}
     assert refute_samples == {"polytope": "76 ops"}
     assert flow_shapes == {"flow": "7 ops"}
+    assert refute_shapes == {"polytope": "12 ops"}
     assert input_errors == {
         "moment-map": "13 ops", "polytope": "4 ops", "flow": "1 ops",
         "certify-nonfree": "4 ops", "free-support": "1 ops", "family": "1 ops",
@@ -64,3 +71,18 @@ def test_every_flow_shapes_op_converges(tmp_path, capsys):
         code = main(list(argv))
         assert code == 0, argv
         assert json.loads(capsys.readouterr().out)["result"]["converged"] is True, argv
+
+
+def test_every_refute_shapes_op_answers_as_its_support_says(tmp_path, capsys):
+    # The whole box (below3) is answered without an LP; below 1 the LP refutes
+    # the uniform point at sample 0, and below 2 it finds the point in the hull.
+    want = {"below3": ("inconclusive", None, True), "below1": ("refuted", 0, False),
+            "below2": ("inconclusive", None, False)}
+    ops = refute_shape_ops(str(tmp_path), 0)
+    assert len(ops) == 12
+    for argv in ops:
+        assert main(list(argv)) == 0, argv
+        r = json.loads(capsys.readouterr().out)["refutation"]
+        kind, shape = Path(argv[2]).stem.split("_")
+        full = math.prod(map(int, shape.split("x")))
+        assert (r["outcome"], r["refuting_sample"], r["support_sizes"][0] == full) == want[kind], argv

@@ -29,6 +29,16 @@ op of polytope_refute again at `--samples 0` and at `--samples 20`, where the
 benchmark draws one sample: the sample 0 alone, and refutations that go on
 drawing lower triples.
 
+The group `refute_shapes` hashes, for each seed, `polytope --refute` at
+`--samples 0` and `--samples 20` on boxes with unequal sides, which the
+benchmark's cubes leave out, at their uniform points. Each of the shapes
+(2, 5, 7) and (3, 4, 5) has a seeded dense tensor, and the same entries kept
+only at the 0-based triples with i/(n1 - 1) + j/(n2 - 1) + k/(n3 - 1) <= b.
+The whole box is b = 3: a full support, answered by the product witness, so
+that only the draws reach the report. At b = 1 the LP refutes the uniform
+point at sample 0, and at b = 2 it finds the point in the hull of sample 0.
+Their files are written into DIR/refute_shapes-SEED.
+
 The group `flow_shapes` hashes, for each seed, `flow` on seeded dense tensors
 of shapes the benchmark skips, at its `--step 1.0`: 7^3, 13^3 (the largest
 cube the moment kernels stack), 14^3 (the first they take axis by axis),
@@ -42,6 +52,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -141,6 +152,34 @@ def with_samples(argv: tuple[str, ...], samples: str) -> tuple[str, ...]:
     return argv[:at] + (samples,) + argv[at + 1 :]
 
 
+REFUTE_SHAPES = "refute_shapes"
+REFUTE_SHAPE_DIMS = ((2, 5, 7), (3, 4, 5))
+REFUTE_SHAPE_BOUNDS = (3, 1, 2)  # 3 keeps the whole box
+
+
+def refute_shape_ops(directory: str, seed: int) -> list[tuple[str, ...]]:
+    """The refute_shapes ops for one seed; their files are written into directory."""
+    import numpy as np
+    from perfbench.workloads import Inputs
+
+    inputs = Inputs(directory, seed)
+    ops = []
+    for index, dims in enumerate(REFUTE_SHAPE_DIMS):
+        gen = inputs.rng(5, index)
+        dense = gen.standard_normal(dims) + 1j * gen.standard_normal(dims)
+        # D times i/(n1 - 1) + j/(n2 - 1) + k/(n3 - 1), with D the product of the n - 1.
+        scale = math.prod(n - 1 for n in dims)
+        i, j, k = (np.arange(n) * (scale // (n - 1)) for n in dims)
+        level = i[:, None, None] + j[:, None] + k
+        name = "x".join(map(str, dims))
+        point = inputs.point("uniform" + name, [[1 / n] * n for n in dims])
+        for bound in REFUTE_SHAPE_BOUNDS:
+            tensor = inputs.tensor(f"below{bound}_{name}", np.where(level <= bound * scale, dense, 0))
+            ops += [("polytope", "--input", tensor, "--refute", point, "--samples", samples,
+                     "--seed", str(seed)) for samples in REFUTE_SAMPLES]
+    return ops
+
+
 def print_digests(cli, label: str, ops: list[tuple[str, ...]]) -> None:
     """One line per command: the sha256 of its ops' argv, exit code and stdout, in order."""
     records = {}
@@ -177,6 +216,9 @@ def main(argv=None) -> int:
     for seed in args.seeds:
         ops = flow_shape_ops(os.path.join(args.directory, f"{FLOW_SHAPES}-{seed}"), seed)
         print_digests(cli, f"{FLOW_SHAPES}\tseed {seed}", ops)
+    for seed in args.seeds:
+        ops = refute_shape_ops(os.path.join(args.directory, f"{REFUTE_SHAPES}-{seed}"), seed)
+        print_digests(cli, f"{REFUTE_SHAPES}\tseed {seed}", ops)
     print_digests(cli, f"{PATH_FREE}\tno seed", PATH_FREE_OPS)
     ops = input_error_ops(os.path.join(args.directory, INPUT_ERRORS))
     print_digests(cli, f"{INPUT_ERRORS}\tno seed", ops)
