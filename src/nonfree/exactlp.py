@@ -28,12 +28,20 @@ from .tensor import _FLATTENING_ORDERS, SupportSet
 # minimum: Python's default int-string limit, which bounds every JSON integer.
 MAX_DIGITS = 4300
 _DIGIT_LIMIT = 10**MAX_DIGITS
+# Pairings whose components' largest |D h_L| sum below this are summed in int64.
+_INT64_BOUND = 2**62
 
 
 def _pairings(mask: np.ndarray, h, c) -> tuple[int, np.ndarray, int]:
     """(D, D times the pairings <(e_i|e_j|e_k), h> at the triples of mask in C
-    order, an object array of Python ints, D * c), with D the common denominator
-    of the rationals h and c. A D of more than MAX_DIGITS digits is a ValueError.
+    order, D * c), with D the common denominator of the rationals h and c. A D
+    of more than MAX_DIGITS digits is a ValueError.
+
+    The pairings are an int64 array when the sum over the components of the
+    largest |D h_L| is below 2**62, which bounds every pairing and partial sum,
+    and an object array of Python ints otherwise. Either way the values are
+    exact; callers take int() of any element, minimum or sum before it meets a
+    Fraction or a Python int.
     """
     scale = 1
     for x in (c, *h[0], *h[1], *h[2]):  # one step at a time, so that a growing lcm fails early
@@ -44,7 +52,9 @@ def _pairings(mask: np.ndarray, h, c) -> tuple[int, np.ndarray, int]:
     def scaled(x) -> int:
         return int(x.numerator) * (scale // int(x.denominator))
 
-    h1, h2, h3 = (np.array([scaled(x) for x in component], dtype=object) for component in h)
+    components = [[scaled(x) for x in component] for component in h]
+    dtype = np.int64 if sum(max(map(abs, v)) for v in components) < _INT64_BOUND else object
+    h1, h2, h3 = (np.array(v, dtype=dtype) for v in components)
     i, j, k = np.nonzero(mask)
     return scale, h1[i] + h2[j] + h3[k], scaled(c)
 
@@ -108,4 +118,4 @@ def in_convex_hull(supp: SupportSet, point: Sequence[Rational]) -> bool:
     y = [Fraction(x) for x in solver.getSolution().col_value[:dim]]
     y_p = sum((yi * x for yi, x in zip(y, point) if x), Fraction(0))
     scale, pairings, _ = _pairings(supp.mask, (y[:n1], y[n1 : n1 + n2], y[n1 + n2 :]), 0)
-    return scale * y_p >= pairings.min()
+    return scale * y_p >= int(pairings.min())

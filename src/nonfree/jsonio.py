@@ -4,8 +4,9 @@ Floats are printed with 17 significant digits so values round-trip exactly
 and reports are reproducible across runs and platforms. Reports hold Python
 values and tensors only: a numpy scalar or array, float64 included, is a
 TypeError. A `Tensor3` is written as the document `tensor.tensor_from_doc`
-reads: its dims and its nonzero entries in C order, 1-based, each formatted
-from one template over whole-array index and value lists.
+reads: its dims and its nonzero entries in C order, 1-based, in one `%` over
+one flat tuple, with a template joined from four entry templates that print
+each part as `_format_float` does.
 """
 
 from __future__ import annotations
@@ -52,22 +53,28 @@ def _encode_list(obj) -> str:
     return "[" + ",".join(map(_encode, obj)) + "]"
 
 
-_ENTRY = '{"i":%d,"j":%d,"k":%d,"re":%s,"im":%s}'
+# The template of an entry, by whether its real and its imaginary part are integral
+# floats below 1e17: "%.17g" prints those without a point, so they take "%.1f",
+# which prints what _format_float does, the integer and ".0" (for -0.0 too).
+_ENTRIES = tuple(
+    '{"i":%%d,"j":%%d,"k":%%d,"re":%s,"im":%s}' % (re, im)
+    for re in ("%.17g", "%.1f") for im in ("%.17g", "%.1f")
+)
 
 
 def _encode_tensor(t: Tensor3) -> str:
-    """The dims and the nonzero entries of t, at the triples of `support(t, 0.0)`."""
-    mask = support(t, 0.0).mask
-    values = t.entries[mask]
-    entries = [
-        _ENTRY % (i, j, k, re, im)
-        for (i, j, k), re, im in zip(
-            (np.argwhere(mask) + 1).tolist(),
-            map(_format_float, values.real.tolist()),
-            map(_format_float, values.imag.tolist()),
-        )
-    ]
-    return '{"dims":[%d,%d,%d],"entries":[%s]}' % (*t.dims, ",".join(entries))
+    """The dims and the nonzero entries of t, at the triples of `support(t, 0.0)`,
+    formatted by one template over one flat tuple. A Tensor3 is finite, so
+    every part prints as a JSON number."""
+    flat = np.flatnonzero(support(t, 0.0).mask)  # C order
+    parts = t.entries.reshape(-1)[flat].view(np.float64).reshape(-1, 2)  # re, im
+    integral = (parts == np.trunc(parts)) & (np.abs(parts) < 1e17)
+    template = ",".join(map(_ENTRIES.__getitem__, integral.dot((2, 1)).tolist()))
+    # The 1-based indices as floats, so that one tolist() serves: "%d" prints an integral float.
+    rows = np.column_stack((*np.unravel_index(flat, t.dims), parts))
+    rows[:, :3] += 1
+    entries = template % tuple(rows.ravel().tolist())
+    return '{"dims":[%d,%d,%d],"entries":[%s]}' % (*t.dims, entries)
 
 
 # The literals and the string escaping json.dumps(obj, ensure_ascii=False) writes,

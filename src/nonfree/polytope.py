@@ -79,7 +79,7 @@ def outer_halfspace(supp: SupportSet, h, c) -> HalfspaceCert:
     if (lengths := tuple(map(len, h))) != closure.shape:
         raise ValueError(f"halfspace lengths {lengths} do not match dims {closure.shape}")
     scale, values, bound = _pairings(closure, h, c)
-    min_value = values.min()
+    min_value = int(values.min())  # a Python int, also from an int64 array
     minimum = Fraction(min_value, scale)
     for name, value in (("bound c", Fraction(bound, scale)), ("minimum", minimum)):
         if max(abs(value.numerator), value.denominator) >= _DIGIT_LIMIT:

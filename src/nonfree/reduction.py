@@ -49,12 +49,16 @@ def extract_Wa(s: Tensor3) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_row_deletion_rank(w: np.ndarray) -> None:
+    """A ReductionError naming the first row whose deletion leaves W's other rows
+    dependent. The n row-deleted (n-1) x (n-1) matrices are gathered with one
+    index array and decomposed in one stacked svd, matrix by matrix in LAPACK."""
     n = w.shape[0]
-    for drop in range(n):
-        sub = np.delete(w, drop, axis=0)
-        sv = np.linalg.svd(sub, compute_uv=False)
-        if sv[-1] <= RANK_TOL * sv[0]:
-            raise ReductionError(f"rows of W without row {drop + 1} are dependent")
+    rows = np.arange(n - 1)
+    kept = rows + (rows >= np.arange(n)[:, None])  # row d: every row but d
+    sv = np.linalg.svd(w[kept], compute_uv=False)
+    dependent = sv[:, -1] <= RANK_TOL * sv[:, 0]
+    if dependent.any():
+        raise ReductionError(f"rows of W without row {dependent.argmax() + 1} are dependent")
 
 
 def reduce_to_s0(s: Tensor3, tol: float = DEFAULT_TOL) -> ReductionResult:

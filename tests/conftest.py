@@ -5,21 +5,27 @@ off-diagonal mass, the Sjamaar inner points of a free support, hull
 membership through scipy's linprog and the separation LP's matrix built
 dense, unit-triangular draws one factor at a time, the refuter's rational
 target and product cells summed as Fractions, the packed Newton step, the
-family data computed one Fraction at a time, and the tensor document
-written as a dict of entry dicts and read one entry at a time."""
+family data computed one Fraction at a time, the tensor document
+written as a dict of entry dicts and read one entry at a time, the pairings
+summed over object arrays of Python ints (and a recorder of the dtypes the
+library's kernel returns), and the row-deletion rank check one np.delete at
+a time."""
 
 from __future__ import annotations
 
 import importlib
+import math
 from fractions import Fraction
 from numbers import Rational
 from typing import Sequence
 
 import numpy as np
 
+from nonfree.exactlp import _DIGIT_LIMIT, MAX_DIGITS, _pairings
 from nonfree.family import FamilyData
 from nonfree.moment import HermTriple, WeylPoint, _action, _adjoints, _flattenings, _grams, _products
 from nonfree.polytope import RATIONALIZE_DENOMINATOR
+from nonfree.reduction import RANK_TOL, ReductionError
 from nonfree.supports import is_free_support, vertex_matrix
 from nonfree.tensor import MAX_ENTRIES, GroupTriple, SupportSet, Tensor3, _flattening, _norm, support
 
@@ -362,3 +368,43 @@ def loop_tensor_from_doc(doc: dict) -> Tensor3:
         seen.add((i, j, k))
         arr[i - 1, j - 1, k - 1] = value
     return Tensor3(arr)
+
+
+def object_pairings(mask: np.ndarray, h, c) -> tuple[int, np.ndarray, int]:
+    """The reference for exactlp._pairings: the same D, always over object
+    arrays of Python ints."""
+    scale = 1
+    for x in (c, *h[0], *h[1], *h[2]):
+        scale = math.lcm(scale, int(x.denominator))
+        if scale >= _DIGIT_LIMIT:
+            raise ValueError(f"the halfspace's common denominator has more than {MAX_DIGITS} digits")
+
+    def scaled(x) -> int:
+        return int(x.numerator) * (scale // int(x.denominator))
+
+    h1, h2, h3 = (np.array([scaled(x) for x in component], dtype=object) for component in h)
+    i, j, k = np.nonzero(mask)
+    return scale, h1[i] + h2[j] + h3[k], scaled(c)
+
+
+def recording_pairings(monkeypatch, module) -> list:
+    """Wrap exactlp._pairings as `module` sees it; returns the list of the
+    dtypes of the pairings it computes."""
+    dtypes = []
+
+    def recording(mask, h, c):
+        scale, values, bound = _pairings(mask, h, c)
+        dtypes.append(values.dtype)
+        return scale, values, bound
+
+    monkeypatch.setattr(module, "_pairings", recording)
+    return dtypes
+
+
+def delete_loop_rank_check(w: np.ndarray) -> None:
+    """The reference for reduction._check_row_deletion_rank: one np.delete and
+    one svd per deleted row, stopping at the first dependent one."""
+    for drop in range(w.shape[0]):
+        sv = np.linalg.svd(np.delete(w, drop, axis=0), compute_uv=False)
+        if sv[-1] <= RANK_TOL * sv[0]:
+            raise ReductionError(f"rows of W without row {drop + 1} are dependent")

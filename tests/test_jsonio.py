@@ -181,6 +181,7 @@ def tensors(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(t=tensors())
 @example(t=Tensor3(np.zeros((2, 3, 1))))
+@example(t=Tensor3(np.array([[[complex(1, -0.0), 0.5 + 3j], [-2 + 0.25j, 0.5 - 1e17j]]])))  # 4 templates
 def test_a_tensor_is_written_as_its_reference_document(t):
     doc = tensor_to_doc(t)
     assert dumps(t) == dumps(doc) == reference_dumps(doc)

@@ -16,16 +16,18 @@ from conftest import (
     issubset,
     linprog_in_convex_hull,
     norm,
+    object_pairings,
     random_complex,
     random_free_support,
     random_tensor,
+    recording_pairings,
     rng,
     support_set,
     tensor_on_support,
     unit_triangular_factors,
 )
 from nonfree.construct import build_family_tensor, s0_tensor
-from nonfree.exactlp import MAX_DIGITS, in_convex_hull
+from nonfree.exactlp import MAX_DIGITS, _pairings, in_convex_hull
 from nonfree.family import family_data, gamma_support
 from nonfree.moment import WeylPoint, moment_map, spec_point
 from nonfree.named import mu_diagonals, named_tensor
@@ -198,6 +200,83 @@ def _check_outer_halfspace_against_a_fraction_reference(gen, kind):
             assert cert.equality_set.dims == dims
             assert set(cert.equality_set) == {t for t, v in pairings.items() if v == F(c)}
     assert higher_levels > 40
+
+
+@pytest.mark.parametrize("factor, dtype", [(1, np.int64), (10**20, object)], ids=["int64", "object"])
+def test_the_halfspace_minimum_is_a_fraction_of_python_ints(monkeypatch, factor, dtype):
+    import nonfree.polytope as polytope
+
+    dtypes = recording_pairings(monkeypatch, polytope)
+    data = family_data(3)
+    h = tuple(tuple(x * factor for x in component) for component in data.h)
+    cert = outer_halfspace(gamma_support(3), h, data.c * factor)
+    assert dtypes == [dtype]
+    assert cert.valid is True and cert.min_support_value == data.c * factor
+    assert type(cert.min_support_value.numerator) is int
+    assert type(cert.min_support_value.denominator) is int
+
+
+def test_a_small_denominator_functional_refutes_a_point_of_large_denominators(monkeypatch):
+    # The float y of the Farkas check is of small D here, so its pairings are int64,
+    # while y.p has the denominator 3**50 > 2**63: the comparison must be in Python ints.
+    import nonfree.exactlp as exactlp
+
+    dtypes = recording_pairings(monkeypatch, exactlp)
+    quarter = F(3**50 // 4, 3**50)
+    vertex = support_set((2, 2, 1), [(1, 1, 1)])
+    point = _box_point(1 - quarter, 1)
+    assert in_convex_hull(vertex, point) is False
+    assert linprog_in_convex_hull([[1, 0, 1, 0, 1]], point) is False
+    assert dtypes == [np.int64]
+
+
+_INT64_SWITCH = 2**62
+
+
+@st.composite
+def _pairing_inputs(draw):
+    """A mask on a box of sides 1-4 and rationals h and c whose D h_L lie on both
+    sides of the int64 switch, or past any int64 for c."""
+    dims = tuple(draw(st.lists(st.integers(1, 4), min_size=3, max_size=3)))
+    size = dims[0] * dims[1] * dims[2]
+    mask = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size))).reshape(dims)
+    bits = draw(st.sampled_from([4, 40, 58, 60, 61, 62, 63, 64, 100]))
+    denominators = st.integers(1, 12) | st.sampled_from([2**20, 3**40, 10**30])
+    value = st.builds(F, st.integers(-(2**bits), 2**bits), denominators)
+    h = tuple(tuple(draw(value) for _ in range(n)) for n in dims)
+    c = draw(value | st.sampled_from([F(10**40), F(-(10**40), 7), F(2**63), F(-(2**63) - 1)]))
+    return mask, h, c
+
+
+_ONE = np.ones((1, 1, 1), dtype=bool)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(args=_pairing_inputs())
+@example(args=(_ONE, ((F(1),), (F(2),), (F(3),)), F(10**40)))  # one-entry components
+@example(args=(_ONE, ((F(2**61),), (F(2**60),), (F(2**60) - 1,)), F(0)))  # just under 2**62
+@example(args=(_ONE, ((F(2**61),), (F(2**60),), (F(2**60),)), F(0)))  # at it
+@example(args=(_ONE, ((F(-(2**61)),), (F(-(2**60)),), (F(-(2**60)),)), F(0)))
+@example(args=(np.ones((2, 1, 1), dtype=bool), ((F(1, 10**4299), F(-3)), (F(0),), (F(1, 7),)),
+               F(5, 10**4299)))  # a D of 4 300 digits, small pairings
+@example(args=(_ONE, ((F(1, 7 * 10**4299),), (F(1, 9 * 10**4299),), (F(0),)), F(0)))  # D past it
+def test_the_pairings_are_those_of_the_object_arrays(args):
+    mask, h, c = args
+    try:
+        want = object_pairings(mask, h, c)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            _pairings(mask, h, c)
+        return
+    scale, values, bound = _pairings(mask, h, c)
+    assert (scale, bound) == (want[0], want[2])
+    assert type(scale) is int and type(bound) is int
+    assert values.tolist() == want[1].tolist()
+    assert (values == bound).tolist() == [v == bound for v in want[1].tolist()]  # c past int64 too
+    below = sum(max(abs(x.numerator * scale // x.denominator) for x in v) for v in h) < _INT64_SWITCH
+    assert values.dtype == (np.int64 if below else object)
+    if len(values):
+        assert int(values.min()) == min(want[1].tolist())
 
 
 def free_moment_twin() -> Tensor3:

@@ -6,10 +6,16 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from conftest import issubset, norm, rng
+from conftest import delete_loop_rank_check, issubset, norm, random_complex, rng
 from nonfree.construct import build_W, build_family_tensor, s0_tensor
 from nonfree.family import family_data, gamma_support, staircase_index
-from nonfree.reduction import DEFAULT_TOL, ReductionError, extract_Wa, reduce_to_s0
+from nonfree.reduction import (
+    DEFAULT_TOL,
+    ReductionError,
+    _check_row_deletion_rank,
+    extract_Wa,
+    reduce_to_s0,
+)
 from nonfree.supports import vertex_matrix
 from nonfree.tensor import GroupTriple, Tensor3, apply, support
 
@@ -201,3 +207,32 @@ def test_reduce_rejects_dependent_rows():
         arr[n - i - 1, i - 1, n - 1] = 1.0
     with pytest.raises(ReductionError):
         reduce_to_s0(Tensor3(arr))
+
+
+def _rank_message(check, w):
+    try:
+        check(w)
+    except ReductionError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_the_batched_rank_check_names_the_first_dependent_drop(n):
+    # W without a given row keeps a zero row unless that row is dropped, and keeps
+    # two equal rows 1 and 2 unless one of them is dropped.
+    generic = random_complex(rng(90 + n), (n, n - 1))
+    cases = [(generic, None)]
+    for row in range(n):
+        zero = generic.copy()
+        zero[row] = 0
+        cases.append((zero, 2 if row == 0 else 1))
+    equal = generic.copy()
+    equal[1] = equal[0]
+    cases.append((equal, 3 if n > 2 else None))
+    if n == 3:  # the W of test_reduce_rejects_dependent_rows
+        cases.append((np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 3))
+    for w, drop in cases:
+        message = _rank_message(_check_row_deletion_rank, w)
+        assert message == _rank_message(delete_loop_rank_check, w)
+        assert message == (None if drop is None else f"rows of W without row {drop} are dependent")

@@ -5,18 +5,32 @@ import math
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
+import nonfree.polytope as polytope
+from conftest import recording_pairings
 from nonfree.cli import main
+from nonfree.family import gamma_support
+from nonfree.supports import downward_closure
 from perfbench.workloads import BUILDERS
-from tools.stdout_hashes import flow_shape_ops, input_error_ops, refute_shape_ops
+from tools.stdout_hashes import (
+    HALFSPACE_RANGES_N,
+    flow_shape_ops,
+    halfspace_range_ops,
+    input_error_ops,
+    refute_shape_ops,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_stdout_hashes_prints_one_digest_per_workload_seed_and_command(tmp_path):
     # Plus, once each, the path_free group, the named certificates and the family
-    # sizes the benchmark skips or passes (n = 45 and 101), and the input_errors group; and per seed the
+    # sizes the benchmark skips or passes (n = 45 and 101), the halfspace_ranges group, and the
+    # input_errors group; and per seed the
     # refute_samples group, the 38 refute ops of polytope_refute at --samples 0
     # and 20, the refute_shapes group, six tensors with unequal sides at --samples
     # 0 and 20, and the flow_shapes group, seven flows at shapes the benchmark skips.
@@ -29,9 +43,11 @@ def test_stdout_hashes_prints_one_digest_per_workload_seed_and_command(tmp_path)
     assert lines
     workloads = set()
     path_free, refute_samples, input_errors, flow_shapes, refute_shapes = {}, {}, {}, {}, {}
+    halfspace_ranges = {}
     for line in lines:
         workload, seed, command, ops, digest = line.split("\t")
-        assert seed == ("no seed" if workload in ("path_free", "input_errors") else "seed 0")
+        no_seed = ("path_free", "input_errors", "halfspace_ranges")
+        assert seed == ("no seed" if workload in no_seed else "seed 0")
         assert re.fullmatch(r"\d+ ops", ops)
         assert re.fullmatch(r"[0-9a-f]{64}", digest)
         workloads.add(workload)
@@ -45,13 +61,17 @@ def test_stdout_hashes_prints_one_digest_per_workload_seed_and_command(tmp_path)
             flow_shapes[command] = ops
         if workload == "refute_shapes":
             refute_shapes[command] = ops
+        if workload == "halfspace_ranges":
+            halfspace_ranges[command] = ops
     assert workloads == {
-        *BUILDERS, "path_free", "refute_samples", "input_errors", "flow_shapes", "refute_shapes"
+        *BUILDERS, "path_free", "refute_samples", "input_errors", "flow_shapes", "refute_shapes",
+        "halfspace_ranges",
     }
     assert path_free == {"certify-nonfree": "12 ops", "family": "9 ops"}
     assert refute_samples == {"polytope": "76 ops"}
     assert flow_shapes == {"flow": "7 ops"}
     assert refute_shapes == {"polytope": "12 ops"}
+    assert halfspace_ranges == {"polytope": "4 ops"}
     assert input_errors == {
         "moment-map": "13 ops", "polytope": "4 ops", "flow": "1 ops",
         "certify-nonfree": "4 ops", "free-support": "1 ops", "family": "1 ops",
@@ -86,3 +106,23 @@ def test_every_refute_shapes_op_answers_as_its_support_says(tmp_path, capsys):
         kind, shape = Path(argv[2]).stem.split("_")
         full = math.prod(map(int, shape.split("x")))
         assert (r["outcome"], r["refuting_sample"], r["support_sizes"][0] == full) == want[kind], argv
+
+
+def test_every_halfspace_ranges_op_reports_the_fraction_minimum(tmp_path, capsys, monkeypatch):
+    # Each halfspace is the family's, scaled or rounded, so the reference minimum is the
+    # Fraction minimum of its pairings over the downward closure of the family support.
+    # All but the one just under the int64 switch take the object-array pairings.
+    dtypes = recording_pairings(monkeypatch, polytope)
+    closure = list(downward_closure(gamma_support(HALFSPACE_RANGES_N)))
+    for argv in halfspace_range_ops(str(tmp_path)):
+        with open(argv[-1], encoding="utf-8") as handle:
+            doc = json.load(handle)
+        h1, h2, h3 = ([Fraction(x) for x in doc[key]] for key in ("h1", "h2", "h3"))
+        low = min(h1[i - 1] + h2[j - 1] + h3[k - 1] for i, j, k in closure)
+        code = main(list(argv))
+        result = json.loads(capsys.readouterr().out)["halfspace"]
+        minimum = result["min_support_value"]
+        assert Fraction(int(minimum["num"]), int(minimum["den"])) == low, argv
+        assert (code, result["valid"]) == ((0, True) if low >= Fraction(doc["c"]) else (1, False))
+        assert result["vertices_checked"] == len(closure)
+    assert dtypes == [object, object, np.int64, object]

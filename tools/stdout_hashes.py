@@ -16,6 +16,14 @@ n = 45 past its largest, 32; and `family --n 101`, the largest size the CLI
 takes. These ops read no file and draw nothing, so the group is hashed once,
 with no seed.
 
+The group `halfspace_ranges` hashes `polytope --halfspace` on the family
+tensor at n = 5, with its h and c scaled by 10**20 and written as integer
+strings, rounded over the denominator 3**40, and scaled to integers whose
+pairings sit just under and just over the 2**62 bound below which
+exactlp._pairings sums in int64. All but the third take the object-array path,
+which no benchmark op reaches. Its files are written into
+DIR/halfspace_ranges, and it is hashed once, with no seed.
+
 Another, `input_errors`, hashes error documents: one op or more per family of
 input errors (bad tensor documents, bad halfspace and refutation documents,
 bad flags, sizes and paths), with the files they read written into
@@ -180,6 +188,38 @@ def refute_shape_ops(directory: str, seed: int) -> list[tuple[str, ...]]:
     return ops
 
 
+HALFSPACE_RANGES = "halfspace_ranges"
+HALFSPACE_RANGES_N = 5
+# Integral h and c at n = 5 have a largest |h_L| sum of 48 (20 + 20 + 8) per unit
+# of this scale, and pairings are summed in int64 below 2**62.
+_SWITCH_SCALE = 10 * ((2**62 - 1) // 48)
+
+
+def halfspace_range_ops(directory: str) -> list[tuple[str, ...]]:
+    """The halfspace_ranges ops; their files are written into directory."""
+    from fractions import Fraction
+
+    from perfbench.workloads import Inputs, family_array, family_closed_form
+
+    inputs = Inputs(directory, 0)
+    n = HALFSPACE_RANGES_N
+    form = family_closed_form(n)
+    tensor = inputs.tensor(f"family{n}", family_array(n))
+    over_3_40 = Fraction(1, 3**40)
+    writers = {
+        "times_1e20": lambda x: str(int(x * 10**20)),
+        "over_3_40": lambda x: f"{round(x / over_3_40)}/{3**40}",
+        "under_switch": lambda x: int(x * _SWITCH_SCALE),  # JSON integers
+        "over_switch": lambda x: int(x * (_SWITCH_SCALE + 10)),
+    }
+    ops = []
+    for name, write in writers.items():
+        doc = {f"h{i + 1}": [write(x) for x in hi] for i, hi in enumerate(form.h)}
+        doc["c"] = write(form.c)
+        ops.append(("polytope", "--input", tensor, "--halfspace", inputs.write(name, doc)))
+    return ops
+
+
 def print_digests(cli, label: str, ops: list[tuple[str, ...]]) -> None:
     """One line per command: the sha256 of its ops' argv, exit code and stdout, in order."""
     records = {}
@@ -220,6 +260,8 @@ def main(argv=None) -> int:
         ops = refute_shape_ops(os.path.join(args.directory, f"{REFUTE_SHAPES}-{seed}"), seed)
         print_digests(cli, f"{REFUTE_SHAPES}\tseed {seed}", ops)
     print_digests(cli, f"{PATH_FREE}\tno seed", PATH_FREE_OPS)
+    ops = halfspace_range_ops(os.path.join(args.directory, HALFSPACE_RANGES))
+    print_digests(cli, f"{HALFSPACE_RANGES}\tno seed", ops)
     ops = input_error_ops(os.path.join(args.directory, INPUT_ERRORS))
     print_digests(cli, f"{INPUT_ERRORS}\tno seed", ops)
     return 0
